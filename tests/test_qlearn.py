@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,107 @@ def test_run_trace_csv(tmp_path, recorded_run):
                       "max_delay_used", "sup_dist_to_ref", "max_abs_q"]
     n_lines = sum(1 for _ in open(path)) - 1
     assert n_lines == len(run.events)
+
+
+# ---------------------------------------------------------------------------
+# golden pins: recorded runs and their replays, bit for bit
+# ---------------------------------------------------------------------------
+
+# blocks 3x2 (LP), 1x2, 2x2 and 3x1: every closed form and the LP path
+PIN_GAME = dict(seed=52, n_states=4, max_controls=3)
+PIN_SCHEDULERS = {
+    "uniform-random:1": "uniform-random:1",
+    "round-robin:2": "round-robin:2",
+    "all": "all",
+    # six empty groups: a gap of 7 iterations, more than the ring depth at D=5
+    "custom": ("custom", [[0, 4], [], [], [], [], [], [], [7, 12, 2], [14], [5, 5, 9]]),
+}
+PIN_DELAYS = {"zero": "zero", "uniform-5": ("uniform", 5), "fixed": ("fixed", (0, 2, 1, 3))}
+
+GOLDEN_DIGESTS = {
+    ("uniform-random:1", "zero", 1): "3f66b09e09a8d3e267a8c27996bde72eef4697367263e18bafc374a87a677d1d",
+    ("uniform-random:1", "zero", 2): "3dc1c0dc27fcacc7ed9f9a31a11c617715bb86b4f2df0885811cc1f2abec3dae",
+    ("uniform-random:1", "uniform-5", 1): "bd8424d39f73704c5d6f7b7aab72678a8a1d3767500836891e1e45f7422c368e",
+    ("uniform-random:1", "uniform-5", 2): "2f5fcb81a6affb6c77f0804ff8e3cde9896ac52d21cf75dabab8b5194c6a1517",
+    ("uniform-random:1", "fixed", 1): "c095aeee563fb578b96fd152dc4e745e70e8ebb333cfbff160770340e8726a17",
+    ("uniform-random:1", "fixed", 2): "13d3d87eb4aa1395ba1a0e0f39d3095fd135cf3f30ac8f6f0a4d1922c59618b3",
+    ("round-robin:2", "zero", 1): "b86b0bb55d649649d36222609d4d7f417e170b44828c0e0087649a8029f5e337",
+    ("round-robin:2", "zero", 2): "c9321822874d2362402423dc50c2f76d64c22ec33be893198af441209a50cf1e",
+    ("round-robin:2", "uniform-5", 1): "2faeece0ed4b75df4b9fd411c2ccd157b6ab4987fd7757d64544bb8d68193006",
+    ("round-robin:2", "uniform-5", 2): "794a15187d71b154cba7e10f92968d87cd4ca13e4152850ec98c9c44a421beac",
+    ("round-robin:2", "fixed", 1): "f2c8be44e987a783ae4cffcadc9297348b063e1a4a1e7c6ff451638713a9ce2f",
+    ("round-robin:2", "fixed", 2): "f1df7eb42a1d3428f637c45d15ee9effa4eeff87b951a39dfbbc8e4785031d7b",
+    ("all", "zero", 1): "3e8310026cd59e4971cc2b5ccadfbbfe42da34d074a68c96fae1265965672086",
+    ("all", "zero", 2): "999f1d1513618d32dd2ed546d753aeebdfdd89ce1759f791c0171a97020f3e9b",
+    ("all", "uniform-5", 1): "005da06272827ce2af7dfcc69af019b970a5e2dce3f0326674e3e6a0744c4a97",
+    ("all", "uniform-5", 2): "f2b404cbe0524daa199e5380c84654f075c2b04a5280e1c0521a8661fc298854",
+    ("all", "fixed", 1): "fcf388de914b227f14625e3f03869ffd54a1ed40e133c2031bd92a58a08748b5",
+    ("all", "fixed", 2): "64c4400fc08c28edde048dbf470b2420036c849e6cd8f6ddbc6a06cce8d9b05e",
+    ("custom", "zero", 1): "acaee2d70ca0e05f43e97e157e01189752c2fd1d0b63a3d6594b3802a41a6b61",
+    ("custom", "zero", 2): "5c0b41f0b11d7869cc5c31e5f8a50ab1c75ebab909a452be633725099ca99378",
+    ("custom", "uniform-5", 1): "a84f901f87b10b15b6befecc80e376405ac8a12bf691d59631c8b69c7e31fa4f",
+    ("custom", "uniform-5", 2): "7b5b3a3a9e20e9d13580d7e4edae15f92b29699d3544695874d4458521fed5a6",
+    ("custom", "fixed", 1): "fd1ec7429b7af7beee0a4516f8474d276faf7ab576389c029742e06f44748aa7",
+    ("custom", "fixed", 2): "eff3320064276f6f123653dec6df68eead4ec18ae9601877be3d3799c8411ade",
+}
+
+# sha256 of (noise, coupling qhat_events + min_margin, trackers, to_csv bytes)
+GOLDEN_REPLAYS = {
+    ("uniform-random:1", "uniform-5", 1): (
+        "9485570a3e5902dabcf401243da722006e7426daa468a9febc6c8367c68046ef",
+        "5cba6a12bad7b52d0161c85f6faca85a2b610a7b9a0f8cdf604559a246ebb18d",
+        "765b1f3ade7e57a9b97b42a8b67a80dcb755e7fad2374829f4672450c17ef1eb",
+        "6728bd298dccabe051203ca8107e7885faf1f439bb8efd496013cec66e6b2466",
+    ),
+    ("round-robin:2", "fixed", 2): (
+        "1004d67cd320c39451d17a1760a814c48dbc8a3aab70d5e03f0354ff56125dd3",
+        "81cb798cd44cd5c493ce99fe5685a98da66e8a8a263a4a1319215992449aa7ac",
+        "82cfc3e0746742ac0f6a56d6f2e4025029c71f9d4e92984d35cfbf6f28ae56ce",
+        "8037a44701cde25cedef5a4b856c84ab69a725646f62b34dd3e49f51aa57ff2e",
+    ),
+    ("custom", "uniform-5", 1): (
+        "85b81bb7152faa80131bcbcf76680c0f66e7f1b510dbab0c9f310c5d6a94060a",
+        "feea0541aa2438287d33d3564e9829f0f18d6414126d986bd46003dbfe735797",
+        "2a08b02d71f78f51927b2a7f38d4acbd08ffe7c9daef73444266421eec69e086",
+        "0ecbdb674343c5f30d0efe67cedfe92cd882624d8b1bcc062c8646d684891ec0",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pin_game():
+    return make_contraction(**PIN_GAME)
+
+
+def _pin_run(m, key):
+    sched, delay, seed = key
+    cfg = sspg.QLearnConfig(seed=seed, max_iters=300, scheduler=PIN_SCHEDULERS[sched],
+                            delay_model=PIN_DELAYS[delay], reference_q=np.arange(m.n_triplets) / 8.0,
+                            record_full_history=True)
+    return sspg.run_qlearning(m, cfg)[1]
+
+
+def _sha(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_golden_digest(pin_game, key):
+    assert _pin_run(pin_game, key).digest() == GOLDEN_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_REPLAYS), ids=lambda k: "-".join(map(str, k)))
+def test_golden_replays(pin_game, key, tmp_path):
+    m = pin_game
+    run = _pin_run(m, key)
+    noise = sspg.noise_decomposition(run, m)
+    rep = sspg.run_coupled_lower_process(m, sspg.uniform_policy(m, sspg.PLAYER_MAX), run)
+    tr = sspg.run_trackers(m, run)
+    run.to_csv(tmp_path / "run.csv", m)
+    got = (
+        _sha(noise),
+        _sha(rep.qhat_events, rep.min_margin),
+        _sha(tr.g_tilde, tr.q_hat),
+        hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest(),
+    )
+    assert got == GOLDEN_REPLAYS[key]
