@@ -30,7 +30,7 @@ from .model import (
     StationaryPolicy,
     policy_arrays,
 )
-from .qlearn import QLearnRun, _replay_ring_filler
+from .qlearn import QLearnRun, ReplayCore
 from .structure import build_sspa, forall_termination
 
 
@@ -169,59 +169,42 @@ def run_coupled_lower_process(
     ``slack``; the domination is pathwise and exact, so none are expected
     when both processes start from the same table.
     """
-    if run.events is None:
-        raise ValueError("run was not recorded with full history")
+    rows = run.rows("t", "ell", "j", "cost", "gamma", "new_q", "offsets")
     rules = policy_arrays(m, nu, PLAYER_MAX)
-    ev = run.events
-    depth = run.ring_depth
-    n_events = len(ev)
-
-    blocks = [m.state_block(i) for i in range(1, m.n + 1)]
-    block_of = [None] + [list(range(off, off + nu_i * nv_i)) for off, nu_i, nv_i in blocks]
-    shape_of = [None] + [(nu_i, nv_i) for _, nu_i, nv_i in blocks]
     sigma = [None] + [rules[i - 1].tolist() for i in range(1, m.n + 1)]
 
     qhat = (run.q0 if q0 is None else np.asarray(q0, dtype=float)).tolist()
-    q_main = run.q0.tolist()
-    ring = [qhat[:] for _ in range(depth)]
-    fill = _replay_ring_filler(depth)
+    core = ReplayCore(m, run.config.delay_model, run.seed_used, qhat)
+    advance, read, blocks = core.advance, core.read, core.blocks
     t_prev = -1
 
-    start_margin = np.array(q_main) - np.array(qhat)
-    min_margin = start_margin.copy()
-    qhat_events = np.empty(n_events)
+    min_margin = run.q0 - np.array(qhat)
+    qhat_events = np.empty(len(run.events))
     violations: list[tuple[int, int]] = []
 
-    for k in range(n_events):
-        t = int(ev.t[k])
+    for k, (t, ell, j, cost, gamma, new_q, offs) in enumerate(rows):
         if t != t_prev:
-            fill(ring, qhat, t_prev, t)
+            advance(qhat, t)
             t_prev = t
-        ell = int(ev.ell[k])
-        j = int(ev.j[k])
-        gamma = float(ev.gamma[k])
-        cost = float(ev.cost[k])
         if j == 0:
             val = 0.0
         else:
-            comps = block_of[j]
-            nu_j, nv_j = shape_of[j]
+            # the recorded offsets, so the coupled table sees the engine's delays
+            vals = read(j, offs)
+            _, nu_j, nv_j = blocks[j]
             s = sigma[j]
-            offs = ev.offsets[k]
             best = None
             for ui in range(nu_j):
                 acc = 0.0
                 for vi in range(nv_j):
-                    kk = ui * nv_j + vi
-                    acc += s[vi] * ring[(t - int(offs[kk])) % depth][comps[kk]]
+                    acc += s[vi] * vals[ui * nv_j + vi]
                 if best is None or acc < best:
                     best = acc
             val = best
         new_hat = (1.0 - gamma) * qhat[ell] + gamma * (cost + val)
         qhat[ell] = new_hat
         qhat_events[k] = new_hat
-        q_main[ell] = float(ev.new_q[k])
-        margin = q_main[ell] - new_hat
+        margin = new_q - new_hat
         if margin < min_margin[ell]:
             min_margin[ell] = margin
         if margin < -slack:
@@ -274,24 +257,16 @@ def run_trackers(m: GameModel, run: QLearnRun, check_support: bool = True) -> Tr
     support of its kernel row, which together with the initial state makes
     the absolute-continuity invariant hold at every step.
     """
-    if run.events is None:
-        raise ValueError("run was not recorded with full history")
-    ev = run.events
-    g = run.q0 * 0.0
-    g = g.tolist()
+    rows = run.rows("ell", "gamma", "j", "cost")
+    g = (run.q0 * 0.0).tolist()
     qh = [row.tolist() for row in m.P]
     support = [set(s[0]) for s in m._succ]
-    for k in range(len(ev)):
-        ell = int(ev.ell[k])
-        gamma = float(ev.gamma[k])
-        j = int(ev.j[k])
+    for ell, gamma, j, cost in rows:
         if check_support and j not in support[ell]:
             raise AssertionError(f"sampled successor {j} outside kernel support of {m.triplets[ell]}")
-        g[ell] = (1.0 - gamma) * g[ell] + gamma * float(ev.cost[k])
-        row = qh[ell]
+        g[ell] = (1.0 - gamma) * g[ell] + gamma * cost
         om = 1.0 - gamma
-        for col in range(len(row)):
-            row[col] *= om
+        row = qh[ell] = [x * om for x in qh[ell]]
         row[j] += gamma
     return TrackerState(np.array(g), np.array(qh))
 

@@ -16,6 +16,7 @@ triplet order, trace columns, and all tie-breaking.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -62,10 +63,14 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 33)
 
 
+@functools.lru_cache(maxsize=64)
+def _seed_mix(seed: int) -> int:
+    return _mix64((seed & _M64) ^ 0x9E3779B97F4A7C15)
+
+
 def counter_hash(seed: int, component: int, counter: int) -> int:
     """64-bit hash of (seed, component, counter); pure and platform-stable."""
-    h = _mix64((seed & _M64) ^ 0x9E3779B97F4A7C15)
-    h = _mix64(h ^ (component & _M64))
+    h = _mix64(_seed_mix(seed) ^ (component & _M64))
     h = _mix64(h ^ (counter & _M64))
     return h
 

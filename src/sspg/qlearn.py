@@ -21,19 +21,26 @@ Delay offsets are attached to ordered component pairs: the active triplet
 model (and by t, so no read precedes the start).  Because ``d`` never
 depends on the sampled successor, stepsizes and delays are measurable
 before the transition draw, as the update-noise analysis requires.
+
+The engine and every replay of a recorded run share one replay core, so
+they read the same delayed values by construction: :class:`ReplayCore` holds
+the ring of past tables, the delay bound and the delayed block read,
+:func:`pair_delay_offsets` is the only delay hash, and :meth:`QLearnRun.rows`
+is the only event reader.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import itertools
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .matgame import flat_game_value, value_2x2
+from .matgame import flat_game_value
 from .model import GameModel, counter_hash, counter_uniform
 from .operators import q_bellman
 
@@ -61,26 +68,36 @@ def _parse_scheduler(spec):
     raise ValueError(f"unknown scheduler {spec!r}")
 
 
-def _parse_delay(spec):
+def _parse_delay(spec) -> tuple[bool, tuple[int, ...]]:
+    """The delay rule as ``(hashed, cycle)``.
+
+    The largest delay at iteration t is ``cycle[t % len(cycle)]``, capped at
+    t.  Hashed offsets are drawn per pair in [0, that bound]; otherwise every
+    pair reads exactly the bound.
+    """
     if spec == "zero":
-        return ("zero", 0)
+        return False, (0,)
     if isinstance(spec, str):
         name, _, arg = spec.partition(":")
-        if name == "uniform":
-            return ("uniform", int(arg))
-        raise ValueError(f"unknown delay model {spec!r}")
+        if name != "uniform":
+            raise ValueError(f"unknown delay model {spec!r}")
+        spec = (name, arg)
     kind = spec[0]
     if kind == "uniform":
         d = int(spec[1])
         if d < 0:
             raise ValueError("delay bound must be nonnegative")
-        return ("uniform", d)
+        return True, (d,)
     if kind == "fixed":
         sched = tuple(int(x) for x in spec[1])
         if not sched or min(sched) < 0:
             raise ValueError("fixed delay schedule must be nonempty and nonnegative")
-        return ("fixed", sched)
+        return False, sched
     raise ValueError(f"unknown delay model {spec!r}")
+
+
+# recorded offsets are stored as int16
+_MAX_RECORDED_OFFSET = int(np.iinfo(np.int16).max)
 
 
 @dataclass(frozen=True)
@@ -118,7 +135,12 @@ class QLearnConfig:
         if self.metric_interval < 1:
             raise ValueError("metric_interval must be positive")
         _parse_scheduler(self.scheduler)
-        _parse_delay(self.delay_model)
+        largest = min(max(_parse_delay(self.delay_model)[1]), self.max_iters - 1)
+        if self.record_full_history and largest > _MAX_RECORDED_OFFSET:
+            raise ValueError(
+                f"recorded runs store delay offsets as int16: the largest offset, "
+                f"{largest}, exceeds {_MAX_RECORDED_OFFSET}"
+            )
 
 
 @dataclass(frozen=True)
@@ -127,6 +149,9 @@ class MetricsRow:
     sup_dist_to_ref: float | None
     max_abs_q: float
     residual: float
+
+
+_ROWS_CHUNK = 1 << 10
 
 
 @dataclass
@@ -160,7 +185,6 @@ class QLearnRun:
     max_abs_q: float
     metrics: list[MetricsRow]
     events: EventLog | None
-    final_ring: tuple[np.ndarray, ...]
     ring_depth: int
 
     def digest(self) -> str:
@@ -173,12 +197,23 @@ class QLearnRun:
                 h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
-    def to_csv(self, path, m: GameModel) -> None:
-        """Per-event trace; reference distances recomputed by replaying events."""
+    def rows(self, *names: str):
+        """The named :class:`EventLog` columns as one tuple of Python scalars per event.
+
+        One ``tolist()`` per column and chunk of events keeps numpy scalars out
+        of the replays and memory bounded.  Raises at once without a history.
+        """
         if self.events is None:
             raise ValueError("run was not recorded with full history")
-        import csv
+        cols = [getattr(self.events, name) for name in names]
+        return itertools.chain.from_iterable(
+            zip(*(c[lo : lo + _ROWS_CHUNK].tolist() for c in cols))
+            for lo in range(0, len(self.events), _ROWS_CHUNK)
+        )
 
+    def to_csv(self, path, m: GameModel) -> None:
+        """Per-event trace; reference distances recomputed by replaying events."""
+        rows = self.rows("t", "ell", "j", "cost", "gamma", "new_q", "offsets")
         ref = self.config.reference_q
         ref = None if ref is None else np.asarray(ref, dtype=float)
         q = self.q0.copy()
@@ -189,22 +224,11 @@ class QLearnRun:
                 ["t", "active_component", "j_sample", "cost", "gamma",
                  "max_delay_used", "sup_dist_to_ref", "max_abs_q"]
             )
-            ev = self.events
-            for k in range(len(ev)):
-                q[ev.ell[k]] = ev.new_q[k]
-                running_max = max(running_max, abs(float(ev.new_q[k])))
-                offs = ev.offsets[k]
-                dmax = int(offs.max()) if offs.size and offs.max() >= 0 else 0
+            for t, ell, j, cost, gamma, new_q, offs in rows:
+                q[ell] = new_q
+                running_max = max(running_max, abs(new_q))
                 dist = "" if ref is None else repr(float(np.abs(q - ref).max()))
-                w.writerow(
-                    [int(ev.t[k]), int(ev.ell[k]), int(ev.j[k]), repr(float(ev.cost[k])),
-                     repr(float(ev.gamma[k])), dmax, dist, repr(running_max)]
-                )
-
-
-def _delay_words(seed: int, nR: int, ell: int, count: int, js: int, n_states: int, nwords: int) -> list[int]:
-    base = (count * (n_states + 1) + js) * 8
-    return [counter_hash(seed, nR + ell, base + w) for w in range(nwords)]
+                w.writerow([t, ell, j, repr(cost), repr(gamma), max([0, *offs]), dist, repr(running_max)])
 
 
 def pair_delay_offsets(
@@ -212,17 +236,99 @@ def pair_delay_offsets(
 ) -> list[int]:
     """Uniform delay offsets in [0, dmax] for the components of state ``js``.
 
-    Pure function of its arguments; the engine, the coupled replay, and the
-    noise decomposition all evaluate it identically.
+    The only delay hash: a pure function of its arguments that
+    :class:`ReplayCore` evaluates for the engine and for every replay.  Four
+    16-bit offsets come from each 64-bit word of component ``nR + ell``.
     """
     if dmax <= 0:
         return [0] * block_size
-    words = _delay_words(seed, nR, ell, count, js, n_states, (block_size + 3) // 4)
+    base = (count * (n_states + 1) + js) * 8
+    comp = nR + ell
     out = []
+    word = 0
     for k in range(block_size):
-        bits = (words[k >> 2] >> (16 * (k & 3))) & 0xFFFF
-        out.append((bits * (dmax + 1)) >> 16)
+        sub = k & 3
+        if sub == 0:
+            word = counter_hash(seed, comp, base + (k >> 2))
+        out.append((((word >> (16 * sub)) & 0xFFFF) * (dmax + 1)) >> 16)
     return out
+
+
+class ReplayCore:
+    """Delayed views of one run: ring of past tables, delay rule, block read.
+
+    ``tables[t % depth]`` is the Q-table at the start of iteration ``t`` for
+    the last ``depth`` iterations.  The engine and every replay advance it
+    with the table they build and read successor blocks only through it.
+    """
+
+    def __init__(self, m: GameModel, delay_model, seed: int, q: list):
+        self.hashed, self.cycle = _parse_delay(delay_model)
+        self.depth = max(self.cycle) + 1
+        self.tables = [q[:] for _ in range(self.depth)]
+        self.seed, self.nR, self.n_states = seed, m.n_triplets, m.n
+        # (components, rows, columns) by state; the terminal state 0 has no block
+        self.blocks = [None]
+        for i in range(1, m.n + 1):
+            off, nu, nv = m.state_block(i)
+            self.blocks.append((list(range(off, off + nu * nv)), nu, nv))
+        self.t = -1
+        self.dmax = 0
+        self.row = None
+
+    def advance(self, q: list, t: int) -> None:
+        """Store ``q`` for every iteration after the last stored one up to ``t``
+        (a gap of ``depth`` or more refills the ring), and set the largest
+        delay at ``t``, which never reaches back past iteration 0."""
+        tables, depth = self.tables, self.depth
+        for tt in range(max(self.t + 1, t - depth + 1), t + 1):
+            tables[tt % depth] = q[:]
+        self.t = t
+        cycle = self.cycle
+        d = cycle[t % len(cycle)]
+        self.dmax = d = d if d < t else t
+        # one past table serves the whole block unless offsets are hashed per pair
+        self.row = None if d and self.hashed else tables[(t - d) % depth]
+
+    def read(self, j: int, offs) -> list[float]:
+        """State ``j``'s block at the current iteration, entry k read ``offs[k]``
+        iterations back; a recorded row's ``-1`` padding is never reached."""
+        comps = self.blocks[j][0]
+        row = self.row
+        if row is not None:
+            return [row[c] for c in comps]
+        t, depth, tables = self.t, self.depth, self.tables
+        return [tables[(t - d) % depth][c] for d, c in zip(offs, comps)]
+
+    def value(self, ell: int, count: int, j: int) -> tuple[float, tuple[int, ...]]:
+        """Game value of state ``j``'s block as the ``count``-th update of
+        ``ell`` reads it now (zero at the terminal state), and the offsets."""
+        if j == 0:
+            return 0.0, ()
+        _, nu, nv = self.blocks[j]
+        if self.row is None:
+            offs = pair_delay_offsets(self.seed, self.nR, self.n_states, ell, count, j, nu * nv, self.dmax)
+            offs = tuple(offs)  # kept per event: the collector untracks int tuples, never lists
+        else:
+            offs = (self.dmax,) * (nu * nv)
+        return flat_game_value(self.read(j, offs), nu, nv), offs
+
+
+def _event_log(scalars: list, offsets: list[tuple]) -> EventLog:
+    """Column arrays of seven scalars and one offsets tuple per event; offsets padded with -1."""
+    width = max(map(len, offsets), default=0)
+    pads = [(-1,) * (width - n) for n in range(width + 1)]
+    padded = np.array([o + pads[len(o)] for o in offsets], dtype=np.int16)
+    return EventLog(
+        t=np.array(scalars[0::7], dtype=np.int64),
+        ell=np.array(scalars[1::7], dtype=np.int32),
+        count=np.array(scalars[2::7], dtype=np.int64),
+        j=np.array(scalars[3::7], dtype=np.int32),
+        cost=np.array(scalars[4::7], dtype=float),
+        gamma=np.array(scalars[5::7], dtype=float),
+        new_q=np.array(scalars[6::7], dtype=float),
+        offsets=padded.reshape(len(offsets), width),
+    )
 
 
 def qlearning_update(
@@ -253,18 +359,9 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
     floating range (misconfiguration or genuine divergence).
     """
     nR = m.n_triplets
-    n_states = m.n
     seed = int(os.environ["SSPG_SEED"]) if os.environ.get("SSPG_SEED") else cfg.seed
 
     sched_kind, sched_arg = _parse_scheduler(cfg.scheduler)
-    delay_kind, delay_arg = _parse_delay(cfg.delay_model)
-    if delay_kind == "zero":
-        depth = 1
-    elif delay_kind == "uniform":
-        depth = delay_arg + 1
-    else:
-        depth = max(delay_arg) + 1
-
     a, b, p = cfg.stepsize
     ref = None if cfg.reference_q is None else np.asarray(cfg.reference_q, dtype=float)
 
@@ -274,24 +371,18 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
 
     # flat python structures for the hot loop
     succ = m._succ
-    blocks = [m.state_block(i) for i in range(1, n_states + 1)]
-    block_of = [None] + [list(range(off, off + nu * nv)) for off, nu, nv in blocks]
-    shape_of = [None] + [(nu, nv) for _, nu, nv in blocks]
     Q = q0_arr.tolist()
-    ring = [Q[:] for _ in range(depth)]
+    core = ReplayCore(m, cfg.delay_model, seed, Q)
+    advance, value = core.advance, core.value
     counts = [0] * nR
     sum_g = [0.0] * nR
     sum_g2 = [0.0] * nR
 
+    # per event: seven scalars in one flat list and one tuple of offsets, so
+    # the recording adds no container the garbage collector keeps scanning
     record = cfg.record_full_history
-    ev_t: list[int] = []
-    ev_ell: list[int] = []
-    ev_cnt: list[int] = []
-    ev_j: list[int] = []
-    ev_cost: list[float] = []
-    ev_gamma: list[float] = []
-    ev_newq: list[float] = []
-    ev_offs: list[tuple] = []
+    scalars: list = []
+    offsets: list[tuple] = []
 
     max_abs = float(np.abs(q0_arr).max()) if nR else 0.0
     metrics: list[MetricsRow] = []
@@ -308,7 +399,7 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
     chash = counter_hash
 
     for t in range(cfg.max_iters):
-        ring[t % depth] = Q[:]
+        advance(Q, t)
 
         if sched_kind == "all":
             active = range(nR)
@@ -332,14 +423,6 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
                 if c not in active:
                     active.append(c)
 
-        if delay_kind == "uniform":
-            dmax_iter = delay_arg if delay_arg < t else t
-        elif delay_kind == "fixed":
-            d_fixed = delay_arg[t % len(delay_arg)]
-            dmax_iter = d_fixed if d_fixed < t else t
-        else:
-            dmax_iter = 0
-
         for ell in active:
             cnt = counts[ell]
             gamma = a / (b + cnt) ** p if (b + cnt) > 0 else math.inf
@@ -353,45 +436,7 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
             j = idx[pos]
             cost = costs[pos]
 
-            if j == 0:
-                val = 0.0
-                offs = ()
-            else:
-                comps = block_of[j]
-                nu, nv = shape_of[j]
-                size = nu * nv
-                if dmax_iter == 0:
-                    row = ring[t % depth]
-                    vals = [row[c] for c in comps]
-                    offs = (0,) * size
-                elif delay_kind == "fixed":
-                    # the scheduled offset itself, applied to every pair
-                    row = ring[(t - dmax_iter) % depth]
-                    vals = [row[c] for c in comps]
-                    offs = (dmax_iter,) * size
-                else:
-                    base = (cnt * (n_states + 1) + j) * 8
-                    dcomp = nR + ell
-                    offs_l = []
-                    vals = []
-                    word = 0
-                    for k in range(size):
-                        sub = k & 3
-                        if sub == 0:
-                            word = chash(seed, dcomp, base + (k >> 2))
-                        d = (((word >> (16 * sub)) & 0xFFFF) * (dmax_iter + 1)) >> 16
-                        offs_l.append(d)
-                        vals.append(ring[(t - d) % depth][comps[k]])
-                    offs = tuple(offs_l)
-                if nu == 1:
-                    val = max(vals)
-                elif nv == 1:
-                    val = min(vals)
-                elif size == 4:
-                    val = value_2x2(vals[0], vals[1], vals[2], vals[3])
-                else:
-                    val = flat_game_value(vals, nu, nv)
-
+            val, offs = value(ell, cnt, j)
             new_q = (1.0 - gamma) * Q[ell] + gamma * (cost + val)
             if not math.isfinite(new_q):
                 raise QLearnDivergenceError(
@@ -406,35 +451,11 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
             elif -new_q > max_abs:
                 max_abs = -new_q
             if record:
-                ev_t.append(t)
-                ev_ell.append(ell)
-                ev_cnt.append(cnt)
-                ev_j.append(j)
-                ev_cost.append(cost)
-                ev_gamma.append(gamma)
-                ev_newq.append(new_q)
-                ev_offs.append(offs)
+                scalars.extend((t, ell, cnt, j, cost, gamma, new_q))
+                offsets.append(offs)
 
         if (t + 1) % cfg.metric_interval == 0 or t + 1 == cfg.max_iters:
             snap_metrics(t + 1)
-
-    events = None
-    if record:
-        max_block = max((len(o) for o in ev_offs), default=0)
-        offs_arr = np.full((len(ev_t), max_block), -1, dtype=np.int16)
-        for k, o in enumerate(ev_offs):
-            if o:
-                offs_arr[k, : len(o)] = o
-        events = EventLog(
-            t=np.array(ev_t, dtype=np.int64),
-            ell=np.array(ev_ell, dtype=np.int32),
-            count=np.array(ev_cnt, dtype=np.int64),
-            j=np.array(ev_j, dtype=np.int32),
-            cost=np.array(ev_cost, dtype=float),
-            gamma=np.array(ev_gamma, dtype=float),
-            new_q=np.array(ev_newq, dtype=float),
-            offsets=offs_arr,
-        )
 
     q_final = np.array(Q)
     run = QLearnRun(
@@ -447,26 +468,10 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
         sum_gamma_sq=np.array(sum_g2),
         max_abs_q=max_abs,
         metrics=metrics,
-        events=events,
-        final_ring=tuple(np.array(r) for r in ring),
-        ring_depth=depth,
+        events=_event_log(scalars, offsets) if record else None,
+        ring_depth=core.depth,
     )
     return q_final, run
-
-
-def _replay_ring_filler(depth: int):
-    """Shared ring-buffer advance for event replays (handles iteration gaps)."""
-
-    def fill(ring: list, q: list, t_prev: int, t_new: int) -> None:
-        gap = t_new - t_prev
-        if gap >= depth:
-            for d in range(depth):
-                ring[d] = q[:]
-        else:
-            for tt in range(t_prev + 1, t_new + 1):
-                ring[tt % depth] = q[:]
-
-    return fill
 
 
 def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
@@ -478,68 +483,30 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
     difference.  The recorded post-update value is re-derived along the way
     and must match bit-exactly, which guards the replay machinery itself.
     """
-    if run.events is None:
-        raise ValueError("run was not recorded with full history")
-    ev = run.events
-    nR = m.n_triplets
-    n_states = m.n
-    depth = run.ring_depth
-    seed = run.seed_used
-    delay_kind, delay_arg = _parse_delay(run.config.delay_model)
-
-    blocks = [m.state_block(i) for i in range(1, n_states + 1)]
-    block_of = [None] + [list(range(off, off + nu * nv)) for off, nu, nv in blocks]
-    shape_of = [None] + [(nu, nv) for _, nu, nv in blocks]
+    rows = run.rows("t", "ell", "count", "j", "cost", "gamma", "new_q")
     succ = m._succ
     g = m.g
     P = m.P
-
     Q = run.q0.tolist()
-    ring = [Q[:] for _ in range(depth)]
-    fill = _replay_ring_filler(depth)
+    core = ReplayCore(m, run.config.delay_model, run.seed_used, Q)
+    advance, value = core.advance, core.value
     t_prev = -1
 
-    def delayed_value(ell: int, cnt: int, js: int, t: int, dmax: int) -> float:
-        comps = block_of[js]
-        nu, nv = shape_of[js]
-        size = nu * nv
-        if dmax == 0:
-            vals = [ring[t % depth][c] for c in comps]
-        elif delay_kind == "fixed":
-            vals = [ring[(t - dmax) % depth][c] for c in comps]
-        else:
-            offs = pair_delay_offsets(seed, nR, n_states, ell, cnt, js, size, dmax)
-            vals = [ring[(t - offs[k]) % depth][comps[k]] for k in range(size)]
-        return flat_game_value(vals, nu, nv)
-
-    w = np.empty(len(ev))
-    for k in range(len(ev)):
-        t = int(ev.t[k])
+    w = np.empty(len(run.events))
+    for k, (t, ell, cnt, j, cost, gamma, recorded) in enumerate(rows):
         if t != t_prev:
-            fill(ring, Q, t_prev, t)
+            advance(Q, t)
             t_prev = t
-        ell = int(ev.ell[k])
-        cnt = int(ev.count[k])
-        j = int(ev.j[k])
-        gamma = float(ev.gamma[k])
-        cost = float(ev.cost[k])
-        if delay_kind == "uniform":
-            dmax = min(delay_arg, t)
-        elif delay_kind == "fixed":
-            dmax = min(delay_arg[t % len(delay_arg)], t)
-        else:
-            dmax = 0
-
-        val_j = 0.0 if j == 0 else delayed_value(ell, cnt, j, t, dmax)
+        val_j = value(ell, cnt, j)[0]
         target = cost + val_j
         new_q = (1.0 - gamma) * Q[ell] + gamma * target
-        if new_q != ev.new_q[k]:
-            raise AssertionError(f"replay mismatch at event {k}: {new_q} != {ev.new_q[k]}")
+        if new_q != recorded:
+            raise AssertionError(f"replay mismatch at event {k}: {new_q} != {recorded}")
 
         backup = float(g[ell])
         for js in succ[ell][0]:
             if js != 0:
-                backup += float(P[ell, js]) * delayed_value(ell, cnt, js, t, dmax)
+                backup += float(P[ell, js]) * (val_j if js == j else value(ell, cnt, js)[0])
         w[k] = target - backup
         Q[ell] = new_q
     return w

@@ -257,6 +257,20 @@ def test_config_validation():
         sspg.QLearnConfig(scheduler="sometimes")
     with pytest.raises(ValueError):
         sspg.QLearnConfig(delay_model=("uniform", -1))
+    with pytest.raises(ValueError):
+        sspg.QLearnConfig(delay_model="uniform:-1")
+
+
+def test_config_rejects_offsets_beyond_int16():
+    # recorded offsets are stored as int16: refuse the run before it starts
+    for delay in (("uniform", 40_000), ("fixed", (0, 40_000))):
+        with pytest.raises(ValueError, match="int16"):
+            sspg.QLearnConfig(max_iters=40_000, delay_model=delay, record_full_history=True)
+    with pytest.raises(ValueError, match="int16"):
+        sspg.QLearnConfig(max_iters=32_769, delay_model=("uniform", 40_000), record_full_history=True)
+    # no offset exceeds t < max_iters, and unrecorded runs store none
+    sspg.QLearnConfig(max_iters=32_768, delay_model=("uniform", 40_000), record_full_history=True)
+    sspg.QLearnConfig(max_iters=40_000, delay_model=("uniform", 40_000))
 
 
 def test_metrics_series():
