@@ -28,7 +28,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from . import operators
 from .model import (
     PLAYER_MAX,
     PLAYER_MIN,
@@ -40,8 +39,6 @@ from .model import (
 
 #: |gain| at or below this is treated as zero when classifying total costs
 GAIN_TOL = 1e-9
-
-_DIVERGE = 1e9
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +459,6 @@ class AssumptionReport:
         }
 
 
-def _best_response_value_iteration(
-    m: GameModel, policy: StationaryPolicy, tol: float = 1e-8, max_iter: int = 2000
-) -> tuple[np.ndarray, bool]:
-    """Fixed point of the one-policy backup by plain iteration, from zero."""
-    op = operators.bellman_min_fixed if policy.player == PLAYER_MIN else operators.bellman_max_fixed
-    x = np.zeros(m.n)
-    for _ in range(max_iter):
-        x1 = op(m, policy, x)
-        if np.abs(x1).max() > _DIVERGE:
-            return x1, False
-        if np.abs(x1 - x).max() <= tol:
-            return x1, True
-        x = x1
-    return x, False
-
-
 def check_ssp_game_assumption(m: GameModel, max_pairs: int = 10**6) -> AssumptionReport:
     """Enumerate pure policy pairs and report the structural clause verdicts."""
     n_mu = count_pure_policies(m, PLAYER_MIN)
@@ -515,13 +496,15 @@ def check_ssp_game_assumption(m: GameModel, max_pairs: int = 10**6) -> Assumptio
             witness_states=states_w,
         )
 
+    from .solve import CONVERGED, evaluate_vs_best_response  # solve imports this module
+
     def safeguard(rows_bad: np.ndarray, policies: Sequence[StationaryPolicy], who: str) -> ClauseVerdict:
         for k, pol in enumerate(policies):
             if rows_bad[k].any():
                 continue
-            _, converged = _best_response_value_iteration(m, pol)
+            _, trace = evaluate_vs_best_response(m, pol, max_iter=2000)
             note = f"pure safeguard found for {who}"
-            if not converged:
+            if trace.outcome != CONVERGED:
                 note += " (best-response iteration did not settle; pure-pair evidence only)"
             return ClauseVerdict(
                 "holds",

@@ -224,6 +224,22 @@ def test_assumption_zerocost_violated(zerocost):
     assert clause.witness_nu.rule("1").tolist() == [0.0, 1.0]
 
 
+def test_assumption_safeguard_notes_pursuit(pursuit):
+    doc = sspg.check_ssp_game_assumption(pursuit).to_json(pursuit)["clauses"]
+    assert doc["safeguard_min"] == {
+        "status": "holds",
+        "note": "pure safeguard found for minimizer",
+        "witness_mu": {"player": "I", "rules": {"1": {"chase": 1.0, "wait": 0.0}, "2": {"-": 1.0},
+                                                "3": {"sprint": 1.0, "cut": 0.0}}},
+    }
+    assert doc["safeguard_max"] == {
+        "status": "holds",
+        "note": "pure safeguard found for maximizer",
+        "witness_nu": {"player": "II", "rules": {"1": {"-": 1.0}, "2": {"run": 1.0, "hide": 0.0},
+                                                 "3": {"-": 1.0}}},
+    }
+
+
 def test_assumption_report_serializes(everett):
     doc = sspg.check_ssp_game_assumption(everett).to_json(everett)
     assert doc["overall"] == "violated"
