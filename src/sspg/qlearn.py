@@ -264,6 +264,7 @@ class ReplayCore:
 
     def __init__(self, m: GameModel, delay_model, seed: int, q: list):
         self.hashed, self.cycle = _parse_delay(delay_model)
+        self.period = len(self.cycle)
         self.depth = max(self.cycle) + 1
         self.tables = [q[:] for _ in range(self.depth)]
         self.seed, self.nR, self.n_states = seed, m.n_triplets, m.n
@@ -281,11 +282,14 @@ class ReplayCore:
         (a gap of ``depth`` or more refills the ring), and set the largest
         delay at ``t``, which never reaches back past iteration 0."""
         tables, depth = self.tables, self.depth
-        for tt in range(max(self.t + 1, t - depth + 1), t + 1):
+        tt = self.t
+        if t - tt > depth:
+            tt = t - depth
+        while tt < t:
+            tt += 1
             tables[tt % depth] = q[:]
         self.t = t
-        cycle = self.cycle
-        d = cycle[t % len(cycle)]
+        d = self.cycle[t % self.period]
         self.dmax = d = d if d < t else t
         # one past table serves the whole block unless offsets are hashed per pair
         self.row = None if d and self.hashed else tables[(t - d) % depth]
