@@ -63,6 +63,7 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 33)
 
 
+# a run draws every number from one seed, so its first mix is computed once
 @functools.lru_cache(maxsize=64)
 def _seed_mix(seed: int) -> int:
     return _mix64((seed & _M64) ^ 0x9E3779B97F4A7C15)

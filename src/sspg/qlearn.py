@@ -282,6 +282,7 @@ class ReplayCore:
         (a gap of ``depth`` or more refills the ring), and set the largest
         delay at ``t``, which never reaches back past iteration 0."""
         tables, depth = self.tables, self.depth
+        # a plain counter, not max()/range(): the engine calls this every iteration
         tt = self.t
         if t - tt > depth:
             tt = t - depth
