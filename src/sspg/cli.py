@@ -179,8 +179,8 @@ def _qlearn_config(args, m: GameModel) -> qlearn.QLearnConfig:
         with open(args.delay_schedule) as f:
             offsets = tuple(int(line.strip()) for line in f if line.strip())
         delay = ("fixed", offsets)
-    elif args.delay > 0:
-        delay = ("uniform", args.delay)
+    elif args.delay:
+        delay = ("uniform", args.delay)  # QLearnConfig rejects a negative bound
     else:
         delay = "zero"
     ref = None

@@ -1,4 +1,4 @@
-"""Exact solver for two-player zero-sum matrix games.
+"""Exact solver for two-player zero-sum matrix games, and the batched value kernel.
 
 ``A[u][v]`` is the cost paid by the row player (minimizer) to the column
 player (maximizer).  The solver returns the game value together with a
@@ -11,10 +11,18 @@ primal simplex using Bland's rule, which cannot cycle; the column strategy
 is read off the slack reduced costs.  Degenerate one-row / one-column games
 short-circuit to pure min/max.  Tie-breaking is lowest-index everywhere, so
 results are deterministic for a fixed matrix.
+
+Values alone come cheaper.  :func:`game_values` evaluates every state of a
+game at once from its :class:`ShapeGroups`: 1 x k and k x 1 blocks as a
+max / min over a padded index array, 2 x 2 blocks with a vectorized
+:func:`value_2x2`, and only the remaining blocks through the simplex,
+without assembling strategies.  :func:`flat_game_value` is the same
+dispatch for one block at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,40 +53,53 @@ def _pure(size: int, index: int) -> np.ndarray:
     return s
 
 
-def _simplex(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value and strategies for an all-positive matrix via primal simplex."""
-    m, n = a.shape
-    # tableau rows: A' x + s = 1;  objective: maximize sum(x)
-    t = np.zeros((n, m + n + 1))
-    t[:, :m] = a.T
-    t[:, m : m + n] = np.eye(n)
-    t[:, -1] = 1.0
-    obj = np.zeros(m + n + 1)
-    obj[:m] = -1.0  # reduced costs z_j - c_j, slack basis
+def _simplex(vals: list, m: int, n: int) -> tuple[float, np.ndarray, list]:
+    """Primal simplex on a u-major flattened ``m x n`` game.
+
+    Returns the value, the row weights ``x`` and the slack reduced costs
+    ``y`` (unnormalized strategies).  The tableau is a list of Python float
+    rows: at these sizes a numpy call per row operation costs more than the
+    arithmetic.  Every entry goes through the same IEEE operations in the
+    same order as a dense array tableau would, so results are bit-stable.
+    """
+    shift = 1.0 - min(vals)
+    if shift < 0.0:
+        shift = 0.0
+    # tableau rows, one per column v: A'x + s = 1;  objective: maximize sum(x)
+    t = []
+    for v in range(n):
+        row = [w + shift for w in vals[v::n]] + [0.0] * n + [1.0]
+        row[m + v] = 1.0
+        t.append(row)
+    obj = [-1.0] * m + [0.0] * (n + 1)  # reduced costs z_j - c_j, slack basis
     basis = list(range(m, m + n))
+    width = m + n
 
     for _ in range(_MAX_PIVOTS):
         enter = -1
-        for j in range(m + n):
+        for j in range(width):
             if obj[j] < -_EPS:  # Bland: lowest-index improving column
                 enter = j
                 break
         if enter < 0:
             break
-        leave, best, best_var = -1, np.inf, np.inf
-        for i in range(n):
-            if t[i, enter] > _EPS:
-                ratio = t[i, -1] / t[i, enter]
+        leave, best, best_var = -1, math.inf, math.inf
+        for i, row in enumerate(t):
+            tie = row[enter]
+            if tie > _EPS:
+                ratio = row[-1] / tie
                 if ratio < best - _EPS or (ratio < best + _EPS and basis[i] < best_var):
                     leave, best, best_var = i, ratio, basis[i]
         if leave < 0:
             raise RuntimeError("matrix game LP unbounded; input not positive?")
-        piv = t[leave, enter]
-        t[leave] /= piv
-        for i in range(n):
-            if i != leave and t[i, enter] != 0.0:
-                t[i] -= t[i, enter] * t[leave]
-        obj -= obj[enter] * t[leave]
+        piv = t[leave][enter]
+        lrow = t[leave] = [w / piv for w in t[leave]]
+        for i, row in enumerate(t):
+            f = row[enter]
+            if i != leave and f != 0.0:
+                t[i] = [w - f * z for w, z in zip(row, lrow)]
+        f = obj[enter]
+        obj = [w - f * z for w, z in zip(obj, lrow)]
         basis[leave] = enter
     else:
         raise RuntimeError("matrix game LP did not terminate")
@@ -86,15 +107,11 @@ def _simplex(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     x = np.zeros(m)
     for i, b in enumerate(basis):
         if b < m:
-            x[b] = t[i, -1]
-    y = obj[m : m + n].copy()  # dual values from slack reduced costs
-    total = x.sum()
+            x[b] = t[i][-1]
+    total = float(x.sum())  # numpy sums 8 or more entries pairwise; the pins record that order
     if total <= 0:
         raise RuntimeError("matrix game LP returned a degenerate solution")
-    value = 1.0 / total
-    row = np.clip(x, 0.0, None)
-    col = np.clip(y, 0.0, None)
-    return value, row / row.sum(), col / col.sum()
+    return 1.0 / total - shift, x, obj[m:width]
 
 
 def solve_matrix_game(matrix) -> MatrixGameSolution:
@@ -107,11 +124,10 @@ def solve_matrix_game(matrix) -> MatrixGameSolution:
     if n == 1:
         i = int(np.argmin(a[:, 0]))
         return MatrixGameSolution(float(a[i, 0]), _pure(m, i), np.ones(1))
-    shift = 1.0 - a.min()
-    if shift < 0.0:
-        shift = 0.0
-    value, row, col = _simplex(a + shift)
-    return MatrixGameSolution(value - shift, row, col)
+    value, x, y = _simplex(a.ravel().tolist(), m, n)
+    row = np.maximum(x, 0.0)
+    col = np.maximum(np.array(y), 0.0)  # dual values from slack reduced costs
+    return MatrixGameSolution(value, row / row.sum(), col / col.sum())
 
 
 def best_response_value(matrix, strategy, side: str) -> tuple[float, int]:
@@ -150,6 +166,93 @@ def value_2x2(a: float, b: float, c: float, d: float) -> float:
         return up
     den = a - b - c + d
     return up if den == 0.0 else (a * d - b * c) / den
+
+
+def _values_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """:func:`value_2x2` over arrays, bit for bit.
+
+    ``np.where(y > x, y, x)`` is Python's ``max(x, y)``: the first argument
+    wins ties, signed zeros included.
+    """
+    def vmax(x, y):
+        return np.where(y > x, y, x)
+
+    def vmin(x, y):
+        return np.where(y < x, y, x)
+
+    up = vmin(vmax(a, b), vmax(c, d))
+    lo = vmax(vmin(a, c), vmin(b, d))
+    den = a - b - c + d
+    return np.divide(a * d - b * c, den, out=up.copy(), where=(lo != up) & (den != 0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class ShapeGroups:
+    """The states of a game grouped by stage-game shape, for :func:`game_values`.
+
+    ``rows`` (1 x k, 1 x 1 included), ``cols`` (k x 1) and ``pairs``
+    (2 x 2) each hold 0-based state positions and a matrix of triplet
+    indices, one row per state, padded by repeating the block's first entry.
+    ``other`` lists every remaining block as ``(position, offset, nu, nv)``.
+    """
+
+    n: int
+    rows: tuple[np.ndarray, np.ndarray]
+    cols: tuple[np.ndarray, np.ndarray]
+    pairs: tuple[np.ndarray, np.ndarray]
+    other: tuple[tuple[int, int, int, int], ...]
+
+    @classmethod
+    def from_blocks(cls, blocks) -> "ShapeGroups":
+        """Group ``(offset, nu, nv)`` blocks, one per state, by the kernel's dispatch."""
+        rows, cols, pairs, other = [], [], [], []
+        for p, (off, nu, nv) in enumerate(blocks):
+            if nu * nv == 0:
+                other.append((p, off, nu, nv))  # the LP path rejects it
+            elif nu == 1:
+                rows.append((p, off, nv))
+            elif nv == 1:
+                cols.append((p, off, nu))
+            elif nu == 2 and nv == 2:
+                pairs.append((p, off, 4))
+            else:
+                other.append((p, off, nu, nv))
+
+        def indexed(group):
+            width = max((k for _, _, k in group), default=0)
+            idx = [[off + (j if j < k else 0) for j in range(width)] for _, off, k in group]
+            return (np.array([p for p, _, _ in group], dtype=np.intp),
+                    np.array(idx, dtype=np.intp).reshape(len(group), width))
+
+        return cls(len(blocks), indexed(rows), indexed(cols), indexed(pairs), tuple(other))
+
+
+def game_values(q, groups: ShapeGroups) -> np.ndarray:
+    """Game value of every state's block of a flat u-major table, one pass per shape.
+
+    The value kernel of the exact layer.  1 x k blocks take the first
+    maximum and k x 1 blocks the first minimum, 2 x 2 blocks the vectorized
+    :func:`value_2x2`, and every other block a value-only LP.  Equals
+    :func:`flat_game_value` on each block bit for bit (property-tested).
+    """
+    q = np.asarray(q, dtype=float)
+    if not np.isfinite(q).all():
+        raise ValueError("matrix game entries must be finite")
+    out = np.empty(groups.n)
+    for (pos, idx), pick in ((groups.rows, np.argmax), (groups.cols, np.argmin)):
+        if pos.size:
+            vals = q[idx]
+            out[pos] = np.take_along_axis(vals, pick(vals, axis=1)[:, None], axis=1)[:, 0]
+    pos, idx = groups.pairs
+    if pos.size:
+        out[pos] = _values_2x2(*q[idx].T)
+    if groups.other:
+        flat = q.tolist()
+        for p, off, nu, nv in groups.other:
+            if nu * nv == 0:
+                raise ValueError(f"matrix game needs a 2-D m x n matrix, got shape {(nu, nv)}")
+            out[p] = _simplex(flat[off : off + nu * nv], nu, nv)[0]
+    return out
 
 
 def flat_game_value(vals, nu: int, nv: int) -> float:

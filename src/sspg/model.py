@@ -25,6 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .matgame import ShapeGroups
+
 TERMINAL = "0"
 PLAYER_MIN = 1
 PLAYER_MAX = 2
@@ -164,6 +166,7 @@ class GameModel:
         self.triplets = tuple(trips)
         self.n_triplets = len(trips)
         self._blocks = tuple(blocks)
+        self.shape_groups = ShapeGroups.from_blocks(blocks)  # for the batched value kernel
         self._tidx = {t: k for k, t in enumerate(trips)}
 
         rows: dict[Triplet, tuple[NextEntry, ...]] = {}

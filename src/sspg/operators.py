@@ -5,18 +5,22 @@ states (the terminal state's value is identically zero and never stored).
 Q-tables are float arrays over the canonical triplet index, with the
 terminal entry pinned to zero implicitly.
 
-Every minimax evaluation reduces to :func:`sspg.matgame.solve_matrix_game`
-on a per-state stage matrix; there are no specialized minimax code paths
-here.  Operators with one player's policy fixed are computed as pure best
-responses over the opponent's pure controls, which is exact because a
-linear function on a simplex attains its optimum at a vertex.
+Every minimax evaluation is a matrix game per state.  Values go through the
+batched kernel :func:`sspg.matgame.game_values` (closed forms for 1 x k,
+k x 1 and 2 x 2 blocks, a value-only LP for the rest), which serves
+:func:`values_from_q` and through it :func:`bellman` and :func:`q_bellman`.
+Strategies, and the maximin variant, come from
+:func:`sspg.matgame.solve_matrix_game`.  Operators with one player's policy
+fixed are computed as pure best responses over the opponent's pure
+controls, which is exact because a linear function on a simplex attains its
+optimum at a vertex.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matgame import solve_matrix_game
+from .matgame import game_values, solve_matrix_game
 from .model import (
     PLAYER_MAX,
     PLAYER_MIN,
@@ -53,10 +57,7 @@ def q_from_values(m: GameModel, values) -> np.ndarray:
 
 def values_from_q(m: GameModel, q) -> np.ndarray:
     """Change of variable Q -> J: per-state matrix-game value of Q(i,·,·)."""
-    q = _as_qtable(m, q)
-    return np.array(
-        [solve_matrix_game(m.q_block(q, i)).value for i in range(1, m.n + 1)]
-    )
+    return game_values(_as_qtable(m, q), m.shape_groups)
 
 
 def bellman(m: GameModel, values) -> np.ndarray:

@@ -54,9 +54,9 @@ def _parse_scheduler(spec):
         return ("all", 0)
     if isinstance(spec, str):
         name, _, arg = spec.partition(":")
-        if name in ("uniform-random", "round-robin"):
-            return (name, int(arg) if arg else 1)
-        raise ValueError(f"unknown scheduler {spec!r}")
+        if name not in ("uniform-random", "round-robin"):
+            raise ValueError(f"unknown scheduler {spec!r}")
+        spec = (name, arg or 1)
     kind = spec[0]
     if kind in ("uniform-random", "round-robin"):
         k = int(spec[1])

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .matgame import solve_matrix_game
 from .model import PLAYER_MAX, PLAYER_MIN, GameModel, StationaryPolicy
 from .operators import (
     bellman,

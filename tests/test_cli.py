@@ -3,7 +3,7 @@ import json
 import pytest
 
 import sspg
-from sspg.cli import main
+from sspg.cli import EXIT_USAGE, main
 
 
 @pytest.fixture
@@ -162,6 +162,13 @@ def test_qlearn_zero_iterations(capsys, everett_file):
     assert code == 0
     doc = json.loads(out)
     assert all(row["q"] == 0.0 for row in doc["q"])
+
+
+def test_qlearn_rejects_negative_delay(capsys, everett_file):
+    for cmd in ("qlearn", "couple"):
+        code = main([cmd, "--model", everett_file, "--iters", "10", "--delay", "-3"])
+        assert code == EXIT_USAGE
+        assert "delay bound must be nonnegative" in capsys.readouterr().err
 
 
 def test_qlearn_with_reference_and_csv(capsys, self_loop_file, tmp_path):

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import sspg
-from sspg.matgame import flat_game_value
+from conftest import make_contraction
+from sspg.matgame import ShapeGroups, flat_game_value, game_values
 
 
 def oracle_2x2(a, b, c, d):
@@ -134,3 +137,98 @@ def test_deterministic_resolution():
     assert s1.value == s2.value
     assert (s1.row_strategy == s2.row_strategy).all()
     assert (s1.col_strategy == s2.col_strategy).all()
+
+
+# sha256 of solve_matrix_game's value, row and column bytes over fixed inputs:
+# any change to the pivot order, tie-breaking or arithmetic shows here
+LP_PINS = {
+    "continuous": "1a37bae71de42b45bf760b73f3d07d0d0de8c9de9a879a5424a2cbc818797b63",
+    "integer-ties": "7ea209a3687d7b63c0c7c435baef80f0d39c3f2410cc2092b50d1c1b1c88c55b",
+    "pure": "56e284ff82d3e97933db6f23dc06acaaebdc1781d3c6eeb9cdb98a8930a30b87",
+}
+
+
+def lp_pin_matrices():
+    """Every shape up to 8x8: continuous, small integers with ties, 1 x k and k x 1 rows."""
+    rng = np.random.default_rng(20240)
+    shapes = list(itertools.product(range(1, 9), repeat=2))
+    return {
+        "continuous": [rng.uniform(-10, 10, size=s) for s in shapes for _ in range(2)],
+        "integer-ties": [rng.integers(-2, 3, size=s).astype(float) for s in shapes if min(s) > 1 for _ in range(2)],
+        "pure": [rng.integers(-2, 3, size=(1, k) if side else (k, 1)).astype(float)
+                 for k in range(1, 9) for side in (0, 1)],
+    }
+
+
+def test_lp_pins():
+    got = {}
+    for family, mats in lp_pin_matrices().items():
+        h = hashlib.sha256()
+        for a in mats:
+            sol = sspg.solve_matrix_game(a)
+            h.update(np.float64(sol.value).tobytes())
+            h.update(sol.row_strategy.tobytes())
+            h.update(sol.col_strategy.tobytes())
+        got[family] = h.hexdigest()
+    assert got == LP_PINS
+
+
+def linprog_value(a):
+    """Independent oracle: min over row mixes x of max_v (x'A)_v by HiGHS."""
+    m, n = a.shape
+    res = linprog(
+        np.r_[np.zeros(m), 1.0],  # variables x_1..x_m, z; minimize z
+        A_ub=np.c_[a.T, -np.ones(n)], b_ub=np.zeros(n),  # (x'A)_v <= z
+        A_eq=np.r_[np.ones(m), 0.0][None, :], b_eq=[1.0],
+        bounds=[(0, None)] * m + [(None, None)], method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def test_linprog_oracle():
+    rng = np.random.default_rng(31)
+    for k in range(400):
+        shape = tuple(int(x) for x in rng.integers(1, 9, size=2))
+        a = rng.uniform(-10, 10, size=shape) if k % 2 else rng.integers(-3, 4, size=shape).astype(float)
+        sol = sspg.solve_matrix_game(a)
+        assert abs(sol.value - linprog_value(a)) <= 1e-9, (k, shape)
+        assert certificate_slack(a, sol) <= 1e-9, (k, shape)
+
+
+def test_kernel_equals_flat_game_value_bitwise():
+    rng = np.random.default_rng(17)
+    seen = set()
+    for k in range(120):
+        m = make_contraction(seed=500 + k, n_states=int(rng.integers(1, 9)), max_controls=int(rng.integers(1, 5)))
+        if k % 2:
+            q = rng.uniform(-10, 10, size=m.n_triplets)
+        else:  # ties, signed zeros included
+            q = rng.integers(-2, 3, size=m.n_triplets).astype(float)
+            q[q == 0.0] *= rng.choice([1.0, -1.0], size=int((q == 0.0).sum()))
+        want = []
+        for i in range(1, m.n + 1):
+            off, nu, nv = m.state_block(i)
+            seen.add("1xk" if nu == 1 else "kx1" if nv == 1 else "2x2" if (nu, nv) == (2, 2) else "other")
+            want.append(flat_game_value(q[off : off + nu * nv].tolist(), nu, nv))
+        assert game_values(q, m.shape_groups).tobytes() == np.array(want).tobytes(), k
+    assert seen == {"1xk", "kx1", "2x2", "other"}
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 2)])
+def test_kernel_signed_zero_ties(shape):
+    # every table over {-1, -0.0, 0.0, 1}: ties between signed zeros pick the same one
+    nu, nv = shape
+    tables = [list(t) for t in itertools.product([-1.0, -0.0, 0.0, 1.0], repeat=nu * nv)]
+    groups = ShapeGroups.from_blocks([(k * nu * nv, nu, nv) for k in range(len(tables))])
+    got = game_values(np.array(tables).ravel(), groups)
+    want = np.array([flat_game_value(t, nu, nv) for t in tables])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_rejects_bad_tables(everett):
+    with pytest.raises(ValueError, match="finite"):
+        sspg.values_from_q(everett, [0.0, np.inf, 1.0, 2.0])
+    empty = sspg.GameModel(["1"], {"1": ["a"]}, {"1": []}, {})
+    with pytest.raises(ValueError, match="matrix"):
+        game_values(np.zeros(0), empty.shape_groups)

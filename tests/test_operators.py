@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,28 @@ def test_greedy_policies_pure_saddle():
         v_col, _ = sspg.best_response_value(block, nu.rule(s), "col")
         assert v_row <= sol.value + 1e-8
         assert v_col >= sol.value - 1e-8
+
+
+# sha256 of the greedy pair's JSON on two games with 3x3 blocks, at continuous
+# and at small-integer (tied) values: policy output depends on the LP's
+# tie-breaking, so these bytes must not move
+GREEDY_PINS = {
+    (4, "continuous"): "ca08a608ab9101b51ac576ef2782630c7935ee9db7b5982e855394cfff04b54f",
+    (9, "integer"): "353f3a40a087b964d87599a37391db0326e0f9d19e15af6f543df65d9e6af70a",
+}
+
+
+@pytest.mark.parametrize("key", list(GREEDY_PINS), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_greedy_policies_pins(key):
+    seed, kind = key
+    m = sspg.generate_model(sspg.GeneratorConfig(n_states=6, max_controls=3, termination_floor=0.1,
+                                                 family="contraction", seed=seed))
+    assert any(m.state_block(i)[1:] == (3, 3) for i in range(1, m.n + 1))
+    rng = np.random.default_rng(seed)
+    j = rng.integers(-3, 4, size=m.n).astype(float) if kind == "integer" else rng.uniform(-10, 10, size=m.n)
+    mu, nu = sspg.greedy_policies(m, sspg.q_from_values(m, j))
+    doc = json.dumps([mu.to_json(m), nu.to_json(m)])
+    assert hashlib.sha256(doc.encode()).hexdigest() == GREEDY_PINS[key]
 
 
 def test_everett_greedy_certificate_at_fixed_point(everett):

@@ -259,6 +259,11 @@ def test_config_validation():
         sspg.QLearnConfig(delay_model=("uniform", -1))
     with pytest.raises(ValueError):
         sspg.QLearnConfig(delay_model="uniform:-1")
+    # k < 1 in the string form, as in the tuple form: such a run would make no update
+    for sched in ("round-robin:0", "uniform-random:0", "round-robin:-2", "uniform-random:-1",
+                  ("round-robin", 0)):
+        with pytest.raises(ValueError, match="k >= 1"):
+            sspg.QLearnConfig(scheduler=sched)
 
 
 def test_config_rejects_offsets_beyond_int16():
