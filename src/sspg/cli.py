@@ -8,9 +8,7 @@ failure, 3 solver non-convergence, 4 assumption-check violation under
 ``--strict``.
 
 Every subcommand is deterministic given its flags and seed; the environment
-variable ``SSPG_SEED`` overrides ``--seed`` when set.  ``--threads`` caps
-worker parallelism; the current implementation computes single-threaded
-(results never depend on the flag).
+variable ``SSPG_SEED`` overrides ``--seed`` when set.
 """
 
 from __future__ import annotations
@@ -97,7 +95,6 @@ def _add_common(p: argparse.ArgumentParser, model: bool = True) -> None:
     p.add_argument("--out", help="write primary JSON output here instead of stdout")
     p.add_argument("--csv", help="write trace CSV here")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _add_qlearn_flags(p: argparse.ArgumentParser) -> None:

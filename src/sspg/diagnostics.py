@@ -29,9 +29,10 @@ from .model import (
     GameModel,
     StationaryPolicy,
     policy_arrays,
+    policy_average,
 )
 from .qlearn import QLearnRun, ReplayCore
-from .structure import build_sspa, forall_termination
+from .structure import forall_termination
 
 
 class ImproperPolicyError(ValueError):
@@ -45,12 +46,8 @@ def q_bellman_max_fixed(m: GameModel, nu: StationaryPolicy, q) -> np.ndarray:
     successor's controls u~ of the nu-averaged Q at (j, u~, ·).  Never
     exceeds the minimax Q-backup componentwise.
     """
-    rules = policy_arrays(m, nu, PLAYER_MAX)
-    q = np.asarray(q, dtype=float)
-    vals = np.empty(m.n)
-    for i in range(1, m.n + 1):
-        vals[i - 1] = (m.q_block(q, i) @ rules[i - 1]).min()
-    return m.g + m.P[:, 1:] @ vals
+    rows, offsets = policy_average(m, q, nu=nu)
+    return m.g + m.P[:, 1:] @ np.minimum.reduceat(rows, offsets)
 
 
 @dataclass(frozen=True)
@@ -97,13 +94,11 @@ def build_contraction_certificate(
     """
     if not forall_termination(m, nu).all():
         raise ImproperPolicyError("certificate requires a proper policy")
-    sspa = build_sspa(m, nu)
+    p, offsets = policy_average(m, m.P[:, 1:], nu=nu)  # the induced single-player kernel
 
     h = np.zeros(m.n)  # auxiliary optimal costs at game states
     for _ in range(max_iter):
-        h1 = np.array(
-            [-1.0 + (sspa.s_probs[i][:, 1:] @ h).min() for i in range(m.n)]
-        )
+        h1 = np.minimum.reduceat(-1.0 + p @ h, offsets)
         if np.abs(h1 - h).max() <= tol:
             h = h1
             break
@@ -113,21 +108,17 @@ def build_contraction_certificate(
 
     j_triplets = -1.0 + m.P[:, 1:] @ h
     xi = -j_triplets
-    rules = policy_arrays(m, nu, PLAYER_MAX)
-    xi_nu = []
-    for i in range(1, m.n + 1):
-        xi_nu.append(m.q_block(xi, i) @ rules[i - 1])
+    xi_rows, _ = policy_average(m, xi, nu=nu)
     beta = float(((xi - 1.0) / xi).max())
     beta = max(beta, 0.0)
 
-    sup_xi_nu = np.array([x.max() for x in xi_nu])
-    lhs = m.P[:, 1:] @ sup_xi_nu
+    lhs = m.P[:, 1:] @ np.maximum.reduceat(xi_rows, offsets)
     slack = lhs - beta * xi
     if slack.max() > 1e-8:
         raise RuntimeError(
             f"certificate inequality violated by {slack.max():.3e}; auxiliary solve too loose"
         )
-    return ContractionCertificate(xi, tuple(xi_nu), beta, h)
+    return ContractionCertificate(xi, tuple(np.split(xi_rows, offsets[1:])), beta, h)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +162,7 @@ def run_coupled_lower_process(
     """
     rows = run.rows("t", "ell", "j", "cost", "gamma", "new_q", "offsets")
     rules = policy_arrays(m, nu, PLAYER_MAX)
-    sigma = [None] + [rules[i - 1].tolist() for i in range(1, m.n + 1)]
+    sigma = [None] + [r.tolist() for r in np.split(rules, m.control_layout.offsets[1][1:])]
 
     qhat = (run.q0 if q0 is None else np.asarray(q0, dtype=float)).tolist()
     core = ReplayCore(m, run.config.delay_model, run.seed_used, qhat)
@@ -259,16 +250,28 @@ def run_trackers(m: GameModel, run: QLearnRun, check_support: bool = True) -> Tr
     """
     rows = run.rows("ell", "gamma", "j", "cost")
     g = (run.q0 * 0.0).tolist()
-    qh = [row.tolist() for row in m.P]
-    support = [set(s[0]) for s in m._succ]
+    # only entries that can be nonzero are scaled (0.0 * (1 - gamma) is 0.0):
+    # the kernel row's support plus any successor a replay adds to it
+    live = m.P > 0.0
+    ends = np.cumsum(live.sum(axis=1)).tolist()
+    flat = m.P[live].tolist()
+    vals = [flat[a:b] for a, b in zip([0, *ends], ends)]
+    where = [dict(zip(s[0], range(len(s[0])))) for s in m._succ]  # column -> position in vals
     for ell, gamma, j, cost in rows:
-        if check_support and j not in support[ell]:
-            raise AssertionError(f"sampled successor {j} outside kernel support of {m.triplets[ell]}")
+        pos = where[ell].get(j)
+        if pos is None:
+            if check_support:
+                raise AssertionError(f"sampled successor {j} outside kernel support of {m.triplets[ell]}")
+            pos = where[ell][j] = len(vals[ell])
+            vals[ell].append(0.0)
         g[ell] = (1.0 - gamma) * g[ell] + gamma * cost
         om = 1.0 - gamma
-        row = qh[ell] = [x * om for x in qh[ell]]
-        row[j] += gamma
-    return TrackerState(np.array(g), np.array(qh))
+        row = vals[ell] = [x * om for x in vals[ell]]
+        row[pos] += gamma
+    qh = m.P.copy()
+    for k, w in enumerate(where):
+        qh[k, np.fromiter(w, np.intp, len(w))] = vals[k]
+    return TrackerState(np.array(g), qh)
 
 
 def certificate_to_json_text(cert: ContractionCertificate, m: GameModel) -> str:

@@ -111,6 +111,47 @@ Triplet = tuple[str, str, str]
 NextEntry = tuple[str, float, float]  # (successor label, probability, cost)
 
 
+@dataclass(frozen=True, eq=False)
+class ControlLayout:
+    """Flat numbering of each player's controls (state order, then list order).
+
+    Entry ``p - 1`` of each tuple belongs to player p: ``index`` maps every
+    triplet to its player-p control, ``offsets`` holds each state's first
+    player-p control, ``order`` permutes the triplets so that those sharing
+    a player-p control are contiguous, and ``starts`` marks where each
+    control's run begins in that order.  ``blocks``: each state's first triplet.
+    """
+
+    index: tuple[np.ndarray, np.ndarray]
+    offsets: tuple[np.ndarray, np.ndarray]
+    order: tuple[np.ndarray, np.ndarray]
+    starts: tuple[np.ndarray, np.ndarray]
+    blocks: np.ndarray
+
+    @classmethod
+    def from_blocks(cls, blocks: Sequence[tuple[int, int, int]]) -> "ControlLayout":
+        first = np.array([b[0] for b in blocks], dtype=np.intp)
+        sizes = np.array([b[1:] for b in blocks], dtype=np.intp).reshape(-1, 2)
+        offsets = np.cumsum(sizes, axis=0) - sizes
+        state = np.repeat(np.arange(len(blocks)), sizes[:, 0] * sizes[:, 1])
+        pos = np.arange(len(state)) - first[state]
+        nv = sizes[state, 1]
+        index = (offsets[state, 0] + pos // nv, offsets[state, 1] + pos % nv)
+        order = (np.arange(len(state)), np.argsort(index[1], kind="stable"))
+        starts = tuple(
+            np.searchsorted(index[p][order[p]], np.arange(sizes[:, p].sum())) for p in (0, 1)
+        )
+        return cls(index, (offsets[:, 0], offsets[:, 1]), order, starts, first)
+
+    def group(self, y: np.ndarray, player: int, reduce: np.ufunc = np.add):
+        """Reduce the triplet rows of ``y`` over each control of ``player``.
+
+        Returns one row per control of ``player`` and each state's first row.
+        """
+        p = player - 1
+        return reduce.reduceat(y[self.order[p]], self.starts[p], axis=0), self.offsets[p]
+
+
 class GameModel:
     """Immutable finite SSP game.
 
@@ -167,6 +208,7 @@ class GameModel:
         self.n_triplets = len(trips)
         self._blocks = tuple(blocks)
         self.shape_groups = ShapeGroups.from_blocks(blocks)  # for the batched value kernel
+        self.control_layout = ControlLayout.from_blocks(blocks)  # for fixed-policy averages
         self._tidx = {t: k for k, t in enumerate(trips)}
 
         rows: dict[Triplet, tuple[NextEntry, ...]] = {}
@@ -529,14 +571,18 @@ def pure_policy(m: GameModel, player: int, picks: Mapping[str, str]) -> Stationa
     return StationaryPolicy(player, rules)
 
 
-def policy_arrays(m: GameModel, policy: StationaryPolicy, player: int | None = None) -> list[np.ndarray]:
-    """Validated decision rules in state order; raises on any mismatch."""
+def policy_arrays(m: GameModel, policy: StationaryPolicy, player: int | None = None) -> np.ndarray:
+    """Validated decision rules as one flat vector in state order; raises on any mismatch.
+
+    The rule of the k-th state starts at entry
+    ``m.control_layout.offsets[policy.player - 1][k]``.
+    """
     if player is not None and policy.player != player:
         raise PolicyMismatchError(f"expected a player-{player} policy, got player {policy.player}")
     if policy.player not in (PLAYER_MIN, PLAYER_MAX):
         raise PolicyMismatchError(f"unknown player {policy.player}")
     ctrl = m.controls1 if policy.player == PLAYER_MIN else m.controls2
-    out = []
+    rules = []
     for s in m.states:
         if s not in policy.rules:
             raise PolicyMismatchError(f"policy has no rule for state {s}")
@@ -545,7 +591,36 @@ def policy_arrays(m: GameModel, policy: StationaryPolicy, player: int | None = N
             raise PolicyMismatchError(
                 f"rule at state {s} has {r.size} entries, control set has {len(ctrl[s])}"
             )
-        if (r < -PROB_TOL).any() or abs(r.sum() - 1.0) > 1e-6:
-            raise PolicyMismatchError(f"rule at state {s} is not a distribution: {r}")
-        out.append(r)
-    return out
+        rules.append(r)
+    flat = np.concatenate(rules) if rules else np.zeros(0)
+    owner = np.repeat(np.arange(m.n), [r.size for r in rules])  # state of each entry
+    bad = np.bincount(owner, flat < -PROB_TOL, m.n) > 0
+    bad |= np.abs(np.bincount(owner, flat, m.n) - 1.0) > 1e-6
+    if bad.any():
+        k = int(bad.argmax())
+        raise PolicyMismatchError(f"rule at state {m.states[k]} is not a distribution: {rules[k]}")
+    return flat
+
+
+def policy_average(
+    m: GameModel, x, mu: StationaryPolicy | None = None, nu: StationaryPolicy | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Average a per-triplet array, shape (|R|,) or (|R|, k), over fixed decision rules.
+
+    With ``mu`` alone, row w is sum_u mu(u|i) x(i,u,w) for each player-2
+    control w of each state i; with ``nu`` alone, sum_v nu(v|i) x(i,w,v)
+    for each player-1 control w; with both, one row per state,
+    sum_{u,v} mu(u|i) nu(v|i) x(i,u,v).  Returns the rows and each state's
+    first row.  At least one policy must be given.
+    """
+    lay = m.control_layout
+    w = np.ones(m.n_triplets)
+    if mu is not None:
+        w *= policy_arrays(m, mu, PLAYER_MIN)[lay.index[0]]
+    if nu is not None:
+        w *= policy_arrays(m, nu, PLAYER_MAX)[lay.index[1]]
+    x = np.asarray(x, dtype=float)
+    y = (w[:, None] if x.ndim == 2 else w) * x
+    if mu is not None and nu is not None:
+        return np.add.reduceat(y, lay.blocks, axis=0), np.arange(m.n)
+    return lay.group(y, PLAYER_MIN if mu is None else PLAYER_MAX)

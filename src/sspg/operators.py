@@ -11,9 +11,10 @@ k x 1 and 2 x 2 blocks, a value-only LP for the rest), which serves
 :func:`values_from_q` and through it :func:`bellman` and :func:`q_bellman`.
 Strategies, and the maximin variant, come from
 :func:`sspg.matgame.solve_matrix_game`.  Operators with one player's policy
-fixed are computed as pure best responses over the opponent's pure
-controls, which is exact because a linear function on a simplex attains its
-optimum at a vertex.
+fixed average the stage matrices over that policy with
+:func:`sspg.model.policy_average` and take pure best responses over the
+opponent's controls, which is exact because a linear function on a simplex
+attains its optimum at a vertex.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .model import (
     PLAYER_MIN,
     GameModel,
     StationaryPolicy,
-    policy_arrays,
+    policy_average,
 )
 
 
@@ -83,35 +84,21 @@ def bellman_maximin(m: GameModel, values) -> np.ndarray:
 
 def bellman_min_fixed(m: GameModel, policy: StationaryPolicy, values) -> np.ndarray:
     """Backup with the minimizer committed to ``policy``; opponent best-responds."""
-    rules = policy_arrays(m, policy, PLAYER_MIN)
-    q = stage_matrices(m, values)
-    out = np.empty(m.n)
-    for i in range(1, m.n + 1):
-        out[i - 1] = (rules[i - 1] @ m.q_block(q, i)).max()
-    return out
+    rows, offsets = policy_average(m, stage_matrices(m, values), mu=policy)
+    return np.maximum.reduceat(rows, offsets)
 
 
 def bellman_max_fixed(m: GameModel, policy: StationaryPolicy, values) -> np.ndarray:
     """Backup with the maximizer committed to ``policy``; opponent best-responds."""
-    rules = policy_arrays(m, policy, PLAYER_MAX)
-    q = stage_matrices(m, values)
-    out = np.empty(m.n)
-    for i in range(1, m.n + 1):
-        out[i - 1] = (m.q_block(q, i) @ rules[i - 1]).min()
-    return out
+    rows, offsets = policy_average(m, stage_matrices(m, values), nu=policy)
+    return np.minimum.reduceat(rows, offsets)
 
 
 def bellman_pair(
     m: GameModel, mu: StationaryPolicy, nu: StationaryPolicy, values
 ) -> np.ndarray:
     """Affine backup c(mu,nu) + P(mu,nu) J for a committed policy pair."""
-    r1 = policy_arrays(m, mu, PLAYER_MIN)
-    r2 = policy_arrays(m, nu, PLAYER_MAX)
-    q = stage_matrices(m, values)
-    out = np.empty(m.n)
-    for i in range(1, m.n + 1):
-        out[i - 1] = r1[i - 1] @ m.q_block(q, i) @ r2[i - 1]
-    return out
+    return policy_average(m, stage_matrices(m, values), mu, nu)[0]
 
 
 def q_bellman(m: GameModel, q) -> np.ndarray:

@@ -11,19 +11,12 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .model import PLAYER_MAX, PLAYER_MIN, GameModel, StationaryPolicy
-from .operators import (
-    bellman,
-    bellman_max_fixed,
-    bellman_min_fixed,
-    greedy_policies,
-    q_bellman,
-    q_from_values,
-)
+from .model import PLAYER_MAX, PLAYER_MIN, GameModel, StationaryPolicy, policy_average
+from .operators import bellman, greedy_policies, q_bellman, q_from_values
 from .structure import classify_chain, induce_chain, is_essentially_proper
 
 CONVERGED = "converged"
@@ -129,31 +122,6 @@ def q_value_iteration(
 # ---------------------------------------------------------------------------
 
 
-def _fixed_policy_tensors(m: GameModel, policy: StationaryPolicy):
-    """Averaged stage costs / kernels for the opponent's pure controls."""
-    from .model import policy_arrays
-
-    rules = policy_arrays(m, policy)
-    cs, ps, offsets = [], [], []
-    pos = 0
-    for i in range(1, m.n + 1):
-        off, nu_i, nv_i = m.state_block(i)
-        block_p = m.P[off : off + nu_i * nv_i].reshape(nu_i, nv_i, m.n + 1)
-        block_g = m.g[off : off + nu_i * nv_i].reshape(nu_i, nv_i)
-        r = rules[i - 1]
-        if policy.player == PLAYER_MIN:
-            cs.append(r @ block_g)
-            ps.append(np.einsum("u,uvj->vj", r, block_p)[:, 1:])
-            k = nv_i
-        else:
-            cs.append(block_g @ r)
-            ps.append(np.einsum("uvj,v->uj", block_p, r)[:, 1:])
-            k = nu_i
-        offsets.append(pos)
-        pos += k
-    return np.concatenate(cs), np.vstack(ps), np.array(offsets)
-
-
 def evaluate_vs_best_response(
     m: GameModel,
     policy: StationaryPolicy,
@@ -171,8 +139,10 @@ def evaluate_vs_best_response(
     iterates coincide with repeated :func:`sspg.operators.bellman_min_fixed`
     / ``bellman_max_fixed`` applications.
     """
-    c, p, offsets = _fixed_policy_tensors(m, policy)
-    reduce = np.maximum.reduceat if policy.player == PLAYER_MIN else np.minimum.reduceat
+    mu, nu = (policy, None) if policy.player == PLAYER_MIN else (None, policy)
+    rows, offsets = policy_average(m, np.column_stack((m.g, m.P[:, 1:])), mu, nu)
+    reduce = np.maximum.reduceat if nu is None else np.minimum.reduceat
+    c, p = rows[:, 0], rows[:, 1:]
 
     def op(x: np.ndarray) -> np.ndarray:
         return reduce(c + p @ x, offsets)

@@ -34,6 +34,7 @@ from .model import (
     GameModel,
     StationaryPolicy,
     policy_arrays,
+    policy_average,
     pure_policy,
 )
 
@@ -57,17 +58,9 @@ class InducedChain:
 
 def induce_chain(m: GameModel, mu: StationaryPolicy, nu: StationaryPolicy) -> InducedChain:
     """P[i][j] = sum_{u,v} mu(u|i) nu(v|i) p_ij(u,v); costs likewise from g."""
-    r1 = policy_arrays(m, mu, PLAYER_MIN)
-    r2 = policy_arrays(m, nu, PLAYER_MAX)
-    P = np.zeros((m.n + 1, m.n + 1))
-    c = np.zeros(m.n + 1)
-    P[0, 0] = 1.0
-    for i in range(1, m.n + 1):
-        off, nu_i, nv_i = m.state_block(i)
-        w = np.outer(r1[i - 1], r2[i - 1]).ravel()
-        P[i] = w @ m.P[off : off + nu_i * nv_i]
-        c[i] = w @ m.g[off : off + nu_i * nv_i]
-    return InducedChain(P, c, m.states)
+    rows, _ = policy_average(m, np.column_stack((m.g, m.P)), mu, nu)
+    P = np.vstack((np.eye(1, m.n + 1), rows[:, 1:]))
+    return InducedChain(P, np.concatenate(([0.0], rows[:, 0])), m.states)
 
 
 # ---------------------------------------------------------------------------
@@ -100,30 +93,16 @@ def reach_probability_one(chain: InducedChain) -> np.ndarray:
     return ~bad[1:]
 
 
-def _opponent_supports(
-    m: GameModel, fixed: StationaryPolicy
-) -> list[list[np.ndarray]]:
-    """Per state, per opponent control: boolean successor support over 0..n."""
-    rules = policy_arrays(m, fixed)
-    supports: list[list[np.ndarray]] = []
-    for i in range(1, m.n + 1):
-        off, nu_i, nv_i = m.state_block(i)
-        fixed_rule = rules[i - 1]
-        per_w = []
-        n_opp = nv_i if fixed.player == PLAYER_MIN else nu_i
-        n_own = nu_i if fixed.player == PLAYER_MIN else nv_i
-        for w in range(n_opp):
-            supp = np.zeros(m.n + 1, dtype=bool)
-            for own in range(n_own):
-                if fixed_rule[own] > 0.0:
-                    if fixed.player == PLAYER_MIN:
-                        k = off + own * nv_i + w
-                    else:
-                        k = off + w * nv_i + own
-                    supp |= m.P[k] > 0.0
-            per_w.append(supp)
-        supports.append(per_w)
-    return supports
+def _support_rows(m: GameModel, fixed: StationaryPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean successor support over 0..n of every opponent control, and each state's first row.
+
+    Built from rule weights > 0 and kernel entries > 0 separately, never from
+    their product, which can underflow to zero on a live edge.
+    """
+    lay = m.control_layout
+    own = policy_arrays(m, fixed)[lay.index[fixed.player - 1]] > 0.0
+    opponent = PLAYER_MAX if fixed.player == PLAYER_MIN else PLAYER_MIN
+    return lay.group(own[:, None] & (m.P > 0.0), opponent, np.logical_or)
 
 
 def forall_termination(m: GameModel, fixed: StationaryPolicy) -> np.ndarray:
@@ -132,25 +111,19 @@ def forall_termination(m: GameModel, fixed: StationaryPolicy) -> np.ndarray:
     Computed as the complement of the states from which the opponent can
     reach a sub-model it can stay in forever while avoiding 0.
     """
-    supports = _opponent_supports(m, fixed)
+    supp, offsets = _support_rows(m, fixed)
     alive = np.ones(m.n + 1, dtype=bool)
     alive[0] = False
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, m.n + 1):
-            if not alive[i]:
-                continue
-            # keep the state while some opponent control stays inside `alive`
-            if not any(not (supp & ~alive).any() for supp in supports[i - 1]):
-                alive[i] = False
-                changed = True
+    while True:
+        # keep a state while some opponent control stays inside `alive`
+        kept = alive[1:] & np.logical_or.reduceat(~(supp & ~alive).any(axis=1), offsets)
+        if (kept == alive[1:]).all():
+            break
+        alive[1:] = kept
     if not alive.any():
         return np.ones(m.n, dtype=bool)
     adj = np.zeros((m.n + 1, m.n + 1), dtype=bool)
-    for i in range(1, m.n + 1):
-        for supp in supports[i - 1]:
-            adj[i] |= supp
+    adj[1:] = np.logical_or.reduceat(supp, offsets, axis=0)
     adj[:, 0] = False  # paths through 0 are absorbed, not useful
     bad = _reverse_reachable(adj, alive)
     return ~bad[1:]
@@ -163,24 +136,18 @@ def exists_termination(m: GameModel, fixed: StationaryPolicy) -> np.ndarray:
     cooperating controller: repeatedly restrict to states that can reach 0
     without ever risking a step outside the current candidate set.
     """
-    supports = _opponent_supports(m, fixed)
+    supp, offsets = _support_rows(m, fixed)
     w = np.ones(m.n + 1, dtype=bool)
     while True:
+        safe = ~(supp & ~w).any(axis=1)  # the control cannot leave the candidate set
         r = np.zeros(m.n + 1, dtype=bool)
         r[0] = True
-        grew = True
-        while grew:
-            grew = False
-            for i in range(1, m.n + 1):
-                if r[i] or not w[i]:
-                    continue
-                for supp in supports[i - 1]:
-                    if (supp & ~w).any():
-                        continue  # this control risks leaving the candidate set
-                    if (supp & r).any():
-                        r[i] = True
-                        grew = True
-                        break
+        while True:
+            grown = r.copy()
+            grown[1:] = w[1:] & np.logical_or.reduceat(safe & (supp & r).any(axis=1), offsets)
+            if (grown == r).all():
+                break
+            r = grown
         if (r == w).all():
             return w[1:]
         w = r
@@ -342,12 +309,6 @@ class PropernessReport:
     witness_state: str | None = None
 
 
-def _classify_pair(m: GameModel, ours: StationaryPolicy, theirs: StationaryPolicy) -> ChainClassification:
-    if ours.player == PLAYER_MIN:
-        return classify_chain(induce_chain(m, ours, theirs))
-    return classify_chain(induce_chain(m, theirs, ours))
-
-
 def is_essentially_proper(
     m: GameModel, policy: StationaryPolicy, max_opponents: int = 10**6
 ) -> PropernessReport:
@@ -373,7 +334,7 @@ def is_essentially_proper(
         return PropernessReport("inconclusive", "too large: opponent pure policy space exceeds cap")
     need_neg = policy.player == PLAYER_MIN
     for theirs in iter_pure_policies(m, opp):
-        cls = _classify_pair(m, policy, theirs)
+        cls = classify_chain(induce_chain(m, *((policy, theirs) if need_neg else (theirs, policy))))
         if not cls.prolonging:
             continue
         bad_for_opponent = (
@@ -475,13 +436,12 @@ def check_ssp_game_assumption(m: GameModel, max_pairs: int = 10**6) -> Assumptio
     prolonging_witness = None
     for a, mu in enumerate(mus):
         for b, nu in enumerate(nus):
-            cls = classify_chain(induce_chain(m, mu, nu))
+            chain = induce_chain(m, mu, nu)
+            cls = classify_chain(chain)
             has_pos[a, b] = np.isposinf(cls.values).any()
             has_neg[a, b] = np.isneginf(cls.values).any()
             if cls.prolonging and not has_pos[a, b] and not has_neg[a, b] and prolonging_witness is None:
-                bad = tuple(
-                    m.states[i] for i in np.flatnonzero(~reach_probability_one(induce_chain(m, mu, nu)))
-                )
+                bad = tuple(m.states[i] for i in np.flatnonzero(~reach_probability_one(chain)))
                 prolonging_witness = (mu, nu, bad)
 
     if prolonging_witness is None:
@@ -558,16 +518,9 @@ class SspA:
 
 
 def build_sspa(m: GameModel, nu: StationaryPolicy) -> SspA:
-    rules = policy_arrays(m, nu, PLAYER_MAX)
-    s_probs, s_costs = [], []
-    for i in range(1, m.n + 1):
-        off, nu_i, nv_i = m.state_block(i)
-        block_p = m.P[off : off + nu_i * nv_i].reshape(nu_i, nv_i, m.n + 1)
-        block_g = m.g[off : off + nu_i * nv_i].reshape(nu_i, nv_i)
-        sigma = rules[i - 1]
-        s_probs.append(np.einsum("uvj,v->uj", block_p, sigma))
-        s_costs.append(block_g @ sigma)
-    return SspA(m, nu, tuple(s_probs), tuple(s_costs))
+    rows, offsets = policy_average(m, np.column_stack((m.g, m.P)), nu=nu)
+    split = offsets[1:]
+    return SspA(m, nu, tuple(np.split(rows[:, 1:], split)), tuple(np.split(rows[:, 0], split)))
 
 
 @dataclass(frozen=True)
@@ -589,15 +542,13 @@ def check_single_player_ssp(sspa: SspA, max_policies: int = 10**6) -> SspVerdict
     total = int(np.prod(sizes)) if sizes else 1
     if total > max_policies:
         return SspVerdict("inconclusive", f"pure policy space {total} exceeds cap {max_policies}")
+    probs = np.concatenate((np.eye(1, m.n + 1), *sspa.s_probs))
+    costs = np.concatenate(([0.0], *sspa.s_costs))
+    first = np.concatenate(([0], 1 + m.control_layout.offsets[0]))
     proper_found = False
     for combo in itertools.product(*(range(k) for k in sizes)):
-        P = np.zeros((m.n + 1, m.n + 1))
-        c = np.zeros(m.n + 1)
-        P[0, 0] = 1.0
-        for i in range(1, m.n + 1):
-            P[i] = sspa.s_probs[i - 1][combo[i - 1]]
-            c[i] = sspa.s_costs[i - 1][combo[i - 1]]
-        chain = InducedChain(P, c, m.states)
+        rows = first + (0, *combo)
+        chain = InducedChain(probs[rows], costs[rows], m.states)
         if reach_probability_one(chain).all():
             proper_found = True
             continue

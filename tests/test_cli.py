@@ -36,6 +36,7 @@ def run_cli(capsys, *argv):
 def test_usage_error(capsys):
     code = main(["solve-vi"])  # missing --model
     assert code == 1
+    assert main(["solve-vi", "--model", "g.json", "--threads", "2"]) == 1  # no such flag
 
 
 def test_validate_ok(capsys, everett_file):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,27 @@ def test_tracker_requires_history():
     _, run = sspg.run_qlearning(m, sspg.QLearnConfig(seed=0, max_iters=5))
     with pytest.raises(ValueError, match="history"):
         sspg.run_trackers(m, run)
+
+
+@pytest.mark.parametrize("outside", [False, True])
+def test_tracker_batch_equals_fold_bitwise(outside):
+    m = make_contraction(seed=60, n_states=4, max_controls=2)
+    cfg = sspg.QLearnConfig(seed=5, max_iters=400, scheduler="uniform-random:2",
+                            record_full_history=True)
+    _, run = sspg.run_qlearning(m, cfg)
+    if outside:
+        # send a few sampled successors to a state outside their kernel row
+        j = run.events.j.copy()
+        moved = [k for k, ell in enumerate(run.events.ell) if (m.P[ell] == 0.0).any()][::7]
+        for k in moved:
+            j[k] = int(np.flatnonzero(m.P[run.events.ell[k]] == 0.0)[-1])
+        assert moved
+        run = dataclasses.replace(run, events=dataclasses.replace(run.events, j=j))
+        with pytest.raises(AssertionError, match="outside kernel support"):
+            sspg.run_trackers(m, run)
+    batch = sspg.run_trackers(m, run, check_support=not outside)
+    state = sspg.TrackerState.initial(m)
+    for ell, gamma, j, cost in run.rows("ell", "gamma", "j", "cost"):
+        state = sspg.update_trackers(state, (ell, gamma, j, cost))
+    assert state.g_tilde.tobytes() == batch.g_tilde.tobytes()
+    assert state.q_hat.tobytes() == batch.q_hat.tobytes()

@@ -1,0 +1,308 @@
+"""Every computation with one player's stationary policy fixed.
+
+Three kinds of test:
+
+* sha256 pins of graph results, verdicts and witnesses (assumption reports,
+  termination sets, essential properness, pure-pair induced chains, SSP(A)
+  verdicts).  These depend only on supports and on 0/1 policy weights, so
+  they hold bit for bit whatever the summation order of the averaging.
+* a tolerance oracle: the per-state averaging loops, kept here as
+  references, against the operators, best response, SSP(A), the pinned
+  Q-backup and the certificate weights on random mixed policies.
+* the rejections of ``policy_arrays`` and a support edge whose probability
+  underflows once multiplied by its rule weight.
+"""
+
+import hashlib
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+import sspg
+from sspg.model import PolicyMismatchError, policy_arrays
+from sspg.structure import iter_pure_policies
+
+# recorded on the per-state-loop implementation
+PINS = {
+    "assumption": "043028eb72db4e3d51c6a6a637e989ee5cc705125e309a54e47df0aa4219435f",
+    "termination": "44263592142a5b4a95918767f385b5c676455e25e48498373f211e62ac126604",
+    "pure_chains": "35d490df229edd0526ebba381e41d38aa86aceb6592f78035586ad5d526262f9",
+    "sspa_verdicts": "b4c1189d395e74d2a4c23f7deaa32c50c2b7488eed7a3064e24e2101d1fed069",
+}
+
+
+def _digest(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else json.dumps(part, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _generated(family, n, mc, seed):
+    lo = 0.5 if family == "loopy" else 0.0
+    return sspg.generate_model(sspg.GeneratorConfig(
+        n_states=n, max_controls=mc, family=family, seed=seed, cost_range=(lo, 1.5)))
+
+
+def _trap_game(seed, n=5):
+    """Sparse rows, some without terminal mass, and state n absorbing at cost 1."""
+    rng = np.random.default_rng(seed)
+    states = [str(i) for i in range(1, n + 1)]
+    c1 = {s: list("ab"[: rng.integers(1, 3)]) for s in states}
+    c2 = {s: list("xy"[: rng.integers(1, 3)]) for s in states}
+    rows = {}
+    for s in states:
+        for u in c1[s]:
+            for v in c2[s]:
+                if s == states[-1]:
+                    rows[(s, u, v)] = [(s, 1.0, 1.0)]
+                    continue
+                succ = rng.choice(n + 1, size=rng.integers(1, 3), replace=False)
+                p = rng.random(len(succ)) + 0.1
+                rows[(s, u, v)] = [(str(j), float(x), float(rng.uniform(-1.0, 1.0)))
+                                   for j, x in zip(succ, p / p.sum())]
+    return sspg.GameModel(states, c1, c2, rows)
+
+
+def _pin_games():
+    games = [sspg.load_bundled_model(name) for name in ("everett", "zerocost", "pursuit")]
+    games += [_generated("loopy", 3, 2, s) for s in (1, 2, 3)]
+    games += [_generated("sequential", 4, 3, s) for s in (4, 5)]
+    games += [_generated("contraction", 3, 2, s) for s in (6, 7)]
+    games += [_trap_game(s) for s in (8, 9, 10, 11)]
+    return games
+
+
+def _sparse_mixed_policy(m, player, rng):
+    """Random mixed policy; about a third of the entries are exactly zero."""
+    ctrl = m.controls1 if player == sspg.PLAYER_MIN else m.controls2
+    rules = {}
+    for s in m.states:
+        w = rng.random(len(ctrl[s])) * (rng.random(len(ctrl[s])) < 0.67)
+        if not w.any():
+            w[rng.integers(len(w))] = 1.0
+        rules[s] = w / w.sum()
+    return sspg.StationaryPolicy(player, rules)
+
+
+def _pure_pairs(m, cap=64):
+    mus = list(itertools.islice(iter_pure_policies(m, sspg.PLAYER_MIN), cap))
+    nus = list(itertools.islice(iter_pure_policies(m, sspg.PLAYER_MAX), cap))
+    return itertools.product(mus, nus)
+
+
+def _pin_parts(kind):
+    rng = np.random.default_rng(2024)
+    for m in _pin_games():
+        if kind == "assumption":
+            yield sspg.check_ssp_game_assumption(m).to_json(m)
+        elif kind == "termination":
+            for player in (sspg.PLAYER_MIN, sspg.PLAYER_MAX):
+                for _ in range(4):
+                    pol = _sparse_mixed_policy(m, player, rng)
+                    yield sspg.forall_termination(m, pol).tobytes()
+                    yield sspg.exists_termination(m, pol).tobytes()
+                    rep = sspg.is_essentially_proper(m, pol)
+                    yield [rep.verdict, rep.reason, rep.witness_state,
+                           None if rep.witness_policy is None else rep.witness_policy.to_json(m)]
+        elif kind == "pure_chains":
+            for mu, nu in _pure_pairs(m):
+                chain = sspg.induce_chain(m, mu, nu)
+                yield chain.P.tobytes() + chain.costs.tobytes()
+        elif kind == "sspa_verdicts":
+            nus = list(itertools.islice(iter_pure_policies(m, sspg.PLAYER_MAX), 16))
+            nus += [sspg.uniform_policy(m, sspg.PLAYER_MAX), _sparse_mixed_policy(m, sspg.PLAYER_MAX, rng)]
+            for nu in nus:
+                v = sspg.check_single_player_ssp(sspg.build_sspa(m, nu))
+                yield [v.status, v.reason, v.witness]
+
+
+@pytest.mark.parametrize("kind", sorted(PINS))
+def test_pins(kind):
+    assert _digest(_pin_parts(kind)) == PINS[kind]
+
+
+# ---------------------------------------------------------------------------
+# Tolerance oracle: the per-state loops as references
+# ---------------------------------------------------------------------------
+
+
+def _rules(m, pol):
+    return [np.asarray(pol.rules[s], dtype=float) for s in m.states]
+
+
+def _blocks(m, i):
+    off, nu_i, nv_i = m.state_block(i)
+    k = slice(off, off + nu_i * nv_i)
+    return m.P[k].reshape(nu_i, nv_i, m.n + 1), m.g[k].reshape(nu_i, nv_i)
+
+
+def ref_fixed_policy_tensors(m, pol):
+    """Averaged stage costs / kernels (columns 1..n) per opponent control."""
+    cs, ps = [], []
+    for i, r in enumerate(_rules(m, pol), start=1):
+        block_p, block_g = _blocks(m, i)
+        if pol.player == sspg.PLAYER_MIN:
+            cs.append(r @ block_g)
+            ps.append(np.einsum("u,uvj->vj", r, block_p)[:, 1:])
+        else:
+            cs.append(block_g @ r)
+            ps.append(np.einsum("uvj,v->uj", block_p, r)[:, 1:])
+    return cs, ps
+
+
+def ref_bellman_min_fixed(m, mu, values):
+    q = sspg.q_from_values(m, values)
+    return np.array([(r @ m.q_block(q, i)).max() for i, r in enumerate(_rules(m, mu), start=1)])
+
+
+def ref_bellman_max_fixed(m, nu, values):
+    q = sspg.q_from_values(m, values)
+    return np.array([(m.q_block(q, i) @ r).min() for i, r in enumerate(_rules(m, nu), start=1)])
+
+
+def ref_bellman_pair(m, mu, nu, values):
+    q = sspg.q_from_values(m, values)
+    return np.array([r1 @ m.q_block(q, i) @ r2
+                     for i, (r1, r2) in enumerate(zip(_rules(m, mu), _rules(m, nu)), start=1)])
+
+
+def ref_q_bellman_max_fixed(m, nu, q):
+    vals = np.array([(m.q_block(q, i) @ r).min() for i, r in enumerate(_rules(m, nu), start=1)])
+    return m.g + m.P[:, 1:] @ vals
+
+
+def ref_sspa(m, nu):
+    probs, costs = [], []
+    for i, r in enumerate(_rules(m, nu), start=1):
+        block_p, block_g = _blocks(m, i)
+        probs.append(np.einsum("uvj,v->uj", block_p, r))
+        costs.append(block_g @ r)
+    return probs, costs
+
+
+def ref_xi_nu(m, nu, xi):
+    return [m.q_block(xi, i) @ r for i, r in enumerate(_rules(m, nu), start=1)]
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(77)
+    games = [sspg.load_bundled_model("pursuit")]
+    games += [_generated("contraction", 6, 4, s) for s in (11, 12, 13)]
+    games += [_generated("loopy", 5, 3, s) for s in (14, 15)]
+    for m in games:
+        for _ in range(3):
+            mu = _sparse_mixed_policy(m, sspg.PLAYER_MIN, rng)
+            nu = _sparse_mixed_policy(m, sspg.PLAYER_MAX, rng)
+            yield m, mu, nu, rng.uniform(-10.0, 10.0, m.n), rng.uniform(-10.0, 10.0, m.n_triplets)
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_oracle_fixed_operators():
+    for m, mu, nu, j, q in _oracle_cases():
+        _close(sspg.bellman_min_fixed(m, mu, j), ref_bellman_min_fixed(m, mu, j))
+        _close(sspg.bellman_max_fixed(m, nu, j), ref_bellman_max_fixed(m, nu, j))
+        _close(sspg.bellman_pair(m, mu, nu, j), ref_bellman_pair(m, mu, nu, j))
+        _close(sspg.q_bellman_max_fixed(m, nu, q), ref_q_bellman_max_fixed(m, nu, q))
+
+
+def test_oracle_best_response_tensors():
+    # one best-response backup from j is reduce(c + p @ j) over each state's rows
+    for m, mu, nu, j, _ in _oracle_cases():
+        for pol, reduce in ((mu, np.max), (nu, np.min)):
+            cs, ps = ref_fixed_policy_tensors(m, pol)
+            want = np.array([reduce(c + p @ j) for c, p in zip(cs, ps)])
+            got, tr = sspg.evaluate_vs_best_response(m, pol, j0=j, max_iter=1)
+            assert len(tr.rows) == 1
+            _close(got, want)
+
+
+def test_oracle_sspa_and_certificate_weights():
+    for m, _, nu, _, _ in _oracle_cases():
+        sspa = sspg.build_sspa(m, nu)
+        probs, costs = ref_sspa(m, nu)
+        assert len(sspa.s_probs) == len(sspa.s_costs) == m.n
+        for k in range(m.n):
+            _close(sspa.s_probs[k], probs[k])
+            _close(sspa.s_costs[k], costs[k])
+        if sspg.forall_termination(m, nu).all():
+            cert = sspg.build_contraction_certificate(m, nu)
+            assert len(cert.xi_nu) == m.n
+            for got, want in zip(cert.xi_nu, ref_xi_nu(m, nu, cert.xi)):
+                _close(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Policy validation and supports
+# ---------------------------------------------------------------------------
+
+
+def test_policy_arrays_flat_state_order(pursuit):
+    mu = sspg.uniform_policy(pursuit, sspg.PLAYER_MIN)
+    flat = policy_arrays(pursuit, mu, sspg.PLAYER_MIN)
+    assert flat.tolist() == [x for s in pursuit.states for x in mu.rules[s].tolist()]
+
+
+@pytest.mark.parametrize("defect", ["missing", "length", "negative", "mass", "player"])
+def test_policy_arrays_rejections(pursuit, defect):
+    m = pursuit
+    rules = {s: np.asarray(r).copy() for s, r in sspg.uniform_policy(m, sspg.PLAYER_MIN).rules.items()}
+    s = m.states[2]  # the last state, with two minimizer controls
+    assert len(m.controls1[s]) == 2
+    player = sspg.PLAYER_MIN
+    if defect == "missing":
+        del rules[s]
+    elif defect == "length":
+        rules[s] = np.append(rules[s], 0.0)
+    elif defect == "negative":
+        rules[s] = np.zeros(len(rules[s]))
+        rules[s][0], rules[s][-1] = -0.5, 1.5
+    elif defect == "mass":
+        rules[s] = rules[s] * (1.0 + 2e-6)
+    else:
+        player = sspg.PLAYER_MAX
+    with pytest.raises(PolicyMismatchError) as err:
+        policy_arrays(m, sspg.StationaryPolicy(sspg.PLAYER_MIN, rules), player)
+    if defect == "player":
+        assert "player-2" in str(err.value)
+    else:
+        assert f"state {s}" in str(err.value)
+
+
+def test_policy_arrays_rejects_empty_rule():
+    # an unvalidated model may have an empty control set; its rule has no mass
+    m = sspg.GameModel(["1", "2"], {"1": [], "2": ["a"]}, {"1": ["x"], "2": ["x"]},
+                       {("2", "a", "x"): [("0", 1.0, 0.0)]})
+    with pytest.raises(PolicyMismatchError, match="state 1 is not a distribution"):
+        policy_arrays(m, sspg.StationaryPolicy(sspg.PLAYER_MIN, {"1": np.zeros(0), "2": np.ones(1)}))
+
+
+def test_policy_arrays_accepts_mass_within_tolerance(pursuit):
+    rules = {s: r * (1.0 + 5e-7) for s, r in sspg.uniform_policy(pursuit, sspg.PLAYER_MAX).rules.items()}
+    policy_arrays(pursuit, sspg.StationaryPolicy(sspg.PLAYER_MAX, rules), sspg.PLAYER_MAX)
+
+
+def test_support_edge_survives_underflow():
+    # control "b" is played with weight 1e-200 and enters the trap "2" with
+    # probability 1e-200; the product underflows, the edge does not vanish
+    tiny = 1e-200
+    m = sspg.GameModel(
+        ["1", "2"],
+        {"1": ["a", "b"], "2": ["a"]},
+        {"1": ["x"], "2": ["x"]},
+        {
+            ("1", "a", "x"): [("0", 1.0, 1.0)],
+            ("1", "b", "x"): [("0", 1.0 - tiny, 1.0), ("2", tiny, 1.0)],
+            ("2", "a", "x"): [("2", 1.0, 1.0)],
+        },
+    )
+    assert sspg.validate_model(m).ok
+    mu = sspg.StationaryPolicy(sspg.PLAYER_MIN, {"1": np.array([1.0, tiny]), "2": np.array([1.0])})
+    assert tiny * tiny == 0.0
+    assert sspg.forall_termination(m, mu).tolist() == [False, False]
+    assert sspg.exists_termination(m, mu).tolist() == [False, False]

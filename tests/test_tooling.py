@@ -1,4 +1,4 @@
-"""The traced benchmark run (``perfbench/run.py --trace 1``) keeps working.
+"""The traced benchmark run (``perfbench/run.py --trace 1``) and the demos keep working.
 
 Its tracer wraps named ``sspg`` functions from outside; a refactor that
 renames or removes one of them would only fail once a traced run starts.
@@ -6,12 +6,17 @@ renames or removes one of them would only fail once a traced run starts.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 
 import sspg
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer_module():
@@ -40,3 +45,14 @@ def test_tracer_installs_and_restores(everett):
         t.restore()
     assert "operators.bellman" in t.names and "operators.greedy_policies" in t.names
     assert sspg.bellman.__module__ == "sspg.operators" and not hasattr(sspg.bellman, "__wrapped__")
+
+
+# 04_qlearning.py is left out: it takes about 9 s
+@pytest.mark.parametrize("demo", ["01_matrix_games", "02_everett_game", "03_generate_solve_verify",
+                                  "05_boundedness_diagnostics"])
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
