@@ -44,8 +44,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n_states < 1:
             raise ValueError("n_states must be at least 1")
-        if self.max_controls < 1:
-            raise ValueError("max_controls must be at least 1")
+        if not 1 <= self.max_controls <= len(_C1):
+            # control labels come from the alphabets below
+            raise ValueError(f"max_controls must lie in [1, {len(_C1)}]")
         if not 0.0 <= self.termination_floor <= 1.0:
             raise ValueError("termination_floor must lie in [0, 1]")
         lo, hi = self.cost_range

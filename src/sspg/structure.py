@@ -10,23 +10,26 @@ policy.
 Almost-sure reachability questions over the randomized-policy continuum are
 decided by graph fixpoints on transition supports, which is exact: whether
 termination is reached with probability one depends only on which
-transitions have positive probability, not on their values.  Total-cost
-classification of prolonging chains follows the recurrent-class gain rule:
-a reachable recurrent class with positive (negative) average cost forces
-total cost +inf (-inf) on the class and everything that reaches it; a
-prolonging chain whose reachable classes all have zero gain is the
-assumption-violating case and is flagged.
+transitions have positive probability, not on their values.  Total costs
+of prolonging chains are exact too: a state that reaches a closed class of
+positive (negative) gain with positive probability has total cost +inf
+(-inf); on states that reach only zero-gain classes it is the Cesàro limit
+h of the expected partial sums, (I - P + P*) h = c with P* the limiting
+matrix (Puterman, *Markov Decision Processes*, App. A).  Zero-gain
+prolonging classes violate the model assumption and are flagged, as are
+periodic ones whose partial sums oscillate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .model import (
     PLAYER_MAX,
@@ -158,6 +161,25 @@ def exists_termination(m: GameModel, fixed: StationaryPolicy) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _closed_classes(chain: InducedChain) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Closed classes of the chain as (member indices, stationary distribution).
+
+    A closed class is a strongly connected component that no edge leaves;
+    {0} is one.  States in no closed class are transient.
+    """
+    adj = chain.P > 0.0
+    n_comp, comp = connected_components(csr_matrix(adj), directed=True, connection="strong")
+    src, dst = np.nonzero(adj)
+    leaks = np.bincount(comp[src], comp[src] != comp[dst], n_comp) > 0
+    out = []
+    for cidx in np.flatnonzero(~leaks):
+        members = np.flatnonzero(comp == cidx)
+        a = (np.eye(len(members)) - chain.P[np.ix_(members, members)]).T
+        a[-1, :] = 1.0  # replace one balance equation by sum(pi) = 1
+        out.append((members, np.linalg.solve(a, np.eye(len(members))[-1])))
+    return out
+
+
 def recurrent_class_gains(chain: InducedChain) -> list[tuple[tuple[str, ...], float]]:
     """Recurrent classes with their long-run average stage costs.
 
@@ -165,27 +187,24 @@ def recurrent_class_gains(chain: InducedChain) -> list[tuple[tuple[str, ...], fl
     components, including {0} with gain 0) and transient states; the gain
     of a class is its stationary distribution weighted average stage cost.
     """
-    n1 = chain.P.shape[0]
-    adj = chain.P > 0.0
-    n_comp, comp = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    out = []
-    for cidx in range(n_comp):
-        members = np.flatnonzero(comp == cidx)
-        outside = adj[np.ix_(members, np.setdiff1d(np.arange(n1), members))]
-        if outside.any():
-            continue  # leaks out: transient
-        sub = chain.P[np.ix_(members, members)]
-        k = len(members)
-        a = (np.eye(k) - sub).T
-        a[-1, :] = 1.0
-        b = np.zeros(k)
-        b[-1] = 1.0
-        pi = np.linalg.solve(a, b)
-        gain = float(pi @ chain.costs[members])
-        labels = tuple("0" if i == 0 else chain.labels[i - 1] for i in members)
-        out.append((labels, gain))
-    out.sort(key=lambda item: item[0])
-    return out
+    return sorted(  # class labels are disjoint, so this sorts by label
+        (tuple("0" if i == 0 else chain.labels[i - 1] for i in members), float(pi @ chain.costs[members]))
+        for members, pi in _closed_classes(chain)
+    )
+
+
+def _oscillates(chain: InducedChain, members: np.ndarray, pi: np.ndarray) -> bool:
+    """True iff a zero-gain closed class has period d > 1 and a cyclic subclass of nonzero pi-weighted cost.
+
+    With BFS levels from the first member, d = gcd(level(i) + 1 - level(j))
+    over edges i -> j, and j lies in subclass level(j) mod d.
+    """
+    adj = csr_matrix(chain.P[np.ix_(members, members)] > 0.0)
+    level = shortest_path(adj, unweighted=True, indices=0).astype(np.intp)
+    src, dst = adj.nonzero()
+    d = int(np.gcd.reduce(level[src] + 1 - level[dst]))
+    weighted = np.bincount(level % d, pi * chain.costs[members], minlength=d)
+    return d > 1 and bool((np.abs(weighted) > GAIN_TOL).any())
 
 
 @dataclass(frozen=True)
@@ -198,6 +217,11 @@ class ChainClassification:
 
 
 def classify_chain(chain: InducedChain) -> ChainClassification:
+    """Total cost of the chain from every state 1..n (see the module docstring).
+
+    A state that reaches gain classes of both signs takes the sign of its
+    drift, or nan if the drift is zero.
+    """
     n = chain.P.shape[0] - 1
     reach = reach_probability_one(chain)
     if reach.all():
@@ -205,75 +229,40 @@ def classify_chain(chain: InducedChain) -> ChainClassification:
         values = np.linalg.solve(np.eye(n) - P_ss, chain.costs[1:])
         return ChainClassification(values, False, ())
 
-    flags: set[str] = set()
-    classes = recurrent_class_gains(chain)
-    label_to_idx = {lbl: k + 1 for k, lbl in enumerate(chain.labels)}
-    label_to_idx["0"] = 0
+    classes = _closed_classes(chain)
+    member = np.zeros((n + 1, len(classes)))
+    stationary = np.zeros((len(classes), n + 1))
+    for k, (members, pi) in enumerate(classes):
+        member[members, k] = 1.0
+        stationary[k, members] = pi
+    gains = np.array([pi @ chain.costs[members] for members, pi in classes])
 
-    # absorption probability into each recurrent class, for every state
-    all_members = []
-    for labels, _ in classes:
-        all_members.append(np.array([label_to_idx[s] for s in labels]))
-    recurrent = np.zeros(n + 1, dtype=bool)
-    for mem in all_members:
-        recurrent[mem] = True
-    transient = np.flatnonzero(~recurrent)
+    # absorption probability into each closed class, for every state
+    absorb = member.copy()
+    transient = np.flatnonzero(~member.any(axis=1))
     P_tt = chain.P[np.ix_(transient, transient)]
-    lu = np.linalg.inv(np.eye(len(transient)) - P_tt) if len(transient) else None
+    absorb[transient] = np.linalg.solve(np.eye(len(transient)) - P_tt, chain.P[transient] @ member)
 
-    absorb = np.zeros((len(classes), n + 1))
-    for k, mem in enumerate(all_members):
-        absorb[k, mem] = 1.0
-        if len(transient):
-            rhs = chain.P[np.ix_(transient, mem)].sum(axis=1)
-            absorb[k, transient] = lu @ rhs
+    # sign masses and drift of every state
+    prolong_zero = (np.abs(gains) <= GAIN_TOL) & (member[0] == 0.0)  # zero-gain classes other than {0}
+    pos = absorb[1:] @ (gains > GAIN_TOL) > 1e-12
+    neg = absorb[1:] @ (gains < -GAIN_TOL) > 1e-12
+    drift = absorb[1:] @ gains
+    by_drift = np.where(drift > GAIN_TOL, np.inf, np.where(drift < -GAIN_TOL, -np.inf, np.nan))
+    values = np.where(pos & neg, by_drift, np.where(pos, np.inf, np.where(neg, -np.inf, 0.0)))
 
-    values = np.empty(n)
-    finite_states = []
-    for i in range(1, n + 1):
-        pos = neg = zero_prolong = 0.0
-        drift = 0.0
-        for k, (labels, gain) in enumerate(classes):
-            a = absorb[k, i]
-            drift += a * gain
-            if gain > GAIN_TOL:
-                pos += a
-            elif gain < -GAIN_TOL:
-                neg += a
-            elif labels != ("0",):
-                zero_prolong += a
-        if pos > 1e-12 and neg > 1e-12:
-            flags.add("mixed-sign-gains")
-            values[i - 1] = np.inf if drift > GAIN_TOL else (-np.inf if drift < -GAIN_TOL else np.nan)
-            if np.isnan(values[i - 1]):
-                flags.add("undetermined-total-cost")
-        elif pos > 1e-12:
-            values[i - 1] = np.inf
-        elif neg > 1e-12:
-            values[i - 1] = -np.inf
-        else:
-            if zero_prolong > 1e-12:
-                flags.add("zero-gain-prolonging")
-            finite_states.append(i)
-
-    if finite_states:
-        # zero-drift prolonging states: estimate the limit of expected
-        # partial sums on the finite sub-chain (bounded by construction)
-        idx = np.array(finite_states)
-        P_ff = chain.P[np.ix_(idx, idx)]
-        c_f = chain.costs[idx]
-        s = np.zeros(len(idx))
-        window = []
-        for k in range(4000):
-            s = c_f + P_ff @ s
-            if k >= 3500:
-                window.append(s.copy())
-        window_arr = np.array(window)
-        values[idx - 1] = window_arr.mean(axis=0)
-        if np.ptp(window_arr, axis=0).max() > 1e-6:
-            flags.add("oscillating-partial-sums")
-
-    return ChainClassification(values, True, tuple(sorted(flags)))
+    # Cesàro limits of the states that reach only zero-gain classes
+    finite = np.flatnonzero(~(pos | neg)) + 1
+    P_star = absorb[finite] @ stationary[:, finite]
+    lhs = np.eye(len(finite)) - chain.P[np.ix_(finite, finite)] + P_star
+    values[finite - 1] = np.linalg.solve(lhs, chain.costs[finite])
+    flags = (
+        ("mixed-sign-gains", (pos & neg).any()),
+        ("oscillating-partial-sums", any(_oscillates(chain, *classes[k]) for k in prolong_zero.nonzero()[0])),
+        ("undetermined-total-cost", np.isnan(values).any()),
+        ("zero-gain-prolonging", (absorb[finite] @ prolong_zero > 1e-12).any()),
+    )
+    return ChainClassification(values, True, tuple(name for name, hit in flags if hit))
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +272,41 @@ def classify_chain(chain: InducedChain) -> ChainClassification:
 
 def count_pure_policies(m: GameModel, player: int) -> int:
     ctrl = m.controls1 if player == PLAYER_MIN else m.controls2
-    count = 1
-    for s in m.states:
-        count *= max(len(ctrl[s]), 1)
-    return count
+    return math.prod(max(len(ctrl[s]), 1) for s in m.states)
+
+
+def _pure_combos(m: GameModel, player: int) -> Iterator[tuple[int, ...]]:
+    """Every pick of one control position per state, in canonical order."""
+    ctrl = m.controls1 if player == PLAYER_MIN else m.controls2
+    return itertools.product(*(range(len(ctrl[s])) for s in m.states))
+
+
+def _pure_policy(m: GameModel, player: int, combo: Sequence[int]) -> StationaryPolicy:
+    ctrl = m.controls1 if player == PLAYER_MIN else m.controls2
+    return pure_policy(m, player, {s: ctrl[s][k] for s, k in zip(m.states, combo)})
 
 
 def iter_pure_policies(m: GameModel, player: int) -> Iterator[StationaryPolicy]:
     """All deterministic stationary policies, in canonical label order."""
-    ctrl = m.controls1 if player == PLAYER_MIN else m.controls2
-    for combo in itertools.product(*(ctrl[s] for s in m.states)):
-        yield pure_policy(m, player, dict(zip(m.states, combo)))
+    return (_pure_policy(m, player, combo) for combo in _pure_combos(m, player))
+
+
+def _pure_chains(
+    m: GameModel, rows: np.ndarray, first: np.ndarray, player: int
+) -> Iterator[tuple[tuple[int, ...], InducedChain]]:
+    """The chain of every pure policy of ``player`` that picks rows of a table.
+
+    ``rows`` holds a stage cost and then a kernel over 0..n per row; a
+    policy whose control at state i has position k takes row
+    ``first[i] + k``.  Yields the positions and the chain, in canonical
+    order.
+    """
+    costs = np.concatenate(([0.0], rows[:, 0]))
+    probs = np.vstack((np.eye(1, m.n + 1), rows[:, 1:]))
+    base = np.concatenate(([0], np.asarray(first) + 1))
+    for combo in _pure_combos(m, player):
+        idx = base + (0, *combo)
+        yield combo, InducedChain(probs[idx], costs[idx], m.states)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +327,12 @@ def is_essentially_proper(
 ) -> PropernessReport:
     """Check whether a policy's induced single-player problem is well-posed.
 
-    "yes" requires either that no opponent response prolongs the game at all
-    (a graph fact that covers randomized opponents exactly), or is never
-    claimed: when prolonging pure responses exist, they are enumerated and
-    each must be infinitely bad for the opponent, but that enumeration does
-    not bound randomized mixtures (zero-gain mixtures are possible), so the
-    verdict is "inconclusive" rather than "yes".
+    "yes" is claimed only when no opponent response prolongs the game at
+    all, a graph fact that covers randomized opponents exactly.  When
+    prolonging pure responses exist, they are enumerated and each must be
+    infinitely bad for the opponent; a pure response that is not gives
+    "no".  If all are, the verdict is "inconclusive", because enumeration
+    does not bound randomized mixtures (zero-gain mixtures are possible).
     """
     et = exists_termination(m, policy)
     if not et.all():
@@ -333,8 +346,10 @@ def is_essentially_proper(
     if count_pure_policies(m, opp) > max_opponents:
         return PropernessReport("inconclusive", "too large: opponent pure policy space exceeds cap")
     need_neg = policy.player == PLAYER_MIN
-    for theirs in iter_pure_policies(m, opp):
-        cls = classify_chain(induce_chain(m, *((policy, theirs) if need_neg else (theirs, policy))))
+    fixed = (policy, None) if need_neg else (None, policy)
+    rows, first = policy_average(m, np.column_stack((m.g, m.P)), *fixed)
+    for combo, chain in _pure_chains(m, rows, first, opp):
+        cls = classify_chain(chain)
         if not cls.prolonging:
             continue
         bad_for_opponent = (
@@ -344,7 +359,7 @@ def is_essentially_proper(
             return PropernessReport(
                 "no",
                 "prolonging opponent response without the required infinite cost",
-                witness_policy=theirs,
+                witness_policy=_pure_policy(m, opp, combo),
             )
     return PropernessReport(
         "inconclusive",
@@ -429,55 +444,44 @@ def check_ssp_game_assumption(m: GameModel, max_pairs: int = 10**6) -> Assumptio
         too_big = ClauseVerdict("inconclusive", f"pure pair space {n_mu * n_nu} exceeds cap {max_pairs}")
         return AssumptionReport(too_big, too_big, too_big, (caveat,))
 
-    mus = list(iter_pure_policies(m, PLAYER_MIN))
-    nus = list(iter_pure_policies(m, PLAYER_MAX))
-    has_pos = np.zeros((n_mu, n_nu), dtype=bool)
-    has_neg = np.zeros((n_mu, n_nu), dtype=bool)
-    prolonging_witness = None
-    for a, mu in enumerate(mus):
-        for b, nu in enumerate(nus):
-            chain = induce_chain(m, mu, nu)
+    n_v = np.array([len(m.controls2[s]) for s in m.states], dtype=np.intp)
+    table = np.column_stack((m.g, m.P))
+    has_pos, has_neg = np.zeros((2, n_mu, n_nu), dtype=bool)
+    clause3 = ClauseVerdict("holds", "every pure prolonging pair has an infinite total cost")
+    for a, mu_combo in enumerate(_pure_combos(m, PLAYER_MIN)):
+        # the triplet rows (i, u_i, v) of this minimizer policy
+        first = m.control_layout.blocks + np.asarray(mu_combo, dtype=np.intp) * n_v
+        for b, (nu_combo, chain) in enumerate(_pure_chains(m, table, first, PLAYER_MAX)):
             cls = classify_chain(chain)
             has_pos[a, b] = np.isposinf(cls.values).any()
             has_neg[a, b] = np.isneginf(cls.values).any()
-            if cls.prolonging and not has_pos[a, b] and not has_neg[a, b] and prolonging_witness is None:
-                bad = tuple(m.states[i] for i in np.flatnonzero(~reach_probability_one(chain)))
-                prolonging_witness = (mu, nu, bad)
-
-    if prolonging_witness is None:
-        clause3 = ClauseVerdict("holds", "every pure prolonging pair has an infinite total cost")
-    else:
-        mu_w, nu_w, states_w = prolonging_witness
-        clause3 = ClauseVerdict(
-            "violated",
-            "prolonging pair with finite total cost (zero-gain recurrent class)",
-            witness_mu=mu_w,
-            witness_nu=nu_w,
-            witness_states=states_w,
-        )
+            if cls.prolonging and not has_pos[a, b] and not has_neg[a, b] and clause3.status == "holds":
+                clause3 = ClauseVerdict(
+                    "violated",
+                    "prolonging pair with finite total cost (zero-gain recurrent class)",
+                    witness_mu=_pure_policy(m, PLAYER_MIN, mu_combo),
+                    witness_nu=_pure_policy(m, PLAYER_MAX, nu_combo),
+                    witness_states=tuple(m.states[i] for i in np.flatnonzero(~reach_probability_one(chain))),
+                )
 
     from .solve import CONVERGED, evaluate_vs_best_response  # solve imports this module
 
-    def safeguard(rows_bad: np.ndarray, policies: Sequence[StationaryPolicy], who: str) -> ClauseVerdict:
-        for k, pol in enumerate(policies):
-            if rows_bad[k].any():
+    def safeguard(rows_bad: np.ndarray, player: int, who: str) -> ClauseVerdict:
+        for combo, bad in zip(_pure_combos(m, player), rows_bad):
+            if bad.any():
                 continue
+            pol = _pure_policy(m, player, combo)
             _, trace = evaluate_vs_best_response(m, pol, max_iter=2000)
             note = f"pure safeguard found for {who}"
             if trace.outcome != CONVERGED:
                 note += " (best-response iteration did not settle; pure-pair evidence only)"
-            return ClauseVerdict(
-                "holds",
-                note,
-                witness_mu=pol if who == "minimizer" else None,
-                witness_nu=pol if who == "maximizer" else None,
-            )
+            return ClauseVerdict("holds", note, *((pol, None) if player == PLAYER_MIN else (None, pol)))
         return ClauseVerdict(
             "inconclusive", f"no pure safeguard for the {who}; randomized safeguards not excluded"
         )
 
-    clause1 = safeguard(has_pos, mus, "minimizer")
-    clause2 = safeguard(has_neg.T, nus, "maximizer")
+    clause1 = safeguard(has_pos, PLAYER_MIN, "minimizer")
+    clause2 = safeguard(has_neg.T, PLAYER_MAX, "maximizer")
     return AssumptionReport(clause1, clause2, clause3, (caveat,))
 
 
@@ -538,23 +542,17 @@ def check_single_player_ssp(sspa: SspA, max_policies: int = 10**6) -> SspVerdict
     with strictly positive average cost.
     """
     m = sspa.model
-    sizes = [len(m.controls1[s]) for s in m.states]
-    total = int(np.prod(sizes)) if sizes else 1
+    total = count_pure_policies(m, PLAYER_MIN)
     if total > max_policies:
         return SspVerdict("inconclusive", f"pure policy space {total} exceeds cap {max_policies}")
-    probs = np.concatenate((np.eye(1, m.n + 1), *sspa.s_probs))
-    costs = np.concatenate(([0.0], *sspa.s_costs))
-    first = np.concatenate(([0], 1 + m.control_layout.offsets[0]))
+    rows = np.column_stack((np.concatenate(sspa.s_costs), np.concatenate(sspa.s_probs)))
     proper_found = False
-    for combo in itertools.product(*(range(k) for k in sizes)):
-        rows = first + (0, *combo)
-        chain = InducedChain(probs[rows], costs[rows], m.states)
+    for combo, chain in _pure_chains(m, rows, m.control_layout.offsets[0], PLAYER_MIN):
         if reach_probability_one(chain).all():
             proper_found = True
             continue
-        gains = [g for labels, g in recurrent_class_gains(chain) if labels != ("0",)]
-        if not any(g > GAIN_TOL for g in gains):
-            witness = {s: m.controls1[s][combo[k]] for k, s in enumerate(m.states)}
+        if not any(pi @ chain.costs[members] > GAIN_TOL for members, pi in _closed_classes(chain)):
+            witness = {s: m.controls1[s][k] for s, k in zip(m.states, combo)}
             return SspVerdict(
                 "violated", "improper policy without a positive-gain recurrent class", witness
             )

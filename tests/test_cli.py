@@ -217,6 +217,17 @@ def test_gen_deterministic_and_valid(capsys):
     assert out1 == out2  # byte-identical repeat invocation
 
 
+def test_gen_rejects_more_controls_than_labels(capsys):
+    # control labels come from 8-letter alphabets; 9 controls used to be capped at 8
+    code = main(["gen", "--states", "4", "--max-controls", "9"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == "" and "max_controls" in captured.err
+    with pytest.raises(ValueError, match="max_controls"):
+        sspg.GeneratorConfig(max_controls=9)
+    m = sspg.generate_model(sspg.GeneratorConfig(n_states=12, max_controls=8, seed=3))
+    assert max(len(c) for c in m.controls1.values()) == 8
+
+
 def test_gen_seed_env_override(capsys, monkeypatch):
     _, base = run_cli(capsys, "gen", "--seed", "5")
     monkeypatch.setenv("SSPG_SEED", "6")

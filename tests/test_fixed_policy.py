@@ -22,7 +22,7 @@ import pytest
 
 import sspg
 from sspg.model import PolicyMismatchError, policy_arrays
-from sspg.structure import iter_pure_policies
+from sspg.structure import count_pure_policies, iter_pure_policies
 
 # recorded on the per-state-loop implementation
 PINS = {
@@ -46,12 +46,12 @@ def _generated(family, n, mc, seed):
         n_states=n, max_controls=mc, family=family, seed=seed, cost_range=(lo, 1.5)))
 
 
-def _trap_game(seed, n=5):
+def _trap_game(seed, n=5, controls=2):
     """Sparse rows, some without terminal mass, and state n absorbing at cost 1."""
     rng = np.random.default_rng(seed)
     states = [str(i) for i in range(1, n + 1)]
-    c1 = {s: list("ab"[: rng.integers(1, 3)]) for s in states}
-    c2 = {s: list("xy"[: rng.integers(1, 3)]) for s in states}
+    c1 = {s: list("abc"[: rng.integers(1, controls + 1)]) for s in states}
+    c2 = {s: list("xyz"[: rng.integers(1, controls + 1)]) for s in states}
     rows = {}
     for s in states:
         for u in c1[s]:
@@ -122,6 +122,15 @@ def _pin_parts(kind):
 @pytest.mark.parametrize("kind", sorted(PINS))
 def test_pins(kind):
     assert _digest(_pin_parts(kind)) == PINS[kind]
+
+
+def test_pin_assumption_three_control_trap_game():
+    # every one of the 1944 pure pairs is prolonging; recorded on the
+    # partial-sum implementation of classify_chain
+    m = _trap_game(9, controls=3)
+    assert count_pure_policies(m, sspg.PLAYER_MIN) * count_pure_policies(m, sspg.PLAYER_MAX) == 1944
+    digest = _digest([sspg.check_ssp_game_assumption(m).to_json(m)])
+    assert digest == "f63b1143295540f1877891ed2af49fac848c7c7c2bd56b40605318d8cdfbfe96"
 
 
 # ---------------------------------------------------------------------------

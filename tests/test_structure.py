@@ -283,3 +283,87 @@ def test_single_player_check_contraction_family():
         nu = sspg.uniform_policy(m, 2)
         assert sspg.is_essentially_proper(m, nu).verdict == "yes"
         assert sspg.check_single_player_ssp(sspg.build_sspa(m, nu)).status == "holds"
+
+
+# ---------------------------------------------------------------------------
+# Exact total costs of prolonging chains
+# ---------------------------------------------------------------------------
+
+
+def test_classify_periodic_zero_gain_cycle_exact():
+    # 1 -> 2 -> 3 -> 1 with costs (1, -1, 0): gain 0, period 3; the partial
+    # sums cycle and their Cesaro limits are (1/3, -2/3, 1/3)
+    chain = chain_from([[0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]], [1.0, -1.0, 0.0], ["1", "2", "3"])
+    cls = sspg.classify_chain(chain)
+    assert cls.prolonging
+    np.testing.assert_allclose(cls.values, [1 / 3, -2 / 3, 1 / 3], rtol=0, atol=1e-12)
+    assert cls.flags == ("oscillating-partial-sums", "zero-gain-prolonging")
+
+
+def test_classify_aperiodic_zero_gain_class():
+    # a self-loop makes the class aperiodic; stationary (2/3, 1/3), costs (1, -2)
+    chain = chain_from([[0, 0.5, 0.5], [0, 1, 0]], [1.0, -2.0], ["1", "2"])
+    cls = sspg.classify_chain(chain)
+    np.testing.assert_allclose(cls.values, [2 / 3, -4 / 3], rtol=0, atol=1e-12)
+    assert cls.flags == ("zero-gain-prolonging",)
+
+
+def test_classify_periodic_class_without_oscillation():
+    # period 2 with subclasses {1} and {2, 3}; each has zero weighted cost
+    chain = chain_from([[0, 0, 0.5, 0.5], [0, 1, 0, 0], [0, 1, 0, 0]], [0.0, 1.0, -1.0], ["1", "2", "3"])
+    cls = sspg.classify_chain(chain)
+    np.testing.assert_allclose(cls.values, [0.0, 1.0, -1.0], rtol=0, atol=1e-12)
+    assert cls.flags == ("zero-gain-prolonging",)
+
+
+def test_classify_mixed_sign_gains_zero_drift():
+    # state 1 enters a +1 loop or a -1 loop with equal odds: drift 0, undetermined
+    chain = chain_from([[0, 0, 0.5, 0.5], [0, 0, 1, 0], [0, 0, 0, 1]], [0.0, 1.0, -1.0], ["1", "2", "3"])
+    cls = sspg.classify_chain(chain)
+    assert np.isnan(cls.values[0]) and cls.values[1:].tolist() == [np.inf, -np.inf]
+    assert cls.flags == ("mixed-sign-gains", "undetermined-total-cost")
+
+
+def _limiting_matrix(P):
+    """Cesaro limit of P^t by averaging 60 = lcm(1..6) steps after a long burn-in."""
+    Q = np.linalg.matrix_power(P, 2**20)
+    acc = np.zeros_like(P)
+    for _ in range(60):
+        acc += Q
+        Q = Q @ P
+    return acc / 60
+
+
+def test_classify_finite_values_solve_poisson_equation():
+    # costs c = (I - P) f give every closed class gain 0; mixing in random
+    # costs on some chains adds states with infinite totals
+    rng = np.random.default_rng(41)
+    checked = 0
+    for trial in range(300):
+        n = int(rng.integers(1, 7))
+        P = np.zeros((n + 1, n + 1))
+        P[0, 0] = 1.0
+        for i in range(1, n + 1):
+            if rng.random() < 0.4:
+                P[i, int(rng.integers(n + 1))] = 1.0
+            else:
+                row = rng.random(n + 1) * (rng.random(n + 1) < 0.5)
+                if not row.any():
+                    row[int(rng.integers(n + 1))] = 1.0
+                P[i] = row / row.sum()
+        c = (np.eye(n + 1) - P) @ rng.uniform(-2, 2, n + 1)
+        if trial % 3 == 0:
+            c[1:][rng.random(n) < 0.3] += 1.0
+        c[0] = 0.0
+        cls = sspg.classify_chain(InducedChain(P, c, tuple(str(i) for i in range(1, n + 1))))
+        if not cls.prolonging:
+            continue
+        fin = np.concatenate(([False], np.isfinite(cls.values)))
+        if not fin.any():
+            continue
+        checked += 1
+        h = np.where(fin, np.concatenate(([0.0], np.nan_to_num(cls.values))), 0.0)
+        assert not P[np.ix_(fin, ~fin)][:, 1:].any()  # finite states only reach finite ones or 0
+        np.testing.assert_allclose(h[fin], c[fin] + P[fin] @ h, rtol=0, atol=1e-9)
+        np.testing.assert_allclose((_limiting_matrix(P) @ h)[fin], 0.0, rtol=0, atol=1e-9)
+    assert checked > 100

@@ -47,6 +47,21 @@ def test_tracer_installs_and_restores(everett):
     assert sspg.bellman.__module__ == "sspg.operators" and not hasattr(sspg.bellman, "__wrapped__")
 
 
+def test_tracer_counts_pairs_under_the_assumption_check(everett):
+    # structure.pairs_enumerated counts the classify_chain spans directly under
+    # check_ssp_game_assumption: one per pure pair, and everett has 2 x 2
+    tracer = _tracer_module()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        sspg.check_ssp_game_assumption(everett)
+    finally:
+        t.restore()
+    view = tracer.SpanView(t, 0, len(t.s_name))
+    [check] = view.indices("structure.check_ssp_game_assumption")
+    assert len(view.children(check, "structure.classify_chain")) == 4
+
+
 # 04_qlearning.py is left out: it takes about 9 s
 @pytest.mark.parametrize("demo", ["01_matrix_games", "02_everett_game", "03_generate_solve_verify",
                                   "05_boundedness_diagnostics"])
