@@ -1,4 +1,6 @@
+import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -256,3 +258,30 @@ def test_out_flag(capsys, everett_file, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["values"]["1"] == pytest.approx(1.0, abs=1e-5)
+
+
+# sha256 of stdout with default flags (uniform start / uniform nu)
+CLI_PINS = {
+    ("everett", "solve-vi"): "277c276ecdb71408a48e7941dfd1cbfbd41f55260e22bd24ddffc5373954af31",
+    ("everett", "solve-pi --player I"): "5f79d9651660310ca9550b4b83b019ddff5c4d2f58d174ebb775772a57587d6d",
+    ("everett", "solve-pi --player II"): "c51d3c8787b06065a37ff455658ea93febbe2a62e2fd5152c518cfd4a3a035c4",
+    ("everett", "certificate"): "86c284676e11509d44ea3226b0f005f8b237bb8ec0a6c22aff70a61247d33e29",
+    ("zerocost", "solve-vi"): "d0e39364d50e4210c6c20f26269c710b4d4147269882ed8e6e1802d4a980e258",
+    ("zerocost", "solve-pi --player I"): "7ddabe4b62c53ad33bdba4875d0dddf26919645a3f913360087fcfd440e10f0c",
+    ("zerocost", "solve-pi --player II"): "6b5794b7fd70c9eb7f44dece11e1892c8b00c3873e555a1c4ef208c030db6c56",
+    ("zerocost", "certificate"): "bdf2185137826fef382f011166849a0b4766c1c199670cbcc8fbe5424bf3ecbd",
+    ("pursuit", "solve-vi"): "3667eaad04dd7e4ef1e8e6948aae4d99317c6248b6a77579988fb43aff690686",
+    ("pursuit", "solve-pi --player I"): "a910ccba532f0cd1f7f8290ad71642059b8c102fcfae9f3fe19cc06cf9b738dd",
+    ("pursuit", "solve-pi --player II"): "653d9a0b23224f0775d8c3eeec6b9cee8f659b3af54c6f4d86deb873a9e0778c",
+    ("pursuit", "certificate"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+@pytest.mark.parametrize("game,cmd", sorted(CLI_PINS))
+def test_cli_output_pins(capsys, tmp_path, game, cmd):
+    path = tmp_path / f"{game}.json"
+    path.write_text(sspg.save_model(sspg.load_bundled_model(game)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the start-policy warning goes to stderr
+        _, out = run_cli(capsys, *cmd.split(), "--model", str(path))
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_PINS[(game, cmd)]
