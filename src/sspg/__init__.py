@@ -21,7 +21,6 @@ from .generate import FAMILIES, GeneratorConfig, generate_model
 from .matgame import (
     MatrixGameSolution,
     best_response_value,
-    matrix_game_value,
     solve_matrix_game,
 )
 from .model import (
@@ -69,6 +68,7 @@ from .qlearn import (
 from .solve import (
     CONVERGED,
     DIVERGING,
+    ILL_POSED,
     ITERATION_CAP,
     PairEvaluation,
     SolveTrace,

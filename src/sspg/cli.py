@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -76,13 +77,17 @@ def _emit(doc, args) -> None:
         print(text)
 
 
+def _number(x) -> float | None:
+    return float(x) if math.isfinite(x) else None  # JSON has no NaN or Infinity
+
+
 def _values_doc(m: GameModel, values) -> dict:
-    return {s: float(v) for s, v in zip(m.states, values)}
+    return {s: _number(v) for s, v in zip(m.states, values)}
 
 
 def _q_doc(m: GameModel, q) -> list:
     return [
-        {"i": i, "u": u, "v": v, "q": float(x)} for (i, u, v), x in zip(m.triplets, q)
+        {"i": i, "u": u, "v": v, "q": _number(x)} for (i, u, v), x in zip(m.triplets, q)
     ]
 
 
@@ -255,7 +260,7 @@ def _cmd_solve_vi(args) -> int:
             "values": _values_doc(m, values),
             "outcome": trace.outcome,
             "iterations": len(trace.rows),
-            "final_residual": trace.final_residual,
+            "final_residual": _number(trace.final_residual),
             "refined": refined,
         },
         args,
@@ -274,7 +279,7 @@ def _cmd_solve_qvi(args) -> int:
             "values": _values_doc(m, values_from_q(m, q)),
             "outcome": trace.outcome,
             "iterations": len(trace.rows),
-            "final_residual": trace.final_residual,
+            "final_residual": _number(trace.final_residual),
         },
         args,
     )
@@ -295,7 +300,7 @@ def _cmd_solve_pi(args) -> int:
             "values": _values_doc(m, values),
             "outcome": trace.outcome,
             "outer_iterations": len(trace.rows),
-            "final_residual": trace.final_residual,
+            "final_residual": _number(trace.final_residual),
             "final_policy": policies[-1].to_json(m),
             "note": trace.note,
         },

@@ -19,7 +19,6 @@ validated triplet by triplet.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .model import (
     policy_average,
 )
 from .qlearn import QLearnRun, ReplayCore
+from .solve import _best_response
 from .structure import forall_termination
 
 
@@ -83,41 +83,27 @@ class ContractionCertificate:
         }
 
 
-def build_contraction_certificate(
-    m: GameModel, nu: StationaryPolicy, tol: float = 1e-10, max_iter: int = 10**6
-) -> ContractionCertificate:
+def build_contraction_certificate(m: GameModel, nu: StationaryPolicy) -> ContractionCertificate:
     """Construct and validate the weighted sup-norm contraction certificate.
 
     Requires ``nu`` proper (terminating almost surely against every opposing
-    policy); raises :class:`ImproperPolicyError` otherwise.  The weight
-    equations are solved by value iteration from zero at tolerance ``tol``.
+    policy); raises :class:`ImproperPolicyError` otherwise.  The auxiliary
+    costs are the minimizer's exact best response to ``nu`` at stage cost
+    -1 (Howard policy iteration, as in
+    :func:`sspg.solve.evaluate_vs_best_response`), which is well posed
+    because every response terminates.
     """
     if not forall_termination(m, nu).all():
         raise ImproperPolicyError("certificate requires a proper policy")
-    p, offsets = policy_average(m, m.P[:, 1:], nu=nu)  # the induced single-player kernel
-
-    h = np.zeros(m.n)  # auxiliary optimal costs at game states
-    for _ in range(max_iter):
-        h1 = np.minimum.reduceat(-1.0 + p @ h, offsets)
-        if np.abs(h1 - h).max() <= tol:
-            h = h1
-            break
-        h = h1
-    else:
-        raise RuntimeError("auxiliary cost iteration did not converge")
-
-    j_triplets = -1.0 + m.P[:, 1:] @ h
-    xi = -j_triplets
-    xi_rows, _ = policy_average(m, xi, nu=nu)
-    beta = float(((xi - 1.0) / xi).max())
-    beta = max(beta, 0.0)
+    h, _ = _best_response(m, nu, np.full(m.n_triplets, -1.0))  # auxiliary optimal costs at game states
+    xi = 1.0 - m.P[:, 1:] @ h
+    xi_rows, offsets = policy_average(m, xi, nu=nu)
+    beta = max(float(((xi - 1.0) / xi).max()), 0.0)
 
     lhs = m.P[:, 1:] @ np.maximum.reduceat(xi_rows, offsets)
     slack = lhs - beta * xi
     if slack.max() > 1e-8:
-        raise RuntimeError(
-            f"certificate inequality violated by {slack.max():.3e}; auxiliary solve too loose"
-        )
+        raise RuntimeError(f"certificate inequality violated by {slack.max():.3e}")
     return ContractionCertificate(xi, tuple(np.split(xi_rows, offsets[1:])), beta, h)
 
 
@@ -273,6 +259,3 @@ def run_trackers(m: GameModel, run: QLearnRun, check_support: bool = True) -> Tr
         qh[k, np.fromiter(w, np.intp, len(w))] = vals[k]
     return TrackerState(np.array(g), qh)
 
-
-def certificate_to_json_text(cert: ContractionCertificate, m: GameModel) -> str:
-    return json.dumps(cert.to_json(m), indent=2)

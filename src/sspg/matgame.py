@@ -270,8 +270,3 @@ def flat_game_value(vals, nu: int, nv: int) -> float:
         return value_2x2(vals[0], vals[1], vals[2], vals[3])
     return solve_matrix_game(np.asarray(vals, dtype=float).reshape(nu, nv)).value
 
-
-def matrix_game_value(matrix) -> float:
-    """Game value only; same dispatch as :func:`flat_game_value`."""
-    a = _as_matrix(matrix)
-    return flat_game_value(a.ravel().tolist(), a.shape[0], a.shape[1])

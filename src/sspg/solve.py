@@ -3,27 +3,45 @@
 Outcomes are reported honestly: the structural assumptions give no
 contraction rate, so every iterative routine returns a trace whose outcome
 is ``converged``, ``iteration-cap``, or ``diverging`` (iterate sup-norm past
-1e9).  Long runs accept a cooperative cancellation callback.
+1e9).  A best response to a fixed policy, and so every policy-iteration
+step, is solved exactly or reported ``ill-posed`` (no terminating
+response, or a non-terminating one does better).  Long runs accept a
+cooperative cancellation callback.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .model import PLAYER_MAX, PLAYER_MIN, GameModel, StationaryPolicy, policy_average
+from .model import PLAYER_MAX, GameModel, StationaryPolicy, policy_average
 from .operators import bellman, greedy_policies, q_bellman, q_from_values
-from .structure import classify_chain, induce_chain, is_essentially_proper
+from .structure import (
+    ChainClassification,
+    _reverse_reachable,
+    _terminating_response,
+    classify_chain,
+    induce_chain,
+    is_essentially_proper,
+)
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
 DIVERGING = "diverging"
+ILL_POSED = "ill-posed"
 
 _DIVERGE = 1e9
+
+#: a best response switches a state's control only on a gain above this times 1 + max|x|
+_SWITCH_TOL = 1e-12
+
+#: largest minimax-backup residual of a refined value vector
+REFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,6 +81,8 @@ def _iterate(
 ) -> tuple[np.ndarray, SolveTrace]:
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     x = np.array(x0, dtype=float)
     trace = SolveTrace(iterates=[x.copy()] if record_iterates else None)
     for t in range(1, max_iter + 1):
@@ -80,11 +100,9 @@ def _iterate(
             trace.outcome = CONVERGED
             return x, trace
         if cancel is not None and cancel():
-            trace.outcome = ITERATION_CAP
             trace.note = "cancelled"
-            return x, trace
-    trace.outcome = ITERATION_CAP
-    return x, trace
+            break
+    return x, trace  # outcome iteration-cap
 
 
 def value_iteration(
@@ -118,188 +136,161 @@ def q_value_iteration(
 
 
 # ---------------------------------------------------------------------------
-# Best response to one fixed policy
+# Policy-pair evaluation and the exact best response to one fixed policy
 # ---------------------------------------------------------------------------
 
 
-def evaluate_vs_best_response(
-    m: GameModel,
-    policy: StationaryPolicy,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-    j0=None,
-    ref=None,
-    cancel: Callable[[], bool] | None = None,
-) -> tuple[np.ndarray, SolveTrace]:
+PairEvaluation = ChainClassification  # the total costs of a committed policy pair
+
+
+def evaluate_pair(m: GameModel, mu: StationaryPolicy, nu: StationaryPolicy) -> PairEvaluation:
+    """Classify the chain induced by a policy pair and solve for its costs."""
+    return classify_chain(induce_chain(m, mu, nu))
+
+
+def _best_response(m: GameModel, fixed: StationaryPolicy, costs) -> tuple[np.ndarray, SolveTrace]:
+    """Howard policy iteration for the opponent of ``fixed`` on per-triplet stage ``costs``.
+
+    Starts from the terminating response of the exists-termination fixpoint;
+    trace rows hold each response's largest gain over 1 + max|x|.
+    """
+    minimize = fixed.player == PLAYER_MAX
+    table = np.column_stack((costs, m.P))
+    rows, offsets = policy_average(m, table, *((None, fixed) if minimize else (fixed, None)))
+    supp, _, start = _terminating_response(m, fixed)
+    c, stop, p = rows[:, 0], rows[:, 1], rows[:, 2:]
+    sign = 1.0 if minimize else -1.0  # the responder minimizes sign * cost
+    index = np.arange(len(rows))
+    counts = np.diff(np.append(offsets, len(rows)))
+
+    def evaluate(pick):
+        if (pick < 0).any():
+            return np.full(m.n, np.nan), f"no terminating response from state {m.states[np.argmin(pick)]}"
+        # a pure response terminates a.s. iff every state has a path to 0
+        adj = np.vstack((np.eye(1, m.n + 1, dtype=bool), supp[pick]))
+        if not _reverse_reachable(adj, adj[0])[1:].all():
+            return np.full(m.n, np.nan), "an improvement reached a response that does not terminate"
+        # I - P with each diagonal entry summed from the row's other mass, not
+        # taken as 1 - p_ii, which cancels when p_ii is near 1
+        a = -p[pick]
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, stop[pick] - a.sum(axis=1))
+        return np.linalg.solve(a, c[pick]), ""
+
+    def gains(x):
+        q = sign * (c + p @ x)
+        best = np.minimum.reduceat(q, offsets)
+        first = np.minimum.reduceat(np.where(q == np.repeat(best, counts), index, len(q)), offsets)
+        return (sign * x - best) / (1.0 + np.abs(x).max()), first
+
+    def improve(pick, x):
+        gain, first = gains(x)
+        return np.where(gain > _SWITCH_TOL, first, pick)
+
+    # no response comes back, so the count of pure responses bounds the loop
+    x, _, trace = _policy_loop(evaluate, lambda x: float(gains(x)[0].max()), improve, start,
+                               _SWITCH_TOL, math.prod(counts.tolist()))
+    return x, trace
+
+
+def evaluate_vs_best_response(m: GameModel, policy: StationaryPolicy) -> tuple[np.ndarray, SolveTrace]:
     """Value of fixing one player's policy while the opponent best-responds.
 
     Fixing the minimizer gives the opponent's total-reward problem (per-state
     max); fixing the maximizer gives the remaining total-cost problem
-    (per-state min).  Computed by value iteration on the one-policy backup;
-    iterates coincide with repeated :func:`sspg.operators.bellman_min_fixed`
-    / ``bellman_max_fixed`` applications.
+    (per-state min).  Solved exactly by Howard policy iteration, one linear
+    solve per improvement: the fixed point of
+    :func:`sspg.operators.bellman_min_fixed` / ``bellman_max_fixed``.  The
+    outcome is ``ill-posed``, with NaN values, when some state has no
+    terminating response or an improvement reaches one that does not
+    terminate.
     """
-    mu, nu = (policy, None) if policy.player == PLAYER_MIN else (None, policy)
-    rows, offsets = policy_average(m, np.column_stack((m.g, m.P[:, 1:])), mu, nu)
-    reduce = np.maximum.reduceat if nu is None else np.minimum.reduceat
-    c, p = rows[:, 0], rows[:, 1:]
-
-    def op(x: np.ndarray) -> np.ndarray:
-        return reduce(c + p @ x, offsets)
-
-    x0 = np.zeros(m.n) if j0 is None else np.asarray(j0, dtype=float)
-    ref = None if ref is None else np.asarray(ref, dtype=float)
-    return _iterate(op, x0, tol, max_iter, ref, cancel, False)
+    return _best_response(m, policy, m.g)
 
 
-def refine_fixed_point(
-    m: GameModel, values, residual_tol: float = 1e-9
-) -> tuple[np.ndarray, bool]:
-    """Polish a value-iteration output with one exact policy-evaluation step.
+def refine_fixed_point(m: GameModel, values) -> tuple[np.ndarray, bool]:
+    """Polish a value-iteration output with one exact best-response evaluation.
 
     Evaluates the minimizer's greedy policy at ``values`` against a
-    best-responding opponent.  The evaluation is accepted (returned with
-    ``True``) only when it is itself a fixed point of the minimax backup to
-    within ``residual_tol``; when the dynamic programming equation has a
-    unique solution this pins the game value far more tightly than the
-    value-iteration residual can, which matters on games where value
-    iteration converges only sublinearly.  Otherwise the input comes back
-    unchanged with ``False``.
+    best-responding opponent, and accepts the result (``True``) only when it
+    is well posed and a fixed point of the minimax backup within
+    ``REFINE_TOL``.  When the dynamic programming equation has a unique
+    solution this pins the game value far more tightly than value iteration
+    can where it converges sublinearly.  Otherwise ``values`` come back with
+    ``False``.
     """
     values = np.asarray(values, dtype=float)
     mu = greedy_policies(m, q_from_values(m, values))[0]
-    x, tr = evaluate_vs_best_response(m, mu, tol=1e-13, max_iter=200_000)
-    if tr.outcome != CONVERGED:
-        return values, False
-    if float(np.abs(x - bellman(m, x)).max()) <= residual_tol:
+    x, tr = evaluate_vs_best_response(m, mu)
+    if tr.outcome == CONVERGED and float(np.abs(x - bellman(m, x)).max()) <= REFINE_TOL:
         return x, True
     return values, False
 
 
 # ---------------------------------------------------------------------------
-# Policy-pair evaluation
+# Policy iteration: one loop for the game and for a best response
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairEvaluation:
-    """Total costs of a committed stationary policy pair.
+def _policy_loop(evaluate, residual, improve, policy, tol: float, max_outer: int, ref=None, cancel=None):
+    """Evaluate, stop once the residual meets ``tol``, improve; repeat.
 
-    ``values`` holds the per-state total cost with ``+inf`` / ``-inf`` where
-    it diverges; when the pair is not prolonging all entries are finite and
-    solve the pair's linear fixed-point equation exactly.  Flags name
-    assumption-violating structure (zero-gain prolonging classes, mixed-sign
-    gains).
+    ``evaluate(policy)`` returns values and "", or NaN values and why there
+    are none (outcome ``ill-posed``).  Returns values, policies and trace.
     """
-
-    values: np.ndarray
-    prolonging: bool
-    flags: tuple[str, ...]
-
-    def classification(self, k: int) -> str:
-        v = self.values[k]
-        if np.isposinf(v):
-            return "plus_infinity"
-        if np.isneginf(v):
-            return "minus_infinity"
-        return "finite"
-
-    def to_json(self, m: GameModel) -> dict:
-        per_state = {}
-        for k, s in enumerate(m.states):
-            tag = self.classification(k)
-            per_state[s] = {"classification": tag}
-            if tag == "finite":
-                per_state[s]["value"] = float(self.values[k])
-        return {"prolonging": self.prolonging, "flags": list(self.flags), "states": per_state}
-
-
-def evaluate_pair(
-    m: GameModel, mu: StationaryPolicy, nu: StationaryPolicy
-) -> PairEvaluation:
-    """Classify the chain induced by a policy pair and solve for its costs."""
-    cls = classify_chain(induce_chain(m, mu, nu))
-    return PairEvaluation(cls.values, cls.prolonging, cls.flags)
-
-
-# ---------------------------------------------------------------------------
-# Policy iteration
-# ---------------------------------------------------------------------------
-
-
-def _swap_negate(m: GameModel) -> GameModel:
-    """Swap the players' roles and negate costs (the maximizer's viewpoint)."""
-    transitions = {}
-    for (i, u, v), row in m.transitions.items():
-        transitions[(i, v, u)] = tuple((j, p, -c) for j, p, c in row)
-    return GameModel(m.states, m.controls2, m.controls1, transitions)
+    trace = SolveTrace()
+    policies = [policy]
+    for outer in range(1, max_outer + 1):
+        x, note = evaluate(policy)
+        if note:
+            trace.outcome, trace.note = ILL_POSED, note
+            return x, policies, trace
+        res = residual(x)
+        trace.rows.append(TraceRow(outer, res, None if ref is None else float(np.abs(x - ref).max())))
+        if res <= tol:
+            trace.outcome = CONVERGED
+            return x, policies, trace
+        policy = improve(policy, x)
+        policies.append(policy)
+        if cancel is not None and cancel():
+            trace.note = "cancelled"
+            break
+    return x, policies, trace  # outcome iteration-cap
 
 
 def policy_iteration(
-    m: GameModel,
-    player: int,
-    start: StationaryPolicy,
-    tol: float = 1e-6,
-    max_outer: int = 50,
-    inner_tol: float | None = None,
-    inner_max_iter: int = 100_000,
-    ref=None,
-    cancel: Callable[[], bool] | None = None,
+    m: GameModel, player: int, start: StationaryPolicy, tol: float = 1e-6, max_outer: int = 50,
+    ref=None, cancel: Callable[[], bool] | None = None,
 ) -> tuple[np.ndarray, list[StationaryPolicy], SolveTrace]:
-    """Alternate exact policy evaluation and greedy improvement for one player.
+    """Hoffman–Karp policy iteration for either player.
 
-    The start policy should be essentially proper; the check runs first and
-    anything short of a definite "yes" proceeds with a warning.  For the
-    maximizer the game is solved through its negated role-swapped twin, so a
-    single code path serves both players.  The produced value sequence is
-    componentwise non-increasing (for the minimizer) and the last
-    improvement policy is returned along with every intermediate one.
+    Evaluates the player's policy exactly against a best-responding opponent
+    (:func:`evaluate_vs_best_response`), stops once the values meet the
+    minimax backup within ``tol``, and otherwise improves to the player's
+    greedy stage-game policy.  The start policy should be essentially
+    proper; the check runs first and anything short of a definite "yes"
+    proceeds with a warning.  The values are componentwise non-increasing
+    for the minimizer (non-decreasing for the maximizer).  The outcome is
+    ``ill-posed``, with NaN values, when an evaluation is.
     """
-    if player == PLAYER_MAX:
-        if start.player != PLAYER_MAX:
-            raise ValueError("start policy must belong to the maximizer")
-        m2 = _swap_negate(m)
-        start2 = StationaryPolicy(PLAYER_MIN, start.rules)
-        x2, pols2, trace = policy_iteration(
-            m2, PLAYER_MIN, start2, tol, max_outer, inner_tol, inner_max_iter,
-            None if ref is None else -np.asarray(ref, dtype=float), cancel,
-        )
-        return -x2, [StationaryPolicy(PLAYER_MAX, p.rules) for p in pols2], trace
-
-    if start.player != PLAYER_MIN:
-        raise ValueError("start policy must belong to the minimizer")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_outer < 1:
+        raise ValueError("max_outer must be at least 1")
+    if start.player != player:
+        raise ValueError(f"start policy must belong to player {player}")
     proper = is_essentially_proper(m, start)
     if proper.verdict != "yes":
-        warnings.warn(
-            f"policy iteration start: essential properness {proper.verdict} ({proper.reason}); proceeding",
-            stacklevel=2,
-        )
-    if inner_tol is None:
-        inner_tol = max(tol * 1e-3, 1e-12)
-    ref = None if ref is None else np.asarray(ref, dtype=float)
+        warnings.warn(f"policy iteration start: essential properness {proper.verdict} ({proper.reason}); "
+                      "proceeding", stacklevel=2)
 
-    mu = start
-    policies = [start]
-    trace = SolveTrace()
-    x = np.zeros(m.n)
-    for outer in range(1, max_outer + 1):
-        x, etrace = evaluate_vs_best_response(m, mu, inner_tol, inner_max_iter)
-        if etrace.outcome == DIVERGING or not np.isfinite(x).all():
-            trace.outcome = DIVERGING
-            trace.note = f"policy evaluation diverged at outer iteration {outer - 1}"
-            trace.rows.append(TraceRow(outer, float("inf"), None))
-            return x, policies, trace
-        residual = float(np.abs(x - bellman(m, x)).max())
-        dist = float(np.abs(x - ref).max()) if ref is not None else None
-        trace.rows.append(TraceRow(outer, residual, dist))
-        if residual <= tol:
-            trace.outcome = CONVERGED
-            return x, policies, trace
-        mu = greedy_policies(m, q_from_values(m, x))[0]
-        policies.append(mu)
-        if cancel is not None and cancel():
-            trace.outcome = ITERATION_CAP
-            trace.note = "cancelled"
-            return x, policies, trace
-    trace.outcome = ITERATION_CAP
-    return x, policies, trace
+    def evaluate(pol):
+        x, tr = evaluate_vs_best_response(m, pol)
+        return x, "" if tr.outcome == CONVERGED else f"best response {tr.outcome}: {tr.note}"
+
+    return _policy_loop(
+        evaluate,
+        lambda x: float(np.abs(x - bellman(m, x)).max()),
+        lambda pol, x: greedy_policies(m, q_from_values(m, x))[player - 1],
+        start, tol, max_outer, None if ref is None else np.asarray(ref, dtype=float), cancel,
+    )

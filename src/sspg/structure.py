@@ -87,13 +87,9 @@ def reach_probability_one(chain: InducedChain) -> np.ndarray:
     Graph test: absorption is almost sure exactly when no state reachable
     from i belongs to the set that cannot reach 0 at all.
     """
-    n1 = chain.P.shape[0]
     adj = chain.P > 0.0
-    to_zero = _reverse_reachable(adj, np.eye(n1, dtype=bool)[0])
-    trapped = ~to_zero
-    trapped[0] = False
-    bad = _reverse_reachable(adj, trapped)
-    return ~bad[1:]
+    trapped = ~_reverse_reachable(adj, np.eye(len(adj), dtype=bool)[0])
+    return ~_reverse_reachable(adj, trapped)[1:]
 
 
 def _support_rows(m: GameModel, fixed: StationaryPolicy) -> tuple[np.ndarray, np.ndarray]:
@@ -139,20 +135,32 @@ def exists_termination(m: GameModel, fixed: StationaryPolicy) -> np.ndarray:
     cooperating controller: repeatedly restrict to states that can reach 0
     without ever risking a step outside the current candidate set.
     """
+    return _terminating_response(m, fixed)[2] >= 0
+
+
+def _terminating_response(m: GameModel, fixed: StationaryPolicy):
+    """The :func:`_support_rows` output and a pure response attaining :func:`exists_termination`.
+
+    At each state of the fixpoint the response's row stays inside it and has
+    an edge into an earlier layer, so the response terminates a.s.; -1 elsewhere.
+    """
     supp, offsets = _support_rows(m, fixed)
+    rows = np.arange(len(supp))
     w = np.ones(m.n + 1, dtype=bool)
     while True:
         safe = ~(supp & ~w).any(axis=1)  # the control cannot leave the candidate set
-        r = np.zeros(m.n + 1, dtype=bool)
-        r[0] = True
+        r = np.eye(1, m.n + 1, dtype=bool)[0]
+        pick = np.full(m.n, -1)
         while True:
-            grown = r.copy()
-            grown[1:] = w[1:] & np.logical_or.reduceat(safe & (supp & r).any(axis=1), offsets)
-            if (grown == r).all():
+            # each state's first safe row with an edge into the layers so far
+            first = np.minimum.reduceat(np.where(safe & (supp & r).any(axis=1), rows, len(rows)), offsets)
+            new = w[1:] & ~r[1:] & (first < len(rows))
+            if not new.any():
                 break
-            r = grown
+            pick[new] = first[new]
+            r[1:] |= new
         if (r == w).all():
-            return w[1:]
+            return supp, offsets, pick
         w = r
 
 
@@ -209,11 +217,28 @@ def _oscillates(chain: InducedChain, members: np.ndarray, pi: np.ndarray) -> boo
 
 @dataclass(frozen=True)
 class ChainClassification:
-    """Total-cost classification of an induced chain, per state."""
+    """Per-state total costs of an induced chain (of a committed policy pair).
+
+    When the chain is not prolonging they solve its linear fixed-point
+    equation exactly.  Flags name assumption-violating structure.
+    """
 
     values: np.ndarray  # +-inf where total cost diverges, nan if undetermined
     prolonging: bool
     flags: tuple[str, ...]
+
+    def classification(self, k: int) -> str:
+        v = self.values[k]
+        return "plus_infinity" if np.isposinf(v) else "minus_infinity" if np.isneginf(v) else "finite"
+
+    def to_json(self, m: GameModel) -> dict:
+        per_state = {}
+        for k, s in enumerate(m.states):
+            tag = self.classification(k)
+            per_state[s] = {"classification": tag}
+            if tag == "finite":
+                per_state[s]["value"] = float(self.values[k])
+        return {"prolonging": self.prolonging, "flags": list(self.flags), "states": per_state}
 
 
 def classify_chain(chain: InducedChain) -> ChainClassification:
@@ -471,10 +496,10 @@ def check_ssp_game_assumption(m: GameModel, max_pairs: int = 10**6) -> Assumptio
             if bad.any():
                 continue
             pol = _pure_policy(m, player, combo)
-            _, trace = evaluate_vs_best_response(m, pol, max_iter=2000)
+            _, trace = evaluate_vs_best_response(m, pol)
             note = f"pure safeguard found for {who}"
             if trace.outcome != CONVERGED:
-                note += " (best-response iteration did not settle; pure-pair evidence only)"
+                note += f" (best response {trace.outcome}: {trace.note}; pure-pair evidence only)"
             return ClauseVerdict("holds", note, *((pol, None) if player == PLAYER_MIN else (None, pol)))
         return ClauseVerdict(
             "inconclusive", f"no pure safeguard for the {who}; randomized safeguards not excluded"

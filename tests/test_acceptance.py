@@ -226,7 +226,7 @@ def test_criterion_7_policy_iteration(report):
         # reconstruct the evaluation sequence to check monotone descent
         seq = []
         for pol in policies:
-            xt, _ = sspg.evaluate_vs_best_response(m, pol, tol=1e-9)
+            xt, _ = sspg.evaluate_vs_best_response(m, pol)
             seq.append(xt)
         for a, b in zip(seq, seq[1:]):
             worst_monotone = max(worst_monotone, float((b - a).max()))

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 import sspg
-from sspg.cli import EXIT_USAGE, main
+from sspg.cli import EXIT_NO_CONVERGENCE, EXIT_USAGE, main
 
 
 @pytest.fixture
@@ -260,19 +260,22 @@ def test_out_flag(capsys, everett_file, tmp_path):
     assert json.loads(out_path.read_text())["values"]["1"] == pytest.approx(1.0, abs=1e-5)
 
 
-# sha256 of stdout with default flags (uniform start / uniform nu)
+# sha256 of stdout with default flags (uniform start / uniform nu), recorded
+# with the value-iteration best response and re-recorded where the exact
+# best response moved the bytes (see CHANGES.md); the zerocost solve-vi and
+# solve-pi --player I and the pursuit certificate (empty) did not move
 CLI_PINS = {
-    ("everett", "solve-vi"): "277c276ecdb71408a48e7941dfd1cbfbd41f55260e22bd24ddffc5373954af31",
-    ("everett", "solve-pi --player I"): "5f79d9651660310ca9550b4b83b019ddff5c4d2f58d174ebb775772a57587d6d",
-    ("everett", "solve-pi --player II"): "c51d3c8787b06065a37ff455658ea93febbe2a62e2fd5152c518cfd4a3a035c4",
-    ("everett", "certificate"): "86c284676e11509d44ea3226b0f005f8b237bb8ec0a6c22aff70a61247d33e29",
+    ("everett", "solve-vi"): "52f80c95d8ff03b8801336459701bc8f66e3df90806296dd2777ab594165c3a9",
+    ("everett", "solve-pi --player I"): "48be180b8c0757841abff3ea937a6394f04e8e6e7c15e104f7fc4c44c611b24a",
+    ("everett", "solve-pi --player II"): "9fd12f5b8777ea0f93f9d4ec3803b58fb7f097cbb8019300f6154b13084e23ec",
+    ("everett", "certificate"): "831b626f5e8568224240742be0fd5e7cb1e42f4345c4a880299d686868b98a74",
     ("zerocost", "solve-vi"): "d0e39364d50e4210c6c20f26269c710b4d4147269882ed8e6e1802d4a980e258",
     ("zerocost", "solve-pi --player I"): "7ddabe4b62c53ad33bdba4875d0dddf26919645a3f913360087fcfd440e10f0c",
-    ("zerocost", "solve-pi --player II"): "6b5794b7fd70c9eb7f44dece11e1892c8b00c3873e555a1c4ef208c030db6c56",
-    ("zerocost", "certificate"): "bdf2185137826fef382f011166849a0b4766c1c199670cbcc8fbe5424bf3ecbd",
-    ("pursuit", "solve-vi"): "3667eaad04dd7e4ef1e8e6948aae4d99317c6248b6a77579988fb43aff690686",
-    ("pursuit", "solve-pi --player I"): "a910ccba532f0cd1f7f8290ad71642059b8c102fcfae9f3fe19cc06cf9b738dd",
-    ("pursuit", "solve-pi --player II"): "653d9a0b23224f0775d8c3eeec6b9cee8f659b3af54c6f4d86deb873a9e0778c",
+    ("zerocost", "solve-pi --player II"): "3be356ea816c0892b3046d5b8cb8dd7d5b978da6d37669032ffc6561dd65d4f4",
+    ("zerocost", "certificate"): "8978b53b503d8b212ef41f553bd0ce73bd6b6449c848100a3a4aa704ffae2217",
+    ("pursuit", "solve-vi"): "281e3c9d9c81b315b719caa4035a92e0e9c2e27320d7285f46023e21ff535112",
+    ("pursuit", "solve-pi --player I"): "24feecafc8ef6f01a6c875e20aa59cb97359a78867391461e00490d8c9b58a63",
+    ("pursuit", "solve-pi --player II"): "416d8f25ddf82933a71afc8eaba14fb4f28bed19c14057f33945d04a64e78e69",
     ("pursuit", "certificate"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
 
@@ -285,3 +288,53 @@ def test_cli_output_pins(capsys, tmp_path, game, cmd):
         warnings.simplefilter("ignore")  # the start-policy warning goes to stderr
         _, out = run_cli(capsys, *cmd.split(), "--model", str(path))
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_PINS[(game, cmd)]
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("game", ["everett", "zerocost", "pursuit"])
+def test_solve_output_is_strict_json(capsys, tmp_path, game):
+    path = tmp_path / f"{game}.json"
+    path.write_text(sspg.save_model(sspg.load_bundled_model(game)))
+    runs = [["solve-vi"], ["solve-vi", "--max-iters", "1"], ["solve-qvi"], ["solve-qvi", "--max-iters", "1"],
+            ["solve-pi", "--player", "I"], ["solve-pi", "--player", "II"], ["solve-pi", "--max-outer", "1"]]
+    for argv in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, out = run_cli(capsys, *argv, "--model", str(path))
+        assert _strict_json(out)["outcome"]
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["solve-vi", "--max-iters", "0"], "max_iter"),
+    (["solve-qvi", "--max-iters", "0"], "max_iter"),
+    (["solve-vi", "--tol", "-1"], "tol"),
+    (["solve-pi", "--max-outer", "0"], "max_outer"),
+    (["solve-pi", "--tol", "-1"], "tol"),
+    (["solve-pi", "--tol", "0"], "tol"),
+])
+def test_solvers_reject_empty_or_meaningless_runs(capsys, everett_file, argv, reason):
+    code = main([*argv, "--model", everett_file])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith(f"error: {reason} must")
+
+
+def test_solve_pi_ill_posed_evaluation(capsys, tmp_path):
+    # the maximizer can stay at cost 1 forever, so the minimizer's only policy has no value
+    m = sspg.GameModel(["1"], {"1": ["a"]}, {"1": ["x", "y"]},
+                       {("1", "a", "x"): [("0", 1.0, 0.0)], ("1", "a", "y"): [("1", 1.0, 1.0)]})
+    path = tmp_path / "loop.json"
+    path.write_text(sspg.save_model(m))
+    with pytest.warns(UserWarning, match="essential properness"):
+        code, out = run_cli(capsys, "solve-pi", "--model", str(path), "--player", "I")
+    assert code == EXIT_NO_CONVERGENCE
+    doc = _strict_json(out)
+    assert doc["outcome"] == "ill-posed" and doc["outer_iterations"] == 0
+    assert doc["values"] == {"1": None} and doc["final_residual"] is None
+    assert doc["note"] == "best response ill-posed: an improvement reached a response that does not terminate"

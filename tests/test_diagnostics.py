@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sspg
+from sspg.model import policy_average
 from conftest import make_contraction, make_terminal_only, random_policy, random_qtable
 
 
@@ -113,6 +114,32 @@ def test_certificate_inequality_and_contraction():
             assert lhs <= (cert.beta + 1e-8) * cert.weighted_norm(qa - qb)
 
 
+def ref_auxiliary_costs(m, nu, tol=1e-13, max_iter=10**6):
+    """The certificate's auxiliary costs by value iteration from zero (the former solver)."""
+    p, offsets = policy_average(m, m.P[:, 1:], nu=nu)
+    h = np.zeros(m.n)
+    for _ in range(max_iter):
+        h1 = np.minimum.reduceat(-1.0 + p @ h, offsets)
+        if np.abs(h1 - h).max() <= tol:
+            return h1
+        h = h1
+    raise AssertionError("auxiliary cost iteration did not converge")
+
+
+def test_certificate_matches_value_iteration_reference(self_loop):
+    rng = np.random.default_rng(4)
+    cases = [(self_loop, sspg.uniform_policy(self_loop, 2))]
+    for seed in range(8):
+        m = make_contraction(seed=950 + seed, n_states=5, max_controls=3, kappa=0.1 + 0.1 * (seed % 3))
+        cases += [(m, sspg.uniform_policy(m, 2)), (m, random_policy(m, 2, rng))]
+    for m, nu in cases:
+        cert = sspg.build_contraction_certificate(m, nu)
+        h = ref_auxiliary_costs(m, nu)
+        np.testing.assert_allclose(cert.state_costs, h, rtol=0.0, atol=1e-9)
+        xi = 1.0 - m.P[:, 1:] @ h
+        assert cert.beta == pytest.approx(max(float(((xi - 1.0) / xi).max()), 0.0), abs=1e-9)
+
+
 def test_certificate_serializes(self_loop):
     cert = sspg.build_contraction_certificate(self_loop, sspg.uniform_policy(self_loop, 2))
     doc = cert.to_json(self_loop)
@@ -173,13 +200,18 @@ def test_coupling_csv(tmp_path, recorded_run):
     assert len(lines) == m.n_triplets + 1
 
 
+def _swap_negate(m):
+    """Swap the players' roles and negate costs (the maximizer's viewpoint)."""
+    transitions = {(i, v, u): tuple((j, p, -c) for j, p, c in row)
+                   for (i, u, v), row in m.transitions.items()}
+    return sspg.GameModel(m.states, m.controls2, m.controls1, transitions)
+
+
 def test_upper_coupling_via_negated_swapped_game(recorded_run):
     """Upper coupling has no separate code path: the lower-process machinery
     applied to the negated role-swapped game bounds runs on that game, which
     is the upper-bound statement for negated iterates."""
     m, q, run = recorded_run
-    from sspg.solve import _swap_negate
-
     m_neg = _swap_negate(m)
     cfg = sspg.QLearnConfig(seed=run.config.seed, max_iters=2000,
                             scheduler=run.config.scheduler,

@@ -24,9 +24,12 @@ import sspg
 from sspg.model import PolicyMismatchError, policy_arrays
 from sspg.structure import count_pure_policies, iter_pure_policies
 
-# recorded on the per-state-loop implementation
+# recorded on the per-state-loop implementation; "assumption" re-recorded when
+# the safeguard check's best response became exact: the trap games'
+# maximizer notes name the ill-posed best response instead of an unsettled
+# iteration
 PINS = {
-    "assumption": "043028eb72db4e3d51c6a6a637e989ee5cc705125e309a54e47df0aa4219435f",
+    "assumption": "fa51aecaf2ecfd247cec31a3ec9c2b2380cb6f0bd2e737ac2474b7c40c9de958",
     "termination": "44263592142a5b4a95918767f385b5c676455e25e48498373f211e62ac126604",
     "pure_chains": "35d490df229edd0526ebba381e41d38aa86aceb6592f78035586ad5d526262f9",
     "sspa_verdicts": "b4c1189d395e74d2a4c23f7deaa32c50c2b7488eed7a3064e24e2101d1fed069",
@@ -126,11 +129,12 @@ def test_pins(kind):
 
 def test_pin_assumption_three_control_trap_game():
     # every one of the 1944 pure pairs is prolonging; recorded on the
-    # partial-sum implementation of classify_chain
+    # partial-sum implementation of classify_chain, and re-recorded with the
+    # exact best response (the maximizer safeguard note)
     m = _trap_game(9, controls=3)
     assert count_pure_policies(m, sspg.PLAYER_MIN) * count_pure_policies(m, sspg.PLAYER_MAX) == 1944
     digest = _digest([sspg.check_ssp_game_assumption(m).to_json(m)])
-    assert digest == "f63b1143295540f1877891ed2af49fac848c7c7c2bd56b40605318d8cdfbfe96"
+    assert digest == "5bb7601eccc6053e8ddcbe38c22e082144905697e9ab5f2be5ad9a1a9f636b7b"
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +225,85 @@ def test_oracle_fixed_operators():
 
 
 def test_oracle_best_response_tensors():
-    # one best-response backup from j is reduce(c + p @ j) over each state's rows
-    for m, mu, nu, j, _ in _oracle_cases():
+    # the exact best response is the fixed point of reduce(c + p @ x) over each state's rows
+    for m, mu, nu, _, _ in _oracle_cases():
         for pol, reduce in ((mu, np.max), (nu, np.min)):
+            x, tr = sspg.evaluate_vs_best_response(m, pol)
+            if tr.outcome == sspg.ILL_POSED:
+                assert np.isnan(x).all()
+                continue
+            assert tr.outcome == sspg.CONVERGED
             cs, ps = ref_fixed_policy_tensors(m, pol)
-            want = np.array([reduce(c + p @ j) for c, p in zip(cs, ps)])
-            got, tr = sspg.evaluate_vs_best_response(m, pol, j0=j, max_iter=1)
-            assert len(tr.rows) == 1
-            _close(got, want)
+            _close(x, np.array([reduce(c + p @ x) for c, p in zip(cs, ps)]))
+
+
+def _fixed_value_iteration(m, pol, max_iter=20_000):
+    """Iterate the one-policy backup from zero; None unless it converges."""
+    op = sspg.bellman_min_fixed if pol.player == sspg.PLAYER_MIN else sspg.bellman_max_fixed
+    x = np.zeros(m.n)
+    for _ in range(max_iter):
+        x1 = op(m, pol, x)
+        if np.abs(x1 - x).max() <= 1e-13:
+            return x1
+        x = x1
+    return None
+
+
+def test_best_response_agrees_with_value_iteration():
+    rng = np.random.default_rng(5)
+    games = [sspg.load_bundled_model("pursuit"), _generated("contraction", 5, 3, 21),
+             _generated("sequential", 5, 3, 22), _generated("loopy", 4, 3, 23)]
+    agreed = ill_posed = 0
+    for m in games:
+        for player in (sspg.PLAYER_MIN, sspg.PLAYER_MAX):
+            pols = list(itertools.islice(iter_pure_policies(m, player), 4))
+            pols += [sspg.uniform_policy(m, player), _sparse_mixed_policy(m, player, rng)]
+            for pol in pols:
+                x, tr = sspg.evaluate_vs_best_response(m, pol)
+                ill_posed += tr.outcome == sspg.ILL_POSED
+                ref = _fixed_value_iteration(m, pol)
+                if ref is None:
+                    continue
+                assert tr.outcome == sspg.CONVERGED
+                np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9)
+                agreed += 1
+    assert agreed >= 30 and ill_posed >= 1
+
+
+def _maximizer_loop_game():
+    """One state; the maximizer can stop at cost 0 or stay forever at cost 1."""
+    return sspg.GameModel(["1"], {"1": ["a"]}, {"1": ["x", "y"]},
+                          {("1", "a", "x"): [("0", 1.0, 0.0)], ("1", "a", "y"): [("1", 1.0, 1.0)]})
+
+
+def test_ill_posed_best_response_without_terminating_response():
+    m = _trap_game(8)  # the last state is absorbing whatever either player does
+    for player in (sspg.PLAYER_MIN, sspg.PLAYER_MAX):
+        start = sspg.uniform_policy(m, player)
+        x, tr = sspg.evaluate_vs_best_response(m, start)
+        assert tr.outcome == sspg.ILL_POSED and not tr.rows and np.isnan(x).all()
+        first = m.states[int(np.flatnonzero(~sspg.exists_termination(m, start))[0])]
+        assert tr.note == f"no terminating response from state {first}"
+        with pytest.warns(UserWarning, match="essential properness no"):
+            x, policies, tr = sspg.policy_iteration(m, player, start)
+        assert tr.outcome == sspg.ILL_POSED and not tr.rows and np.isnan(x).all()
+        assert policies == [start] and "no terminating response" in tr.note
+
+
+def test_ill_posed_best_response_after_an_improvement():
+    m = _maximizer_loop_game()
+    mu = sspg.uniform_policy(m, sspg.PLAYER_MIN)
+    x, tr = sspg.evaluate_vs_best_response(m, mu)
+    # the terminating start is evaluated once; switching to the loop is improper
+    assert tr.outcome == sspg.ILL_POSED and len(tr.rows) == 1 and np.isnan(x).all()
+    assert tr.note == "an improvement reached a response that does not terminate"
+    with pytest.warns(UserWarning):
+        x, policies, tr = sspg.policy_iteration(m, sspg.PLAYER_MIN, mu)
+    assert tr.outcome == sspg.ILL_POSED and not tr.rows and len(policies) == 1
+    assert np.isnan(x).all() and np.isnan(tr.final_residual)
+    # the minimizer facing the same choices gets a terminating best response
+    x, tr = sspg.evaluate_vs_best_response(m, sspg.uniform_policy(m, sspg.PLAYER_MAX))
+    assert tr.outcome == sspg.CONVERGED and x.tolist() == [1.0]
 
 
 def test_oracle_sspa_and_certificate_weights():

@@ -26,6 +26,13 @@ def test_everett_vi_refined_limit(everett):
     assert j2[0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_everett_refine_is_exact(everett):
+    j, _ = sspg.value_iteration(everett, tol=1e-8)
+    x, refined = sspg.refine_fixed_point(everett, j)
+    assert refined
+    assert abs(x[0] - 1.0) <= 1e-15
+
+
 def test_zerocost_vi_exact(zerocost):
     j, trace = sspg.value_iteration(zerocost, tol=1e-6)
     assert trace.outcome == sspg.CONVERGED
@@ -77,6 +84,21 @@ def test_vi_iteration_cap():
     _, trace = sspg.value_iteration(m, tol=1e-14, max_iter=3)
     assert trace.outcome == sspg.ITERATION_CAP
     assert len(trace.rows) == 3
+
+
+def test_solvers_reject_empty_or_meaningless_runs(everett):
+    start = sspg.uniform_policy(everett, 1)
+    with pytest.raises(ValueError, match="max_iter"):
+        sspg.value_iteration(everett, max_iter=0)
+    with pytest.raises(ValueError, match="max_iter"):
+        sspg.q_value_iteration(everett, max_iter=0)
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            sspg.policy_iteration(everett, 1, start, tol=tol)
+    with pytest.raises(ValueError, match="max_outer"):
+        sspg.policy_iteration(everett, 1, start, max_outer=0)
+    with pytest.raises(ValueError, match="player 2"):
+        sspg.policy_iteration(everett, 2, start)
 
 
 def test_trace_csv(tmp_path):
@@ -138,7 +160,7 @@ def test_negative_self_loop_minus_infinity():
 
 def test_everett_best_response_to_terminating_column(everett):
     nu = sspg.pure_policy(everett, 2, {"1": "2"})
-    x, trace = sspg.evaluate_vs_best_response(everett, nu, tol=1e-10)
+    x, trace = sspg.evaluate_vs_best_response(everett, nu)
     assert trace.outcome == sspg.CONVERGED
     # brute-force oracle: fix the column, enumerate the minimizer's pure rows
     brute = min(
@@ -153,7 +175,7 @@ def test_best_response_matches_operator_iterates():
     m = make_contraction(seed=12)
     rng = np.random.default_rng(0)
     mu = random_policy(m, 1, rng)
-    x, _ = sspg.evaluate_vs_best_response(m, mu, tol=1e-12)
+    x, _ = sspg.evaluate_vs_best_response(m, mu)
     # the fixed point satisfies the one-policy backup equation
     assert np.allclose(sspg.bellman_min_fixed(m, mu, x), x, atol=1e-9)
 
@@ -164,8 +186,8 @@ def test_upper_value_dominates_lower_value():
         m = make_contraction(seed=200 + seed, n_states=int(rng.integers(2, 5)))
         mu = random_policy(m, 1, rng)
         nu = random_policy(m, 2, rng)
-        upper, t1 = sspg.evaluate_vs_best_response(m, mu, tol=1e-10)
-        lower, t2 = sspg.evaluate_vs_best_response(m, nu, tol=1e-10)
+        upper, t1 = sspg.evaluate_vs_best_response(m, mu)
+        lower, t2 = sspg.evaluate_vs_best_response(m, nu)
         assert t1.outcome == t2.outcome == sspg.CONVERGED
         assert (upper >= lower - 1e-8).all()
 
@@ -174,7 +196,7 @@ def test_terminal_only_best_response_closed_form():
     m = make_terminal_only(seed=13)
     rng = np.random.default_rng(1)
     mu = random_policy(m, 1, rng)
-    x, _ = sspg.evaluate_vs_best_response(m, mu, tol=1e-10)
+    x, _ = sspg.evaluate_vs_best_response(m, mu)
     for i, s in enumerate(m.states, start=1):
         block = m.q_block(m.g, i)
         assert x[i - 1] == pytest.approx((mu.rule(s) @ block).max(), abs=1e-9)
@@ -217,7 +239,7 @@ def test_pi_monotone_and_converges():
         values = []
         mu = start
         for _ in range(len(policies)):
-            xt, _ = sspg.evaluate_vs_best_response(m, mu, tol=1e-9)
+            xt, _ = sspg.evaluate_vs_best_response(m, mu)
             values.append(xt)
             mu = sspg.greedy_policies(m, sspg.q_from_values(m, xt))[0]
         for a, b in itertools.pairwise(values):

@@ -62,6 +62,28 @@ def test_tracer_counts_pairs_under_the_assumption_check(everett):
     assert len(view.children(check, "structure.classify_chain")) == 4
 
 
+def test_tracer_sees_every_best_response(pursuit, everett):
+    # solve.best_response_calls and best_response_ms pool these spans
+    tracer = _tracer_module()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        traces = [sspg.policy_iteration(m, player, sspg.uniform_policy(m, player))[2]
+                  for m, player in ((pursuit, 1), (everett, 2))]
+        sspg.refine_fixed_point(everett, [1.0])
+        sspg.check_ssp_game_assumption(pursuit)
+    finally:
+        t.restore()
+    view = tracer.SpanView(t, 0, len(t.s_name))
+    span = "solve.evaluate_vs_best_response"
+    pis = view.indices("solve.policy_iteration")
+    assert [len(view.children(k, span)) for k in pis] == [len(tr.rows) for tr in traces] == [2, 50]
+    [refine] = view.indices("solve.refine_fixed_point")
+    assert len(view.children(refine, span)) == 1
+    [check] = view.indices("structure.check_ssp_game_assumption")
+    assert len(view.children(check, span)) == 2  # one per safeguard clause
+
+
 # 04_qlearning.py is left out: it takes about 9 s
 @pytest.mark.parametrize("demo", ["01_matrix_games", "02_everett_game", "03_generate_solve_verify",
                                   "05_boundedness_diagnostics"])
