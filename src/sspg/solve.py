@@ -3,17 +3,14 @@
 Outcomes are reported honestly: the structural assumptions give no
 contraction rate, so every iterative routine returns a trace whose outcome
 is ``converged``, ``iteration-cap``, or ``diverging`` (iterate sup-norm past
-1e9).  A best response to a fixed policy, and so every policy-iteration
-step, is solved exactly or reported ``ill-posed`` (no terminating
-response, or a non-terminating one does better).  Long runs accept a
-cooperative cancellation callback.
+1e9); a best response, and so each policy-iteration step, is exact or
+``ill-posed``.  Long runs accept a cooperative cancellation callback.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,11 +20,10 @@ from .model import PLAYER_MAX, GameModel, StationaryPolicy, policy_average
 from .operators import bellman, greedy_policies, q_bellman, q_from_values
 from .structure import (
     ChainClassification,
-    _reverse_reachable,
+    _staying_set,
     _terminating_response,
     classify_chain,
     induce_chain,
-    is_essentially_proper,
 )
 
 CONVERGED = "converged"
@@ -160,35 +156,39 @@ def _best_response(m: GameModel, fixed: StationaryPolicy, costs) -> tuple[np.nda
     supp, _, start = _terminating_response(m, fixed)
     c, stop, p = rows[:, 0], rows[:, 1], rows[:, 2:]
     sign = 1.0 if minimize else -1.0  # the responder minimizes sign * cost
-    index = np.arange(len(rows))
     counts = np.diff(np.append(offsets, len(rows)))
+    index, nan = np.arange(len(rows)), np.full(m.n, np.nan)
+    head = np.eye(1, m.n + 1, dtype=bool)  # an edge into 0 takes a row out of every set of states
+
+    def slack(x):  # per row: how much worse than x for the responder, over 1 + max|x|
+        return (sign * (c + p @ x) - np.repeat(sign * x, counts)) / (1.0 + np.abs(x).max())
 
     def evaluate(pick):
         if (pick < 0).any():
-            return np.full(m.n, np.nan), f"no terminating response from state {m.states[np.argmin(pick)]}"
-        # a pure response terminates a.s. iff every state has a path to 0
-        adj = np.vstack((np.eye(1, m.n + 1, dtype=bool), supp[pick]))
-        if not _reverse_reachable(adj, adj[0])[1:].all():
-            return np.full(m.n, np.nan), "an improvement reached a response that does not terminate"
+            return nan, f"no terminating response from state {m.states[np.argmin(pick)]}"
         # I - P with each diagonal entry summed from the row's other mass, not
         # taken as 1 - p_ii, which cancels when p_ii is near 1
         a = -p[pick]
         np.fill_diagonal(a, 0.0)
         np.fill_diagonal(a, stop[pick] - a.sum(axis=1))
-        return np.linalg.solve(a, c[pick]), ""
-
-    def gains(x):
-        q = sign * (c + p @ x)
-        best = np.minimum.reduceat(q, offsets)
-        first = np.minimum.reduceat(np.where(q == np.repeat(best, counts), index, len(q)), offsets)
-        return (sign * x - best) / (1.0 + np.abs(x).max()), first
+        x = np.linalg.solve(a, c[pick])
+        # if rows no worse than x can avoid 0 forever, some response that never
+        # terminates has gain <= 0 for the responder; otherwise the next
+        # response, made of such rows, terminates
+        stay = _staying_set(supp | ((slack(x) > _SWITCH_TOL)[:, None] & head), offsets)
+        if stay.any():
+            s = m.states[np.argmax(stay) - 1]
+            return nan, f"a never-terminating response from state {s} is not infinitely bad for the responder"
+        return x, ""
 
     def improve(pick, x):
-        gain, first = gains(x)
-        return np.where(gain > _SWITCH_TOL, first, pick)
+        gap = slack(x)
+        best = np.minimum.reduceat(gap, offsets)
+        first = np.minimum.reduceat(np.where(gap == np.repeat(best, counts), index, len(gap)), offsets)
+        return np.where(best < -_SWITCH_TOL, first, pick)
 
     # no response comes back, so the count of pure responses bounds the loop
-    x, _, trace = _policy_loop(evaluate, lambda x: float(gains(x)[0].max()), improve, start,
+    x, _, trace = _policy_loop(evaluate, lambda x: float(-slack(x).min()), improve, start,
                                _SWITCH_TOL, math.prod(counts.tolist()))
     return x, trace
 
@@ -199,11 +199,11 @@ def evaluate_vs_best_response(m: GameModel, policy: StationaryPolicy) -> tuple[n
     Fixing the minimizer gives the opponent's total-reward problem (per-state
     max); fixing the maximizer gives the remaining total-cost problem
     (per-state min).  Solved exactly by Howard policy iteration, one linear
-    solve per improvement: the fixed point of
+    solve per improvement: the unique fixed point of
     :func:`sspg.operators.bellman_min_fixed` / ``bellman_max_fixed``.  The
-    outcome is ``ill-posed``, with NaN values, when some state has no
-    terminating response or an improvement reaches one that does not
-    terminate.
+    outcome is ``ill-posed``, with NaN values, when the opponent's problem
+    is not an SSP: some state has no terminating response, or a response
+    that never terminates is not infinitely bad for the opponent.
     """
     return _best_response(m, policy, m.g)
 
@@ -267,11 +267,10 @@ def policy_iteration(
     Evaluates the player's policy exactly against a best-responding opponent
     (:func:`evaluate_vs_best_response`), stops once the values meet the
     minimax backup within ``tol``, and otherwise improves to the player's
-    greedy stage-game policy.  The start policy should be essentially
-    proper; the check runs first and anything short of a definite "yes"
-    proceeds with a warning.  The values are componentwise non-increasing
+    greedy stage-game policy.  The values are componentwise non-increasing
     for the minimizer (non-decreasing for the maximizer).  The outcome is
-    ``ill-posed``, with NaN values, when an evaluation is.
+    ``ill-posed``, with NaN values, when an evaluation is; that happens at
+    once when the start policy is not essentially proper.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -279,10 +278,6 @@ def policy_iteration(
         raise ValueError("max_outer must be at least 1")
     if start.player != player:
         raise ValueError(f"start policy must belong to player {player}")
-    proper = is_essentially_proper(m, start)
-    if proper.verdict != "yes":
-        warnings.warn(f"policy iteration start: essential properness {proper.verdict} ({proper.reason}); "
-                      "proceeding", stacklevel=2)
 
     def evaluate(pol):
         x, tr = evaluate_vs_best_response(m, pol)

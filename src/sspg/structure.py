@@ -104,6 +104,18 @@ def _support_rows(m: GameModel, fixed: StationaryPolicy) -> tuple[np.ndarray, np
     return lay.group(own[:, None] & (m.P > 0.0), opponent, np.logical_or)
 
 
+def _staying_set(supp: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """States (over 0..n) where some choice among the support rows avoids 0 forever."""
+    alive = np.ones(supp.shape[1], dtype=bool)
+    alive[0] = False
+    while True:
+        # keep a state while some row stays inside `alive`
+        kept = alive[1:] & np.logical_or.reduceat(~(supp & ~alive).any(axis=1), offsets)
+        if (kept == alive[1:]).all():
+            return alive
+        alive[1:] = kept
+
+
 def forall_termination(m: GameModel, fixed: StationaryPolicy) -> np.ndarray:
     """True at i iff every opponent stationary policy terminates a.s. from i.
 
@@ -111,14 +123,7 @@ def forall_termination(m: GameModel, fixed: StationaryPolicy) -> np.ndarray:
     reach a sub-model it can stay in forever while avoiding 0.
     """
     supp, offsets = _support_rows(m, fixed)
-    alive = np.ones(m.n + 1, dtype=bool)
-    alive[0] = False
-    while True:
-        # keep a state while some opponent control stays inside `alive`
-        kept = alive[1:] & np.logical_or.reduceat(~(supp & ~alive).any(axis=1), offsets)
-        if (kept == alive[1:]).all():
-            break
-        alive[1:] = kept
+    alive = _staying_set(supp, offsets)
     if not alive.any():
         return np.ones(m.n, dtype=bool)
     adj = np.zeros((m.n + 1, m.n + 1), dtype=bool)

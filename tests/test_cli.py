@@ -331,10 +331,10 @@ def test_solve_pi_ill_posed_evaluation(capsys, tmp_path):
                        {("1", "a", "x"): [("0", 1.0, 0.0)], ("1", "a", "y"): [("1", 1.0, 1.0)]})
     path = tmp_path / "loop.json"
     path.write_text(sspg.save_model(m))
-    with pytest.warns(UserWarning, match="essential properness"):
-        code, out = run_cli(capsys, "solve-pi", "--model", str(path), "--player", "I")
+    code, out = run_cli(capsys, "solve-pi", "--model", str(path), "--player", "I")
     assert code == EXIT_NO_CONVERGENCE
     doc = _strict_json(out)
     assert doc["outcome"] == "ill-posed" and doc["outer_iterations"] == 0
     assert doc["values"] == {"1": None} and doc["final_residual"] is None
-    assert doc["note"] == "best response ill-posed: an improvement reached a response that does not terminate"
+    assert doc["note"] == ("best response ill-posed: a never-terminating response from state 1 "
+                           "is not infinitely bad for the responder")

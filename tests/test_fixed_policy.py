@@ -25,11 +25,11 @@ from sspg.model import PolicyMismatchError, policy_arrays
 from sspg.structure import count_pure_policies, iter_pure_policies
 
 # recorded on the per-state-loop implementation; "assumption" re-recorded when
-# the safeguard check's best response became exact: the trap games'
-# maximizer notes name the ill-posed best response instead of an unsettled
-# iteration
+# the safeguard check's best response became exact: the maximizer notes of
+# the trap games (no terminating response) and of everett (a zero-cost loop)
+# name the ill-posed best response instead of an unsettled iteration or none
 PINS = {
-    "assumption": "fa51aecaf2ecfd247cec31a3ec9c2b2380cb6f0bd2e737ac2474b7c40c9de958",
+    "assumption": "427ef1b03dc27c740ae124a0bc9d9a069f6defd6fb79b6deb37ccecc55cc7bce",
     "termination": "44263592142a5b4a95918767f385b5c676455e25e48498373f211e62ac126604",
     "pure_chains": "35d490df229edd0526ebba381e41d38aa86aceb6592f78035586ad5d526262f9",
     "sspa_verdicts": "b4c1189d395e74d2a4c23f7deaa32c50c2b7488eed7a3064e24e2101d1fed069",
@@ -270,10 +270,10 @@ def test_best_response_agrees_with_value_iteration():
     assert agreed >= 30 and ill_posed >= 1
 
 
-def _maximizer_loop_game():
-    """One state; the maximizer can stop at cost 0 or stay forever at cost 1."""
-    return sspg.GameModel(["1"], {"1": ["a"]}, {"1": ["x", "y"]},
-                          {("1", "a", "x"): [("0", 1.0, 0.0)], ("1", "a", "y"): [("1", 1.0, 1.0)]})
+def _one_state(*rows):
+    """One state, one minimizer control, maximizer controls x, y, ... with the given next-rows."""
+    c2 = list("xyz"[:len(rows)])
+    return sspg.GameModel(["1"], {"1": ["a"]}, {"1": c2}, {("1", "a", v): row for v, row in zip(c2, rows)})
 
 
 def test_ill_posed_best_response_without_terminating_response():
@@ -284,26 +284,41 @@ def test_ill_posed_best_response_without_terminating_response():
         assert tr.outcome == sspg.ILL_POSED and not tr.rows and np.isnan(x).all()
         first = m.states[int(np.flatnonzero(~sspg.exists_termination(m, start))[0])]
         assert tr.note == f"no terminating response from state {first}"
-        with pytest.warns(UserWarning, match="essential properness no"):
-            x, policies, tr = sspg.policy_iteration(m, player, start)
+        x, policies, tr = sspg.policy_iteration(m, player, start)
         assert tr.outcome == sspg.ILL_POSED and not tr.rows and np.isnan(x).all()
         assert policies == [start] and "no terminating response" in tr.note
 
 
-def test_ill_posed_best_response_after_an_improvement():
-    m = _maximizer_loop_game()
+def test_ill_posed_best_response_when_never_terminating_is_not_bad():
+    # the responder's problem is an SSP only if every response that never
+    # terminates is infinitely bad for the responder
+    loop1 = [("1", 1.0, 1.0)]  # stay forever at cost 1
+    m = _one_state([("0", 1.0, 0.0)], loop1)
     mu = sspg.uniform_policy(m, sspg.PLAYER_MIN)
-    x, tr = sspg.evaluate_vs_best_response(m, mu)
-    # the terminating start is evaluated once; switching to the loop is improper
-    assert tr.outcome == sspg.ILL_POSED and len(tr.rows) == 1 and np.isnan(x).all()
-    assert tr.note == "an improvement reached a response that does not terminate"
-    with pytest.warns(UserWarning):
-        x, policies, tr = sspg.policy_iteration(m, sspg.PLAYER_MIN, mu)
+    x, tr = sspg.evaluate_vs_best_response(m, mu)  # the maximizer gains without bound by staying
+    assert tr.outcome == sspg.ILL_POSED and not tr.rows and np.isnan(x).all()
+    assert tr.note == "a never-terminating response from state 1 is not infinitely bad for the responder"
+    x, policies, tr = sspg.policy_iteration(m, sspg.PLAYER_MIN, mu)
     assert tr.outcome == sspg.ILL_POSED and not tr.rows and len(policies) == 1
     assert np.isnan(x).all() and np.isnan(tr.final_residual)
-    # the minimizer facing the same choices gets a terminating best response
+    # the minimizer facing the same rows: staying is infinitely bad for it
     x, tr = sspg.evaluate_vs_best_response(m, sspg.uniform_policy(m, sspg.PLAYER_MAX))
     assert tr.outcome == sspg.CONVERGED and x.tolist() == [1.0]
+    x, tr = sspg.evaluate_vs_best_response(m, sspg.pure_policy(m, sspg.PLAYER_MAX, {"1": "y"}))
+    assert tr.outcome == sspg.ILL_POSED and tr.note.startswith("no terminating response")
+    dear_loop = sspg.GameModel(["1"], {"1": ["a", "b"]}, {"1": ["x"]},
+                               {("1", "a", "x"): [("0", 1.0, 2.0)], ("1", "b", "x"): loop1})
+    x, tr = sspg.evaluate_vs_best_response(dear_loop, sspg.uniform_policy(dear_loop, sspg.PLAYER_MAX))
+    assert tr.outcome == sspg.CONVERGED and x.tolist() == [2.0]
+    # zero-cost loops: a response that never terminates has gain 0, whether
+    # it is cheaper (everett: 0 against 1) or dearer (0 against -1) than stopping
+    everett = sspg.load_bundled_model("everett")
+    x, tr = sspg.evaluate_vs_best_response(everett, sspg.pure_policy(everett, sspg.PLAYER_MAX, {"1": "1"}))
+    assert tr.outcome == sspg.ILL_POSED and "never-terminating" in tr.note
+    cheap_stop = sspg.GameModel(["1"], {"1": ["a", "b"]}, {"1": ["x"]},
+                                {("1", "a", "x"): [("0", 1.0, -1.0)], ("1", "b", "x"): [("1", 1.0, 0.0)]})
+    x, tr = sspg.evaluate_vs_best_response(cheap_stop, sspg.uniform_policy(cheap_stop, sspg.PLAYER_MAX))
+    assert tr.outcome == sspg.ILL_POSED and "never-terminating" in tr.note
 
 
 def test_oracle_sspa_and_certificate_weights():
