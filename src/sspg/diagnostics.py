@@ -95,7 +95,7 @@ def build_contraction_certificate(m: GameModel, nu: StationaryPolicy) -> Contrac
     """
     if not forall_termination(m, nu).all():
         raise ImproperPolicyError("certificate requires a proper policy")
-    h, _ = _best_response(m, nu, np.full(m.n_triplets, -1.0))  # auxiliary optimal costs at game states
+    h, _, _ = _best_response(m, nu, np.full(m.n_triplets, -1.0))  # auxiliary optimal costs at game states
     xi = 1.0 - m.P[:, 1:] @ h
     xi_rows, offsets = policy_average(m, xi, nu=nu)
     beta = max(float(((xi - 1.0) / xi).max()), 0.0)

@@ -350,6 +350,8 @@ def validate_model(m: GameModel) -> ValidationReport:
     Never raises: an empty report means the model is valid.
     """
     found: list[Finding] = []
+    if not m.states:
+        found.append(Finding("no-states", "states", "the game has no states"))
     for s in m.states:
         if not m.controls1[s]:
             found.append(Finding("empty-controls", f"state {s}", "empty control set for player 1"))
@@ -443,12 +445,14 @@ def load_model(text: str) -> GameModel:
     states = [str(s) for s in doc["states"]]
     if TERMINAL in states:
         raise ModelFormatError('termination state "0" must not appear in "states"')
+    for name in ("controls1", "controls2"):
+        if not isinstance(doc[name], dict):
+            raise ModelFormatError(f'"{name}" must be an object')
+        for s in states:
+            if s not in doc[name]:
+                raise ModelFormatError(f'"{name}" has no entry for state {s}')
     controls1 = {str(k): [str(c) for c in v] for k, v in doc["controls1"].items()}
     controls2 = {str(k): [str(c) for c in v] for k, v in doc["controls2"].items()}
-    for name, ctrl in (("controls1", controls1), ("controls2", controls2)):
-        for s in states:
-            if s not in ctrl:
-                raise ModelFormatError(f'"{name}" has no entry for state {s}')
 
     transitions: dict[Triplet, list[NextEntry]] = {}
     for k, row in enumerate(doc["transitions"]):
@@ -537,16 +541,22 @@ class StationaryPolicy:
 
 
 def policy_from_json(m: GameModel, doc: Mapping) -> StationaryPolicy:
+    if not isinstance(doc, dict):
+        raise PolicyMismatchError("policy document must be an object")
     player = {"I": PLAYER_MIN, "II": PLAYER_MAX, 1: PLAYER_MIN, 2: PLAYER_MAX}.get(doc.get("player"))
     if player is None:
         raise PolicyMismatchError('policy "player" must be "I" or "II"')
     ctrl = m.controls1 if player == PLAYER_MIN else m.controls2
+    tables = doc.get("rules", {})
+    if not isinstance(tables, dict):
+        raise PolicyMismatchError('policy "rules" must be an object')
     rules = {}
     for s in m.states:
-        if s not in doc.get("rules", {}):
+        if s not in tables:
             raise PolicyMismatchError(f"policy has no rule for state {s}")
-        table = doc["rules"][s]
-        rules[s] = decision_rule(float(table.get(c, 0.0)) for c in ctrl[s])
+        if not isinstance(tables[s], dict):
+            raise PolicyMismatchError(f"rule at state {s} must map control labels to probabilities")
+        rules[s] = decision_rule(float(tables[s].get(c, 0.0)) for c in ctrl[s])
     return StationaryPolicy(player, rules)
 
 

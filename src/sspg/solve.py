@@ -4,7 +4,7 @@ Outcomes are reported honestly: the structural assumptions give no
 contraction rate, so every iterative routine returns a trace whose outcome
 is ``converged``, ``iteration-cap``, or ``diverging`` (iterate sup-norm past
 1e9); a best response, and so each policy-iteration step, is exact or
-``ill-posed``.  Long runs accept a cooperative cancellation callback.
+``ill-posed``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ def _iterate(
     tol: float,
     max_iter: int,
     ref: np.ndarray | None,
-    cancel: Callable[[], bool] | None,
     record_iterates: bool,
 ) -> tuple[np.ndarray, SolveTrace]:
     if tol <= 0:
@@ -95,9 +94,6 @@ def _iterate(
         if residual <= tol:
             trace.outcome = CONVERGED
             return x, trace
-        if cancel is not None and cancel():
-            trace.note = "cancelled"
-            break
     return x, trace  # outcome iteration-cap
 
 
@@ -107,13 +103,12 @@ def value_iteration(
     tol: float = 1e-8,
     max_iter: int = 100_000,
     ref=None,
-    cancel: Callable[[], bool] | None = None,
     record_iterates: bool = False,
 ) -> tuple[np.ndarray, SolveTrace]:
     """Iterate the minimax backup on state values until the residual meets tol."""
     x0 = np.zeros(m.n) if j0 is None else np.asarray(j0, dtype=float)
     ref = None if ref is None else np.asarray(ref, dtype=float)
-    return _iterate(lambda x: bellman(m, x), x0, tol, max_iter, ref, cancel, record_iterates)
+    return _iterate(lambda x: bellman(m, x), x0, tol, max_iter, ref, record_iterates)
 
 
 def q_value_iteration(
@@ -122,13 +117,12 @@ def q_value_iteration(
     tol: float = 1e-8,
     max_iter: int = 100_000,
     ref=None,
-    cancel: Callable[[], bool] | None = None,
     record_iterates: bool = False,
 ) -> tuple[np.ndarray, SolveTrace]:
     """Iterate the minimax backup on Q-tables until the residual meets tol."""
     x0 = np.zeros(m.n_triplets) if q0 is None else np.asarray(q0, dtype=float)
     ref = None if ref is None else np.asarray(ref, dtype=float)
-    return _iterate(lambda q: q_bellman(m, q), x0, tol, max_iter, ref, cancel, record_iterates)
+    return _iterate(lambda q: q_bellman(m, q), x0, tol, max_iter, ref, record_iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +138,15 @@ def evaluate_pair(m: GameModel, mu: StationaryPolicy, nu: StationaryPolicy) -> P
     return classify_chain(induce_chain(m, mu, nu))
 
 
-def _best_response(m: GameModel, fixed: StationaryPolicy, costs) -> tuple[np.ndarray, SolveTrace]:
+def _best_response(m: GameModel, fixed: StationaryPolicy, costs):
     """Howard policy iteration for the opponent of ``fixed`` on per-triplet stage ``costs``.
 
     Starts from the terminating response of the exists-termination fixpoint;
-    trace rows hold each response's largest gain over 1 + max|x|.
+    trace rows hold each response's largest gain over 1 + max|x|.  Returns
+    values, trace and, when ill-posed, a witness response as one row of
+    :func:`sspg.structure._support_rows` per state (None otherwise): -1 at
+    the states with no terminating response, or else a response that never
+    terminates from the staying set and is not infinitely bad there.
     """
     minimize = fixed.player == PLAYER_MAX
     table = np.column_stack((costs, m.P))
@@ -159,12 +157,15 @@ def _best_response(m: GameModel, fixed: StationaryPolicy, costs) -> tuple[np.nda
     counts = np.diff(np.append(offsets, len(rows)))
     index, nan = np.arange(len(rows)), np.full(m.n, np.nan)
     head = np.eye(1, m.n + 1, dtype=bool)  # an edge into 0 takes a row out of every set of states
+    witness = None
 
     def slack(x):  # per row: how much worse than x for the responder, over 1 + max|x|
         return (sign * (c + p @ x) - np.repeat(sign * x, counts)) / (1.0 + np.abs(x).max())
 
     def evaluate(pick):
+        nonlocal witness
         if (pick < 0).any():
+            witness = pick
             return nan, f"no terminating response from state {m.states[np.argmin(pick)]}"
         # I - P with each diagonal entry summed from the row's other mass, not
         # taken as 1 - p_ii, which cancels when p_ii is near 1
@@ -175,8 +176,12 @@ def _best_response(m: GameModel, fixed: StationaryPolicy, costs) -> tuple[np.nda
         # if rows no worse than x can avoid 0 forever, some response that never
         # terminates has gain <= 0 for the responder; otherwise the next
         # response, made of such rows, terminates
-        stay = _staying_set(supp | ((slack(x) > _SWITCH_TOL)[:, None] & head), offsets)
+        kept = supp | ((slack(x) > _SWITCH_TOL)[:, None] & head)
+        stay = _staying_set(kept, offsets)
         if stay.any():
+            # at each staying state, the first row no worse than x that stays in the set
+            inside = np.minimum.reduceat(np.where((kept & ~stay).any(axis=1), len(index), index), offsets)
+            witness = np.where(stay[1:], inside, pick)
             s = m.states[np.argmax(stay) - 1]
             return nan, f"a never-terminating response from state {s} is not infinitely bad for the responder"
         return x, ""
@@ -190,7 +195,7 @@ def _best_response(m: GameModel, fixed: StationaryPolicy, costs) -> tuple[np.nda
     # no response comes back, so the count of pure responses bounds the loop
     x, _, trace = _policy_loop(evaluate, lambda x: float(-slack(x).min()), improve, start,
                                _SWITCH_TOL, math.prod(counts.tolist()))
-    return x, trace
+    return x, trace, witness
 
 
 def evaluate_vs_best_response(m: GameModel, policy: StationaryPolicy) -> tuple[np.ndarray, SolveTrace]:
@@ -205,7 +210,7 @@ def evaluate_vs_best_response(m: GameModel, policy: StationaryPolicy) -> tuple[n
     is not an SSP: some state has no terminating response, or a response
     that never terminates is not infinitely bad for the opponent.
     """
-    return _best_response(m, policy, m.g)
+    return _best_response(m, policy, m.g)[:2]
 
 
 def refine_fixed_point(m: GameModel, values) -> tuple[np.ndarray, bool]:
@@ -232,7 +237,7 @@ def refine_fixed_point(m: GameModel, values) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _policy_loop(evaluate, residual, improve, policy, tol: float, max_outer: int, ref=None, cancel=None):
+def _policy_loop(evaluate, residual, improve, policy, tol: float, max_outer: int, ref=None):
     """Evaluate, stop once the residual meets ``tol``, improve; repeat.
 
     ``evaluate(policy)`` returns values and "", or NaN values and why there
@@ -252,15 +257,12 @@ def _policy_loop(evaluate, residual, improve, policy, tol: float, max_outer: int
             return x, policies, trace
         policy = improve(policy, x)
         policies.append(policy)
-        if cancel is not None and cancel():
-            trace.note = "cancelled"
-            break
     return x, policies, trace  # outcome iteration-cap
 
 
 def policy_iteration(
     m: GameModel, player: int, start: StationaryPolicy, tol: float = 1e-6, max_outer: int = 50,
-    ref=None, cancel: Callable[[], bool] | None = None,
+    ref=None,
 ) -> tuple[np.ndarray, list[StationaryPolicy], SolveTrace]:
     """Hoffman–Karp policy iteration for either player.
 
@@ -287,5 +289,5 @@ def policy_iteration(
         evaluate,
         lambda x: float(np.abs(x - bellman(m, x)).max()),
         lambda pol, x: greedy_policies(m, q_from_values(m, x))[player - 1],
-        start, tol, max_outer, None if ref is None else np.asarray(ref, dtype=float), cancel,
+        start, tol, max_outer, None if ref is None else np.asarray(ref, dtype=float),
     )

@@ -5,7 +5,10 @@ termination tests (for a fixed policy, against every opponent policy or
 against some opponent policy), recurrent-class average costs, essential
 properness of a policy, the game-level structural assumption report, and
 the auxiliary single-player problem induced by fixing the maximizer's
-policy.
+policy.  Whether a fixed policy leaves the opponent an SSP (essential
+properness, and the single-player check) is decided exactly, over
+randomized responses too, by the opponent's best response
+(:func:`sspg.solve.evaluate_vs_best_response`).
 
 Almost-sure reachability questions over the randomized-policy continuum are
 decided by graph fixpoints on transition supports, which is exact: whether
@@ -28,8 +31,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .model import (
     PLAYER_MAX,
@@ -178,15 +179,19 @@ def _closed_classes(chain: InducedChain) -> list[tuple[np.ndarray, np.ndarray]]:
     """Closed classes of the chain as (member indices, stationary distribution).
 
     A closed class is a strongly connected component that no edge leaves;
-    {0} is one.  States in no closed class are transient.
+    {0} is one.  States in no closed class are transient.  Classes come in
+    the order of their smallest member.
     """
-    adj = chain.P > 0.0
-    n_comp, comp = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    src, dst = np.nonzero(adj)
-    leaks = np.bincount(comp[src], comp[src] != comp[dst], n_comp) > 0
+    reach = (chain.P > 0.0) | np.eye(len(chain.P), dtype=bool)
+    for _ in range(len(reach).bit_length()):  # each squaring doubles the path length covered
+        reach = (reach.astype(float) @ reach) > 0.0  # ends with reach[i, j] iff j is reachable from i
+    # i is in a closed class iff every state it reaches reaches it back
+    closed = ~(reach & ~reach.T).any(axis=1)
     out = []
-    for cidx in np.flatnonzero(~leaks):
-        members = np.flatnonzero(comp == cidx)
+    for i in np.flatnonzero(closed):
+        members = np.flatnonzero(reach[i])
+        if members[0] != i:  # the class was listed from its smallest member
+            continue
         a = (np.eye(len(members)) - chain.P[np.ix_(members, members)]).T
         a[-1, :] = 1.0  # replace one balance equation by sum(pi) = 1
         out.append((members, np.linalg.solve(a, np.eye(len(members))[-1])))
@@ -212,9 +217,14 @@ def _oscillates(chain: InducedChain, members: np.ndarray, pi: np.ndarray) -> boo
     With BFS levels from the first member, d = gcd(level(i) + 1 - level(j))
     over edges i -> j, and j lies in subclass level(j) mod d.
     """
-    adj = csr_matrix(chain.P[np.ix_(members, members)] > 0.0)
-    level = shortest_path(adj, unweighted=True, indices=0).astype(np.intp)
-    src, dst = adj.nonzero()
+    adj = chain.P[np.ix_(members, members)] > 0.0
+    level = np.full(len(members), -1)
+    frontier, depth = np.eye(1, len(members), dtype=bool)[0], 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    src, dst = np.nonzero(adj)
     d = int(np.gcd.reduce(level[src] + 1 - level[dst]))
     weighted = np.bincount(level % d, pi * chain.costs[members], minlength=d)
     return d > 1 and bool((np.abs(weighted) > GAIN_TOL).any())
@@ -322,9 +332,9 @@ def iter_pure_policies(m: GameModel, player: int) -> Iterator[StationaryPolicy]:
 
 
 def _pure_chains(
-    m: GameModel, rows: np.ndarray, first: np.ndarray, player: int
+    m: GameModel, rows: np.ndarray, first: np.ndarray
 ) -> Iterator[tuple[tuple[int, ...], InducedChain]]:
-    """The chain of every pure policy of ``player`` that picks rows of a table.
+    """The chain of every pure maximizer policy that picks rows of a table.
 
     ``rows`` holds a stage cost and then a kernel over 0..n per row; a
     policy whose control at state i has position k takes row
@@ -334,7 +344,7 @@ def _pure_chains(
     costs = np.concatenate(([0.0], rows[:, 0]))
     probs = np.vstack((np.eye(1, m.n + 1), rows[:, 1:]))
     base = np.concatenate(([0], np.asarray(first) + 1))
-    for combo in _pure_combos(m, player):
+    for combo in _pure_combos(m, PLAYER_MAX):
         idx = base + (0, *combo)
         yield combo, InducedChain(probs[idx], costs[idx], m.states)
 
@@ -346,55 +356,39 @@ def _pure_chains(
 
 @dataclass(frozen=True)
 class PropernessReport:
-    verdict: str  # "yes" | "no" | "inconclusive"
+    verdict: str  # "yes" | "no"
     reason: str = ""
     witness_policy: StationaryPolicy | None = None
     witness_state: str | None = None
 
 
-def is_essentially_proper(
-    m: GameModel, policy: StationaryPolicy, max_opponents: int = 10**6
-) -> PropernessReport:
-    """Check whether a policy's induced single-player problem is well-posed.
+def is_essentially_proper(m: GameModel, policy: StationaryPolicy) -> PropernessReport:
+    """Decide whether fixing ``policy`` leaves the opponent an SSP.
 
-    "yes" is claimed only when no opponent response prolongs the game at
-    all, a graph fact that covers randomized opponents exactly.  When
-    prolonging pure responses exist, they are enumerated and each must be
-    infinitely bad for the opponent; a pure response that is not gives
-    "no".  If all are, the verdict is "inconclusive", because enumeration
-    does not bound randomized mixtures (zero-gain mixtures are possible).
+    It does when some opponent response terminates almost surely from every
+    state and every response that does not is infinitely bad for the
+    opponent, randomized responses included.  That is exactly when the
+    opponent's best response (:func:`sspg.solve.evaluate_vs_best_response`)
+    is not ``ill-posed``, so the verdict is that solve's outcome.  A "no"
+    names the first state with no terminating response, or else carries a
+    pure response that never terminates from some state and is not
+    infinitely bad for the opponent.
     """
-    et = exists_termination(m, policy)
-    if not et.all():
-        s = m.states[int(np.flatnonzero(~et)[0])]
+    from .solve import _best_response  # solve imports this module
+
+    _, _, witness = _best_response(m, policy, m.g)
+    if witness is None:
+        return PropernessReport("yes", "every opponent response that does not terminate is infinitely bad for it")
+    if (witness < 0).any():
+        s = m.states[int(np.argmin(witness))]
         return PropernessReport(
             "no", f"no opponent response terminates almost surely from state {s}", witness_state=s
         )
-    if forall_termination(m, policy).all():
-        return PropernessReport("yes", "no opponent response is prolonging")
     opp = PLAYER_MAX if policy.player == PLAYER_MIN else PLAYER_MIN
-    if count_pure_policies(m, opp) > max_opponents:
-        return PropernessReport("inconclusive", "too large: opponent pure policy space exceeds cap")
-    need_neg = policy.player == PLAYER_MIN
-    fixed = (policy, None) if need_neg else (None, policy)
-    rows, first = policy_average(m, np.column_stack((m.g, m.P)), *fixed)
-    for combo, chain in _pure_chains(m, rows, first, opp):
-        cls = classify_chain(chain)
-        if not cls.prolonging:
-            continue
-        bad_for_opponent = (
-            np.isneginf(cls.values).any() if need_neg else np.isposinf(cls.values).any()
-        )
-        if not bad_for_opponent:
-            return PropernessReport(
-                "no",
-                "prolonging opponent response without the required infinite cost",
-                witness_policy=_pure_policy(m, opp, combo),
-            )
     return PropernessReport(
-        "inconclusive",
-        "all pure prolonging responses are infinitely bad for the opponent; "
-        "randomized mixtures are not excluded by enumeration",
+        "no",
+        "prolonging opponent response without the required infinite cost",
+        witness_policy=_pure_policy(m, opp, witness - m.control_layout.offsets[opp - 1]),
     )
 
 
@@ -481,7 +475,7 @@ def check_ssp_game_assumption(m: GameModel, max_pairs: int = 10**6) -> Assumptio
     for a, mu_combo in enumerate(_pure_combos(m, PLAYER_MIN)):
         # the triplet rows (i, u_i, v) of this minimizer policy
         first = m.control_layout.blocks + np.asarray(mu_combo, dtype=np.intp) * n_v
-        for b, (nu_combo, chain) in enumerate(_pure_chains(m, table, first, PLAYER_MAX)):
+        for b, (nu_combo, chain) in enumerate(_pure_chains(m, table, first)):
             cls = classify_chain(chain)
             has_pos[a, b] = np.isposinf(cls.values).any()
             has_neg[a, b] = np.isneginf(cls.values).any()
@@ -559,33 +553,26 @@ def build_sspa(m: GameModel, nu: StationaryPolicy) -> SspA:
 
 @dataclass(frozen=True)
 class SspVerdict:
-    status: str  # "holds" | "violated" | "inconclusive"
+    status: str  # "holds" | "violated"
     reason: str = ""
     witness: dict | None = None  # state -> control label
 
 
-def check_single_player_ssp(sspa: SspA, max_policies: int = 10**6) -> SspVerdict:
-    """Verify the single-player model conditions by pure-policy enumeration.
+def check_single_player_ssp(sspa: SspA) -> SspVerdict:
+    """Verify the single-player model conditions of SSP(A).
 
     Needs at least one policy terminating almost surely from every state,
     and every policy that fails to must have a reachable recurrent class
-    with strictly positive average cost.
+    with strictly positive average cost.  SSP(A) is the minimizer's problem
+    against ``sspa.nu``, so this is :func:`is_essentially_proper` of
+    ``sspa.nu``; its witness becomes a control label per state.
     """
     m = sspa.model
-    total = count_pure_policies(m, PLAYER_MIN)
-    if total > max_policies:
-        return SspVerdict("inconclusive", f"pure policy space {total} exceeds cap {max_policies}")
-    rows = np.column_stack((np.concatenate(sspa.s_costs), np.concatenate(sspa.s_probs)))
-    proper_found = False
-    for combo, chain in _pure_chains(m, rows, m.control_layout.offsets[0], PLAYER_MIN):
-        if reach_probability_one(chain).all():
-            proper_found = True
-            continue
-        if not any(pi @ chain.costs[members] > GAIN_TOL for members, pi in _closed_classes(chain)):
-            witness = {s: m.controls1[s][k] for s, k in zip(m.states, combo)}
-            return SspVerdict(
-                "violated", "improper policy without a positive-gain recurrent class", witness
-            )
-    if not proper_found:
+    report = is_essentially_proper(m, sspa.nu)
+    if report.verdict == "yes":
+        return SspVerdict("holds", "proper policy exists; improper ones incur +inf")
+    if report.witness_policy is None:
         return SspVerdict("violated", "no proper deterministic policy exists")
-    return SspVerdict("holds", "proper policy exists; improper ones incur +inf")
+    rules = report.witness_policy.rules
+    witness = {s: m.controls1[s][int(np.argmax(rules[s]))] for s in m.states}
+    return SspVerdict("violated", "improper policy without a positive-gain recurrent class", witness)

@@ -251,6 +251,46 @@ def test_missing_model_file(capsys):
     assert code == 2
 
 
+def test_game_without_states_is_rejected(capsys, tmp_path):
+    # validate used to report it valid, and the solvers then failed on an empty reduction
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"states": [], "controls1": {}, "controls2": {}, "transitions": []}))
+    code, out = run_cli(capsys, "validate", "--model", str(path))
+    assert code == 2
+    assert json.loads(out) == {"valid": False, "findings": [
+        {"code": "no-states", "location": "states", "message": "the game has no states"}]}
+    for cmd in ("solve-vi", "solve-pi", "analyze", "certificate", "qlearn"):
+        code = main([cmd, "--model", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "[no-states]" in captured.err
+
+
+MALFORMED = {
+    "policy-is-a-list": "policy document must be an object",
+    "rule-is-a-list": "rule at state 1 must map control labels to probabilities",
+    "controls1-is-a-list": '"controls1" must be an object',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_exits_invalid(capsys, everett_file, tmp_path, case):
+    model, mu = tmp_path / "model.json", tmp_path / "mu.json"
+    doc = json.loads(open(everett_file).read())
+    mu_doc = {"player": "I", "rules": {"1": {"1": 0.0, "2": 1.0}}}
+    if case == "policy-is-a-list":
+        mu_doc = [mu_doc]
+    elif case == "rule-is-a-list":
+        mu_doc["rules"]["1"] = [1, 0]
+    else:
+        doc["controls1"] = [doc["controls1"]["1"]]
+    model.write_text(json.dumps(doc))
+    mu.write_text(json.dumps(mu_doc))
+    code = main(["evaluate-pair", "--model", str(model), "--mu", str(mu), "--nu", str(mu)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {MALFORMED[case]}\n"
+
+
 def test_out_flag(capsys, everett_file, tmp_path):
     out_path = tmp_path / "result.json"
     code, out = run_cli(capsys, "solve-vi", "--model", everett_file,

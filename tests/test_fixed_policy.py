@@ -6,6 +6,9 @@ Three kinds of test:
   termination sets, essential properness, pure-pair induced chains, SSP(A)
   verdicts).  These depend only on supports and on 0/1 policy weights, so
   they hold bit for bit whatever the summation order of the averaging.
+* a verdict oracle: the pure-response enumeration that essential properness
+  and the SSP(A) check once used, against their exact best-response
+  decision, and the witness responses of that decision.
 * a tolerance oracle: the per-state averaging loops, kept here as
   references, against the operators, best response, SSP(A), the pinned
   Q-backup and the certificate weights on random mixed policies.
@@ -16,21 +19,24 @@ Three kinds of test:
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import sspg
 from sspg.model import PolicyMismatchError, policy_arrays
-from sspg.structure import count_pure_policies, iter_pure_policies
+from sspg.structure import GAIN_TOL, count_pure_policies, iter_pure_policies
 
 # recorded on the per-state-loop implementation; "assumption" re-recorded when
 # the safeguard check's best response became exact: the maximizer notes of
 # the trap games (no terminating response) and of everett (a zero-cost loop)
-# name the ill-posed best response instead of an unsettled iteration or none
+# name the ill-posed best response instead of an unsettled iteration or none;
+# "termination" re-recorded when essential properness became the best
+# response's decision: the reason of every "yes" (four were "inconclusive")
 PINS = {
     "assumption": "427ef1b03dc27c740ae124a0bc9d9a069f6defd6fb79b6deb37ccecc55cc7bce",
-    "termination": "44263592142a5b4a95918767f385b5c676455e25e48498373f211e62ac126604",
+    "termination": "37f3d94087e21654c549a194800c2d1565790677d4e70496cf180911554e9f55",
     "pure_chains": "35d490df229edd0526ebba381e41d38aa86aceb6592f78035586ad5d526262f9",
     "sspa_verdicts": "b4c1189d395e74d2a4c23f7deaa32c50c2b7488eed7a3064e24e2101d1fed069",
 }
@@ -49,8 +55,8 @@ def _generated(family, n, mc, seed):
         n_states=n, max_controls=mc, family=family, seed=seed, cost_range=(lo, 1.5)))
 
 
-def _trap_game(seed, n=5, controls=2):
-    """Sparse rows, some without terminal mass, and state n absorbing at cost 1."""
+def _trap_game(seed, n=5, controls=2, absorbing=True):
+    """Sparse rows, some without terminal mass, and (if ``absorbing``) state n absorbing at cost 1."""
     rng = np.random.default_rng(seed)
     states = [str(i) for i in range(1, n + 1)]
     c1 = {s: list("abc"[: rng.integers(1, controls + 1)]) for s in states}
@@ -59,7 +65,7 @@ def _trap_game(seed, n=5, controls=2):
     for s in states:
         for u in c1[s]:
             for v in c2[s]:
-                if s == states[-1]:
+                if absorbing and s == states[-1]:
                     rows[(s, u, v)] = [(s, 1.0, 1.0)]
                     continue
                 succ = rng.choice(n + 1, size=rng.integers(1, 3), replace=False)
@@ -135,6 +141,93 @@ def test_pin_assumption_three_control_trap_game():
     assert count_pure_policies(m, sspg.PLAYER_MIN) * count_pure_policies(m, sspg.PLAYER_MAX) == 1944
     digest = _digest([sspg.check_ssp_game_assumption(m).to_json(m)])
     assert digest == "5bb7601eccc6053e8ddcbe38c22e082144905697e9ab5f2be5ad9a1a9f636b7b"
+
+
+# ---------------------------------------------------------------------------
+# Verdict oracle: the pure-response enumeration as a reference
+# ---------------------------------------------------------------------------
+
+
+def _needed_infinity(fixed):
+    """The total cost a response that never terminates needs to be infinitely bad for the opponent."""
+    return np.isneginf if fixed.player == sspg.PLAYER_MIN else np.isposinf
+
+
+def _pair(fixed, response):
+    return (fixed, response) if fixed.player == sspg.PLAYER_MIN else (response, fixed)
+
+
+def ref_essentially_proper(m, policy, cap=10**6):
+    """"yes", "no" or "inconclusive" by enumerating the opponent's pure responses.
+
+    "yes" only when no response prolongs; "no" when no response terminates
+    from some state, or when a pure prolonging response lacks the needed
+    infinite cost; otherwise "inconclusive", as enumeration does not bound
+    randomized responses.
+    """
+    if not sspg.exists_termination(m, policy).all():
+        return "no"
+    if sspg.forall_termination(m, policy).all():
+        return "yes"
+    opp = sspg.PLAYER_MAX if policy.player == sspg.PLAYER_MIN else sspg.PLAYER_MIN
+    if count_pure_policies(m, opp) > cap:
+        return "inconclusive"
+    for response in iter_pure_policies(m, opp):
+        cls = sspg.classify_chain(sspg.induce_chain(m, *_pair(policy, response)))
+        if cls.prolonging and not _needed_infinity(policy)(cls.values).any():
+            return "no"
+    return "inconclusive"
+
+
+def ref_single_player_ssp(m, nu):
+    """"holds" or "violated" by enumerating the minimizer's pure policies against ``nu``."""
+    proper = False
+    for mu in iter_pure_policies(m, sspg.PLAYER_MIN):
+        chain = sspg.induce_chain(m, mu, nu)
+        if sspg.reach_probability_one(chain).all():
+            proper = True
+        elif not any(gain > GAIN_TOL for _, gain in sspg.recurrent_class_gains(chain)):
+            return "violated"
+    return "holds" if proper else "violated"
+
+
+def _fixed_policy_cases():
+    rng = np.random.default_rng(31)
+    games = _pin_games() + [_trap_game(s, controls=3) for s in (12, 13)]
+    games += [_trap_game(s, n=4, controls=3, absorbing=False) for s in range(40, 46)]
+    for m in games:
+        for player in (sspg.PLAYER_MIN, sspg.PLAYER_MAX):
+            pols = list(itertools.islice(iter_pure_policies(m, player), 6))
+            pols += [sspg.uniform_policy(m, player)] + [_sparse_mixed_policy(m, player, rng) for _ in range(3)]
+            for pol in pols:
+                yield m, pol
+
+
+def test_fixed_policy_checks_agree_with_enumeration():
+    seen = Counter()
+    for m, pol in _fixed_policy_cases():
+        want = ref_essentially_proper(m, pol)
+        seen[want] += 1
+        verdict = sspg.is_essentially_proper(m, pol).verdict
+        _, trace = sspg.evaluate_vs_best_response(m, pol)
+        assert verdict == ("yes" if trace.outcome == sspg.CONVERGED else "no")
+        assert verdict == ("yes" if want == "inconclusive" else want)
+        if pol.player == sspg.PLAYER_MAX:
+            status = sspg.check_single_player_ssp(sspg.build_sspa(m, pol)).status
+            assert status == ref_single_player_ssp(m, pol) == ("holds" if verdict == "yes" else "violated")
+    assert seen["yes"] >= 100 and seen["no"] >= 100 and seen["inconclusive"] >= 10
+
+
+def test_witness_response_prolongs_without_the_needed_infinity():
+    witnesses = 0
+    for m, pol in _fixed_policy_cases():
+        report = sspg.is_essentially_proper(m, pol)
+        if report.witness_policy is None:
+            continue
+        cls = sspg.classify_chain(sspg.induce_chain(m, *_pair(pol, report.witness_policy)))
+        assert cls.prolonging and not _needed_infinity(pol)(cls.values).any()
+        witnesses += 1
+    assert witnesses >= 40
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,16 @@ def test_tracer_sees_every_best_response(pursuit, everett):
     assert len(view.children(check, span)) == 2  # one per safeguard clause
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it cost the CLI about a third of its start-up
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    probe = "import sspg.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # 04_qlearning.py is left out: it takes about 9 s
 @pytest.mark.parametrize("demo", ["01_matrix_games", "02_everett_game", "03_generate_solve_verify",
                                   "05_boundedness_diagnostics"])
