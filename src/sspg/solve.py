@@ -138,7 +138,7 @@ def evaluate_pair(m: GameModel, mu: StationaryPolicy, nu: StationaryPolicy) -> P
     return classify_chain(induce_chain(m, mu, nu))
 
 
-def _best_response(m: GameModel, fixed: StationaryPolicy, costs):
+def _best_response(m: GameModel, fixed: StationaryPolicy, costs) -> tuple[np.ndarray, SolveTrace, np.ndarray | None]:
     """Howard policy iteration for the opponent of ``fixed`` on per-triplet stage ``costs``.
 
     Starts from the terminating response of the exists-termination fixpoint;

@@ -1,6 +1,6 @@
 """Every computation with one player's stationary policy fixed.
 
-Three kinds of test:
+Four kinds of test:
 
 * sha256 pins of graph results, verdicts and witnesses (assumption reports,
   termination sets, essential properness, pure-pair induced chains, SSP(A)
