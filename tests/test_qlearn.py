@@ -461,3 +461,75 @@ def test_golden_replays(pin_game, key, tmp_path):
         hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest(),
     )
     assert got == GOLDEN_REPLAYS[key]
+
+
+# Runs longer than several event-plan chunks (2048 events), with metric
+# snapshots that fall inside chunks: (digest, sha256 of every other output).
+LONG_ITERS = 6_250
+GOLDEN_LONG = {
+    ("uniform-random:1", "uniform-5", 1): (
+        "7620f12be983088f7edef8739b3de22903b83bc324107129bbadb1d1fdbcd354",
+        "c2ae9c7bba0c1e3db23e2d9f691969cb2ae4d421651263d7bb3ce3ea74443558",
+    ),
+    ("all", "fixed", 1): (
+        "fa2fe08d15de42d9d844402e0bdd537550848febe0d98f75e464ea7e9a2f24ab",
+        "f1bc5f043514aaf7f3fdba8110dbea4b1e2a1d916bd4ee8d5e216fda28edbc4c",
+    ),
+    ("custom", "uniform-5", 2): (
+        "913aa7bde6f8a4f33b371e03fc84ab507ab75293574a5820ef4ae42563c293cb",
+        "16b1b842e5ab9b5f4dc5e0310aea737dd741bc79d4582371a0726d3b792cacc7",
+    ),
+    ("round-robin:2", "zero", 1): (
+        "621afc933c27acedb189989918ef203c8ef55162973bde41e29993bfc3413cb0",
+        "0d809907343c968005544c69cb03af15d241595dd39a10eb27eba22c781b02be",
+    ),
+}
+GOLDEN_LONG_REPLAYS = {
+    ("uniform-random:1", "uniform-5", 1): (
+        "3449e03a5a856f2b82d23a392392735760a8c6b9d5e40df9deda2517e62785eb",
+        "bfc79bb98f23d046f3924af7247054526aca88f10e5755c545ec10cc9faa88f3",
+        "9c7ae018c909fa511964ec96b1c948aad0e0161f6d123cc94360a3f2b62defab",
+        "6338099a967f6d043774ae772fb5c94a65dc7b693681024491f5e7ca2864af3c",
+    ),
+}
+
+
+def _long_run(m, key):
+    sched, delay, seed = key
+    cfg = sspg.QLearnConfig(seed=seed, max_iters=LONG_ITERS, scheduler=PIN_SCHEDULERS[sched],
+                            delay_model=PIN_DELAYS[delay], reference_q=np.arange(m.n_triplets) / 8.0,
+                            metric_interval=700, record_full_history=True)
+    return sspg.run_qlearning(m, cfg)[1]
+
+
+def _outputs_sha(run) -> str:
+    """Everything a run returns beyond its digest: stepsize sums, max |Q|, metric rows, event columns."""
+    rows = np.array([(r.iteration, r.sup_dist_to_ref, r.max_abs_q, r.residual) for r in run.metrics])
+    ev = run.events
+    return _sha(run.sum_gamma, run.sum_gamma_sq, np.array([run.max_abs_q]), rows,
+                ev.t, ev.count, ev.cost, ev.gamma)
+
+
+def _replay_shas(m, run, tmp_path):
+    noise = sspg.noise_decomposition(run, m)
+    rep = sspg.run_coupled_lower_process(m, sspg.uniform_policy(m, sspg.PLAYER_MAX), run)
+    tr = sspg.run_trackers(m, run)
+    run.to_csv(tmp_path / "run.csv", m)
+    return (
+        _sha(noise),
+        _sha(rep.qhat_events, rep.min_margin),
+        _sha(tr.g_tilde, tr.q_hat),
+        hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_LONG), ids=lambda k: "-".join(map(str, k)))
+def test_golden_long_runs(pin_game, key):
+    run = _long_run(pin_game, key)
+    assert (run.digest(), _outputs_sha(run)) == GOLDEN_LONG[key]
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_LONG_REPLAYS), ids=lambda k: "-".join(map(str, k)))
+def test_golden_long_replays(pin_game, key, tmp_path):
+    run = _long_run(pin_game, key)
+    assert _replay_shas(pin_game, run, tmp_path) == GOLDEN_LONG_REPLAYS[key]
