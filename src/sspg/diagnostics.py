@@ -151,43 +151,40 @@ def run_coupled_lower_process(
     sigma = [None] + [r.tolist() for r in np.split(rules, m.control_layout.offsets[1][1:])]
 
     qhat = (run.q0 if q0 is None else np.asarray(q0, dtype=float)).tolist()
-    core = ReplayCore(m, run.config.delay_model, run.seed_used, qhat)
-    advance, read, blocks = core.advance, core.read, core.blocks
-    t_prev = -1
 
-    min_margin = run.q0 - np.array(qhat)
-    qhat_events = np.empty(len(run.events))
+    def lower_value(j: int, vals: list[float]) -> float:
+        """Min over the minimizer's controls of the nu-averaged block."""
+        _, nu_j, nv_j = core.blocks[j]
+        s = sigma[j]
+        best = None
+        for ui in range(nu_j):
+            acc = 0.0
+            for vi in range(nv_j):
+                acc += s[vi] * vals[ui * nv_j + vi]
+            if best is None or acc < best:
+                best = acc
+        return best
+
+    core = ReplayCore(m, run.config.delay_model, run.seed_used, qhat, kernel=lower_value)
+    value, write = core.value, core.write
+
+    min_margin = (run.q0 - np.array(qhat)).tolist()
+    qhat_events = []
     violations: list[tuple[int, int]] = []
 
     for k, (t, ell, j, cost, gamma, new_q, offs) in enumerate(rows):
-        if t != t_prev:
-            advance(qhat, t)
-            t_prev = t
-        if j == 0:
-            val = 0.0
-        else:
-            # the recorded offsets, so the coupled table sees the engine's delays
-            vals = read(j, offs)
-            _, nu_j, nv_j = blocks[j]
-            s = sigma[j]
-            best = None
-            for ui in range(nu_j):
-                acc = 0.0
-                for vi in range(nv_j):
-                    acc += s[vi] * vals[ui * nv_j + vi]
-                if best is None or acc < best:
-                    best = acc
-            val = best
+        # the recorded offsets, so the coupled table sees the engine's delays
+        val = value(j, t, offs)
         new_hat = (1.0 - gamma) * qhat[ell] + gamma * (cost + val)
-        qhat[ell] = new_hat
-        qhat_events[k] = new_hat
+        write(ell, t, new_hat)
+        qhat_events.append(new_hat)
         margin = new_q - new_hat
         if margin < min_margin[ell]:
             min_margin[ell] = margin
         if margin < -slack:
             violations.append((k, ell))
 
-    return CouplingReport(np.array(qhat), qhat_events, min_margin, tuple(violations))
+    return CouplingReport(np.array(qhat), np.array(qhat_events, dtype=float), np.array(min_margin), tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +239,8 @@ def run_trackers(m: GameModel, run: QLearnRun, check_support: bool = True) -> Tr
     ends = np.cumsum(live.sum(axis=1)).tolist()
     flat = m.P[live].tolist()
     vals = [flat[a:b] for a, b in zip([0, *ends], ends)]
-    where = [dict(zip(s[0], range(len(s[0])))) for s in m._succ]  # column -> position in vals
+    succ, start = m.sampling.succ.tolist(), m.sampling.start.tolist()
+    where = [dict(zip(succ[a:b], range(b - a))) for a, b in zip(start, start[1:])]  # column -> position in vals
     for ell, gamma, j, cost in rows:
         pos = where[ell].get(j)
         if pos is None:

@@ -71,16 +71,31 @@ def _seed_mix(seed: int) -> int:
     return _mix64((seed & _M64) ^ 0x9E3779B97F4A7C15)
 
 
-def counter_hash(seed: int, component: int, counter: int) -> int:
-    """64-bit hash of (seed, component, counter); pure and platform-stable."""
+def counter_hash(seed: int, component, counter):
+    """64-bit hash of (seed, component, counter); pure and platform-stable.
+
+    ``component`` and ``counter`` may be ``uint64`` arrays (broadcast
+    together): numpy's wrapping arithmetic is the ``& _M64`` of the scalar
+    form, so each entry equals the scalar call bit for bit.
+    """
     h = _mix64(_seed_mix(seed) ^ (component & _M64))
     h = _mix64(h ^ (counter & _M64))
     return h
 
 
-def counter_uniform(seed: int, component: int, counter: int) -> float:
-    """Uniform draw in [0, 1) determined entirely by (seed, component, counter)."""
+def counter_uniform(seed: int, component, counter):
+    """Uniform draw in [0, 1) determined entirely by (seed, component, counter); arrays as in :func:`counter_hash`."""
     return (counter_hash(seed, component, counter) >> 11) * 2.0**-53
+
+
+def mulhi(h, n: int):
+    """``(h * n) >> 64`` for ``uint64`` arrays ``h`` and ``0 < n <= 2**31``: a hash mapped into ``range(n)``.
+
+    Exact by a 32-bit split, since the full product does not fit 64 bits.
+    """
+    n = np.uint64(n)
+    lo = (h & np.uint64(0xFFFFFFFF)) * n
+    return ((h >> np.uint64(32)) * n + (lo >> np.uint64(32))) >> np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -150,6 +165,53 @@ class ControlLayout:
         """
         p = player - 1
         return reduce.reduceat(y[self.order[p]], self.starts[p], axis=0), self.offsets[p]
+
+
+@dataclass(frozen=True, eq=False)
+class SamplingTable:
+    """The support successors of every triplet, flattened for batched draws.
+
+    Row ``k`` is ``[start[k], start[k + 1])`` of ``succ`` (successor state
+    indices in increasing order), ``cum`` (cumulative probabilities) and
+    ``cost`` (transition costs).
+    """
+
+    start: np.ndarray
+    succ: np.ndarray
+    cum: np.ndarray
+    cost: np.ndarray
+
+    @classmethod
+    def from_kernel(cls, P: np.ndarray, C: np.ndarray) -> "SamplingTable":
+        live = P > 0.0
+        # a running sum over the whole row adds 0.0 off the support, so each
+        # entry equals the cumulative sum over the support alone, bit for bit
+        cum = np.cumsum(np.where(live, P, 0.0), axis=1)[live]
+        start = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
+        return cls(start, np.nonzero(live)[1], cum, C[live])
+
+    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Flat position of the successor that uniform ``u[e]`` draws in row ``rows[e]``.
+
+        The one draw rule: the first entry whose cumulative probability
+        reaches ``u``, which is ``bisect_left`` on the row and equals a
+        linear scan.  One branchless bisection serves the whole batch.
+        """
+        base = self.start[rows]
+        n = self.start[rows + 1] - base
+        if (n == 0).any():
+            raise ValueError(f"triplet {int(rows[np.argmin(n)])} has no transition row")
+        cum = self.cum
+        # the answer lies in [base, base + n]; halve the window until one entry is left
+        for _ in range(int(n.max(initial=1) - 1).bit_length()):
+            half = n >> 1
+            base = np.where(cum[base + half] < u, base + half, base)
+            n -= half
+        pos = base + (cum[base] < u)
+        short = pos == self.start[rows + 1]
+        if short.any():
+            raise ValueError(f"no successor of triplet {int(rows[np.argmax(short)])} reaches the draw")
+        return pos
 
 
 class GameModel:
@@ -242,13 +304,7 @@ class GameModel:
         g.setflags(write=False)
         self._g = g
 
-        # per-triplet sampling tables (support successors only)
-        succ = []
-        for k in range(self.n_triplets):
-            idx = np.flatnonzero(P[k] > 0.0)
-            cum = np.cumsum(P[k, idx])
-            succ.append((tuple(int(i) for i in idx), tuple(cum), tuple(C[k, idx])))
-        self._succ = tuple(succ)
+        self.sampling = SamplingTable.from_kernel(P, C)
 
     # -- accessors ----------------------------------------------------------
 
@@ -401,13 +457,9 @@ def sample_transition(
     """
     k = m.triplet_index(t)
     u, nxt = stream.uniform()
-    idx, cum, costs = m._succ[k]
-    if not idx:
-        raise ValueError(f"triplet {t} has no transition row")
-    pos = 0
-    while cum[pos] < u:
-        pos += 1
-    return m.state_label(idx[pos]), costs[pos], nxt
+    tab = m.sampling
+    pos = tab.draw(np.array([k]), np.array([u]))[0]
+    return m.state_label(int(tab.succ[pos])), float(tab.cost[pos]), nxt
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +474,10 @@ def _parse_entries(raw, loc: str) -> list[NextEntry]:
     for k, e in enumerate(raw):
         if not isinstance(e, dict) or not {"j", "p", "cost"} <= set(e):
             raise ModelFormatError(f'{loc}: entry {k} needs fields "j", "p", "cost"')
-        out.append((str(e["j"]), float(e["p"]), float(e["cost"])))
+        try:
+            out.append((str(e["j"]), float(e["p"]), float(e["cost"])))
+        except (TypeError, ValueError):
+            raise ModelFormatError(f'{loc}: entry {k}: "p" and "cost" must be numbers') from None
     return out
 
 
@@ -442,6 +497,9 @@ def load_model(text: str) -> GameModel:
     for field_name in ("states", "controls1", "controls2", "transitions"):
         if field_name not in doc:
             raise ModelFormatError(f'missing field "{field_name}"')
+    for field_name in ("states", "transitions"):
+        if not isinstance(doc[field_name], list):
+            raise ModelFormatError(f'"{field_name}" must be a list')
     states = [str(s) for s in doc["states"]]
     if TERMINAL in states:
         raise ModelFormatError('termination state "0" must not appear in "states"')
@@ -451,6 +509,9 @@ def load_model(text: str) -> GameModel:
         for s in states:
             if s not in doc[name]:
                 raise ModelFormatError(f'"{name}" has no entry for state {s}')
+        for s, labels in doc[name].items():
+            if not isinstance(labels, list):
+                raise ModelFormatError(f'"{name}" entry for state {s} must be a list')
     controls1 = {str(k): [str(c) for c in v] for k, v in doc["controls1"].items()}
     controls2 = {str(k): [str(c) for c in v] for k, v in doc["controls2"].items()}
 
@@ -543,7 +604,9 @@ class StationaryPolicy:
 def policy_from_json(m: GameModel, doc: Mapping) -> StationaryPolicy:
     if not isinstance(doc, dict):
         raise PolicyMismatchError("policy document must be an object")
-    player = {"I": PLAYER_MIN, "II": PLAYER_MAX, 1: PLAYER_MIN, 2: PLAYER_MAX}.get(doc.get("player"))
+    label = doc.get("player")
+    names = {"I": PLAYER_MIN, "II": PLAYER_MAX, 1: PLAYER_MIN, 2: PLAYER_MAX}
+    player = names.get(label) if isinstance(label, (str, int)) else None
     if player is None:
         raise PolicyMismatchError('policy "player" must be "I" or "II"')
     ctrl = m.controls1 if player == PLAYER_MIN else m.controls2
@@ -556,7 +619,11 @@ def policy_from_json(m: GameModel, doc: Mapping) -> StationaryPolicy:
             raise PolicyMismatchError(f"policy has no rule for state {s}")
         if not isinstance(tables[s], dict):
             raise PolicyMismatchError(f"rule at state {s} must map control labels to probabilities")
-        rules[s] = decision_rule(float(tables[s].get(c, 0.0)) for c in ctrl[s])
+        try:
+            probs = [float(tables[s].get(c, 0.0)) for c in ctrl[s]]
+        except (TypeError, ValueError):
+            raise PolicyMismatchError(f"rule at state {s} must map control labels to probabilities") from None
+        rules[s] = decision_rule(probs)
     return StationaryPolicy(player, rules)
 
 

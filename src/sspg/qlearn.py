@@ -8,9 +8,9 @@ Nothing here reads the model's probabilities except through sampling, so
 the engine exercises exactly the information a model-free learner has.
 
 Determinism contract: every random quantity is a pure function of
-``(seed, component, counter)`` through the same counter-based hash used by
-:func:`sspg.model.sample_transition`.  Transitions use component ``l`` with
-the triplet's own update count as counter, delays use component ``|R| + l``,
+``(seed, component, counter)`` through the counter-based hash
+:func:`sspg.model.counter_hash`.  Transitions use component ``l`` with the
+triplet's own update count as counter, delays use component ``|R| + l``,
 the scheduler uses component ``2|R|``.  Identical ``(model, config, Q0)``
 therefore give bit-identical runs, and recorded runs can be replayed
 against coupled processes using literally the same draws.
@@ -22,11 +22,22 @@ model (and by t, so no read precedes the start).  Because ``d`` never
 depends on the sampled successor, stepsizes and delays are measurable
 before the transition draw, as the update-noise analysis requires.
 
+None of these draws depends on Q (Tsitsiklis, *Machine Learning* 16, 1994;
+Yu & Bertsekas, *Math. of OR*, 2013), so a run splits in two.  The *event
+plan* is computed in numpy, ``_PLAN_EVENTS`` events at a time: the
+scheduler's picks, each event's update count, successor uniform and draw
+(:meth:`sspg.model.SamplingTable.draw`), realized cost, delay bound and
+delay offsets.  Only the *Q recursion* runs event by event: the delayed
+block reads, the game values and the relaxations.  Stepsizes depend only on
+the update count and come from one lazily grown list, which also gives the
+stepsize sums.
+
 The engine and every replay of a recorded run share one replay core, so
 they read the same delayed values by construction: :class:`ReplayCore` holds
-the ring of past tables, the delay bound and the delayed block read,
+the delay rule, the write history and the delayed block read,
 :func:`pair_delay_offsets` is the only delay hash, and :meth:`QLearnRun.rows`
-is the only event reader.
+is the only event reader.  No table is ever copied, so an iteration costs
+what its events cost, whatever |R|.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matgame import flat_game_value
-from .model import GameModel, counter_hash, counter_uniform
+from .model import GameModel, counter_hash, counter_uniform, mulhi
 from .operators import q_bellman
 
 
@@ -64,7 +75,11 @@ def _parse_scheduler(spec):
             raise ValueError("scheduler needs k >= 1")
         return (kind, k)
     if kind == "custom":
-        return ("custom", tuple(tuple(int(c) for c in group) for group in spec[1]))
+        # repeats within a group update once, at their first position
+        groups = tuple(tuple(dict.fromkeys(int(c) for c in group)) for group in spec[1])
+        if not groups:
+            raise ValueError("custom scheduler needs at least one group")
+        return ("custom", groups)
     raise ValueError(f"unknown scheduler {spec!r}")
 
 
@@ -154,6 +169,21 @@ class MetricsRow:
 _ROWS_CHUNK = 1 << 10
 
 
+def _pylist(a: np.ndarray):
+    """An array's entries as Python scalars, a 2-D array's rows as tuples.
+
+    The rows are built column by column: the garbage collector stops
+    tracking a tuple of ints, never a list, and lists made per event would
+    otherwise make up most of a replay's collection work.
+    """
+    if a.ndim == 1:
+        return a.tolist()
+    return list(zip(*a.T.tolist())) if a.shape[1] else [()] * len(a)
+
+# events per chunk of the event plan; noise replays bound their (event, successor) pairs by a multiple
+_PLAN_EVENTS = 1 << 11
+
+
 @dataclass
 class EventLog:
     """Per-update records, aligned arrays; offsets padded with -1."""
@@ -185,7 +215,7 @@ class QLearnRun:
     max_abs_q: float
     metrics: list[MetricsRow]
     events: EventLog | None
-    ring_depth: int
+    ring_depth: int  # D + 1: iterations of writes the history keeps, at most one per component each
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -201,13 +231,14 @@ class QLearnRun:
         """The named :class:`EventLog` columns as one tuple of Python scalars per event.
 
         One ``tolist()`` per column and chunk of events keeps numpy scalars out
-        of the replays and memory bounded.  Raises at once without a history.
+        of the replays and memory bounded; the offsets come as tuples.  Raises
+        at once without a history.
         """
         if self.events is None:
             raise ValueError("run was not recorded with full history")
         cols = [getattr(self.events, name) for name in names]
         return itertools.chain.from_iterable(
-            zip(*(c[lo : lo + _ROWS_CHUNK].tolist() for c in cols))
+            zip(*(_pylist(c[lo : lo + _ROWS_CHUNK]) for c in cols))
             for lo in range(0, len(self.events), _ROWS_CHUNK)
         )
 
@@ -231,108 +262,245 @@ class QLearnRun:
                 w.writerow([t, ell, j, repr(cost), repr(gamma), max([0, *offs]), dist, repr(running_max)])
 
 
-def pair_delay_offsets(
-    seed: int, nR: int, n_states: int, ell: int, count: int, js: int, block_size: int, dmax: int
-) -> list[int]:
+def pair_delay_offsets(seed: int, nR: int, n_states: int, ell, count, js, block_size, dmax):
     """Uniform delay offsets in [0, dmax] for the components of state ``js``.
 
     The only delay hash: a pure function of its arguments that
-    :class:`ReplayCore` evaluates for the engine and for every replay.  Four
-    16-bit offsets come from each 64-bit word of component ``nR + ell``.
+    :class:`ReplayCore` evaluates for the engine's plan and for every replay.
+    Four 16-bit offsets come from each 64-bit word of component ``nR + ell``.
+    Array arguments (broadcast together, one entry per (event, successor)
+    pair) give one row per pair, ``max(block_size)`` wide and padded with -1
+    past the pair's block; scalar arguments give the list for one pair, a
+    batch of one.
     """
-    if dmax <= 0:
-        return [0] * block_size
-    base = (count * (n_states + 1) + js) * 8
-    comp = nR + ell
-    out = []
-    word = 0
-    for k in range(block_size):
-        sub = k & 3
-        if sub == 0:
-            word = counter_hash(seed, comp, base + (k >> 2))
-        out.append((((word >> (16 * sub)) & 0xFFFF) * (dmax + 1)) >> 16)
-    return out
+    args = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (ell, count, js, block_size, dmax)))
+    ell, count, js, size, dmax = (x.reshape(-1) for x in args)
+    width = int(size.max(initial=0))
+    k = np.arange(width)
+    base = (count.astype(np.uint64) * np.uint64(n_states + 1) + js.astype(np.uint64)) * np.uint64(8)
+    words = counter_hash(seed, (ell + nR).astype(np.uint64)[:, None],
+                         base[:, None] + np.arange((width + 3) >> 2, dtype=np.uint64))
+    bits = (words[:, k >> 2] >> (16 * (k & 3)).astype(np.uint64)) & np.uint64(0xFFFF)
+    offs = (bits.astype(np.int64) * (dmax[:, None] + 1)) >> 16
+    offs = np.where(k < size[:, None], np.where(dmax[:, None] > 0, offs, 0), -1)
+    return offs[0, : int(size[0])].tolist() if args[0].ndim == 0 else offs
 
 
 class ReplayCore:
-    """Delayed views of one run: ring of past tables, delay rule, block read.
+    """Delayed views of one run: the delay rule, the write history and the block read.
 
-    ``tables[t % depth]`` is the Q-table at the start of iteration ``t`` for
-    the last ``depth`` iterations.  The engine and every replay advance it
-    with the table they build and read successor blocks only through it.
+    ``q`` is the table being built, a list its owner passes in and changes
+    only through :meth:`write`.  The write history is per component and
+    short: the iteration of its last write (``last``) and the value that
+    write replaced (``prev``), the iteration of the write before
+    (``last2``), and the earlier writes that a delay of at most D can still
+    reach (``older``, (iteration, replaced value) pairs), so at most D + 1
+    writes in all, D the largest delay.  A read at iteration t and offset d
+    wants the table at the start of iteration s = t - d: the current value
+    if the last write came before s (the usual case), the value the last
+    write replaced if the write before came before s, and otherwise the one
+    replaced by the first older write since s.  No table is ever copied.
+
+    :meth:`value` turns a successor's block, as read, into a number with
+    ``kernel(j, vals)``: the stage-game value unless a replay passes its own.
     """
 
-    def __init__(self, m: GameModel, delay_model, seed: int, q: list):
-        self.hashed, self.cycle = _parse_delay(delay_model)
-        self.period = len(self.cycle)
-        self.depth = max(self.cycle) + 1
-        self.tables = [q[:] for _ in range(self.depth)]
+    def __init__(self, m: GameModel, delay_model, seed: int, q: list, kernel=None):
+        self.hashed, cycle = _parse_delay(delay_model)
+        self.kernel = kernel
+        self.cycle = np.array(cycle, dtype=np.int64)
+        self.bound = max(cycle)
+        self.depth = self.bound + 1
         self.seed, self.nR, self.n_states = seed, m.n_triplets, m.n
+        self.q = q
+        never = -1 - self.bound  # before every iteration a read can reach
+        self.last = [never] * m.n_triplets
+        self.last2 = [never] * m.n_triplets
+        self.prev = [0.0] * m.n_triplets
+        self.older: dict[int, list] = {}
+        self._history = (q, self.last, self.last2, self.prev, self._replaced)
+        self._memo_t, self._memo = -1, {}
         # (components, rows, columns) by state; the terminal state 0 has no block
         self.blocks = [None]
         for i in range(1, m.n + 1):
             off, nu, nv = m.state_block(i)
             self.blocks.append((list(range(off, off + nu * nv)), nu, nv))
-        self.t = -1
-        self.dmax = 0
-        self.row = None
+        self.block_size = np.array([0] + [nu * nv for _, nu, nv in self.blocks[1:]], dtype=np.int64)
 
-    def advance(self, q: list, t: int) -> None:
-        """Store ``q`` for every iteration after the last stored one up to ``t``
-        (a gap of ``depth`` or more refills the ring), and set the largest
-        delay at ``t``, which never reaches back past iteration 0."""
-        tables, depth = self.tables, self.depth
-        # a plain counter, not max()/range(): the engine calls this every iteration
-        tt = self.t
-        if t - tt > depth:
-            tt = t - depth
-        while tt < t:
-            tt += 1
-            tables[tt % depth] = q[:]
-        self.t = t
-        d = self.cycle[t % self.period]
-        self.dmax = d = d if d < t else t
-        # one past table serves the whole block unless offsets are hashed per pair
-        self.row = None if d and self.hashed else tables[(t - d) % depth]
+    def bounds(self, t: np.ndarray) -> np.ndarray:
+        """The largest delay at each iteration of ``t``: the delay model's bound, capped at t."""
+        return np.minimum(self.cycle[t % len(self.cycle)], t)
 
-    def read(self, j: int, offs) -> list[float]:
-        """State ``j``'s block at the current iteration, entry k read ``offs[k]``
-        iterations back; a recorded row's ``-1`` padding is never reached."""
-        comps = self.blocks[j][0]
-        row = self.row
-        if row is not None:
-            return [row[c] for c in comps]
-        t, depth, tables = self.t, self.depth, self.tables
-        return [tables[(t - d) % depth][c] for d, c in zip(offs, comps)]
+    def offsets(self, t: np.ndarray, ell: np.ndarray, count: np.ndarray, js: np.ndarray) -> np.ndarray:
+        """Delay offsets of a batch of (event, successor) pairs, one row per pair.
 
-    def value(self, ell: int, count: int, j: int) -> tuple[float, tuple[int, ...]]:
-        """Game value of state ``j``'s block as the ``count``-th update of
-        ``ell`` reads it now (zero at the terminal state), and the offsets."""
+        Rows are padded with -1 past the successor's block (all of the row
+        at the terminal state).  Hashed offsets are drawn per pair in [0,
+        :meth:`bounds`], otherwise every pair reads exactly the bound.
+        """
+        dmax = self.bounds(t)
+        size = self.block_size[js]
+        if self.hashed:
+            return pair_delay_offsets(self.seed, self.nR, self.n_states, ell, count, js, size, dmax)
+        return np.where(np.arange(size.max(initial=0)) < size[:, None], dmax[:, None], -1)
+
+    def write(self, c: int, t: int, value: float) -> None:
+        """Set component ``c`` at iteration ``t``: at most once per iteration, iterations in order."""
+        q, last, last2, prev, _ = self._history
+        before = last[c]
+        if before >= t - self.bound:  # still readable after this write: keep it
+            h = self.older.setdefault(c, [])
+            h.append((before, prev[c]))
+            while h[0][0] < t - self.bound:
+                del h[0]
+        last2[c] = before
+        last[c] = t
+        prev[c] = q[c]
+        q[c] = value
+
+    def _replaced(self, c: int, since: int) -> float:
+        """The value of ``c`` at the start of iteration ``since`` when two or more writes came after it."""
+        val = None
+        for it, v in reversed(self.older[c]):
+            if it < since:
+                break
+            val = v
+        return val
+
+    def value(self, j: int, t: int, offs) -> float:
+        """The kernel's value of state ``j``'s block at iteration ``t``, entry
+        k read ``offs[k]`` iterations back (zero at the terminal state).
+
+        The kernel defaults to the game value; a padded row's ``-1`` entries
+        are never reached.  Without hashed offsets every read of iteration t
+        sees the table at the start of the same iteration, which no write of
+        iteration t changes, so each block's value is computed once per
+        iteration.
+        """
         if j == 0:
-            return 0.0, ()
-        _, nu, nv = self.blocks[j]
-        if self.row is None:
-            offs = pair_delay_offsets(self.seed, self.nR, self.n_states, ell, count, j, nu * nv, self.dmax)
-            offs = tuple(offs)  # kept per event: the collector untracks int tuples, never lists
+            return 0.0
+        hashed = self.hashed
+        if not hashed:
+            if t != self._memo_t:
+                self._memo_t, self._memo = t, {}
+            elif j in self._memo:
+                return self._memo[j]
+        comps, nu, nv = self.blocks[j]
+        q, last, last2, prev, old = self._history
+        if hashed:
+            vals = [q[c] if last[c] < t - d else prev[c] if last2[c] < t - d else old(c, t - d)
+                    for c, d in zip(comps, offs)]
         else:
-            offs = (self.dmax,) * (nu * nv)
-        return flat_game_value(self.read(j, offs), nu, nv), offs
+            s = t - offs[0]  # one offset for the whole block
+            vals = [q[c] if last[c] < s else prev[c] if last2[c] < s else old(c, s) for c in comps]
+        v = flat_game_value(vals, nu, nv) if self.kernel is None else self.kernel(j, vals)
+        if not hashed:
+            self._memo[j] = v
+        return v
 
 
-def _event_log(scalars: list, offsets: list[tuple]) -> EventLog:
-    """Column arrays of seven scalars and one offsets tuple per event; offsets padded with -1."""
-    width = max(map(len, offsets), default=0)
-    pads = [(-1,) * (width - n) for n in range(width + 1)]
-    padded = np.array([o + pads[len(o)] for o in offsets], dtype=np.int16)
+class _Stepsizes:
+    """Stepsize ``a / (b + k)**p``, clamped into [0, 1], of a component's k-th
+    update, and the sums of the first k stepsizes and of their squares.
+
+    Python floats, in the order a per-event loop would add them: they depend
+    only on the update count, so one list serves every component.
+    """
+
+    def __init__(self, stepsize):
+        self.a, self.b, self.p = stepsize
+        self.gamma: list[float] = []
+        self.sums, self.squares = [0.0], [0.0]
+
+    def grow(self, k: int) -> None:
+        """Make the stepsizes of updates 0..k-1 available."""
+        a, b, p = self.a, self.b, self.p
+        gamma, sums, squares = self.gamma, self.sums, self.squares
+        for c in range(len(gamma), k):
+            g = a / (b + c) ** p if (b + c) > 0 else math.inf
+            if g > 1.0:
+                g = 1.0
+            gamma.append(g)
+            sums.append(sums[-1] + g)
+            squares.append(squares[-1] + g * g)
+
+
+def _picks(sched, nR: int, seed: int, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration and component of every event of iterations [t0, t1), in
+    order; a component drawn twice in one iteration updates once."""
+    kind, arg = sched
+    its = np.arange(t0, t1)
+    if kind == "all":
+        return np.repeat(its, nR), np.tile(np.arange(nR), len(its))
+    if kind == "custom":
+        flat = np.array([c for group in arg for c in group], dtype=np.int64)
+        sizes = np.array([len(group) for group in arg], dtype=np.int64)
+        g = its % len(arg)
+        n = sizes[g]
+        first = np.repeat(np.cumsum(sizes)[g] - n - (np.cumsum(n) - n), n)
+        return np.repeat(its, n), flat[first + np.arange(n.sum())]
+    ctr = np.arange(t0 * arg, t1 * arg, dtype=np.uint64)
+    if kind == "uniform-random":
+        comps = mulhi(counter_hash(seed, 2 * nR, ctr), nR).astype(np.int64)
+    else:
+        comps = (ctr % np.uint64(nR)).astype(np.int64)
+    t = np.repeat(its, arg)
+    if arg > 1:
+        c = comps.reshape(-1, arg)
+        keep = np.ones(c.shape, dtype=bool)
+        for r in range(1, arg):
+            keep[:, r] = (c[:, :r] != c[:, r : r + 1]).all(axis=1)
+        keep = keep.reshape(-1)
+        t, comps = t[keep], comps[keep]
+    return t, comps
+
+
+def _counts_before(ell: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each event's update count of its component; advances ``counts`` past the batch."""
+    order = np.argsort(ell, kind="stable")
+    se = ell[order]
+    new = np.ones(len(se), dtype=bool)
+    new[1:] = se[1:] != se[:-1]
+    first = np.flatnonzero(new)
+    runs = np.diff(np.append(first, len(se)))
+    cnt = np.empty_like(ell)
+    cnt[order] = counts[se] + np.arange(len(se)) - np.repeat(first, runs)
+    counts[se[first]] += runs
+    return cnt
+
+
+def _event_plan(m: GameModel, sched, seed: int, core: ReplayCore, counts: np.ndarray, t0: int, t1: int):
+    """Every Q-independent column of the events of iterations [t0, t1):
+    iteration, component, update count, successor, cost and delay offsets."""
+    t, ell = _picks(sched, m.n_triplets, seed, t0, t1)
+    cnt = _counts_before(ell, counts)
+    tab = m.sampling
+    pos = tab.draw(ell, counter_uniform(seed, ell.astype(np.uint64), cnt.astype(np.uint64)))
+    j = tab.succ[pos]
+    return t, ell, cnt, j, tab.cost[pos], core.offsets(t, ell, cnt, j)
+
+
+def _event_log(chunks: list, gamma: list[float]) -> EventLog:
+    """One :class:`EventLog` from the recorded chunks; offsets padded with -1 to the widest."""
+    def column(k, dtype):
+        return np.concatenate([c[k] for c in chunks]).astype(dtype, copy=False) if chunks else np.empty(0, dtype)
+
+    count = column(2, np.int64)
+    width = max((c[5].shape[1] for c in chunks), default=0)
+    offsets = np.full((len(count), width), -1, dtype=np.int16)
+    lo = 0
+    for c in chunks:
+        offsets[lo : lo + len(c[0]), : c[5].shape[1]] = c[5]
+        lo += len(c[0])
     return EventLog(
-        t=np.array(scalars[0::7], dtype=np.int64),
-        ell=np.array(scalars[1::7], dtype=np.int32),
-        count=np.array(scalars[2::7], dtype=np.int64),
-        j=np.array(scalars[3::7], dtype=np.int32),
-        cost=np.array(scalars[4::7], dtype=float),
-        gamma=np.array(scalars[5::7], dtype=float),
-        new_q=np.array(scalars[6::7], dtype=float),
-        offsets=padded.reshape(len(offsets), width),
+        t=column(0, np.int64),
+        ell=column(1, np.int32),
+        count=count,
+        j=column(3, np.int32),
+        cost=column(4, float),
+        gamma=np.array(gamma, dtype=float)[count],
+        new_q=column(6, float),
+        offsets=offsets,
     )
 
 
@@ -366,28 +534,25 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
     nR = m.n_triplets
     seed = int(os.environ["SSPG_SEED"]) if os.environ.get("SSPG_SEED") else cfg.seed
 
-    sched_kind, sched_arg = _parse_scheduler(cfg.scheduler)
-    a, b, p = cfg.stepsize
+    sched = _parse_scheduler(cfg.scheduler)
+    if sched[0] == "custom":
+        bad = [c for group in sched[1] for c in group if not 0 <= c < nR]
+        if bad:
+            raise ValueError(f"custom scheduler component {bad[0]} outside [0, {nR})")
     ref = None if cfg.reference_q is None else np.asarray(cfg.reference_q, dtype=float)
 
     q0_arr = np.zeros(nR) if q0 is None else np.array(q0, dtype=float)
     if q0_arr.shape != (nR,):
         raise ValueError(f"Q0 needs shape ({nR},)")
 
-    # flat python structures for the hot loop
-    succ = m._succ
     Q = q0_arr.tolist()
     core = ReplayCore(m, cfg.delay_model, seed, Q)
-    advance, value = core.advance, core.value
-    counts = [0] * nR
-    sum_g = [0.0] * nR
-    sum_g2 = [0.0] * nR
-
-    # per event: seven scalars in one flat list and one tuple of offsets, so
-    # the recording adds no container the garbage collector keeps scanning
+    write, value = core.write, core.value
+    steps = _Stepsizes(cfg.stepsize)
+    gammas = steps.gamma
+    counts = np.zeros(nR, dtype=np.int64)
     record = cfg.record_full_history
-    scalars: list = []
-    offsets: list[tuple] = []
+    chunks: list = []
 
     max_abs = float(np.abs(q0_arr).max()) if nR else 0.0
     metrics: list[MetricsRow] = []
@@ -399,68 +564,48 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
         metrics.append(MetricsRow(t_now, dist, max_abs, resid))
 
     snap_metrics(0)
-    sched_comp = 2 * nR
-    uniform = counter_uniform
-    chash = counter_hash
+    kind, arg = sched
+    per_iter = nR if kind == "all" else max(map(len, arg)) if kind == "custom" else arg
+    span = max(1, _PLAN_EVENTS // max(per_iter, 1))
+    interval, end = cfg.metric_interval, cfg.max_iters
+    isfinite = math.isfinite
 
-    for t in range(cfg.max_iters):
-        advance(Q, t)
-
-        if sched_kind == "all":
-            active = range(nR)
-        elif sched_kind == "uniform-random":
-            drawn = []
-            for r in range(sched_arg):
-                h = chash(seed, sched_comp, t * sched_arg + r)
-                c = (h * nR) >> 64
-                if c not in drawn:
-                    drawn.append(c)
-            active = drawn
-        elif sched_kind == "round-robin":
-            active = []
-            for r in range(sched_arg):
-                c = (t * sched_arg + r) % nR
-                if c not in active:
-                    active.append(c)
-        else:
-            active = []
-            for c in sched_arg[t % len(sched_arg)]:
-                if c not in active:
-                    active.append(c)
-
-        for ell in active:
-            cnt = counts[ell]
-            gamma = a / (b + cnt) ** p if (b + cnt) > 0 else math.inf
-            if gamma > 1.0:
-                gamma = 1.0
-            u = uniform(seed, ell, cnt)
-            idx, cum, costs = succ[ell]
-            pos = 0
-            while cum[pos] < u:
-                pos += 1
-            j = idx[pos]
-            cost = costs[pos]
-
-            val, offs = value(ell, cnt, j)
-            new_q = (1.0 - gamma) * Q[ell] + gamma * (cost + val)
-            if not math.isfinite(new_q):
-                raise QLearnDivergenceError(
-                    f"non-finite Q at iteration {t}, component {m.triplets[ell]}"
-                )
-            Q[ell] = new_q
-            counts[ell] = cnt + 1
-            sum_g[ell] += gamma
-            sum_g2[ell] += gamma * gamma
-            if new_q > max_abs:
-                max_abs = new_q
-            elif -new_q > max_abs:
-                max_abs = -new_q
-            if record:
-                scalars.extend((t, ell, cnt, j, cost, gamma, new_q))
-                offsets.append(offs)
-
-        if (t + 1) % cfg.metric_interval == 0 or t + 1 == cfg.max_iters:
-            snap_metrics(t + 1)
+    for t0 in range(0, end, span):
+        t1 = min(t0 + span, end)
+        plan = _event_plan(m, sched, seed, core, counts, t0, t1)
+        t_arr, cnt = plan[0], plan[2]
+        if len(cnt):
+            steps.grow(int(cnt.max()) + 1)
+        events = zip(*map(_pylist, plan))
+        # metric snapshots fall between iterations, so they split the chunk's events
+        stops = list(range(t0 - t0 % interval + interval, t1 + 1, interval))
+        if t1 == end and (not stops or stops[-1] != end):
+            stops.append(end)
+        new_qs: list[float] = []
+        done = 0
+        for stop in [*stops, None]:
+            upto = len(t_arr) if stop is None else int(np.searchsorted(t_arr, stop))
+            for t, ell, c, j, cost, offs in itertools.islice(events, upto - done):
+                gamma = gammas[c]
+                new_q = (1.0 - gamma) * Q[ell] + gamma * (cost + value(j, t, offs))
+                if not isfinite(new_q):
+                    raise QLearnDivergenceError(
+                        f"non-finite Q at iteration {t}, component {m.triplets[ell]}"
+                    )
+                write(ell, t, new_q)
+                if new_q > max_abs:
+                    max_abs = new_q
+                elif -new_q > max_abs:
+                    max_abs = -new_q
+                if record:
+                    new_qs.append(new_q)
+            done = upto
+            if stop is not None:
+                snap_metrics(stop)
+        if record:
+            t_arr, ell, cnt, j, cost, offs = plan
+            chunks.append((t_arr, ell.astype(np.int32), cnt, j.astype(np.int32), cost,
+                           offs.astype(np.int16), np.array(new_qs)))
 
     q_final = np.array(Q)
     run = QLearnRun(
@@ -468,12 +613,12 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
         seed_used=seed,
         q0=q0_arr,
         q_final=q_final,
-        counts=np.array(counts, dtype=np.int64),
-        sum_gamma=np.array(sum_g),
-        sum_gamma_sq=np.array(sum_g2),
+        counts=counts,
+        sum_gamma=np.array(steps.sums)[counts],
+        sum_gamma_sq=np.array(steps.squares)[counts],
         max_abs_q=max_abs,
         metrics=metrics,
-        events=_event_log(scalars, offsets) if record else None,
+        events=_event_log(chunks, gammas) if record else None,
         ring_depth=core.depth,
     )
     return q_final, run
@@ -487,31 +632,55 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
     probability-weighted successor game values), and returns the
     difference.  The recorded post-update value is re-derived along the way
     and must match bit-exactly, which guards the replay machinery itself.
+    The delay offsets of every (event, successor) pair of a chunk of events
+    come from one batched call.
     """
-    rows = run.rows("t", "ell", "count", "j", "cost", "gamma", "new_q")
-    succ = m._succ
-    g = m.g
-    P = m.P
+    ev = run.events
+    if ev is None:
+        raise ValueError("run was not recorded with full history")
     Q = run.q0.tolist()
     core = ReplayCore(m, run.config.delay_model, run.seed_used, Q)
-    advance, value = core.advance, core.value
-    t_prev = -1
+    write, value = core.write, core.value
+    tab = m.sampling
+    row_len = np.diff(tab.start)
+    g = m.g.tolist()
+    # events per chunk, so that a chunk has at most 8 * _PLAN_EVENTS pairs
+    span = max(1, 8 * _PLAN_EVENTS // max(int(row_len.max(initial=1)), 1))
 
-    w = np.empty(len(run.events))
-    for k, (t, ell, cnt, j, cost, gamma, recorded) in enumerate(rows):
-        if t != t_prev:
-            advance(Q, t)
-            t_prev = t
-        val_j = value(ell, cnt, j)[0]
-        target = cost + val_j
-        new_q = (1.0 - gamma) * Q[ell] + gamma * target
-        if new_q != recorded:
-            raise AssertionError(f"replay mismatch at event {k}: {new_q} != {recorded}")
-
-        backup = float(g[ell])
-        for js in succ[ell][0]:
-            if js != 0:
-                backup += float(P[ell, js]) * (val_j if js == j else value(ell, cnt, js)[0])
-        w[k] = target - backup
-        Q[ell] = new_q
+    w = np.empty(len(ev))
+    for lo in range(0, len(ev), span):
+        sl = slice(lo, lo + span)
+        t, ell, cnt = ev.t[sl], ev.ell[sl].astype(np.int64), ev.count[sl]
+        # every (event, successor) pair of the chunk, the terminal state left out
+        n = row_len[ell]
+        pos = np.repeat(tab.start[ell] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        of = np.repeat(np.arange(len(ell)), n)
+        js = tab.succ[pos]
+        keep = js != 0
+        of, js = of[keep], js[keep]
+        js_l, p_l = js.tolist(), m.P[ell[of], js].tolist()
+        if core.hashed:
+            offs_l = _pylist(core.offsets(t[of], ell[of], cnt[of], js))
+        else:  # one offset for all of an event's reads: share one row per event
+            shared = [(d,) for d in core.bounds(t).tolist()]
+            offs_l = [shared[e] for e in of.tolist()]
+        ends = np.cumsum(np.bincount(of, minlength=len(ell))).tolist()
+        a = 0
+        rows = zip(t.tolist(), ell.tolist(), ev.j[sl].tolist(), ev.cost[sl].tolist(),
+                   ev.gamma[sl].tolist(), ev.new_q[sl].tolist(), ends)
+        for k, (tt, l, j, cost, gamma, recorded, b) in enumerate(rows, lo):
+            backup = g[l]
+            val_j = 0.0
+            for js_, p, offs_ in zip(js_l[a:b], p_l[a:b], offs_l[a:b]):
+                v = value(js_, tt, offs_)
+                if js_ == j:
+                    val_j = v
+                backup += p * v
+            a = b
+            target = cost + val_j
+            new_q = (1.0 - gamma) * Q[l] + gamma * target
+            if new_q != recorded:
+                raise AssertionError(f"replay mismatch at event {k}: {new_q} != {recorded}")
+            w[k] = target - backup
+            write(l, tt, new_q)
     return w

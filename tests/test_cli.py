@@ -269,6 +269,11 @@ MALFORMED = {
     "policy-is-a-list": "policy document must be an object",
     "rule-is-a-list": "rule at state 1 must map control labels to probabilities",
     "controls1-is-a-list": '"controls1" must be an object',
+    "player-is-a-list": 'policy "player" must be "I" or "II"',
+    "probability-is-text": "rule at state 1 must map control labels to probabilities",
+    "control-list-is-a-number": '"controls1" entry for state 1 must be a list',
+    "states-is-a-number": '"states" must be a list',
+    "p-is-text": 'transitions[0] (1,1,1): entry 0: "p" and "cost" must be numbers',
 }
 
 
@@ -281,6 +286,16 @@ def test_malformed_json_exits_invalid(capsys, everett_file, tmp_path, case):
         mu_doc = [mu_doc]
     elif case == "rule-is-a-list":
         mu_doc["rules"]["1"] = [1, 0]
+    elif case == "player-is-a-list":
+        mu_doc["player"] = ["I"]
+    elif case == "probability-is-text":
+        mu_doc["rules"]["1"]["2"] = "x"
+    elif case == "control-list-is-a-number":
+        doc["controls1"]["1"] = 5
+    elif case == "states-is-a-number":
+        doc["states"] = 3
+    elif case == "p-is-text":
+        doc["transitions"][0]["next"][0]["p"] = "x"
     else:
         doc["controls1"] = [doc["controls1"]["1"]]
     model.write_text(json.dumps(doc))

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import sspg
-from sspg.model import RandomStream, counter_uniform
+from sspg.model import RandomStream, SamplingTable, counter_hash, counter_uniform, mulhi
 
 
 def test_everett_document_shape(everett):
@@ -129,6 +129,82 @@ def test_sample_transition_chi_squared():
     observed = [counts[k] for k in sorted(probs)]
     expected = [probs[k] * n for k in sorted(probs)]
     assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+def _linear_scan(cum, u):
+    pos = 0
+    while cum[pos] < u:
+        pos += 1
+    return pos
+
+
+def test_draw_equals_linear_scan():
+    """The one draw rule (bisect_left) is the first-reaching scan, ties with a cumulative entry included."""
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        n_rows, width = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+        P = rng.random((n_rows, width)) * (rng.random((n_rows, width)) < 0.5)
+        P[np.arange(n_rows), rng.integers(0, width, n_rows)] += 0.1  # no empty row
+        P /= P.sum(axis=1, keepdims=True)
+        tab = SamplingTable.from_kernel(P, rng.random((n_rows, width)))
+        rows, us = [], []
+        for k in range(n_rows):
+            cum = tab.cum[tab.start[k] : tab.start[k + 1]]
+            # exact entries, their neighbours, zero and random draws
+            for u in [0.0, *cum[cum < 1.0], *np.nextafter(cum, 0.0), *np.nextafter(cum, 2.0), *rng.random(8)]:
+                if u <= cum[-1]:
+                    rows.append(k)
+                    us.append(float(u))
+        rows = np.array(rows)
+        got = tab.draw(rows, np.array(us))
+        want = [tab.start[k] + _linear_scan(tab.cum[tab.start[k] : tab.start[k + 1]].tolist(), u)
+                for k, u in zip(rows.tolist(), us)]
+        assert got.tolist() == want
+
+
+def test_sample_transition_equals_linear_scan():
+    for seed in range(8):
+        m = sspg.generate_model(sspg.GeneratorConfig(seed=seed, n_states=6, max_controls=3))
+        for k, t in enumerate(m.triplets):
+            idx = np.flatnonzero(m.P[k] > 0.0)
+            cum = np.cumsum(m.P[k, idx]).tolist()
+            for counter in range(20):
+                stream = RandomStream(seed, k, counter)
+                pos = _linear_scan(cum, stream.uniform()[0])
+                j, cost, _ = sspg.sample_transition(m, t, stream)
+                assert (m.state_index(j), cost) == (idx[pos], m.C[k, idx[pos]])
+
+
+def test_draw_rejects_empty_rows():
+    tab = SamplingTable.from_kernel(np.array([[0.5, 0.5], [0.0, 0.0]]), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="no transition row"):
+        tab.draw(np.array([0, 1]), np.array([0.2, 0.2]))
+
+
+_M64 = (1 << 64) - 1
+
+
+def test_counter_hash_on_arrays_matches_scalars():
+    rng = np.random.default_rng(23)
+    # negative components and counters enter the scalar form masked to 64 bits, as uint64 arrays wrap them
+    comps = [0, 1, 12, -1, -(2**40), 2**63, 2**63 + 12345, _M64, *rng.integers(0, 2**63, 12).tolist()]
+    ctrs = [0, 5, -3, 2**63, 2**63 + 1, _M64, *rng.integers(0, 2**63, 12).tolist()]
+    c_arr = np.array([c & _M64 for c in comps], dtype=np.uint64)
+    k_arr = np.array([k & _M64 for k in ctrs], dtype=np.uint64)
+    for seed in (0, 1, -1, -(2**70), 2**64 + 5, 987654321):
+        got = counter_hash(seed, c_arr[:, None], k_arr[None, :])
+        assert got.dtype == np.uint64
+        assert got.tolist() == [[counter_hash(seed, c, k) for k in ctrs] for c in comps]
+        u = counter_uniform(seed, c_arr[:, None], k_arr[None, :])
+        assert u.tolist() == [[counter_uniform(seed, c, k) for k in ctrs] for c in comps]
+
+
+def test_mulhi_matches_full_product():
+    rng = np.random.default_rng(29)
+    hs = [0, 1, 2**32 - 1, 2**32, 2**63, _M64, *rng.integers(0, 2**64 - 1, 200, dtype=np.uint64).tolist()]
+    h = np.array(hs, dtype=np.uint64)
+    for n in (1, 2, 3, 12, 1095, 2**20 + 7, 2**31 - 1, 2**31):
+        assert mulhi(h, n).tolist() == [(x * n) >> 64 for x in hs]
 
 
 def test_counter_uniform_is_pure_function():

@@ -6,7 +6,7 @@ import pytest
 import sspg
 from conftest import make_contraction, make_terminal_only
 from sspg.model import RandomStream
-from sspg.qlearn import pair_delay_offsets
+from sspg.qlearn import ReplayCore, pair_delay_offsets
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +151,30 @@ def test_delay_offsets_pure_function():
     assert pair_delay_offsets(7, 16, 4, 3, 11, 2, 4, 0) == [0, 0, 0, 0]
 
 
+def test_replay_core_reads_match_full_tables():
+    """The write history answers every delayed read as a ring of full tables would, gaps included."""
+    m = make_contraction(seed=44, n_states=5, max_controls=3)
+    rng = np.random.default_rng(8)
+    for bound in (0, 1, 4):
+        q = rng.random(m.n_triplets).tolist()
+        core = ReplayCore(m, ("uniform", bound), 0, q, kernel=lambda j, vals: vals)
+        starts = {}  # iteration -> table at its start
+        t = -1
+        for _ in range(400):
+            step = int(rng.choice([1, 1, 1, 2, bound + 3]))
+            for w in range(t + 1, t + step + 1):
+                starts[w] = list(q)
+            t += step
+            writes = rng.permutation(m.n_triplets)[: rng.integers(0, 6)].tolist()
+            for c in writes:  # reads before and after each write of the iteration
+                j = int(rng.integers(1, m.n + 1))
+                offs = rng.integers(0, min(bound, t) + 1, m.state_block(j)[1] * m.state_block(j)[2]).tolist()
+                comps = range(m.state_block(j)[0], m.state_block(j)[0] + len(offs))
+                assert core.value(j, t, offs) == [starts[t - d][k] for k, d in zip(comps, offs)]
+                core.write(c, t, float(rng.random()))
+        assert core.depth == bound + 1
+
+
 def test_fixed_delay_schedule():
     m = make_contraction(seed=41, n_states=3, max_controls=2)
     schedule = (0, 2, 1, 4)
@@ -266,6 +290,31 @@ def test_config_validation():
             sspg.QLearnConfig(scheduler=sched)
 
 
+def test_custom_scheduler_validated_before_running():
+    m = make_contraction(seed=37)
+    n = m.n_triplets
+    for groups in ([[-1]], [[0], [n]], [[2, n + 5]]):
+        with pytest.raises(ValueError, match="outside"):
+            sspg.run_qlearning(m, sspg.QLearnConfig(max_iters=5, scheduler=("custom", groups)))
+    with pytest.raises(ValueError, match="at least one group"):
+        sspg.QLearnConfig(scheduler=("custom", []))
+    # repeats within a group update once; empty groups are gaps
+    cfg = sspg.QLearnConfig(max_iters=4, scheduler=("custom", [[1, 1, n - 1], []]))
+    _, run = sspg.run_qlearning(m, cfg)
+    assert run.counts[1] == run.counts[n - 1] == 2 and run.counts.sum() == 4
+
+
+def test_pair_delay_offsets_batch_matches_scalar():
+    rng = np.random.default_rng(4)
+    ell, count, js = rng.integers(0, 40, 300), rng.integers(0, 10**6, 300), rng.integers(0, 30, 300)
+    size, dmax = rng.integers(0, 10, 300), rng.integers(0, 9, 300)
+    batch = pair_delay_offsets(11, 40, 29, ell, count, js, size, dmax)
+    assert batch.shape == (300, size.max())
+    for k in range(300):
+        one = pair_delay_offsets(11, 40, 29, int(ell[k]), int(count[k]), int(js[k]), int(size[k]), int(dmax[k]))
+        assert batch[k].tolist() == one + [-1] * (size.max() - size[k])
+
+
 def test_config_rejects_offsets_beyond_int16():
     # recorded offsets are stored as int16: refuse the run before it starts
     for delay in (("uniform", 40_000), ("fixed", (0, 40_000))):
@@ -371,6 +420,9 @@ PIN_SCHEDULERS = {
     "all": "all",
     # six empty groups: a gap of 7 iterations, more than the ring depth at D=5
     "custom": ("custom", [[0, 4], [], [], [], [], [], [], [7, 12, 2], [14], [5, 5, 9]]),
+    # draws that repeat a component within an iteration (|R| = 15)
+    "uniform-random:3": "uniform-random:3",
+    "round-robin:40": "round-robin:40",
 }
 PIN_DELAYS = {"zero": "zero", "uniform-5": ("uniform", 5), "fixed": ("fixed", (0, 2, 1, 3))}
 
@@ -446,21 +498,22 @@ def test_golden_digest(pin_game, key):
     assert _pin_run(pin_game, key).digest() == GOLDEN_DIGESTS[key]
 
 
-@pytest.mark.parametrize("key", list(GOLDEN_REPLAYS), ids=lambda k: "-".join(map(str, k)))
-def test_golden_replays(pin_game, key, tmp_path):
-    m = pin_game
-    run = _pin_run(m, key)
+def _replay_shas(m, run, tmp_path):
     noise = sspg.noise_decomposition(run, m)
     rep = sspg.run_coupled_lower_process(m, sspg.uniform_policy(m, sspg.PLAYER_MAX), run)
     tr = sspg.run_trackers(m, run)
     run.to_csv(tmp_path / "run.csv", m)
-    got = (
+    return (
         _sha(noise),
         _sha(rep.qhat_events, rep.min_margin),
         _sha(tr.g_tilde, tr.q_hat),
         hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest(),
     )
-    assert got == GOLDEN_REPLAYS[key]
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_REPLAYS), ids=lambda k: "-".join(map(str, k)))
+def test_golden_replays(pin_game, key, tmp_path):
+    assert _replay_shas(pin_game, _pin_run(pin_game, key), tmp_path) == GOLDEN_REPLAYS[key]
 
 
 # Runs longer than several event-plan chunks (2048 events), with metric
@@ -483,6 +536,14 @@ GOLDEN_LONG = {
         "621afc933c27acedb189989918ef203c8ef55162973bde41e29993bfc3413cb0",
         "0d809907343c968005544c69cb03af15d241595dd39a10eb27eba22c781b02be",
     ),
+    ("uniform-random:3", "fixed", 1): (
+        "edca8be0a64944bfdb1cdd229277f89221d7bcdcf8a8d3f46c26bd5e8efb3f4e",
+        "98a892740888a53dab06da635010b69cf67d99aeac63d75cee606b7b21958869",
+    ),
+    ("round-robin:40", "uniform-5", 1): (
+        "3e25d0c8bd7445b660673e29ead445315fc3620bb2a23bf9b2a4ab4dd99a5cc8",
+        "7758b497c8009c01d249332c3ea49f7d20ffc45bc942e774e26867ea8f6ff634",
+    ),
 }
 GOLDEN_LONG_REPLAYS = {
     ("uniform-random:1", "uniform-5", 1): (
@@ -490,6 +551,12 @@ GOLDEN_LONG_REPLAYS = {
         "bfc79bb98f23d046f3924af7247054526aca88f10e5755c545ec10cc9faa88f3",
         "9c7ae018c909fa511964ec96b1c948aad0e0161f6d123cc94360a3f2b62defab",
         "6338099a967f6d043774ae772fb5c94a65dc7b693681024491f5e7ca2864af3c",
+    ),
+    ("round-robin:2", "zero", 1): (
+        "3a219df5152d0a1508ec8f183421066da082056da6bb8ac1b733b75a8f9b36e5",
+        "8f556d17b9646fcc1209ea0782e5c22f209af140a3147d5eb7fb542d6a2f9910",
+        "3d7167ba4e9b32ce47fd1e71dea563260e76c80341107ecc9bdc53684d95a235",
+        "25b26c9c202698ec0e7a2433c769e5bc6c8de552465bcedf003b09a7c649fc44",
     ),
 }
 
@@ -508,19 +575,6 @@ def _outputs_sha(run) -> str:
     ev = run.events
     return _sha(run.sum_gamma, run.sum_gamma_sq, np.array([run.max_abs_q]), rows,
                 ev.t, ev.count, ev.cost, ev.gamma)
-
-
-def _replay_shas(m, run, tmp_path):
-    noise = sspg.noise_decomposition(run, m)
-    rep = sspg.run_coupled_lower_process(m, sspg.uniform_policy(m, sspg.PLAYER_MAX), run)
-    tr = sspg.run_trackers(m, run)
-    run.to_csv(tmp_path / "run.csv", m)
-    return (
-        _sha(noise),
-        _sha(rep.qhat_events, rep.min_margin),
-        _sha(tr.g_tilde, tr.q_hat),
-        hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest(),
-    )
 
 
 @pytest.mark.parametrize("key", list(GOLDEN_LONG), ids=lambda k: "-".join(map(str, k)))
