@@ -24,8 +24,8 @@ before the transition draw, as the update-noise analysis requires.
 
 None of these draws depends on Q (Tsitsiklis, *Machine Learning* 16, 1994;
 Yu & Bertsekas, *Math. of OR*, 2013), so a run splits in two.  The *event
-plan* is computed in numpy, ``_PLAN_EVENTS`` events at a time: the
-scheduler's picks, each event's update count, successor uniform and draw
+plan* is computed in numpy, ``_CHUNK`` events at a time: the scheduler's
+picks, each event's update count, successor uniform and draw
 (:meth:`sspg.model.SamplingTable.draw`), realized cost, delay bound and
 delay offsets.  Only the *Q recursion* runs event by event: the delayed
 block reads, the game values and the relaxations.  Stepsizes depend only on
@@ -34,10 +34,11 @@ stepsize sums.
 
 The engine and every replay of a recorded run share one replay core, so
 they read the same delayed values by construction: :class:`ReplayCore` holds
-the delay rule, the write history and the delayed block read,
-:func:`pair_delay_offsets` is the only delay hash, and :meth:`QLearnRun.rows`
-is the only event reader.  No table is ever copied, so an iteration costs
-what its events cost, whatever |R|.
+the delay rule, the write history and the delayed block read, and
+:func:`pair_delay_offsets` is the only delay hash.  The replays read events
+through :meth:`QLearnRun.rows`, except the noise decomposition, which takes
+the recorded columns a chunk at a time to batch its delay offsets.  No table
+is ever copied, so an iteration costs what its events cost, whatever |R|.
 """
 
 from __future__ import annotations
@@ -166,7 +167,9 @@ class MetricsRow:
     residual: float
 
 
-_ROWS_CHUNK = 1 << 10
+# events per chunk of the event plan and of the event reader; noise replays
+# bound a chunk's (event, successor) pairs by a multiple
+_CHUNK = 1 << 11
 
 
 def _pylist(a: np.ndarray):
@@ -180,8 +183,6 @@ def _pylist(a: np.ndarray):
         return a.tolist()
     return list(zip(*a.T.tolist())) if a.shape[1] else [()] * len(a)
 
-# events per chunk of the event plan; noise replays bound their (event, successor) pairs by a multiple
-_PLAN_EVENTS = 1 << 11
 
 
 @dataclass
@@ -238,8 +239,8 @@ class QLearnRun:
             raise ValueError("run was not recorded with full history")
         cols = [getattr(self.events, name) for name in names]
         return itertools.chain.from_iterable(
-            zip(*(_pylist(c[lo : lo + _ROWS_CHUNK]) for c in cols))
-            for lo in range(0, len(self.events), _ROWS_CHUNK)
+            zip(*(_pylist(c[lo : lo + _CHUNK]) for c in cols))
+            for lo in range(0, len(self.events), _CHUNK)
         )
 
     def to_csv(self, path, m: GameModel) -> None:
@@ -566,7 +567,7 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
     snap_metrics(0)
     kind, arg = sched
     per_iter = nR if kind == "all" else max(map(len, arg)) if kind == "custom" else arg
-    span = max(1, _PLAN_EVENTS // max(per_iter, 1))
+    span = max(1, _CHUNK // max(per_iter, 1))
     interval, end = cfg.metric_interval, cfg.max_iters
     isfinite = math.isfinite
 
@@ -644,8 +645,8 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
     tab = m.sampling
     row_len = np.diff(tab.start)
     g = m.g.tolist()
-    # events per chunk, so that a chunk has at most 8 * _PLAN_EVENTS pairs
-    span = max(1, 8 * _PLAN_EVENTS // max(int(row_len.max(initial=1)), 1))
+    # events per chunk, so that a chunk has at most 8 * _CHUNK pairs
+    span = max(1, 8 * _CHUNK // max(int(row_len.max(initial=1)), 1))
 
     w = np.empty(len(ev))
     for lo in range(0, len(ev), span):

@@ -168,9 +168,9 @@ def test_replay_core_reads_match_full_tables():
             writes = rng.permutation(m.n_triplets)[: rng.integers(0, 6)].tolist()
             for c in writes:  # reads before and after each write of the iteration
                 j = int(rng.integers(1, m.n + 1))
-                offs = rng.integers(0, min(bound, t) + 1, m.state_block(j)[1] * m.state_block(j)[2]).tolist()
-                comps = range(m.state_block(j)[0], m.state_block(j)[0] + len(offs))
-                assert core.value(j, t, offs) == [starts[t - d][k] for k, d in zip(comps, offs)]
+                off, nu, nv = m.state_block(j)
+                offs = rng.integers(0, min(bound, t) + 1, nu * nv).tolist()
+                assert core.value(j, t, offs) == [starts[t - d][off + k] for k, d in enumerate(offs)]
                 core.write(c, t, float(rng.random()))
         assert core.depth == bound + 1
 
@@ -418,7 +418,7 @@ PIN_SCHEDULERS = {
     "uniform-random:1": "uniform-random:1",
     "round-robin:2": "round-robin:2",
     "all": "all",
-    # six empty groups: a gap of 7 iterations, more than the ring depth at D=5
+    # six empty groups: a gap of 7 iterations, more than the D + 1 = 6 the history keeps at D=5
     "custom": ("custom", [[0, 4], [], [], [], [], [], [], [7, 12, 2], [14], [5, 5, 9]]),
     # draws that repeat a component within an iteration (|R| = 15)
     "uniform-random:3": "uniform-random:3",
