@@ -216,7 +216,7 @@ class QLearnRun:
     max_abs_q: float
     metrics: list[MetricsRow]
     events: EventLog | None
-    ring_depth: int  # D + 1: iterations of writes the history keeps, at most one per component each
+    ring_depth: int  # D + 1, D the largest delay: the most writes the history keeps per component
 
     def digest(self) -> str:
         h = hashlib.sha256()
