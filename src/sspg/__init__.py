@@ -31,7 +31,6 @@ from .model import (
     ModelFormatError,
     ModelValidationError,
     PolicyMismatchError,
-    RandomStream,
     StationaryPolicy,
     ValidationReport,
     decision_rule,
@@ -40,7 +39,6 @@ from .model import (
     load_model,
     policy_from_json,
     pure_policy,
-    sample_transition,
     save_model,
     uniform_policy,
     validate_model,
@@ -62,7 +60,6 @@ from .qlearn import (
     QLearnDivergenceError,
     QLearnRun,
     noise_decomposition,
-    qlearning_update,
     run_qlearning,
 )
 from .solve import (

@@ -7,8 +7,9 @@ plot-ready trace files.  Exit codes: 0 success, 1 usage error, 2 validation
 failure, 3 solver non-convergence, 4 assumption-check violation under
 ``--strict``.
 
-Every subcommand is deterministic given its flags and seed; the environment
-variable ``SSPG_SEED`` overrides ``--seed`` when set.
+Every subcommand registers only the flags it reads, and is deterministic
+given its flags and seed.  The environment variable ``SSPG_SEED``, read only
+here, overrides ``--seed`` and the ``--config`` seed when set.
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _resolve_seed(seed: int) -> int:
-    env = os.environ.get("SSPG_SEED")
-    return int(env) if env else seed
-
-
 def _read_model(path: str) -> GameModel:
     with open(path) as f:
         return load_model(f.read())
@@ -69,8 +65,9 @@ def _read_policy(m: GameModel, path: str) -> StationaryPolicy:
 
 
 def _emit(doc, args) -> None:
-    text = json.dumps(doc, indent=2)
-    if getattr(args, "out", None):
+    """Primary output, a JSON document or text, to ``--out`` or stdout."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2)
+    if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
     else:
@@ -91,88 +88,117 @@ def _q_doc(m: GameModel, q) -> list:
     ]
 
 
-def _add_common(p: argparse.ArgumentParser, model: bool = True) -> None:
-    if model:
-        p.add_argument("--model", required=True, help="game file (JSON)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=100_000)
-    p.add_argument("--out", help="write primary JSON output here instead of stdout")
-    p.add_argument("--csv", help="write trace CSV here")
-    p.add_argument("--strict", action="store_true")
+# the flags several subcommands share, by name; each subcommand lists the ones it reads
+_FLAGS = {
+    "model": dict(required=True, help="game file (JSON)"),
+    "seed": dict(type=int, default=0),
+    "tol": dict(type=float, default=1e-8),
+    "max-iters": dict(type=int, default=100_000),
+    "out": dict(help="write primary JSON output here instead of stdout"),
+    "csv": dict(help="write trace CSV here"),
+    "nu": dict(help="player-II policy JSON (default: uniform)"),
+    "iters": dict(type=int, default=10_000),
+    "stepsize": dict(default="1,1,0.75", help="a,b,p"),
+    "scheduler": dict(default="uniform-random:1"),
+    "delay": dict(type=int, default=0, help="uniform delay bound D (0 = no delays)"),
+    "delay-schedule": dict(help="CSV of fixed delay offsets, one per line"),
+    "config": dict(help="JSON config file; its entries override the flags"),
+}
+_SOLVE = ("model", "tol", "out", "csv")
+_QLEARN = ("model", "seed", "out", "csv", "iters", "stepsize", "scheduler", "delay", "delay-schedule", "config")
+# --config keys; couple always records, so it reads all but the last
+_CONFIG_KEYS = ("seed", "max_iters", "stepsize", "scheduler", "delay", "record_full_history")
 
 
-def _add_qlearn_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iters", type=int, default=10_000)
-    p.add_argument("--stepsize", default="1,1,0.75", help="a,b,p")
-    p.add_argument("--scheduler", default="uniform-random:1")
-    p.add_argument("--delay", type=int, default=0, help="uniform delay bound D (0 = no delays)")
-    p.add_argument("--delay-schedule", help="CSV of fixed delay offsets, one per line")
-    p.add_argument("--ref", help="reference Q* file (JSON list as emitted by solve-qvi)")
-    p.add_argument("--metric-interval", type=int, default=1000)
-    p.add_argument("--record", action="store_true", help="record full event history")
-    p.add_argument("--config", help="JSON config file; its entries override the flags")
+def _command(sub, name: str, help_text: str, *flags: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help_text)
+    for flag in flags:
+        p.add_argument(f"--{flag}", **_FLAGS[flag])
+    return p
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="sspg", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("validate", help="check a game file against the model invariants")
-    _add_common(p)
+    _command(sub, "validate", "check a game file against the model invariants", "model", "out")
 
-    p = sub.add_parser("matgame", help="solve a zero-sum matrix game")
+    p = _command(sub, "matgame", "solve a zero-sum matrix game", "out")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--matrix", help="inline JSON matrix, e.g. [[1,-1],[-1,1]]")
     group.add_argument("--file", help="JSON file holding the matrix")
-    _add_common(p, model=False)
 
     for name, help_text in (
         ("solve-vi", "value iteration on state values (with fixed-point refinement)"),
         ("solve-qvi", "value iteration on the Q-table"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        _command(sub, name, help_text, *_SOLVE, "max-iters")
 
-    p = sub.add_parser("solve-pi", help="policy iteration for one player")
-    _add_common(p)
+    p = _command(sub, "solve-pi", "policy iteration for one player", *_SOLVE)
     p.add_argument("--player", choices=["I", "II"], default="I")
     p.add_argument("--start", help="start policy JSON (default: uniform)")
     p.add_argument("--max-outer", type=int, default=50)
 
-    p = sub.add_parser("evaluate-pair", help="classify the chain of a policy pair")
-    _add_common(p)
+    p = _command(sub, "evaluate-pair", "classify the chain of a policy pair", "model", "out")
     p.add_argument("--mu", required=True, help="player-I policy JSON")
     p.add_argument("--nu", required=True, help="player-II policy JSON")
 
-    p = sub.add_parser("analyze", help="check the structural game assumptions")
-    _add_common(p)
+    p = _command(sub, "analyze", "check the structural game assumptions", "model", "out")
+    p.add_argument("--strict", action="store_true", help="exit 4 when the assumption is violated")
 
-    p = sub.add_parser("sspa-build", help="induced single-player problem for a fixed player-II policy")
-    _add_common(p)
-    p.add_argument("--nu", help="player-II policy JSON (default: uniform)")
+    _command(sub, "sspa-build", "induced single-player problem for a fixed player-II policy",
+             "model", "out", "nu")
+    _command(sub, "certificate", "weighted sup-norm contraction certificate",
+             "model", "out", "nu")
 
-    p = sub.add_parser("certificate", help="weighted sup-norm contraction certificate")
-    _add_common(p)
-    p.add_argument("--nu", help="proper player-II policy JSON (default: uniform)")
+    p = _command(sub, "qlearn", "run asynchronous Q-learning", *_QLEARN)
+    p.add_argument("--ref", help="reference Q* file (JSON list as emitted by solve-qvi)")
+    p.add_argument("--record", action="store_true", help="record full event history")
 
-    p = sub.add_parser("qlearn", help="run asynchronous Q-learning")
-    _add_common(p)
-    _add_qlearn_flags(p)
+    _command(sub, "couple", "run Q-learning and replay its coupled lower process", *_QLEARN, "nu")
 
-    p = sub.add_parser("couple", help="run Q-learning and replay its coupled lower process")
-    _add_common(p)
-    _add_qlearn_flags(p)
-    p.add_argument("--nu", help="player-II policy JSON for the coupling (default: uniform)")
-
-    p = sub.add_parser("gen", help="generate a random game")
-    _add_common(p, model=False)
+    p = _command(sub, "gen", "generate a random game", "seed", "out")
     p.add_argument("--states", type=int, default=3)
     p.add_argument("--max-controls", type=int, default=2)
     p.add_argument("--family", choices=list(generate.FAMILIES), default="contraction")
     p.add_argument("--kappa", type=float, default=0.1, help="termination floor per triplet")
     p.add_argument("--cost-range", default="0,1", help="lo,hi")
     return top
+
+
+def _read_config(args) -> dict:
+    """The ``--config`` document, refused if it holds a key the subcommand does not read."""
+    with open(args.config) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError("--config must hold a JSON object")
+    keys = _CONFIG_KEYS if args.cmd == "qlearn" else _CONFIG_KEYS[:-1]
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"--config key {unknown[0]!r} is not one of {', '.join(keys)}")
+    return doc
+
+
+def _read_reference(m: GameModel, path: str) -> np.ndarray:
+    """The ``--ref`` table: rows as ``solve-qvi`` prints them, each triplet once with a finite ``q``."""
+    with open(path) as f:
+        rows = json.load(f)
+    if not isinstance(rows, list):
+        raise ModelFormatError("--ref must hold a list of triplet rows")
+    ref = np.full(m.n_triplets, np.nan)
+    for k, row in enumerate(rows):
+        try:
+            ell, q = m.triplet_index((row["i"], row["u"], row["v"])), float(row["q"])
+        except (KeyError, TypeError, ValueError):
+            raise ModelFormatError(f'--ref row {k} needs a triplet "i", "u", "v" of the game and a number "q"') from None
+        if not math.isfinite(q):
+            raise ModelFormatError(f'--ref row {k}: "q" must be finite')
+        if not math.isnan(ref[ell]):
+            raise ModelFormatError(f"--ref row {k} repeats triplet {m.triplets[ell]}")
+        ref[ell] = q
+    if np.isnan(ref).any():
+        raise ModelFormatError(f"--ref has no row for triplet {m.triplets[int(np.argmax(np.isnan(ref)))]}")
+    return ref
 
 
 def _qlearn_config(args, m: GameModel) -> qlearn.QLearnConfig:
@@ -185,36 +211,23 @@ def _qlearn_config(args, m: GameModel) -> qlearn.QLearnConfig:
         delay = ("uniform", args.delay)  # QLearnConfig rejects a negative bound
     else:
         delay = "zero"
-    ref = None
-    if args.ref:
-        with open(args.ref) as f:
-            rows = json.load(f)
-        ref = np.empty(m.n_triplets)
-        for row in rows:
-            ref[m.triplet_index((row["i"], row["u"], row["v"]))] = row["q"]
     kwargs = dict(
-        seed=args.seed,
+        seed=args.seed,  # main applied the --config seed and SSPG_SEED
         max_iters=args.iters,
         stepsize=(a, b, p),
         scheduler=args.scheduler,
         delay_model=delay,
-        reference_q=ref,
-        record_full_history=args.record or args.cmd == "couple",
-        metric_interval=args.metric_interval,
+        reference_q=_read_reference(m, args.ref) if getattr(args, "ref", None) else None,
+        record_full_history=getattr(args, "record", True),  # couple always records
     )
-    if getattr(args, "config", None):
-        with open(args.config) as f:
-            doc = json.load(f)
-        for key in ("seed", "max_iters", "record_full_history", "metric_interval"):
-            if key in doc:
-                kwargs[key] = doc[key]
-        if "stepsize" in doc:
-            kwargs["stepsize"] = tuple(float(x) for x in doc["stepsize"])
-        if "scheduler" in doc:
-            kwargs["scheduler"] = doc["scheduler"]
-        if "delay" in doc:
-            kwargs["delay_model"] = ("uniform", int(doc["delay"])) if doc["delay"] else "zero"
-    return qlearn.QLearnConfig(**kwargs)
+    doc = args.config or {}
+    kwargs.update((key, doc[key]) for key in ("max_iters", "record_full_history", "scheduler") if key in doc)
+    if "stepsize" in doc:
+        kwargs["stepsize"] = tuple(float(x) for x in doc["stepsize"])
+    if "delay" in doc:
+        kwargs["delay_model"] = ("uniform", int(doc["delay"])) if doc["delay"] else "zero"
+    # the CLI prints only the final metric row, the snapshot at the end
+    return qlearn.QLearnConfig(**kwargs, metric_interval=max(1, kwargs["max_iters"]))
 
 
 def _cmd_validate(args) -> int:
@@ -397,15 +410,9 @@ def _cmd_gen(args) -> int:
         termination_floor=args.kappa,
         cost_range=(lo, hi),
         family=args.family,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
     )
-    m = generate.generate_model(cfg)
-    text = save_model(m)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _emit(save_model(generate.generate_model(cfg)), args)
     return EXIT_OK
 
 
@@ -432,14 +439,16 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if hasattr(args, "seed"):
-        args.seed = _resolve_seed(args.seed)
     try:
+        # precedence: SSPG_SEED over the --config seed over --seed
+        if getattr(args, "config", None):
+            args.config = _read_config(args)
+            args.seed = args.config.get("seed", args.seed)
+        env = os.environ.get("SSPG_SEED")
+        if env and hasattr(args, "seed"):
+            args.seed = int(env)
         return _DISPATCH[args.cmd](args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ModelFormatError, ModelValidationError, PolicyMismatchError) as e:
+    except (FileNotFoundError, ModelFormatError, ModelValidationError, PolicyMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except (ValueError, json.JSONDecodeError) as e:

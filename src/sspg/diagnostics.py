@@ -165,7 +165,7 @@ def run_coupled_lower_process(
                 best = acc
         return best
 
-    core = ReplayCore(m, run.config.delay_model, run.seed_used, qhat, kernel=lower_value)
+    core = ReplayCore(m, run.config.delay_model, run.config.seed, qhat, kernel=lower_value)
     value, write = core.value, core.write
 
     min_margin = (run.q0 - np.array(qhat)).tolist()

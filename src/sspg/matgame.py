@@ -259,8 +259,10 @@ def flat_game_value(vals, nu: int, nv: int) -> float:
     """Game value of a u-major flattened ``nu x nv`` matrix.
 
     Fast dispatch used in sampling loops: single-row/column games are pure
-    min/max, 2x2 uses the closed form, anything larger falls back to the LP
-    kernel.  Agrees with :func:`solve_matrix_game` (property-tested).
+    min/max, 2x2 uses the closed form, and larger blocks the value-only LP
+    of :func:`game_values`.  Entries are not checked: every table the engine
+    reads is finite (Q0 passes :func:`game_values` at t = 0 and every write
+    is checked).  Agrees with :func:`solve_matrix_game` (property-tested).
     """
     if nu == 1:
         return max(vals)
@@ -268,5 +270,5 @@ def flat_game_value(vals, nu: int, nv: int) -> float:
         return min(vals)
     if nu == 2 and nv == 2:
         return value_2x2(vals[0], vals[1], vals[2], vals[3])
-    return solve_matrix_game(np.asarray(vals, dtype=float).reshape(nu, nv)).value
+    return _simplex(vals, nu, nv)[0]
 

@@ -53,7 +53,7 @@ class PolicyMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Counter-based random streams
+# Counter-based random draws
 # ---------------------------------------------------------------------------
 
 _M64 = (1 << 64) - 1
@@ -96,26 +96,6 @@ def mulhi(h, n: int):
     n = np.uint64(n)
     lo = (h & np.uint64(0xFFFFFFFF)) * n
     return ((h >> np.uint64(32)) * n + (lo >> np.uint64(32))) >> np.uint64(32)
-
-
-@dataclass(frozen=True)
-class RandomStream:
-    """Counter-based generator state.
-
-    Output is a pure function of ``(seed, component, counter)``, so any
-    consumer can replay a draw bit-identically from the same coordinates.
-    Streams are immutable values; drawing returns an advanced copy.
-    """
-
-    seed: int
-    component: int = 0
-    counter: int = 0
-
-    def uniform(self) -> tuple[float, "RandomStream"]:
-        return counter_uniform(self.seed, self.component, self.counter), self.advance()
-
-    def advance(self, n: int = 1) -> "RandomStream":
-        return RandomStream(self.seed, self.component, self.counter + n)
 
 
 # ---------------------------------------------------------------------------
@@ -444,22 +424,6 @@ def validate_model(m: GameModel) -> ValidationReport:
 def expected_stage_cost(m: GameModel, t: Triplet) -> float:
     """Expected one-stage cost at triplet ``t``: sum_j p_ij(u,v) * cost(i,u,v,j)."""
     return float(m.g[m.triplet_index(t)])
-
-
-def sample_transition(
-    m: GameModel, t: Triplet, stream: RandomStream
-) -> tuple[str, float, RandomStream]:
-    """Draw a successor state and realized cost for one transition.
-
-    Returns ``(j, cost, advanced_stream)`` with ``j in S ∪ {"0"}``.  The draw
-    is a pure function of the stream coordinates, so identical streams give
-    identical outputs.
-    """
-    k = m.triplet_index(t)
-    u, nxt = stream.uniform()
-    tab = m.sampling
-    pos = tab.draw(np.array([k]), np.array([u]))[0]
-    return m.state_label(int(tab.succ[pos])), float(tab.cost[pos]), nxt
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ the delay rule, the write history and the delayed block read, and
 through :meth:`QLearnRun.rows`, except the noise decomposition, which takes
 the recorded columns a chunk at a time to batch its delay offsets.  No table
 is ever copied, so an iteration costs what its events cost, whatever |R|.
+The engine's loop holds the one relaxation; each replay repeats it on its own
+table.  The library reads no environment variable: the seed is the config's.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import csv
 import hashlib
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,9 @@ class QLearnConfig:
     cycled over iterations.  String forms ``"uniform-random:k"`` etc. are
     accepted.  ``delay_model``: ``"zero"``, ``("uniform", D)`` or
     ``("fixed", offsets)`` (offsets cycled by iteration, applied to every
-    pair).  The environment variable ``SSPG_SEED`` overrides ``seed``.
+    pair).  ``reference_q``: a finite (|R|,) table whose sup distance the
+    metric rows (every ``metric_interval`` iterations and at the end) and
+    :meth:`QLearnRun.to_csv` report.
     """
 
     seed: int = 0
@@ -207,7 +210,6 @@ class QLearnRun:
     """Everything needed to audit, replay, and couple a recorded run."""
 
     config: QLearnConfig
-    seed_used: int
     q0: np.ndarray
     q_final: np.ndarray
     counts: np.ndarray
@@ -216,7 +218,6 @@ class QLearnRun:
     max_abs_q: float
     metrics: list[MetricsRow]
     events: EventLog | None
-    ring_depth: int  # D + 1, D the largest delay: the most writes the history keeps per component
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -244,12 +245,19 @@ class QLearnRun:
         )
 
     def to_csv(self, path, m: GameModel) -> None:
-        """Per-event trace; reference distances recomputed by replaying events."""
+        """Per-event trace; reference distances recomputed by replaying events.
+
+        The distance is a running maximum of per-component gaps, rescanned only
+        when the component holding it shrinks: exact, as a maximum of floats
+        does not depend on order.
+        """
         rows = self.rows("t", "ell", "j", "cost", "gamma", "new_q", "offsets")
         ref = self.config.reference_q
-        ref = None if ref is None else np.asarray(ref, dtype=float)
-        q = self.q0.copy()
-        running_max = float(np.abs(q).max()) if q.size else 0.0
+        if ref is not None:
+            ref = np.asarray(ref, dtype=float)
+            gaps, ref = np.abs(self.q0 - ref).tolist(), ref.tolist()
+            top = max(gaps, default=0.0)
+        running_max = float(np.abs(self.q0).max()) if self.q0.size else 0.0
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(
@@ -257,9 +265,16 @@ class QLearnRun:
                  "max_delay_used", "sup_dist_to_ref", "max_abs_q"]
             )
             for t, ell, j, cost, gamma, new_q, offs in rows:
-                q[ell] = new_q
                 running_max = max(running_max, abs(new_q))
-                dist = "" if ref is None else repr(float(np.abs(q - ref).max()))
+                dist = ""
+                if ref is not None:
+                    gap, old = abs(new_q - ref[ell]), gaps[ell]
+                    gaps[ell] = gap
+                    if gap >= top:
+                        top = gap
+                    elif old == top:
+                        top = max(gaps)
+                    dist = repr(top)
                 w.writerow([t, ell, j, repr(cost), repr(gamma), max([0, *offs]), dist, repr(running_max)])
 
 
@@ -269,13 +284,12 @@ def pair_delay_offsets(seed: int, nR: int, n_states: int, ell, count, js, block_
     The only delay hash: a pure function of its arguments that
     :class:`ReplayCore` evaluates for the engine's plan and for every replay.
     Four 16-bit offsets come from each 64-bit word of component ``nR + ell``.
-    Array arguments (broadcast together, one entry per (event, successor)
-    pair) give one row per pair, ``max(block_size)`` wide and padded with -1
-    past the pair's block; scalar arguments give the list for one pair, a
-    batch of one.
+    The arguments broadcast together, one entry per (event, successor) pair;
+    the result has one row per pair, ``max(block_size)`` wide and padded with
+    -1 past the pair's block.
     """
-    args = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (ell, count, js, block_size, dmax)))
-    ell, count, js, size, dmax = (x.reshape(-1) for x in args)
+    args = (np.asarray(x, dtype=np.int64) for x in (ell, count, js, block_size, dmax))
+    ell, count, js, size, dmax = (x.reshape(-1) for x in np.broadcast_arrays(*args))
     width = int(size.max(initial=0))
     k = np.arange(width)
     base = (count.astype(np.uint64) * np.uint64(n_states + 1) + js.astype(np.uint64)) * np.uint64(8)
@@ -284,7 +298,7 @@ def pair_delay_offsets(seed: int, nR: int, n_states: int, ell, count, js, block_
     bits = (words[:, k >> 2] >> (16 * (k & 3)).astype(np.uint64)) & np.uint64(0xFFFF)
     offs = (bits.astype(np.int64) * (dmax[:, None] + 1)) >> 16
     offs = np.where(k < size[:, None], np.where(dmax[:, None] > 0, offs, 0), -1)
-    return offs[0, : int(size[0])].tolist() if args[0].ndim == 0 else offs
+    return offs
 
 
 class ReplayCore:
@@ -311,7 +325,6 @@ class ReplayCore:
         self.kernel = kernel
         self.cycle = np.array(cycle, dtype=np.int64)
         self.bound = max(cycle)
-        self.depth = self.bound + 1
         self.seed, self.nR, self.n_states = seed, m.n_triplets, m.n
         self.q = q
         never = -1 - self.bound  # before every iteration a read can reach
@@ -505,35 +518,13 @@ def _event_log(chunks: list, gamma: list[float]) -> EventLog:
     )
 
 
-def qlearning_update(
-    m: GameModel, ell, q_old: float, delayed_view, j, realized_cost: float, gamma: float
-) -> float:
-    """One-component relaxation toward the sampled one-step target.
-
-    ``delayed_view`` is the (possibly stale) Q-table the update reads;
-    only the successor state's block matters.  ``j`` may be a state label or
-    index; the terminal state contributes value zero.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    ji = j if isinstance(j, int) else m.state_index(j)
-    if ji == 0:
-        val = 0.0
-    else:
-        off, nu, nv = m.state_block(ji)
-        q = np.asarray(delayed_view, dtype=float)
-        val = flat_game_value(q[off : off + nu * nv].tolist(), nu, nv)
-    return (1.0 - gamma) * q_old + gamma * (realized_cost + val)
-
-
 def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray, QLearnRun]:
     """Execute a configured run; returns the final Q-table and the record.
 
     Raises :class:`QLearnDivergenceError` if any component leaves the
     floating range (misconfiguration or genuine divergence).
     """
-    nR = m.n_triplets
-    seed = int(os.environ["SSPG_SEED"]) if os.environ.get("SSPG_SEED") else cfg.seed
+    nR, seed = m.n_triplets, cfg.seed
 
     sched = _parse_scheduler(cfg.scheduler)
     if sched[0] == "custom":
@@ -541,6 +532,8 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
         if bad:
             raise ValueError(f"custom scheduler component {bad[0]} outside [0, {nR})")
     ref = None if cfg.reference_q is None else np.asarray(cfg.reference_q, dtype=float)
+    if ref is not None and (ref.shape != (nR,) or not np.isfinite(ref).all()):
+        raise ValueError(f"reference_q needs shape ({nR},) and finite entries")
 
     q0_arr = np.zeros(nR) if q0 is None else np.array(q0, dtype=float)
     if q0_arr.shape != (nR,):
@@ -611,7 +604,6 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
     q_final = np.array(Q)
     run = QLearnRun(
         config=cfg,
-        seed_used=seed,
         q0=q0_arr,
         q_final=q_final,
         counts=counts,
@@ -620,7 +612,6 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
         max_abs_q=max_abs,
         metrics=metrics,
         events=_event_log(chunks, gammas) if record else None,
-        ring_depth=core.depth,
     )
     return q_final, run
 
@@ -640,7 +631,7 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
     if ev is None:
         raise ValueError("run was not recorded with full history")
     Q = run.q0.tolist()
-    core = ReplayCore(m, run.config.delay_model, run.seed_used, Q)
+    core = ReplayCore(m, run.config.delay_model, run.config.seed, Q)
     write, value = core.write, core.value
     tab = m.sampling
     row_len = np.diff(tab.start)

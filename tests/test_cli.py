@@ -1,11 +1,16 @@
+import argparse
 import hashlib
 import json
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
 import sspg
-from sspg.cli import EXIT_NO_CONVERGENCE, EXIT_USAGE, main
+from conftest import make_contraction
+from sspg.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_USAGE, build_parser, main
 
 
 @pytest.fixture
@@ -393,3 +398,151 @@ def test_solve_pi_ill_posed_evaluation(capsys, tmp_path):
     assert doc["values"] == {"1": None} and doc["final_residual"] is None
     assert doc["note"] == ("best response ill-posed: a never-terminating response from state 1 "
                            "is not infinitely bad for the responder")
+
+
+# ---------------------------------------------------------------------------
+# the command-line surface: each subcommand registers the flags it reads
+# ---------------------------------------------------------------------------
+
+_RUN_FLAGS = "model seed out csv iters stepsize scheduler delay delay-schedule config"
+CLI_FLAGS = {
+    "validate": "model out",
+    "matgame": "matrix file out",
+    "solve-vi": "model tol max-iters out csv",
+    "solve-qvi": "model tol max-iters out csv",
+    "solve-pi": "model tol out csv player start max-outer",
+    "evaluate-pair": "model out mu nu",
+    "analyze": "model out strict",
+    "sspa-build": "model out nu",
+    "certificate": "model out nu",
+    "qlearn": f"{_RUN_FLAGS} ref record",
+    "couple": f"{_RUN_FLAGS} nu",
+    "gen": "seed out states max-controls family kappa cost-range",
+}
+
+
+def _registered_flags() -> dict:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s[2:] for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
+
+def test_cli_flag_surface():
+    flags = _registered_flags()
+    assert flags == {name: set(names.split()) for name, names in CLI_FLAGS.items()}
+    assert sum(map(len, flags.values())) == 65
+
+
+def _readme_synopsis() -> list[list[str]]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").strip().splitlines()
+    # optional flags are bracketed: [--flag value]
+    return [shlex.split(re.sub(r"\[(--[^\]]*)\]", r"\1", line)) for line in lines]
+
+
+def test_readme_synopsis_parses_and_lists_every_flag():
+    parser, seen = build_parser(), {name: {"out"} for name in CLI_FLAGS}
+    for argv in _readme_synopsis():
+        assert argv[0] == "sspg"
+        parser.parse_args(argv[1:])  # a usage error raises
+        seen[argv[1]] |= {tok[2:] for tok in argv[2:] if tok.startswith("--")}
+    assert seen == {name: set(names.split()) for name, names in CLI_FLAGS.items()}
+
+
+# one flag per subcommand that it used to accept and ignore
+REMOVED = {
+    "validate": ["--seed", "1"],
+    "matgame": ["--tol", "0.1"],
+    "solve-vi": ["--seed", "2"],
+    "solve-qvi": ["--strict"],
+    "solve-pi": ["--max-iters", "5"],
+    "evaluate-pair": ["--csv", "pair.csv"],
+    "analyze": ["--csv", "a.csv"],
+    "sspa-build": ["--tol", "3"],
+    "certificate": ["--max-iters", "1"],
+    "qlearn": ["--metric-interval", "10"],
+    "couple": ["--record"],
+    "gen": ["--csv", "g.csv"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(REMOVED))
+def test_removed_flag_is_usage_error(capsys, everett_file, tmp_path, cmd):
+    mu, nu = tmp_path / "mu.json", tmp_path / "nu.json"
+    mu.write_text(json.dumps({"player": "I", "rules": {"1": {"1": 0.5, "2": 0.5}}}))
+    nu.write_text(json.dumps({"player": "II", "rules": {"1": {"1": 0.5, "2": 0.5}}}))
+    argv = {"matgame": ["--matrix", "[[1,2]]"], "gen": [],
+            "evaluate-pair": ["--model", everett_file, "--mu", str(mu), "--nu", str(nu)]}.get(
+        cmd, ["--model", everett_file])
+    assert main([cmd, *argv]) == 0  # without the flag the command runs
+    capsys.readouterr()
+    code = main([cmd, *argv, *REMOVED[cmd]])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("usage error: unrecognized arguments: " + REMOVED[cmd][0])
+
+
+def test_qlearn_seed_precedence(capsys, monkeypatch, tmp_path):
+    """SSPG_SEED over the --config seed over --seed, for qlearn and couple alike."""
+    game, cfg = tmp_path / "game.json", tmp_path / "cfg.json"
+    game.write_text(sspg.save_model(make_contraction(seed=5, n_states=4)))
+    cfg.write_text(json.dumps({"seed": 4}))
+
+    def output(cmd, *argv):
+        code, out = run_cli(capsys, cmd, "--model", str(game), "--iters", "300", "--delay", "2", *argv)
+        assert code == 0
+        return out
+
+    for cmd in ("qlearn", "couple"):
+        base = {s: output(cmd, "--seed", str(s)) for s in (3, 4, 5)}
+        assert len(set(base.values())) == 3
+        assert output(cmd, "--seed", "3", "--config", str(cfg)) == base[4]
+        monkeypatch.setenv("SSPG_SEED", "5")
+        assert output(cmd, "--seed", "3", "--config", str(cfg)) == base[5]
+        assert output(cmd, "--seed", "3") == base[5]
+        monkeypatch.delenv("SSPG_SEED")
+
+
+@pytest.mark.parametrize("cmd,doc,key", [
+    ("qlearn", {"metric_interval": 10}, "metric_interval"),
+    ("qlearn", {"seed": 1, "iters": 5}, "iters"),
+    ("couple", {"record_full_history": False}, "record_full_history"),
+])
+def test_config_rejects_keys_it_does_not_read(capsys, everett_file, tmp_path, cmd, doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main([cmd, "--model", everett_file, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith(f"error: --config key {key!r} is not one of seed, max_iters")
+
+
+REF_FAULTS = {
+    "missing-triplet": "--ref has no row for triplet ('1', '2', '2')",
+    "no-q": '--ref row 1 needs a triplet "i", "u", "v" of the game and a number "q"',
+    "unknown-triplet": '--ref row 3 needs a triplet "i", "u", "v" of the game and a number "q"',
+    "repeated-triplet": "--ref row 3 repeats triplet ('1', '1', '1')",
+    "infinite-q": '--ref row 2: "q" must be finite',
+}
+
+
+@pytest.mark.parametrize("case", sorted(REF_FAULTS))
+def test_qlearn_ref_needs_every_triplet_once(capsys, everett, everett_file, tmp_path, case):
+    rows = [{"i": i, "u": u, "v": v, "q": 0.5} for i, u, v in everett.triplets]
+    if case == "missing-triplet":
+        rows.pop()
+    elif case == "no-q":
+        del rows[1]["q"]
+    elif case == "unknown-triplet":
+        rows[3]["v"] = "9"
+    elif case == "repeated-triplet":
+        rows[3] = dict(rows[0])
+    else:
+        rows[2]["q"] = float("inf")
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps(rows))
+    code = main(["qlearn", "--model", everett_file, "--iters", "10", "--ref", str(ref)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID and captured.out == ""
+    assert captured.err == f"error: {REF_FAULTS[case]}\n"

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import sspg
-from sspg.model import RandomStream, SamplingTable, counter_hash, counter_uniform, mulhi
+from sspg.model import SamplingTable, counter_hash, counter_uniform, mulhi
 
 
 def test_everett_document_shape(everett):
@@ -82,33 +82,37 @@ def test_stage_cost_linear_in_costs():
     assert np.allclose(scaled.g, alpha * m.g, atol=1e-12)
 
 
+def _draws(m, row: int, seed: int, n: int):
+    """Successor indices and costs of the first ``n`` transitions of triplet ``row``, as the engine draws them."""
+    u = counter_uniform(seed, row, np.arange(n, dtype=np.uint64))
+    pos = m.sampling.draw(np.full(n, row), u)
+    return m.sampling.succ[pos], m.sampling.cost[pos]
+
+
 def test_sample_transition_deterministic_row():
     m = sspg.GameModel(["1"], {"1": ["a"]}, {"1": ["x"]},
                        {("1", "a", "x"): [("0", 1.0, 2.5)]})
-    stream = RandomStream(seed=7, component=0)
-    for _ in range(20):
-        j, cost, stream = sspg.sample_transition(m, ("1", "a", "x"), stream)
-        assert (j, cost) == ("0", 2.5)
+    j, cost = _draws(m, 0, seed=7, n=20)
+    assert j.tolist() == [0] * 20 and cost.tolist() == [2.5] * 20
 
 
 def test_sample_transition_replayable(everett):
-    s = RandomStream(seed=3, component=2, counter=11)
-    a = sspg.sample_transition(everett, ("1", "2", "1"), s)
-    b = sspg.sample_transition(everett, ("1", "2", "1"), s)
-    assert a == b
+    """A draw is a function of its coordinates alone: batches of one repeat every entry of a batch."""
+    rows = np.array([2, 0, 3, 2, 1, 2])
+    ctrs = np.array([11, 11, 0, 12, 5, 11], dtype=np.uint64)
+    u = counter_uniform(3, rows.astype(np.uint64), ctrs)
+    batch = everett.sampling.draw(rows, u)
+    assert batch.tolist() == [everett.sampling.draw(rows[k : k + 1], u[k : k + 1])[0] for k in range(len(rows))]
+    assert batch[0] == batch[5]
 
 
 def test_sample_transition_equiprobable_frequencies():
     m = sspg.GameModel(["1", "2"], {"1": ["a"], "2": ["a"]}, {"1": ["x"], "2": ["x"]},
                        {("1", "a", "x"): [("0", 0.5, 1.0), ("2", 0.5, 0.0)],
                         ("2", "a", "x"): [("0", 1.0, 0.0)]})
-    stream = RandomStream(seed=1, component=0)
-    hits = 0
     n = 100_000
-    for _ in range(n):
-        j, _, stream = sspg.sample_transition(m, ("1", "a", "x"), stream)
-        hits += j == "0"
-    assert abs(hits / n - 0.5) < 0.01
+    j, _ = _draws(m, 0, seed=1, n=n)
+    assert abs((j == 0).sum() / n - 0.5) < 0.01
 
 
 def test_sample_transition_chi_squared():
@@ -119,16 +123,11 @@ def test_sample_transition_chi_squared():
          ("2", "a", "x"): [("0", 1.0, 0.0)],
          ("3", "a", "x"): [("0", 1.0, 0.0)]},
     )
-    probs = {"0": 0.2, "1": 0.1, "2": 0.3, "3": 0.4}
-    stream = RandomStream(seed=42, component=0)
-    counts = {k: 0 for k in probs}
+    probs = [0.2, 0.1, 0.3, 0.4]  # to states 0..3
     n = 100_000
-    for _ in range(n):
-        j, _, stream = sspg.sample_transition(m, ("1", "a", "x"), stream)
-        counts[j] += 1
-    observed = [counts[k] for k in sorted(probs)]
-    expected = [probs[k] * n for k in sorted(probs)]
-    assert stats.chisquare(observed, expected).pvalue > 1e-3
+    j, _ = _draws(m, 0, seed=42, n=n)
+    observed = np.bincount(j, minlength=4)
+    assert stats.chisquare(observed, [p * n for p in probs]).pvalue > 1e-3
 
 
 def _linear_scan(cum, u):
@@ -163,16 +162,17 @@ def test_draw_equals_linear_scan():
 
 
 def test_sample_transition_equals_linear_scan():
+    """Generated models: the engine's draw, counter-based uniforms through the
+    sampling table, is the linear scan over the kernel row's support."""
     for seed in range(8):
         m = sspg.generate_model(sspg.GeneratorConfig(seed=seed, n_states=6, max_controls=3))
-        for k, t in enumerate(m.triplets):
+        rows = np.repeat(np.arange(m.n_triplets), 20)
+        u = counter_uniform(seed, rows.astype(np.uint64), np.tile(np.arange(20, dtype=np.uint64), m.n_triplets))
+        pos = m.sampling.draw(rows, u)
+        for k, uk, j, cost in zip(rows.tolist(), u.tolist(), m.sampling.succ[pos], m.sampling.cost[pos]):
             idx = np.flatnonzero(m.P[k] > 0.0)
-            cum = np.cumsum(m.P[k, idx]).tolist()
-            for counter in range(20):
-                stream = RandomStream(seed, k, counter)
-                pos = _linear_scan(cum, stream.uniform()[0])
-                j, cost, _ = sspg.sample_transition(m, t, stream)
-                assert (m.state_index(j), cost) == (idx[pos], m.C[k, idx[pos]])
+            want = idx[_linear_scan(np.cumsum(m.P[k, idx]).tolist(), uk)]
+            assert (j, cost) == (want, m.C[k, want])
 
 
 def test_draw_rejects_empty_rows():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import sspg
 from conftest import make_contraction, make_terminal_only
-from sspg.model import RandomStream
+from sspg.matgame import flat_game_value
+from sspg.model import counter_uniform
 from sspg.qlearn import ReplayCore, pair_delay_offsets
 
 
@@ -16,26 +18,6 @@ def recorded_run():
                             delay_model=("uniform", 5), record_full_history=True)
     q, run = sspg.run_qlearning(m, cfg)
     return m, cfg, q, run
-
-
-def test_update_gamma_zero_keeps_old():
-    m = make_terminal_only(seed=31)
-    assert sspg.qlearning_update(m, 0, 3.5, np.zeros(m.n_triplets), "0", 7.0, 0.0) == 3.5
-
-
-def test_update_gamma_one_terminal_is_cost():
-    m = make_terminal_only(seed=31)
-    assert sspg.qlearning_update(m, 0, 3.5, np.zeros(m.n_triplets), 0, 7.25, 1.0) == 7.25
-
-
-def test_update_scalar_arithmetic(self_loop):
-    got = sspg.qlearning_update(self_loop, 0, 2.0, np.array([2.0]), "1", 1.0, 0.5)
-    assert got == pytest.approx(2.5, abs=1e-15)
-
-
-def test_update_rejects_bad_gamma(self_loop):
-    with pytest.raises(ValueError):
-        sspg.qlearning_update(self_loop, 0, 0.0, np.array([0.0]), "1", 0.0, 1.5)
 
 
 def test_zero_iterations_returns_q0():
@@ -98,57 +80,52 @@ def test_stepsize_sums(self_loop):
 
 
 def test_engine_matches_sample_transition(recorded_run):
+    """Recorded successors and costs are the linear scan of the kernel row at the
+    counter-based uniform of (seed, component, update count)."""
     m, cfg, q, run = recorded_run
     ev = run.events
+    u = counter_uniform(cfg.seed, ev.ell.astype(np.uint64), ev.count.astype(np.uint64)).tolist()
     for k in range(0, len(ev), 97):
-        t = m.triplets[int(ev.ell[k])]
-        stream = RandomStream(run.seed_used, int(ev.ell[k]), int(ev.count[k]))
-        j, cost, _ = sspg.sample_transition(m, t, stream)
-        assert m.state_index(j) == int(ev.j[k])
-        assert cost == float(ev.cost[k])
+        ell = int(ev.ell[k])
+        idx = np.flatnonzero(m.P[ell] > 0.0)
+        cum = np.cumsum(m.P[ell, idx]).tolist()
+        pos = next(p for p, c in enumerate(cum) if c >= u[k])
+        assert int(ev.j[k]) == idx[pos]
+        assert float(ev.cost[k]) == m.C[ell, idx[pos]]
 
 
 def test_engine_matches_public_update(recorded_run):
-    """Reconstruct each event's delayed view and re-apply the public update."""
+    """Rebuild each event's delayed view from full past tables and re-apply the relaxation."""
     m, cfg, q, run = recorded_run
     ev = run.events
-    depth = run.ring_depth
+    depth = cfg.delay_model[1] + 1  # tables at the start of iterations t - D .. t
     q_now = run.q0.tolist()
     ring = [q_now[:] for _ in range(depth)]
     t_prev = -1
-    q_main = run.q0.copy()
-    checked = 0
-    for k in range(len(ev)):
+    checked = {True: 0, False: 0}  # by whether the successor is terminal
+    for k in range(min(len(ev), 600)):
         t = int(ev.t[k])
-        if t != t_prev:
-            for tt in range(t_prev + 1, t + 1):
-                ring[tt % depth] = q_now[:]
-            t_prev = t
-        ell, j = int(ev.ell[k]), int(ev.j[k])
+        for tt in range(t_prev + 1, t + 1):
+            ring[tt % depth] = q_now[:]
+        t_prev = max(t_prev, t)
+        ell, j, gamma = int(ev.ell[k]), int(ev.j[k]), float(ev.gamma[k])
+        val = 0.0
         if j != 0:
             off, nu, nv = m.state_block(j)
-            view = q_main.copy()
-            offs = ev.offsets[k]
-            for kk in range(nu * nv):
-                view[off + kk] = ring[(t - int(offs[kk])) % depth][off + kk]
-            got = sspg.qlearning_update(
-                m, ell, q_now[ell], view, j, float(ev.cost[k]), float(ev.gamma[k])
-            )
-            assert got == float(ev.new_q[k])
-            checked += 1
+            offs = ev.offsets[k].tolist()
+            val = flat_game_value([ring[(t - offs[kk]) % depth][off + kk] for kk in range(nu * nv)], nu, nv)
+        assert (1.0 - gamma) * q_now[ell] + gamma * (float(ev.cost[k]) + val) == float(ev.new_q[k])
+        checked[j == 0] += 1
         q_now[ell] = float(ev.new_q[k])
-        q_main[ell] = float(ev.new_q[k])
-        if checked >= 300:
-            break
-    assert checked >= 100
+    assert checked[True] >= 50 and checked[False] >= 100
 
 
 def test_delay_offsets_pure_function():
     a = pair_delay_offsets(7, 16, 4, 3, 11, 2, 4, 5)
     b = pair_delay_offsets(7, 16, 4, 3, 11, 2, 4, 5)
-    assert a == b
-    assert all(0 <= d <= 5 for d in a)
-    assert pair_delay_offsets(7, 16, 4, 3, 11, 2, 4, 0) == [0, 0, 0, 0]
+    assert a.shape == (1, 4) and (a == b).all()
+    assert ((0 <= a) & (a <= 5)).all()
+    assert pair_delay_offsets(7, 16, 4, 3, 11, 2, 4, 0).tolist() == [[0, 0, 0, 0]]
 
 
 def test_replay_core_reads_match_full_tables():
@@ -172,7 +149,6 @@ def test_replay_core_reads_match_full_tables():
                 offs = rng.integers(0, min(bound, t) + 1, nu * nv).tolist()
                 assert core.value(j, t, offs) == [starts[t - d][off + k] for k, d in enumerate(offs)]
                 core.write(c, t, float(rng.random()))
-        assert core.depth == bound + 1
 
 
 def test_fixed_delay_schedule():
@@ -240,18 +216,17 @@ def test_divergence_abort():
         )
 
 
-def test_env_seed_override(monkeypatch):
+def test_library_ignores_env_seed(monkeypatch):
+    # SSPG_SEED is a command-line feature: a library run's seed is its config's
     m = make_contraction(seed=36)
     cfg = sspg.QLearnConfig(seed=1, max_iters=500, scheduler="uniform-random:1",
                             record_full_history=True)
     _, run_base = sspg.run_qlearning(m, cfg)
     monkeypatch.setenv("SSPG_SEED", "77")
     _, run_env = sspg.run_qlearning(m, cfg)
-    assert run_env.seed_used == 77
-    assert run_env.digest() != run_base.digest()
-    monkeypatch.delenv("SSPG_SEED")
-    _, run_again = sspg.run_qlearning(m, cfg)
-    assert run_again.digest() == run_base.digest()
+    assert run_env.digest() == run_base.digest()
+    _, run_77 = sspg.run_qlearning(m, dataclasses.replace(cfg, seed=77))
+    assert run_77.digest() != run_base.digest()
 
 
 def test_schedulers():
@@ -310,9 +285,10 @@ def test_pair_delay_offsets_batch_matches_scalar():
     size, dmax = rng.integers(0, 10, 300), rng.integers(0, 9, 300)
     batch = pair_delay_offsets(11, 40, 29, ell, count, js, size, dmax)
     assert batch.shape == (300, size.max())
-    for k in range(300):
+    for k in range(300):  # a single pair is a batch of one, as wide as its block
         one = pair_delay_offsets(11, 40, 29, int(ell[k]), int(count[k]), int(js[k]), int(size[k]), int(dmax[k]))
-        assert batch[k].tolist() == one + [-1] * (size.max() - size[k])
+        assert one.shape == (1, size[k])
+        assert batch[k].tolist() == one[0].tolist() + [-1] * (size.max() - size[k])
 
 
 def test_config_rejects_offsets_beyond_int16():
@@ -336,6 +312,17 @@ def test_metrics_series():
     assert [row.iteration for row in run.metrics] == [0, 500, 1000, 1500, 2000]
     assert run.metrics[-1].sup_dist_to_ref <= run.metrics[0].sup_dist_to_ref
     assert all(row.max_abs_q <= run.max_abs_q for row in run.metrics)
+
+
+@pytest.mark.parametrize("case", ["one-entry", "two-rows", "all-nan", "one-inf"])
+def test_reference_validated_before_running(case):
+    # a wrong shape used to broadcast silently, and a NaN table ran and reported nan
+    m = make_contraction(seed=38)
+    n = m.n_triplets
+    ref = {"one-entry": [0.0], "two-rows": np.zeros((2, n)), "all-nan": np.full(n, np.nan),
+           "one-inf": np.r_[np.zeros(n - 1), np.inf]}[case]
+    with pytest.raises(ValueError, match=rf"reference_q needs shape \({n},\) and finite entries"):
+        sspg.run_qlearning(m, sspg.QLearnConfig(max_iters=5, reference_q=ref))
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +367,9 @@ def test_noise_monte_carlo_mean(self_loop):
     """At a fixed view, the empirical mean of w vanishes at the CLT rate."""
     view_value = 3.7
     backup = 1.0 + 0.5 * view_value
-    stream = RandomStream(seed=8, component=0)
-    samples = []
-    for _ in range(10_000):
-        j, cost, stream = sspg.sample_transition(self_loop, ("1", "a", "x"), stream)
-        target = cost + (view_value if j == "1" else 0.0)
-        samples.append(target - backup)
-    samples = np.asarray(samples)
+    tab = self_loop.sampling
+    pos = tab.draw(np.zeros(10_000, dtype=np.int64), counter_uniform(8, 0, np.arange(10_000, dtype=np.uint64)))
+    samples = tab.cost[pos] + np.where(tab.succ[pos] == 1, view_value, 0.0) - backup
     assert abs(samples.mean()) <= 3 * samples.std() / 100
 
 
@@ -406,6 +389,23 @@ def test_run_trace_csv(tmp_path, recorded_run):
                       "max_delay_used", "sup_dist_to_ref", "max_abs_q"]
     n_lines = sum(1 for _ in open(path)) - 1
     assert n_lines == len(run.events)
+
+
+@pytest.mark.parametrize("scheduler", ["all", "uniform-random:1"])
+def test_run_trace_csv_distance_is_full_recomputation(tmp_path, scheduler):
+    """The running distance column equals max |Q - ref| recomputed after every event."""
+    m = make_contraction(seed=38, n_states=5, max_controls=2)
+    ref = np.random.default_rng(3).random(m.n_triplets)  # Q0 = 0: every gap shrinks at first
+    cfg = sspg.QLearnConfig(seed=2, max_iters=150, scheduler=scheduler, reference_q=ref,
+                            record_full_history=True)
+    _, run = sspg.run_qlearning(m, cfg)
+    run.to_csv(tmp_path / "run.csv", m)
+    got = [line.split(",")[6] for line in (tmp_path / "run.csv").read_text().splitlines()[1:]]
+    q, want = run.q0.copy(), []
+    for ell, new_q in zip(run.events.ell, run.events.new_q):
+        q[ell] = new_q
+        want.append(repr(float(np.abs(q - ref).max())))
+    assert got == want and len(set(got)) > 20
 
 
 # ---------------------------------------------------------------------------
