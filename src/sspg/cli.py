@@ -202,7 +202,14 @@ def _read_reference(m: GameModel, path: str) -> np.ndarray:
 
 
 def _qlearn_config(args, m: GameModel) -> qlearn.QLearnConfig:
-    a, b, p = (float(x) for x in args.stepsize.split(","))
+    doc = args.config or {}
+    stepsize = doc.get("stepsize", args.stepsize)
+    try:
+        a, b, p = (float(x) for x in (stepsize.split(",") if isinstance(stepsize, str) else stepsize))
+    except (TypeError, ValueError):
+        raise ValueError(f"stepsize needs three comma-separated numbers a,b,p, got {stepsize!r}") from None
+    if "delay" in doc and args.delay_schedule:
+        raise ValueError("--config key 'delay' and --delay-schedule both set the delays; give one")
     if args.delay_schedule:
         with open(args.delay_schedule) as f:
             offsets = tuple(int(line.strip()) for line in f if line.strip())
@@ -220,12 +227,11 @@ def _qlearn_config(args, m: GameModel) -> qlearn.QLearnConfig:
         reference_q=_read_reference(m, args.ref) if getattr(args, "ref", None) else None,
         record_full_history=getattr(args, "record", True),  # couple always records
     )
-    doc = args.config or {}
     kwargs.update((key, doc[key]) for key in ("max_iters", "record_full_history", "scheduler") if key in doc)
-    if "stepsize" in doc:
-        kwargs["stepsize"] = tuple(float(x) for x in doc["stepsize"])
     if "delay" in doc:
         kwargs["delay_model"] = ("uniform", int(doc["delay"])) if doc["delay"] else "zero"
+    if args.csv and not kwargs["record_full_history"]:
+        raise ValueError("--csv needs the event history: pass --record or set record_full_history in --config")
     # the CLI prints only the final metric row, the snapshot at the end
     return qlearn.QLearnConfig(**kwargs, metric_interval=max(1, kwargs["max_iters"]))
 

@@ -16,8 +16,8 @@ Values alone come cheaper.  :func:`game_values` evaluates every state of a
 game at once from its :class:`ShapeGroups`: 1 x k and k x 1 blocks as a
 max / min over a padded index array, 2 x 2 blocks with a vectorized
 :func:`value_2x2`, and only the remaining blocks through the simplex,
-without assembling strategies.  :func:`flat_game_value` is the same
-dispatch for one block at a time.
+without assembling strategies; :meth:`ShapeGroups.laid_out` points it at
+any batch of blocks.  :func:`flat_game_value` is the same dispatch for one.
 """
 
 from __future__ import annotations
@@ -226,9 +226,23 @@ class ShapeGroups:
 
         return cls(len(blocks), indexed(rows), indexed(cols), indexed(pairs), tuple(other))
 
+    def laid_out(self, blocks: np.ndarray, width: int) -> "ShapeGroups":
+        """The groups of a batch of blocks: block ``b`` has the shape of
+        position ``blocks[b]`` and is stored at ``b * width`` of a flat table."""
+        at, groups = np.arange(len(blocks)) * width, []
+        for pos, idx in (self.rows, self.cols, self.pairs):
+            row = np.full(self.n, -1)
+            row[pos] = np.arange(len(pos))
+            b = np.flatnonzero(row[blocks] >= 0)
+            local = idx[row[blocks[b]]]
+            groups.append((b, at[b, None] + local - local[:, :1]))
+        shape = {p: (nu, nv) for p, _, nu, nv in self.other}
+        rest = np.flatnonzero(np.isin(blocks, list(shape))).tolist()
+        return ShapeGroups(len(blocks), *groups, tuple((b, b * width, *shape[blocks[b]]) for b in rest))
+
 
 def game_values(q, groups: ShapeGroups) -> np.ndarray:
-    """Game value of every state's block of a flat u-major table, one pass per shape.
+    """Game value of every block of a flat u-major table, one pass per shape.
 
     The value kernel of the exact layer.  1 x k blocks take the first
     maximum and k x 1 blocks the first minimum, 2 x 2 blocks the vectorized

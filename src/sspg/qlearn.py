@@ -32,15 +32,15 @@ block reads, the game values and the relaxations.  Stepsizes depend only on
 the update count and come from one lazily grown list, which also gives the
 stepsize sums.
 
-The engine and every replay of a recorded run share one replay core, so
-they read the same delayed values by construction: :class:`ReplayCore` holds
-the delay rule, the write history and the delayed block read, and
-:func:`pair_delay_offsets` is the only delay hash.  The replays read events
-through :meth:`QLearnRun.rows`, except the noise decomposition, which takes
-the recorded columns a chunk at a time to batch its delay offsets.  No table
-is ever copied, so an iteration costs what its events cost, whatever |R|.
-The engine's loop holds the one relaxation; each replay repeats it on its own
-table.  The library reads no environment variable: the seed is the config's.
+The engine and the coupled replay read delayed values through the write
+history of one replay core, :class:`ReplayCore`, which holds the one delay
+rule; :func:`pair_delay_offsets` is the only delay hash.  The noise
+decomposition takes its offsets from that core but reads the recorded write
+log a chunk at a time; the other replays read :meth:`QLearnRun.rows`.  No
+table is ever copied, so an iteration costs what its events cost, whatever
+|R|.  The engine's loop holds the one relaxation; each replay repeats it, on
+its own table or on whole columns.  The library reads no environment
+variable: the seed is the config's.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matgame import flat_game_value
+from .matgame import flat_game_value, game_values
 from .model import GameModel, counter_hash, counter_uniform, mulhi
 from .operators import q_bellman
 
@@ -341,18 +341,14 @@ class ReplayCore:
             self.blocks.append((list(range(off, off + nu * nv)), nu, nv))
         self.block_size = np.array([0] + [nu * nv for _, nu, nv in self.blocks[1:]], dtype=np.int64)
 
-    def bounds(self, t: np.ndarray) -> np.ndarray:
-        """The largest delay at each iteration of ``t``: the delay model's bound, capped at t."""
-        return np.minimum(self.cycle[t % len(self.cycle)], t)
-
     def offsets(self, t: np.ndarray, ell: np.ndarray, count: np.ndarray, js: np.ndarray) -> np.ndarray:
         """Delay offsets of a batch of (event, successor) pairs, one row per pair.
 
         Rows are padded with -1 past the successor's block (all of the row
-        at the terminal state).  Hashed offsets are drawn per pair in [0,
-        :meth:`bounds`], otherwise every pair reads exactly the bound.
+        at the terminal state).  Hashed offsets are drawn per pair in [0, bound],
+        otherwise every pair reads the bound: the delay model's, capped at t.
         """
-        dmax = self.bounds(t)
+        dmax = np.minimum(self.cycle[t % len(self.cycle)], t)
         size = self.block_size[js]
         if self.hashed:
             return pair_delay_offsets(self.seed, self.nR, self.n_states, ell, count, js, size, dmax)
@@ -621,58 +617,67 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
 
     Recomputes, for every recorded update, the sampled target and the exact
     one-step backup of the same delayed view (expected stage cost plus
-    probability-weighted successor game values), and returns the
-    difference.  The recorded post-update value is re-derived along the way
-    and must match bit-exactly, which guards the replay machinery itself.
-    The delay offsets of every (event, successor) pair of a chunk of events
-    come from one batched call.
+    probability-weighted successor game values, added in row order), and
+    returns the difference.  The table at the start of iteration s is Q0
+    overwritten by each component's last recorded write before s, so the
+    delayed reads of a chunk of events are one ``searchsorted`` over the
+    writes sorted by (component, iteration), at :meth:`ReplayCore.offsets`;
+    :func:`sspg.matgame.game_values` values the blocks read.
+
+    Each recorded value must equal (1 - gamma) * (the recorded value it
+    replaced) + gamma * target bit for bit, which guards the replay itself.
+    This finds the first mismatch a sequential replay finds, with the same
+    value, by induction: if events 0..k-1 match, event k reads and replaces
+    only values written before it, which equal the sequential replay's.
     """
     ev = run.events
     if ev is None:
         raise ValueError("run was not recorded with full history")
-    Q = run.q0.tolist()
-    core = ReplayCore(m, run.config.delay_model, run.config.seed, Q)
-    write, value = core.write, core.value
-    tab = m.sampling
+    core = ReplayCore(m, run.config.delay_model, run.config.seed, [])
+    nR, tab = m.n_triplets, m.sampling
+    first = np.array([0] + [m.state_block(i)[0] for i in range(1, m.n + 1)])
     row_len = np.diff(tab.start)
-    g = m.g.tolist()
     # events per chunk, so that a chunk has at most 8 * _CHUNK pairs
     span = max(1, 8 * _CHUNK // max(int(row_len.max(initial=1)), 1))
+    # every write, Q0 as writes before iteration 0, keyed by (component, iteration + 1)
+    K = int(ev.t.max(initial=-1)) + 2
+    key = np.concatenate((np.arange(nR), ev.ell)) * K + np.concatenate((np.zeros(nR, np.int64), ev.t + 1))
+    order = np.argsort(key)
+    key, written = key[order], np.concatenate((run.q0, ev.new_q))[order]
+
+    def table(c, s):
+        """Components ``c`` at the start of iterations ``s``: their last writes before ``s``."""
+        return written[np.searchsorted(key, c * K + s, side="right") - 1]
 
     w = np.empty(len(ev))
     for lo in range(0, len(ev), span):
         sl = slice(lo, lo + span)
-        t, ell, cnt = ev.t[sl], ev.ell[sl].astype(np.int64), ev.count[sl]
+        t, ell = ev.t[sl], ev.ell[sl].astype(np.int64)
         # every (event, successor) pair of the chunk, the terminal state left out
         n = row_len[ell]
-        pos = np.repeat(tab.start[ell] - (np.cumsum(n) - n), n) + np.arange(n.sum())
         of = np.repeat(np.arange(len(ell)), n)
-        js = tab.succ[pos]
-        keep = js != 0
-        of, js = of[keep], js[keep]
-        js_l, p_l = js.tolist(), m.P[ell[of], js].tolist()
-        if core.hashed:
-            offs_l = _pylist(core.offsets(t[of], ell[of], cnt[of], js))
-        else:  # one offset for all of an event's reads: share one row per event
-            shared = [(d,) for d in core.bounds(t).tolist()]
-            offs_l = [shared[e] for e in of.tolist()]
-        ends = np.cumsum(np.bincount(of, minlength=len(ell))).tolist()
-        a = 0
-        rows = zip(t.tolist(), ell.tolist(), ev.j[sl].tolist(), ev.cost[sl].tolist(),
-                   ev.gamma[sl].tolist(), ev.new_q[sl].tolist(), ends)
-        for k, (tt, l, j, cost, gamma, recorded, b) in enumerate(rows, lo):
-            backup = g[l]
-            val_j = 0.0
-            for js_, p, offs_ in zip(js_l[a:b], p_l[a:b], offs_l[a:b]):
-                v = value(js_, tt, offs_)
-                if js_ == j:
-                    val_j = v
-                backup += p * v
-            a = b
-            target = cost + val_j
-            new_q = (1.0 - gamma) * Q[l] + gamma * target
-            if new_q != recorded:
-                raise AssertionError(f"replay mismatch at event {k}: {new_q} != {recorded}")
-            w[k] = target - backup
-            write(l, tt, new_q)
+        js = tab.succ[(tab.start[ell] - np.cumsum(n) + n)[of] + np.arange(len(of))]
+        of, js = of[js != 0], js[js != 0]
+        offs = core.offsets(t[of], ell[of], ev.count[sl][of], js)
+        live = offs >= 0
+        vals = np.zeros(offs.shape)
+        vals[live] = table((first[js, None] + np.arange(offs.shape[1]))[live], (t[of, None] - offs)[live])
+        v = game_values(vals.ravel(), m.shape_groups.laid_out(js - 1, offs.shape[1]))
+        # g + p1 v1 + p2 v2 + ..., left to right: a running sum read at each row's last successor
+        n = np.bincount(of, minlength=len(ell))
+        terms = np.zeros((len(ell), int(n.max(initial=0)) + 1))
+        terms[:, 0] = m.g[ell]
+        terms[of, np.arange(len(of)) - (np.cumsum(n) - n)[of] + 1] = m.P[ell[of], js] * v
+        backup = np.cumsum(terms, axis=1)[np.arange(len(ell)), n]
+        val_j = np.zeros(len(ell))
+        hit = js == ev.j[sl][of]
+        val_j[of[hit]] = v[hit]
+        target = ev.cost[sl] + val_j
+        gamma, recorded = ev.gamma[sl], ev.new_q[sl]
+        new_q = (1.0 - gamma) * table(ell, t) + gamma * target
+        bad = np.flatnonzero(new_q != recorded)
+        if bad.size:
+            k = int(bad[0])
+            raise AssertionError(f"replay mismatch at event {lo + k}: {float(new_q[k])} != {float(recorded[k])}")
+        w[sl] = target - backup
     return w

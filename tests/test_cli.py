@@ -546,3 +546,61 @@ def test_qlearn_ref_needs_every_triplet_once(capsys, everett, everett_file, tmp_
     captured = capsys.readouterr()
     assert code == EXIT_INVALID and captured.out == ""
     assert captured.err == f"error: {REF_FAULTS[case]}\n"
+
+
+def _config(tmp_path, doc) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# flags, --config document, the start of the one error line
+FLAG_CONFLICTS = {
+    "csv-without-record": (["--csv", "trace.csv"], None, "--csv needs the event history"),
+    "csv-with-record-off-in-config": (["--csv", "trace.csv", "--record"], {"record_full_history": False},
+                                      "--csv needs the event history"),
+    "delay-key-and-schedule": (["--delay-schedule", "offsets.csv"], {"delay": 0},
+                               "--config key 'delay' and --delay-schedule both set the delays"),
+    "stepsize-two-numbers": (["--stepsize", "1,2"], None,
+                             "stepsize needs three comma-separated numbers a,b,p, got '1,2'"),
+    "stepsize-not-a-number": (["--stepsize", "1,b,0.75"], None,
+                              "stepsize needs three comma-separated numbers a,b,p, got '1,b,0.75'"),
+    "config-stepsize-two-numbers": ([], {"stepsize": [1, 2]},
+                                    "stepsize needs three comma-separated numbers a,b,p, got [1, 2]"),
+}
+
+
+@pytest.mark.parametrize("cmd,case", [
+    ("qlearn", "csv-without-record"),
+    ("qlearn", "csv-with-record-off-in-config"),
+    ("qlearn", "delay-key-and-schedule"),
+    ("couple", "delay-key-and-schedule"),
+    ("qlearn", "stepsize-two-numbers"),
+    ("couple", "stepsize-not-a-number"),
+    ("qlearn", "config-stepsize-two-numbers"),
+])
+def test_qlearn_flag_conflicts_rejected_before_running(capsys, monkeypatch, everett_file, tmp_path, cmd, case):
+    flags, doc, err = FLAG_CONFLICTS[case]
+    (tmp_path / "offsets.csv").write_text("0\n2\n1\n")
+    argv = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+    if doc is not None:
+        argv += ["--config", _config(tmp_path, doc)]
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(sspg.qlearn, "run_qlearning", no_run)
+    code = main([cmd, "--model", everett_file, "--iters", "50", *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith(f"error: {err}") and captured.err.count("\n") == 1
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_qlearn_csv_with_recording_from_config(capsys, everett_file, tmp_path):
+    csv_path = tmp_path / "trace.csv"
+    code, _ = run_cli(capsys, "qlearn", "--model", everett_file, "--iters", "50", "--csv", str(csv_path),
+                      "--config", _config(tmp_path, {"record_full_history": True}))
+    assert code == 0 and len(csv_path.read_text().splitlines()) == 51  # header and one row per event
+    code, _ = run_cli(capsys, "couple", "--model", everett_file, "--iters", "50", "--csv", str(csv_path))
+    assert code == 0

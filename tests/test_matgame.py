@@ -215,6 +215,27 @@ def test_kernel_equals_flat_game_value_bitwise():
     assert seen == {"1xk", "kx1", "2x2", "other"}
 
 
+def test_laid_out_batch_equals_flat_game_value_bitwise():
+    """Any batch of blocks, repeats and padding included, goes through the same dispatch."""
+    rng = np.random.default_rng(23)
+    seen = set()
+    for k in range(40):
+        m = make_contraction(seed=700 + k, n_states=int(rng.integers(1, 8)), max_controls=int(rng.integers(1, 5)))
+        shapes = [m.state_block(i)[1:] for i in range(1, m.n + 1)]
+        blocks = rng.integers(0, m.n, size=int(rng.integers(0, 30)))
+        width = max(nu * nv for nu, nv in shapes) + int(rng.integers(0, 3))
+        flat = rng.integers(-2, 3, size=len(blocks) * width).astype(float)
+        flat[flat == 0.0] *= rng.choice([1.0, -1.0], size=int((flat == 0.0).sum()))
+        want = []
+        for b, p in enumerate(blocks.tolist()):
+            nu, nv = shapes[p]
+            seen.add("1xk" if nu == 1 else "kx1" if nv == 1 else "2x2" if (nu, nv) == (2, 2) else "other")
+            want.append(flat_game_value(flat[b * width : b * width + nu * nv].tolist(), nu, nv))
+        got = game_values(flat, m.shape_groups.laid_out(blocks, width))
+        assert got.tobytes() == np.array(want).tobytes(), k
+    assert seen == {"1xk", "kx1", "2x2", "other"}
+
+
 @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 2)])
 def test_kernel_signed_zero_ties(shape):
     # every table over {-1, -0.0, 0.0, 1}: ties between signed zeros pick the same one

@@ -8,7 +8,7 @@ import sspg
 from conftest import make_contraction, make_terminal_only
 from sspg.matgame import flat_game_value
 from sspg.model import counter_uniform
-from sspg.qlearn import ReplayCore, pair_delay_offsets
+from sspg.qlearn import _CHUNK, ReplayCore, _pylist, pair_delay_offsets
 
 
 @pytest.fixture(scope="module")
@@ -587,3 +587,114 @@ def test_golden_long_runs(pin_game, key):
 def test_golden_long_replays(pin_game, key, tmp_path):
     run = _long_run(pin_game, key)
     assert _replay_shas(pin_game, run, tmp_path) == GOLDEN_LONG_REPLAYS[key]
+
+
+# ---------------------------------------------------------------------------
+# the batched noise decomposition against the sequential replay it replaced
+# ---------------------------------------------------------------------------
+
+
+def _noise_oracle(run, m):
+    """The sequential noise replay that the batched one replaced: a delayed
+    read and a game value per (event, successor) pair, each event's write
+    made on a :class:`ReplayCore` table before the next event."""
+    ev = run.events
+    Q = run.q0.tolist()
+    core = ReplayCore(m, run.config.delay_model, run.config.seed, Q)
+    write, value = core.write, core.value
+    tab = m.sampling
+    row_len = np.diff(tab.start)
+    g = m.g.tolist()
+    span = max(1, 8 * _CHUNK // max(int(row_len.max(initial=1)), 1))
+    w = np.empty(len(ev))
+    for lo in range(0, len(ev), span):
+        sl = slice(lo, lo + span)
+        t, ell, cnt = ev.t[sl], ev.ell[sl].astype(np.int64), ev.count[sl]
+        n = row_len[ell]
+        pos = np.repeat(tab.start[ell] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        of = np.repeat(np.arange(len(ell)), n)
+        js = tab.succ[pos]
+        keep = js != 0
+        of, js = of[keep], js[keep]
+        js_l, p_l = js.tolist(), m.P[ell[of], js].tolist()
+        offs_l = _pylist(core.offsets(t[of], ell[of], cnt[of], js))
+        ends = np.cumsum(np.bincount(of, minlength=len(ell))).tolist()
+        a = 0
+        rows = zip(t.tolist(), ell.tolist(), ev.j[sl].tolist(), ev.cost[sl].tolist(),
+                   ev.gamma[sl].tolist(), ev.new_q[sl].tolist(), ends)
+        for k, (tt, l, j, cost, gamma, recorded, b) in enumerate(rows, lo):
+            backup = g[l]
+            val_j = 0.0
+            for js_, p, offs_ in zip(js_l[a:b], p_l[a:b], offs_l[a:b]):
+                v = value(js_, tt, offs_)
+                if js_ == j:
+                    val_j = v
+                backup += p * v
+            a = b
+            target = cost + val_j
+            new_q = (1.0 - gamma) * Q[l] + gamma * target
+            if new_q != recorded:
+                raise AssertionError(f"replay mismatch at event {k}: {new_q} != {recorded}")
+            w[k] = target - backup
+            write(l, tt, new_q)
+    return w
+
+
+NOISE_GAMES = {
+    "pin": lambda: make_contraction(seed=52, n_states=4, max_controls=3),  # 3x2, 1x2, 2x2, 3x1
+    "square": lambda: make_contraction(seed=65, n_states=5, max_controls=3),  # 1x1, 2x2, 1x2, 3x1, 3x3
+    "terminal": lambda: make_terminal_only(seed=3, n_states=6, max_controls=3),  # no successor but 0
+    "wide": lambda: make_contraction(seed=3, n_states=60, max_controls=2),  # rows of up to 54
+    "zero-cost": lambda: make_contraction(seed=65, n_states=5, max_controls=3, cost_range=(0.0, 0.0)),
+}
+NOISE_SCHEDULERS = ["uniform-random:1", "uniform-random:3", "all", "round-robin:2",
+                    ("custom", [[0, 4], [], [], [], [], [], [], [7, 12, 2], [14], [5, 5, 9]])]
+
+
+@pytest.fixture(scope="module", params=sorted(NOISE_GAMES))
+def noise_game(request):
+    return request.param, NOISE_GAMES[request.param]()
+
+
+@pytest.mark.parametrize("delay", list(PIN_DELAYS.values()), ids=list(PIN_DELAYS))
+@pytest.mark.parametrize("scheduler", NOISE_SCHEDULERS, ids=lambda s: s if isinstance(s, str) else s[0])
+def test_noise_matches_sequential_oracle(noise_game, scheduler, delay):
+    name, m = noise_game
+    rng = np.random.default_rng(len(name))
+    q0 = rng.uniform(-2.0, 2.0, m.n_triplets)
+    q0[::4] = -0.0
+    if name == "zero-cost":  # every value read and every sum is a signed zero
+        q0[:] = -0.0
+    # the wide game's runs span several chunks of about 300 events
+    iters = (12 if scheduler == "all" else 1500) if name == "wide" else 150
+    cfg = sspg.QLearnConfig(seed=3, max_iters=iters, scheduler=scheduler, delay_model=delay,
+                            record_full_history=True)
+    for start in (None, q0):
+        _, run = sspg.run_qlearning(m, cfg, start)
+        got, want = sspg.noise_decomposition(run, m), _noise_oracle(run, m)
+        assert got.tobytes() == want.tobytes()
+    if name == "wide":
+        assert len(run.events) > 3 * 8 * _CHUNK // int(np.diff(m.sampling.start).max())
+
+
+def test_noise_of_empty_run():
+    m = NOISE_GAMES["square"]()
+    _, run = sspg.run_qlearning(m, sspg.QLearnConfig(max_iters=0, record_full_history=True),
+                                np.arange(m.n_triplets, dtype=float))
+    assert sspg.noise_decomposition(run, m).shape == (0,) == _noise_oracle(run, m).shape
+
+
+@pytest.mark.parametrize("column", ["new_q", "cost"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_noise_reports_the_oracles_mismatch(pin_game, column, where):
+    run = _pin_run(pin_game, ("uniform-random:1", "uniform-5", 1))
+    k = {"first": 0, "middle": len(run.events) // 2, "last": len(run.events) - 1}[where]
+    col = getattr(run.events, column).copy()
+    col[k] = np.nextafter(col[k], np.inf) if column == "new_q" else col[k] + 1.0
+    run = dataclasses.replace(run, events=dataclasses.replace(run.events, **{column: col}))
+    messages = []
+    for replay in (sspg.noise_decomposition, _noise_oracle):
+        with pytest.raises(AssertionError, match=f"replay mismatch at event {k}: ") as err:
+            replay(run, pin_game)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
