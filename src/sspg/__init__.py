@@ -15,7 +15,6 @@ from .diagnostics import (
     q_bellman_max_fixed,
     run_coupled_lower_process,
     run_trackers,
-    update_trackers,
 )
 from .generate import FAMILIES, GeneratorConfig, generate_model
 from .matgame import (

@@ -15,6 +15,7 @@ here, overrides ``--seed`` and the ``--config`` seed when set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -229,11 +230,12 @@ def _qlearn_config(args, m: GameModel) -> qlearn.QLearnConfig:
     )
     kwargs.update((key, doc[key]) for key in ("max_iters", "record_full_history", "scheduler") if key in doc)
     if "delay" in doc:
-        kwargs["delay_model"] = ("uniform", int(doc["delay"])) if doc["delay"] else "zero"
+        kwargs["delay_model"] = ("uniform", doc["delay"]) if doc["delay"] else "zero"
     if args.csv and not kwargs["record_full_history"]:
         raise ValueError("--csv needs the event history: pass --record or set record_full_history in --config")
+    cfg = qlearn.QLearnConfig(**kwargs)  # checks the types of the --config values
     # the CLI prints only the final metric row, the snapshot at the end
-    return qlearn.QLearnConfig(**kwargs, metric_interval=max(1, kwargs["max_iters"]))
+    return dataclasses.replace(cfg, metric_interval=max(1, cfg.max_iters))
 
 
 def _cmd_validate(args) -> int:

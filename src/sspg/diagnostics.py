@@ -210,50 +210,49 @@ class TrackerState:
         return cls(np.zeros(m.n_triplets), m.P.copy())
 
 
-def update_trackers(state: TrackerState, event) -> TrackerState:
-    """Apply one recorded update event; untouched components are unchanged.
-
-    ``event`` is ``(ell, gamma, j, cost)`` with ``j`` a state index.
-    """
-    ell, gamma, j, cost = event
-    g = state.g_tilde.copy()
-    qh = state.q_hat.copy()
-    g[ell] = (1.0 - gamma) * g[ell] + gamma * cost
-    qh[ell] *= 1.0 - gamma
-    qh[ell, j] += gamma
-    return TrackerState(g, qh)
-
-
 def run_trackers(m: GameModel, run: QLearnRun, check_support: bool = True) -> TrackerState:
-    """Fold a recorded run through the trackers (batch form of the update).
+    """Replay a recorded run through the trackers, one update level at a time.
 
-    With ``check_support`` every sampled successor is asserted to lie in the
-    support of its kernel row, which together with the initial state makes
-    the absolute-continuity invariant hold at every step.
+    An event reads only its own component's previous update, so level k is
+    every component's k-th update.  With the rows of one ``(|R|, n+2)``
+    matrix (q_hat, then g_tilde) sorted busiest first, a level is a prefix of
+    rows and two numpy steps: scale by 1 - gamma, then add gamma at each
+    sampled successor and gamma * cost to g_tilde.  Each entry sees the
+    event-by-event fold's IEEE operations in its order, so the result is
+    bit-identical: scaling a whole dense row equals scaling its live entries
+    (gamma lies in [0, 1] and +0.0 * (1 - gamma) is +0.0), multiplication
+    commutes, and a successor outside its kernel row is one more column.
+    Cost: O(events * n) numpy work plus about 3 us per level.  The worst
+    case is one component updated far more often than the rest, which gives
+    levels of width one: 25k of them took 66 ms where the fold took 13 ms.
+
+    ``check_support`` asserts every sampled successor inside its kernel
+    row's support, which with the initial state keeps q_hat absolutely
+    continuous at every step; the error names the first offending event.
     """
-    rows = run.rows("ell", "gamma", "j", "cost")
-    g = (run.q0 * 0.0).tolist()
-    # only entries that can be nonzero are scaled (0.0 * (1 - gamma) is 0.0):
-    # the kernel row's support plus any successor a replay adds to it
-    live = m.P > 0.0
-    ends = np.cumsum(live.sum(axis=1)).tolist()
-    flat = m.P[live].tolist()
-    vals = [flat[a:b] for a, b in zip([0, *ends], ends)]
-    succ, start = m.sampling.succ.tolist(), m.sampling.start.tolist()
-    where = [dict(zip(succ[a:b], range(b - a))) for a, b in zip(start, start[1:])]  # column -> position in vals
-    for ell, gamma, j, cost in rows:
-        pos = where[ell].get(j)
-        if pos is None:
-            if check_support:
-                raise AssertionError(f"sampled successor {j} outside kernel support of {m.triplets[ell]}")
-            pos = where[ell][j] = len(vals[ell])
-            vals[ell].append(0.0)
-        g[ell] = (1.0 - gamma) * g[ell] + gamma * cost
-        om = 1.0 - gamma
-        row = vals[ell] = [x * om for x in vals[ell]]
-        row[pos] += gamma
-    qh = m.P.copy()
-    for k, w in enumerate(where):
-        qh[k, np.fromiter(w, np.intp, len(w))] = vals[k]
-    return TrackerState(np.array(g), qh)
-
+    run.rows()  # raises without a history
+    ev = run.events
+    ell, j = ev.ell.astype(np.intp), ev.j.astype(np.intp)
+    bad = np.flatnonzero(~(m.P[ell, j] > 0.0)) if check_support else ()
+    if len(bad):
+        raise AssertionError(f"sampled successor {j[bad[0]]} outside kernel support of {m.triplets[ell[bad[0]]]}")
+    counts = np.bincount(ell, minlength=m.n_triplets)
+    order = np.argsort(-counts, kind="stable")
+    rank = np.argsort(order)
+    # level k: the components updated more than k times, the first rows;
+    # an event's level is its component's update count before it
+    starts = np.cumsum([0, *np.cumsum(np.bincount(counts)[::-1])[::-1][1:]])
+    slot = np.empty(len(ell), np.intp)
+    slot[starts[ev.count] + rank[ell]] = np.arange(len(ell))
+    width = m.P.shape[1] + 1
+    gamma, row = ev.gamma[slot], rank[ell[slot]] * width
+    idx = np.stack((row + j[slot], row + width - 1), axis=1)
+    add = np.stack((gamma, gamma * ev.cost[slot]), axis=1)
+    scale = 1.0 - gamma[:, None]
+    mat = np.hstack((m.P, (run.q0 * 0.0)[:, None]))[order]
+    flat = mat.reshape(-1)
+    starts = starts.tolist()
+    for lo, hi in zip(starts, starts[1:]):
+        mat[: hi - lo] *= scale[lo:hi]
+        flat[idx[lo:hi]] += add[lo:hi]
+    return TrackerState(mat[rank, -1], mat[rank, :-1])

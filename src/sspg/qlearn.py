@@ -36,7 +36,8 @@ The engine and the coupled replay read delayed values through the write
 history of one replay core, :class:`ReplayCore`, which holds the one delay
 rule; :func:`pair_delay_offsets` is the only delay hash.  The noise
 decomposition takes its offsets from that core but reads the recorded write
-log a chunk at a time; the other replays read :meth:`QLearnRun.rows`.  No
+log a chunk at a time; the trackers read the log's columns one update level
+at a time, and the CSV trace reads :meth:`QLearnRun.rows`.  No
 table is ever copied, so an iteration costs what its events cost, whatever
 |R|.  The engine's loop holds the one relaxation; each replay repeats it, on
 its own table or on whole columns.  The library reads no environment
@@ -49,6 +50,7 @@ import csv
 import hashlib
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,23 @@ class QLearnDivergenceError(RuntimeError):
     """A Q-value left the floating range; the run is aborted with context."""
 
 
+def _pair(field: str, spec) -> tuple:
+    """``spec`` as a ``(kind, argument)`` pair, or a ValueError naming the field."""
+    if not isinstance(spec, (tuple, list)) or len(spec) != 2:
+        raise ValueError(f"{field} must be a string or a (kind, argument) pair, got {spec!r}")
+    return tuple(spec)
+
+
+def _integer(field: str, x) -> int:
+    """``x`` as an int: an integer, or a string of one (the ``"kind:k"`` forms)."""
+    try:
+        if isinstance(x, str) or (isinstance(x, numbers.Integral) and not isinstance(x, bool)):
+            return int(x)
+    except ValueError:
+        pass
+    raise ValueError(f"{field} needs an integer, got {x!r}")
+
+
 def _parse_scheduler(spec):
     if spec == "all":
         return ("all", 0)
@@ -70,15 +89,18 @@ def _parse_scheduler(spec):
         if name not in ("uniform-random", "round-robin"):
             raise ValueError(f"unknown scheduler {spec!r}")
         spec = (name, arg or 1)
-    kind = spec[0]
+    kind, arg = _pair("scheduler", spec)
     if kind in ("uniform-random", "round-robin"):
-        k = int(spec[1])
+        k = _integer(f"scheduler {kind!r}", arg)
         if k < 1:
             raise ValueError("scheduler needs k >= 1")
         return (kind, k)
     if kind == "custom":
         # repeats within a group update once, at their first position
-        groups = tuple(tuple(dict.fromkeys(int(c) for c in group)) for group in spec[1])
+        try:
+            groups = tuple(tuple(dict.fromkeys(_integer("custom scheduler", c) for c in group)) for group in arg)
+        except TypeError:
+            raise ValueError(f"custom scheduler needs a list of groups of component indices, got {arg!r}") from None
         if not groups:
             raise ValueError("custom scheduler needs at least one group")
         return ("custom", groups)
@@ -99,14 +121,17 @@ def _parse_delay(spec) -> tuple[bool, tuple[int, ...]]:
         if name != "uniform":
             raise ValueError(f"unknown delay model {spec!r}")
         spec = (name, arg)
-    kind = spec[0]
+    kind, arg = _pair("delay_model", spec)
     if kind == "uniform":
-        d = int(spec[1])
+        d = _integer("delay bound", arg)
         if d < 0:
             raise ValueError("delay bound must be nonnegative")
         return True, (d,)
     if kind == "fixed":
-        sched = tuple(int(x) for x in spec[1])
+        try:
+            sched = tuple(_integer("fixed delay schedule", x) for x in arg)
+        except TypeError:
+            raise ValueError(f"fixed delay schedule needs a list of offsets, got {arg!r}") from None
         if not sched or min(sched) < 0:
             raise ValueError("fixed delay schedule must be nonempty and nonnegative")
         return False, sched
@@ -146,8 +171,19 @@ class QLearnConfig:
     metric_interval: int = 1_000
 
     def __post_init__(self):
-        a, b, p = self.stepsize
-        if a <= 0 or b < 0 or not 0.5 < p <= 1.0:
+        for name in ("seed", "max_iters", "metric_interval"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy seed would overflow the hash
+        if not isinstance(self.record_full_history, (bool, np.bool_)):
+            raise ValueError(f"record_full_history must be true or false, got {self.record_full_history!r}")
+        step = self.stepsize
+        if not (isinstance(step, (tuple, list)) and len(step) == 3
+                and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in step)):
+            raise ValueError(f"stepsize must be three numbers (a, b, p), got {step!r}")
+        a, b, p = step
+        if not (a > 0 and b >= 0 and 0.5 < p <= 1.0):
             raise ValueError("stepsize needs a > 0, b >= 0, p in (0.5, 1]")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")

@@ -567,6 +567,11 @@ FLAG_CONFLICTS = {
                               "stepsize needs three comma-separated numbers a,b,p, got '1,b,0.75'"),
     "config-stepsize-two-numbers": ([], {"stepsize": [1, 2]},
                                     "stepsize needs three comma-separated numbers a,b,p, got [1, 2]"),
+    "config-scheduler-a-number": ([], {"scheduler": 5},
+                                  "scheduler must be a string or a (kind, argument) pair, got 5"),
+    "config-max-iters-a-string": ([], {"max_iters": "10"}, "max_iters must be an integer, got '10'"),
+    "config-delay-a-list": ([], {"delay": [1]}, "delay bound needs an integer, got [1]"),
+    "config-seed-a-string": ([], {"seed": "x"}, "seed must be an integer, got 'x'"),
 }
 
 
@@ -578,6 +583,11 @@ FLAG_CONFLICTS = {
     ("qlearn", "stepsize-two-numbers"),
     ("couple", "stepsize-not-a-number"),
     ("qlearn", "config-stepsize-two-numbers"),
+    ("qlearn", "config-scheduler-a-number"),
+    ("qlearn", "config-max-iters-a-string"),
+    ("couple", "config-max-iters-a-string"),
+    ("qlearn", "config-delay-a-list"),
+    ("couple", "config-seed-a-string"),
 ])
 def test_qlearn_flag_conflicts_rejected_before_running(capsys, monkeypatch, everett_file, tmp_path, cmd, case):
     flags, doc, err = FLAG_CONFLICTS[case]

@@ -227,9 +227,30 @@ def test_upper_coupling_via_negated_swapped_game(recorded_run):
 # ---------------------------------------------------------------------------
 
 
+def _update_trackers(state, event):
+    """The fold oracle: one recorded event ``(ell, gamma, j, cost)`` applied to a
+    copy of ``state``; untouched components are unchanged."""
+    ell, gamma, j, cost = event
+    g = state.g_tilde.copy()
+    qh = state.q_hat.copy()
+    g[ell] = (1.0 - gamma) * g[ell] + gamma * cost
+    qh[ell] *= 1.0 - gamma
+    qh[ell, j] += gamma
+    return sspg.TrackerState(g, qh)
+
+
+def _fold_trackers(m, run):
+    """The trackers of a recorded run as a fold of single-event updates, from
+    g_tilde = Q0 * 0.0 (so -0.0 where Q0 is negative) and q_hat = P."""
+    state = sspg.TrackerState(run.q0 * 0.0, m.P.copy())
+    for event in run.rows("ell", "gamma", "j", "cost"):
+        state = _update_trackers(state, event)
+    return state
+
+
 def test_tracker_first_update_overwrites(self_loop):
     state = sspg.TrackerState.initial(self_loop)
-    new = sspg.update_trackers(state, (0, 1.0, 1, 4.5))
+    new = _update_trackers(state, (0, 1.0, 1, 4.5))
     assert new.g_tilde[0] == 4.5
     assert new.q_hat[0].tolist() == [0.0, 1.0]
     # pure function: the input state is untouched
@@ -242,7 +263,7 @@ def test_tracker_deterministic_transitions_pin_unit_vector():
                        {("1", "a", "x"): [("1", 1.0, 2.0)]})
     state = sspg.TrackerState.initial(m)
     for k in range(10):
-        state = sspg.update_trackers(state, (0, 1.0 / (1 + k) ** 0.75, 1, 2.0))
+        state = _update_trackers(state, (0, 1.0 / (1 + k) ** 0.75, 1, 2.0))
         assert state.q_hat[0].tolist() == [0.0, 1.0]
     assert state.g_tilde[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -256,7 +277,7 @@ def test_tracker_batch_matches_pure_updates():
     state = sspg.TrackerState.initial(m)
     ev = run.events
     for k in range(len(ev)):
-        state = sspg.update_trackers(
+        state = _update_trackers(
             state, (int(ev.ell[k]), float(ev.gamma[k]), int(ev.j[k]), float(ev.cost[k]))
         )
     assert np.allclose(state.g_tilde, batch.g_tilde, atol=0.0)
@@ -301,6 +322,78 @@ def test_tracker_batch_equals_fold_bitwise(outside):
     batch = sspg.run_trackers(m, run, check_support=not outside)
     state = sspg.TrackerState.initial(m)
     for ell, gamma, j, cost in run.rows("ell", "gamma", "j", "cost"):
-        state = sspg.update_trackers(state, (ell, gamma, j, cost))
+        state = _update_trackers(state, (ell, gamma, j, cost))
     assert state.g_tilde.tobytes() == batch.g_tilde.tobytes()
     assert state.q_hat.tobytes() == batch.q_hat.tobytes()
+
+
+def _with_outside_successors(m, run, events):
+    """The run with each listed event's successor moved to the last state outside its kernel row."""
+    j = run.events.j.copy()
+    for k in events:
+        j[k] = int(np.flatnonzero(m.P[run.events.ell[k]] == 0.0)[-1])
+    return dataclasses.replace(run, events=dataclasses.replace(run.events, j=j))
+
+
+def _outside_candidates(m, run):
+    """Events whose kernel row leaves some state out."""
+    return [k for k, ell in enumerate(run.events.ell) if (m.P[ell] == 0.0).any()]
+
+
+# scheduler, delay model, iterations, negative Q0, successors moved outside their kernel rows
+TRACKER_CASES = {
+    "uniform-random-1": ("uniform-random:1", ("uniform", 3), 1500, False, False),
+    "uniform-random-3": ("uniform-random:3", "zero", 600, False, False),
+    "all": ("all", "zero", 150, False, False),
+    "round-robin-2": ("round-robin:2", ("fixed", (0, 2, 1)), 800, False, False),
+    "custom-with-gaps": (("custom", [[0, 3], [], [], [1], [0, 2, 5], []]), "zero", 900, False, False),
+    "skewed": ("skewed", "zero", 3000, False, False),
+    "negative-q0": (("custom", [[1], [2, 3]]), "zero", 400, True, False),
+    "zero-iterations": ("all", "zero", 0, False, False),
+    "outside-support": ("uniform-random:2", "zero", 800, False, True),
+}
+
+
+@pytest.mark.parametrize("case", list(TRACKER_CASES))
+def test_tracker_levels_equal_fold_bitwise(case):
+    """The level pass against the fold oracle, bit for bit, on both trackers."""
+    sched, delay, iters, negative, outside = TRACKER_CASES[case]
+    m = make_contraction(seed=60, n_states=4, max_controls=2)
+    if sched == "skewed":  # one component in 99 of 100 groups: mostly levels of width one
+        sched = ("custom", [[0]] * 99 + [list(range(1, m.n_triplets))])
+    cfg = sspg.QLearnConfig(seed=7, max_iters=iters, scheduler=sched, delay_model=delay,
+                            record_full_history=True)
+    q0 = -np.linspace(0.5, 2.0, m.n_triplets) if negative else None
+    _, run = sspg.run_qlearning(m, cfg, q0=q0)
+    if outside:
+        moved = _outside_candidates(m, run)[::5]
+        assert moved
+        run = _with_outside_successors(m, run, moved)
+    got, want = sspg.run_trackers(m, run, check_support=not outside), _fold_trackers(m, run)
+    assert got.g_tilde.tobytes() == want.g_tilde.tobytes()
+    assert got.q_hat.tobytes() == want.q_hat.tobytes()
+    if case == "skewed":
+        assert run.counts[0] > 50 * run.counts[1:].max()
+    if case == "negative-q0":  # components never updated keep g_tilde = -0.0
+        idle = run.counts == 0
+        assert idle.any() and np.signbit(got.g_tilde[idle]).all() and (got.g_tilde[idle] == 0.0).all()
+    if case == "zero-iterations":
+        assert len(run.events) == 0 and (got.q_hat == m.P).all()
+
+
+def test_tracker_support_error_names_the_earliest_event():
+    m = make_contraction(seed=60, n_states=4, max_controls=2)
+    cfg = sspg.QLearnConfig(seed=5, max_iters=400, scheduler="uniform-random:2",
+                            record_full_history=True)
+    _, run = sspg.run_qlearning(m, cfg)
+    candidates = _outside_candidates(m, run)
+    first = candidates[len(candidates) // 2]
+    ell = int(run.events.ell[first])
+    # later bad events on other triplets, listed first
+    later = [k for k in candidates if k > first and run.events.ell[k] != ell][::-3]
+    assert len(later) >= 3
+    run = _with_outside_successors(m, run, [*later, first])
+    j = int(run.events.j[first])
+    with pytest.raises(AssertionError) as err:
+        sspg.run_trackers(m, run)
+    assert str(err.value) == f"sampled successor {j} outside kernel support of {m.triplets[ell]}"

@@ -265,6 +265,42 @@ def test_config_validation():
             sspg.QLearnConfig(scheduler=sched)
 
 
+@pytest.mark.parametrize("kwargs,err", [
+    (dict(stepsize=(1, 2)), "stepsize must be three numbers (a, b, p), got (1, 2)"),
+    (dict(stepsize=("a", 1, 0.75)), "stepsize must be three numbers (a, b, p), got ('a', 1, 0.75)"),
+    (dict(stepsize=(float("nan"), 1.0, 0.75)), "stepsize needs a > 0, b >= 0, p in (0.5, 1]"),
+    (dict(max_iters=10.0), "max_iters must be an integer, got 10.0"),
+    (dict(max_iters=True), "max_iters must be an integer, got True"),
+    (dict(max_iters="10"), "max_iters must be an integer, got '10'"),
+    (dict(metric_interval=2.5), "metric_interval must be an integer, got 2.5"),
+    (dict(seed=None), "seed must be an integer, got None"),
+    (dict(seed=False), "seed must be an integer, got False"),
+    (dict(record_full_history="yes"), "record_full_history must be true or false, got 'yes'"),
+    (dict(scheduler=5), "scheduler must be a string or a (kind, argument) pair, got 5"),
+    (dict(scheduler=("round-robin",)), "scheduler must be a string or a (kind, argument) pair"),
+    (dict(scheduler=("round-robin", None)), "scheduler 'round-robin' needs an integer, got None"),
+    (dict(scheduler="round-robin:x"), "scheduler 'round-robin' needs an integer, got 'x'"),
+    (dict(scheduler=("custom", [3])), "custom scheduler needs a list of groups of component indices"),
+    (dict(scheduler=("custom", [[0, "a"]])), "custom scheduler needs an integer, got 'a'"),
+    (dict(delay_model=5), "delay_model must be a string or a (kind, argument) pair, got 5"),
+    (dict(delay_model=("uniform", 2.5)), "delay bound needs an integer, got 2.5"),
+    (dict(delay_model=("fixed", 3)), "fixed delay schedule needs a list of offsets, got 3"),
+])
+def test_config_types_named(kwargs, err):
+    """A value of the wrong type is a ValueError naming the field and the expected form."""
+    with pytest.raises(ValueError) as exc:
+        sspg.QLearnConfig(**kwargs)
+    assert str(exc.value).startswith(err)
+
+
+def test_config_accepts_numpy_scalars_and_lists():
+    cfg = sspg.QLearnConfig(seed=np.int64(3), max_iters=np.int32(5), stepsize=[np.float64(1.0), 1, 0.75],
+                            scheduler=["round-robin", 2], delay_model=["fixed", [0, 1]],
+                            record_full_history=np.bool_(True))
+    m = make_contraction(seed=37)
+    assert len(sspg.run_qlearning(m, cfg)[1].events) == 10
+
+
 def test_custom_scheduler_validated_before_running():
     m = make_contraction(seed=37)
     n = m.n_triplets
