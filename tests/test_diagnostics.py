@@ -248,6 +248,19 @@ def _fold_trackers(m, run):
     return state
 
 
+def _with_outside_successors(m, run, events):
+    """The run with each listed event's successor moved to the last state outside its kernel row."""
+    j = run.events.j.copy()
+    for k in events:
+        j[k] = int(np.flatnonzero(m.P[run.events.ell[k]] == 0.0)[-1])
+    return dataclasses.replace(run, events=dataclasses.replace(run.events, j=j))
+
+
+def _outside_candidates(m, run):
+    """Events whose kernel row leaves some state out."""
+    return [k for k, ell in enumerate(run.events.ell) if (m.P[ell] == 0.0).any()]
+
+
 def test_tracker_first_update_overwrites(self_loop):
     state = sspg.TrackerState.initial(self_loop)
     new = _update_trackers(state, (0, 1.0, 1, 4.5))
@@ -311,12 +324,9 @@ def test_tracker_batch_equals_fold_bitwise(outside):
     _, run = sspg.run_qlearning(m, cfg)
     if outside:
         # send a few sampled successors to a state outside their kernel row
-        j = run.events.j.copy()
-        moved = [k for k, ell in enumerate(run.events.ell) if (m.P[ell] == 0.0).any()][::7]
-        for k in moved:
-            j[k] = int(np.flatnonzero(m.P[run.events.ell[k]] == 0.0)[-1])
+        moved = _outside_candidates(m, run)[::7]
         assert moved
-        run = dataclasses.replace(run, events=dataclasses.replace(run.events, j=j))
+        run = _with_outside_successors(m, run, moved)
         with pytest.raises(AssertionError, match="outside kernel support"):
             sspg.run_trackers(m, run)
     batch = sspg.run_trackers(m, run, check_support=not outside)
@@ -325,19 +335,6 @@ def test_tracker_batch_equals_fold_bitwise(outside):
         state = _update_trackers(state, (ell, gamma, j, cost))
     assert state.g_tilde.tobytes() == batch.g_tilde.tobytes()
     assert state.q_hat.tobytes() == batch.q_hat.tobytes()
-
-
-def _with_outside_successors(m, run, events):
-    """The run with each listed event's successor moved to the last state outside its kernel row."""
-    j = run.events.j.copy()
-    for k in events:
-        j[k] = int(np.flatnonzero(m.P[run.events.ell[k]] == 0.0)[-1])
-    return dataclasses.replace(run, events=dataclasses.replace(run.events, j=j))
-
-
-def _outside_candidates(m, run):
-    """Events whose kernel row leaves some state out."""
-    return [k for k, ell in enumerate(run.events.ell) if (m.P[ell] == 0.0).any()]
 
 
 # scheduler, delay model, iterations, negative Q0, successors moved outside their kernel rows
