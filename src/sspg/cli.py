@@ -411,7 +411,10 @@ def _cmd_couple(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    lo, hi = (float(x) for x in args.cost_range.split(","))
+    try:
+        lo, hi = (float(x) for x in args.cost_range.split(","))
+    except ValueError:
+        raise ValueError(f"cost-range needs two comma-separated numbers lo,hi, got {args.cost_range!r}") from None
     cfg = generate.GeneratorConfig(
         n_states=args.states,
         max_controls=args.max_controls,

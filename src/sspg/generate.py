@@ -19,10 +19,14 @@ Three families:
     Like ``contraction`` but exactly one player has a non-singleton control
     set at each state, which makes exhaustive deterministic-policy analysis
     cheap and deterministic equilibria exist.
+
+Games are built straight into the kernel arrays: one cost draw of k values per
+triplet with k live entries, the same random stream as k scalar draws.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,10 @@ import numpy as np
 from .model import GameModel
 
 FAMILIES = ("contraction", "loopy", "sequential")
+
+
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -42,6 +50,18 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_states", "max_controls", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not _real(self.termination_floor):
+            raise ValueError(f"termination_floor must be a real number, got {self.termination_floor!r}")
+        cost = self.cost_range
+        if not (isinstance(cost, (tuple, list)) and len(cost) == 2 and all(map(_real, cost))
+                and np.isfinite(float(cost[1]) - float(cost[0]))):
+            raise ValueError(f"cost_range must be two finite numbers (lo, hi), got {cost!r}")
         if self.n_states < 1:
             raise ValueError("n_states must be at least 1")
         if not 1 <= self.max_controls <= len(_C1):
@@ -89,26 +109,24 @@ def generate_model(cfg: GeneratorConfig) -> GameModel:
             controls1[s] = list(_C1[: int(rng.integers(1, cfg.max_controls + 1))])
             controls2[s] = list(_C2[: int(rng.integers(1, cfg.max_controls + 1))])
 
-    transitions = {}
+    P, C = [], []
+    terminal = np.eye(n + 1)[0]
     for si, s in enumerate(states):
-        for ui, u in enumerate(controls1[s]):
-            for v in controls2[s]:
+        for ui in range(len(controls1[s])):
+            for _ in controls2[s]:
                 p = _random_dist(rng, n + 1)
                 if cfg.family == "loopy":
                     if ui == 0:
                         floor = max(kappa, 0.2)
-                        p = floor * np.eye(n + 1)[0] + (1.0 - floor) * p
+                        p = floor * terminal + (1.0 - floor) * p
                     elif rng.random() < 0.5 and n >= 1:
                         p[0] = 0.0  # pure in-game row
                         if not p.any():
                             p[si + 1] = 1.0
                         p = p / p.sum()
                 else:
-                    p = kappa * np.eye(n + 1)[0] + (1.0 - kappa) * p
-                entries = [
-                    (str(j) if j else "0", float(p[j]), float(rng.uniform(lo, hi)))
-                    for j in range(n + 1)
-                    if p[j] > 0.0
-                ]
-                transitions[(s, u, v)] = entries
-    return GameModel(states, controls1, controls2, transitions)
+                    p = kappa * terminal + (1.0 - kappa) * p
+                P.append(p)
+                C.append(np.zeros(n + 1))
+                C[-1][p > 0.0] = rng.uniform(lo, hi, np.count_nonzero(p))  # one draw per triplet
+    return GameModel._from_arrays(states, controls1, controls2, np.array(P), np.array(C))

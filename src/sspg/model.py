@@ -197,6 +197,10 @@ class SamplingTable:
 class GameModel:
     """Immutable finite SSP game.
 
+    The kernel arrays :attr:`P` and :attr:`C` are the representation, and
+    every other array is derived from them.  The private :meth:`_from_arrays`
+    builds a model from them alone; its :attr:`transitions` come on demand.
+
     Parameters
     ----------
     states:
@@ -219,6 +223,39 @@ class GameModel:
         controls2: Mapping[str, Sequence[str]],
         transitions: Mapping[Triplet, Sequence[NextEntry]],
     ):
+        self._set_labels(states, controls1, controls2)
+        rows: dict[Triplet, tuple[NextEntry, ...]] = {}
+        for key, entries in transitions.items():
+            key = (str(key[0]), str(key[1]), str(key[2]))
+            if key not in self._tidx:
+                raise ModelFormatError(f"transition row for unknown triplet {key}")
+            canon = []
+            for j, p, cost in entries:
+                j = str(j)
+                if j not in self._sidx:
+                    raise ModelFormatError(f"unknown successor {j!r} in row {key}")
+                canon.append((j, float(p), float(cost)))
+            canon.sort(key=lambda e: self._sidx[e[0]])
+            if len({e[0] for e in canon}) != len(canon):
+                raise ModelFormatError(f"duplicate successor entries in row {key}")
+            rows[key] = tuple(canon)
+        rows = {t: rows.get(t, ()) for t in self.triplets}
+        P, C = np.zeros((2, self.n_triplets, self.n + 1))
+        flat = [(k, self._sidx[j], p, c) for k, row in enumerate(rows.values()) for j, p, c in row]
+        if flat:
+            k, j, p, c = zip(*flat)
+            P[k, j], C[k, j] = p, c
+        self._set_kernel(P, C, rows)  # the input rows, zero-probability and NaN entries included
+
+    @classmethod
+    def _from_arrays(cls, states, controls1, controls2, P: np.ndarray, C: np.ndarray) -> "GameModel":
+        """A model from float arrays of shape (|R|, n+1) over the canonical triplets; no rows are built."""
+        m = cls.__new__(cls)
+        m._set_labels(states, controls1, controls2)
+        m._set_kernel(P, C, None)
+        return m
+
+    def _set_labels(self, states, controls1, controls2) -> None:
         states = tuple(str(s) for s in states)
         if TERMINAL in states:
             raise ModelFormatError('termination state "0" must not appear in "states"')
@@ -253,40 +290,23 @@ class GameModel:
         self.control_layout = ControlLayout.from_blocks(blocks)  # for fixed-policy averages
         self._tidx = {t: k for k, t in enumerate(trips)}
 
-        rows: dict[Triplet, tuple[NextEntry, ...]] = {}
-        P = np.zeros((self.n_triplets, self.n + 1))
-        C = np.zeros((self.n_triplets, self.n + 1))
-        for key, entries in transitions.items():
-            key = (str(key[0]), str(key[1]), str(key[2]))
-            if key not in self._tidx:
-                raise ModelFormatError(f"transition row for unknown triplet {key}")
-            canon = []
-            for j, p, cost in entries:
-                j = str(j)
-                if j not in self._sidx:
-                    raise ModelFormatError(f"unknown successor {j!r} in row {key}")
-                canon.append((j, float(p), float(cost)))
-            canon.sort(key=lambda e: self._sidx[e[0]])
-            if len({e[0] for e in canon}) != len(canon):
-                raise ModelFormatError(f"duplicate successor entries in row {key}")
-            rows[key] = tuple(canon)
-            k = self._tidx[key]
-            for j, p, cost in canon:
-                P[k, self._sidx[j]] = p
-                C[k, self._sidx[j]] = cost
-        self.transitions = {t: rows.get(t, ()) for t in trips}
-
-        P.setflags(write=False)
-        C.setflags(write=False)
-        self._P = P
-        self._C = C
-        g = (P * C).sum(axis=1)
-        g.setflags(write=False)
-        self._g = g
-
+    def _set_kernel(self, P: np.ndarray, C: np.ndarray, rows) -> None:
+        self._P, self._C, self._g, self._rows = P, C, (P * C).sum(axis=1), rows
+        for a in (P, C, self._g):
+            a.setflags(write=False)
         self.sampling = SamplingTable.from_kernel(P, C)
 
     # -- accessors ----------------------------------------------------------
+
+    @property
+    def transitions(self) -> Mapping[Triplet, tuple[NextEntry, ...]]:
+        """Rows ``(i, u, v) -> ((j, p, cost), ...)``: as given to the constructor, else read off ``P > 0`` once."""
+        if self._rows is None:
+            s, labels = self.sampling, (TERMINAL,) + self.states
+            entries = list(zip([labels[j] for j in s.succ.tolist()], self._P[self._P > 0.0].tolist(), s.cost.tolist()))
+            at = s.start.tolist()
+            self._rows = {t: tuple(entries[a:b]) for t, a, b in zip(self.triplets, at, at[1:])}
+        return self._rows
 
     @property
     def P(self) -> np.ndarray:

@@ -9,9 +9,9 @@ Every minimax evaluation is a matrix game per state.  Values go through the
 batched kernel :func:`sspg.matgame.game_values` (closed forms for 1 x k,
 k x 1 and 2 x 2 blocks, a value-only LP for the rest), which serves
 :func:`values_from_q` and through it :func:`bellman` and :func:`q_bellman`.
-Strategies, and the maximin variant, come from
-:func:`sspg.matgame.solve_matrix_game`.  Operators with one player's policy
-fixed average the stage matrices over that policy with
+So does :func:`bellman_maximin`, on the transposed blocks.  Strategies
+come from :func:`sspg.matgame.solve_matrix_game`.  Operators with one
+player's policy fixed average the stage matrices over that policy with
 :func:`sspg.model.policy_average` and take pure best responses over the
 opponent's controls, which is exact because a linear function on a simplex
 attains its optimum at a vertex.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matgame import game_values, solve_matrix_game
+from .matgame import ShapeGroups, game_values, solve_matrix_game
 from .model import (
     PLAYER_MAX,
     PLAYER_MIN,
@@ -72,14 +72,13 @@ def bellman(m: GameModel, values) -> np.ndarray:
 def bellman_maximin(m: GameModel, values) -> np.ndarray:
     """Maximin variant of :func:`bellman` (sup over the maximizer first).
 
-    Computed through the same matrix-game kernel via maximin(A) =
-    -minimax(-A'); equals :func:`bellman` for finite games by the minimax
-    theorem.
+    The batched value kernel on each state's transposed (v-major) block, the
+    player-2 control order: maximin(A) = -minimax(-A').  Equals
+    :func:`bellman` for finite games by the minimax theorem.
     """
     q = stage_matrices(m, values)
-    return np.array(
-        [-solve_matrix_game(-m.q_block(q, i).T).value for i in range(1, m.n + 1)]
-    )
+    groups = ShapeGroups.from_blocks([(off, nv, nu) for off, nu, nv in map(m.state_block, range(1, m.n + 1))])
+    return -game_values(-q[m.control_layout.order[1]], groups)
 
 
 def bellman_min_fixed(m: GameModel, policy: StationaryPolicy, values) -> np.ndarray:

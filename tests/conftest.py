@@ -1,7 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 
 import sspg
+
+
+@pytest.fixture(scope="session", autouse=True)
+def dict_rows_equal_array_rows():
+    """Every model the suite builds from rows gives back those rows from its arrays alone.
+
+    Rows with a zero, negative or non-finite entry are skipped: the arrays
+    do not keep them, and only :func:`sspg.validate_model` reads them.
+    """
+    init = sspg.GameModel.__init__
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        derived = sspg.GameModel._from_arrays(self.states, self.controls1, self.controls2, self.P, self.C)
+        for t, row in self.transitions.items():
+            if all(p > 0.0 and math.isfinite(p) and math.isfinite(c) for _, p, c in row):
+                assert derived.transitions[t] == row, t
+
+    sspg.GameModel.__init__ = checked
+    yield
+    sspg.GameModel.__init__ = init
 
 
 @pytest.fixture(scope="session")

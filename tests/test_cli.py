@@ -235,6 +235,30 @@ def test_gen_rejects_more_controls_than_labels(capsys):
     assert max(len(c) for c in m.controls1.values()) == 8
 
 
+# gen flags and the one error line they end in, before anything is drawn
+GEN_FAULTS = {
+    "cost-range-infinite": (["--cost-range", "0,inf"], "cost_range must be two finite numbers (lo, hi), got (0.0, inf)"),
+    "cost-range-one-number": (["--cost-range", "1"], "cost-range needs two comma-separated numbers lo,hi, got '1'"),
+    "cost-range-not-numbers": (["--cost-range", "a,b"], "cost-range needs two comma-separated numbers lo,hi, got 'a,b'"),
+    "cost-range-reversed": (["--cost-range", "2,1"], "cost_range must have lo <= hi"),
+    "seed-negative": (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", GEN_FAULTS)
+def test_gen_faults_are_one_usage_line(capsys, monkeypatch, case):
+    flags, err = GEN_FAULTS[case]
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the game was drawn")
+
+    monkeypatch.setattr(sspg.generate, "generate_model", no_draw)
+    code = main(["gen", *flags])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_gen_seed_env_override(capsys, monkeypatch):
     _, base = run_cli(capsys, "gen", "--seed", "5")
     monkeypatch.setenv("SSPG_SEED", "6")

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -6,6 +7,78 @@ from scipy import stats
 
 import sspg
 from sspg.model import SamplingTable, counter_hash, counter_uniform, mulhi
+
+
+def _generate_oracle(cfg: sspg.GeneratorConfig) -> sspg.GameModel:
+    """The generator entry by entry: one scalar cost draw per entry, rows through the dict constructor."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n_states
+    states = [str(i) for i in range(1, n + 1)]
+    lo, hi = cfg.cost_range
+    kappa = cfg.termination_floor
+
+    def random_dist(n_succ):
+        w = rng.random(n_succ) * (rng.random(n_succ) < 0.75)
+        if not w.any():
+            w[rng.integers(n_succ)] = 1.0
+        return w / w.sum()
+
+    controls1, controls2 = {}, {}
+    for s in states:
+        if cfg.family == "sequential":
+            mover = rng.integers(2)
+            k = int(rng.integers(2, cfg.max_controls + 1)) if cfg.max_controls > 1 else 1
+            controls1[s] = list("abcdefgh"[: k if mover == 0 else 1])
+            controls2[s] = list("xyzwpqrs"[: k if mover == 1 else 1])
+        else:
+            controls1[s] = list("abcdefgh"[: int(rng.integers(1, cfg.max_controls + 1))])
+            controls2[s] = list("xyzwpqrs"[: int(rng.integers(1, cfg.max_controls + 1))])
+
+    transitions = {}
+    for si, s in enumerate(states):
+        for ui, u in enumerate(controls1[s]):
+            for v in controls2[s]:
+                p = random_dist(n + 1)
+                if cfg.family == "loopy":
+                    if ui == 0:
+                        floor = max(kappa, 0.2)
+                        p = floor * np.eye(n + 1)[0] + (1.0 - floor) * p
+                    elif rng.random() < 0.5 and n >= 1:
+                        p[0] = 0.0  # pure in-game row
+                        if not p.any():
+                            p[si + 1] = 1.0
+                        p = p / p.sum()
+                else:
+                    p = kappa * np.eye(n + 1)[0] + (1.0 - kappa) * p
+                transitions[(s, u, v)] = [
+                    (str(j) if j else "0", float(p[j]), float(rng.uniform(lo, hi)))
+                    for j in range(n + 1)
+                    if p[j] > 0.0
+                ]
+    return sspg.GameModel(states, controls1, controls2, transitions)
+
+
+def _assert_same_model(a: sspg.GameModel, b: sspg.GameModel, text: bool = True):
+    for name in ("P", "C", "g"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in ("start", "succ", "cum", "cost"):
+        assert getattr(a.sampling, name).tobytes() == getattr(b.sampling, name).tobytes(), name
+    assert (a.states, a.controls1, a.controls2, a.triplets) == (b.states, b.controls1, b.controls2, b.triplets)
+    assert a.transitions == b.transitions and a == b
+    if text:
+        assert sspg.save_model(a) == sspg.save_model(b)
+
+
+@pytest.mark.parametrize("family", sspg.FAMILIES)
+@pytest.mark.parametrize("n", [1, 4, 9, 60])
+def test_generator_equals_oracle_bitwise(family, n):
+    # a negative lo only where the family allows it: loopy needs positive costs
+    costs = [(0.5, 4.0), (2.5, 2.5)] if family == "loopy" else [(0.0, 1.0), (2.5, 2.5), (-3.0, 5.0)]
+    for controls, kappa, cost_range, seed in itertools.product([1, 2, 3, 8], [0.0, 0.1, 1.0], costs, range(3)):
+        cfg = sspg.GeneratorConfig(n_states=n, max_controls=controls, termination_floor=kappa,
+                                   cost_range=cost_range, family=family, seed=seed)
+        # the document text of an n = 60 game takes most of a second; the rows it prints are compared
+        _assert_same_model(sspg.generate_model(cfg), _generate_oracle(cfg), text=n < 60)
 
 
 def test_everett_document_shape(everett):
@@ -300,3 +373,90 @@ def test_bundled_models_valid():
     for name in ("everett", "zerocost", "pursuit"):
         m = sspg.load_bundled_model(name)
         assert sspg.validate_model(m).ok
+
+
+# row set of a malformed model: the validation report and the kernel arrays it leaves
+MALFORMED_ROWS = {
+    "zero-p": ({("1", "a", "x"): [("0", 1.0, 1.0), ("1", 0.0, 5.0)]},
+               "[cost-on-zero-edge] (1,a,x): cost defined on zero-probability edge to 1",
+               [[1.0, 0.0], [1.0, 0.0]], [[1.0, 5.0], [0.0, 0.0]]),
+    "nan-p": ({("1", "a", "x"): [("0", float("nan"), 1.0), ("1", 0.5, 1.0)]},
+              "[bad-probability] (1,a,x): probability nan to 0\n[bad-mass] (1,a,x): probability mass 0.5",
+              [[float("nan"), 0.5], [1.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]]),
+    "nan-cost": ({("1", "a", "x"): [("1", 0.5, float("nan")), ("0", 0.5, 1.0)]},
+                 "[bad-cost] (1,a,x): non-finite cost nan to 1",
+                 [[0.5, 0.5], [1.0, 0.0]], [[1.0, float("nan")], [0.0, 0.0]]),
+    "negative-p": ({("1", "a", "x"): [("0", 1.5, 1.0), ("1", -0.5, 2.0)]},
+                   "[bad-probability] (1,a,x): probability -0.5 to 1\n[bad-mass] (1,a,x): probability mass 1.5",
+                   [[1.5, -0.5], [1.0, 0.0]], [[1.0, 2.0], [0.0, 0.0]]),
+    "missing": ({}, "[missing-row] (1,a,x): no transition row", [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ROWS)
+def test_malformed_rows_reach_validation_unchanged(case):
+    rows, report, P, C = MALFORMED_ROWS[case]
+    given = {**rows, ("1", "b", "x"): [("0", 1.0, 0.0)]}
+    m = sspg.GameModel(["1"], {"1": ["a", "b"]}, {"1": ["x"]}, given)
+    assert str(sspg.validate_model(m)) == report
+    np.testing.assert_array_equal(m.P, P)
+    np.testing.assert_array_equal(m.C, C)
+    # the rows are kept as given (sorted by successor), zero-probability and NaN entries included
+    want = {t: tuple(sorted(row, key=lambda e: e[0])) for t, row in given.items()}
+    assert repr(m.transitions) == repr({t: want.get(t, ()) for t in m.triplets})
+
+
+def test_duplicate_rows_and_successors_refused():
+    with pytest.raises(sspg.ModelFormatError, match=r"duplicate successor entries in row \('1', 'a', 'x'\)"):
+        sspg.GameModel(["1"], {"1": ["a"]}, {"1": ["x"]}, {("1", "a", "x"): [("0", 0.5, 1.0), (0, 0.5, 1.0)]})
+    row = {"i": "1", "u": "a", "v": "x", "next": [{"j": "0", "p": 1.0, "cost": 0.0}]}
+    doc = {"states": ["1"], "controls1": {"1": ["a"]}, "controls2": {"1": ["x"]}, "transitions": [row, row]}
+    with pytest.raises(sspg.ModelFormatError, match=r"transitions\[1\] \(1,a,x\): duplicate transition row"):
+        sspg.load_model(json.dumps(doc))
+
+
+def test_generated_rows_come_on_demand():
+    m = sspg.generate_model(sspg.GeneratorConfig(n_states=5, max_controls=3, seed=2))
+    assert m._rows is None  # array-built: nothing derived until asked
+    rows = m.transitions
+    assert m.transitions is rows
+    live = m.P > 0
+    assert [len(rows[t]) for t in m.triplets] == live.sum(axis=1).tolist()
+    for k, t in enumerate(m.triplets):
+        want = tuple((m.state_label(j), float(m.P[k, j]), float(m.C[k, j])) for j in np.flatnonzero(live[k]))
+        assert rows[t] == want
+
+
+# a malformed GeneratorConfig field and the start of its error
+BAD_CONFIGS = {
+    "n_states-a-float": (dict(n_states=2.5), "n_states must be an integer, got 2.5"),
+    "n_states-a-bool": (dict(n_states=True), "n_states must be an integer, got True"),
+    "max_controls-a-string": (dict(max_controls="2"), "max_controls must be an integer, got '2'"),
+    "seed-a-float": (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    "seed-negative": (dict(seed=-1), "seed must be a non-negative integer, got -1"),
+    "floor-a-string": (dict(termination_floor="0.1"), "termination_floor must be a real number, got '0.1'"),
+    "floor-a-bool": (dict(termination_floor=True), "termination_floor must be a real number, got True"),
+    "floor-nan": (dict(termination_floor=float("nan")), "termination_floor must lie in [0, 1]"),
+    "cost-one-number": (dict(cost_range=1.0), "cost_range must be two finite numbers (lo, hi), got 1.0"),
+    "cost-three-numbers": (dict(cost_range=(0, 1, 2)), "cost_range must be two finite numbers (lo, hi), got (0, 1, 2)"),
+    "cost-a-string": (dict(cost_range=("0", 1)), "cost_range must be two finite numbers (lo, hi), got ('0', 1)"),
+    "cost-infinite": (dict(cost_range=(0.0, float("inf"))), "cost_range must be two finite numbers (lo, hi), got (0.0, inf)"),
+    "cost-nan": (dict(cost_range=(float("nan"), 1.0)), "cost_range must be two finite numbers (lo, hi), got (nan, 1.0)"),
+    "cost-width-overflows": (dict(cost_range=(-1e308, 1e308)), "cost_range must be two finite numbers"),
+    "cost-reversed": (dict(cost_range=(2.0, 1.0)), "cost_range must have lo <= hi"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_generator_config_fields_named(case):
+    kwargs, err = BAD_CONFIGS[case]
+    with pytest.raises(ValueError) as info:
+        sspg.GeneratorConfig(**kwargs)
+    assert str(info.value).startswith(err)
+
+
+def test_generator_config_accepts_numpy_numbers():
+    cfg = sspg.GeneratorConfig(n_states=np.int64(4), max_controls=np.int32(3), seed=np.uint8(7),
+                               termination_floor=np.float32(0.25), cost_range=[np.float64(-1), 2])
+    plain = sspg.GeneratorConfig(n_states=4, max_controls=3, seed=7, termination_floor=0.25, cost_range=(-1.0, 2.0))
+    _assert_same_model(sspg.generate_model(cfg), sspg.generate_model(plain))

@@ -40,6 +40,18 @@ def test_minimax_equals_maximin():
         assert np.abs(sspg.bellman(m, j) - sspg.bellman_maximin(m, j)).max() < 1e-8
 
 
+def test_maximin_equals_per_state_lp():
+    # the per-state LP form: maximin(A) = -minimax(-A') on each state's block
+    for family in sspg.FAMILIES:
+        for k in range(6):
+            m = sspg.generate_model(sspg.GeneratorConfig(n_states=1 + 3 * k, max_controls=1 + k % 5, family=family,
+                                                         cost_range=(0.5, 2.0), seed=k))
+            j = random_values(m, np.random.default_rng(k))
+            q = m.g + m.P[:, 1:] @ j
+            want = [-sspg.solve_matrix_game(-m.q_block(q, i).T).value for i in range(1, m.n + 1)]
+            assert np.abs(sspg.bellman_maximin(m, j) - want).max() < 1e-12
+
+
 def test_single_control_game_is_affine():
     m = make_contraction(seed=5, max_controls=1)
     rng = np.random.default_rng(0)
