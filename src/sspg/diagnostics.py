@@ -3,12 +3,12 @@ empirical trackers.
 
 The coupled lower process replays a recorded Q-learning run with the
 maximizer pinned to a fixed policy: the same stepsizes, successor samples,
-realized costs, and delay offsets drive a second table whose update takes
-the min over the remaining player's controls of the policy-averaged delayed
-values.  Pathwise, the main iterates dominate the coupled ones, so a bounded
-lower process certifies the run bounded below; the symmetric upper coupling
-is obtained by running the same machinery on the negated, role-swapped
-game.
+realized costs, and delay offsets drive a second table, through the
+engine's own recursion and delayed reader, whose update takes the min over
+the remaining player's controls of the policy-averaged delayed values.
+Pathwise, the main iterates dominate the coupled ones, so a bounded lower
+process certifies the run bounded below; the symmetric upper coupling is
+obtained by running the same machinery on the negated, role-swapped game.
 
 For a *proper* fixed policy the one-policy Q-backup is a weighted sup-norm
 contraction; the certificate (weights and modulus) is built from the
@@ -19,6 +19,7 @@ validated triplet by triplet.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,13 @@ from .model import (
     policy_arrays,
     policy_average,
 )
-from .qlearn import QLearnRun, ReplayCore
+from .qlearn import _CHUNK, QLearnRun, ReplayCore, _relax
 from .solve import _best_response
 from .structure import forall_termination
+
+
+# how far the main iterate may drop below the coupled one before it counts as a violation
+_SLACK = 1e-9
 
 
 class ImproperPolicyError(ValueError):
@@ -133,58 +138,44 @@ class CouplingReport:
                 w.writerow([i, u, v, repr(float(margin))])
 
 
-def run_coupled_lower_process(
-    m: GameModel, nu: StationaryPolicy, run: QLearnRun, q0=None, slack: float = 1e-9
-) -> CouplingReport:
+def run_coupled_lower_process(m: GameModel, nu: StationaryPolicy, run: QLearnRun) -> CouplingReport:
     """Replay a recorded run's lower coupling under a fixed maximizer policy.
 
-    Uses the recorded stepsizes, successors, realized costs, and delay
-    offsets; the only change is the update target, which averages the
-    delayed coupled table with ``nu`` at the successor state and minimizes
-    over the remaining player's controls.  Reports any (event, component)
-    where the main iterate drops below the coupled one by more than
-    ``slack``; the domination is pathwise and exact, so none are expected
-    when both processes start from the same table.
+    Uses the recorded Q0, stepsizes, successors, realized costs, and delay
+    offsets, through the engine's recursion; the only change is the update
+    target, which averages the delayed coupled table with ``nu`` at the
+    successor state and minimizes over the remaining player's controls.
+    Reports any (event, component) where the main iterate drops below the
+    coupled one by more than ``_SLACK``; the domination is pathwise and
+    exact, so none are expected.
     """
-    rows = run.rows("t", "ell", "j", "cost", "gamma", "new_q", "offsets")
+    ev = run.history()
     rules = policy_arrays(m, nu, PLAYER_MAX)
     sigma = [None] + [r.tolist() for r in np.split(rules, m.control_layout.offsets[1][1:])]
 
-    qhat = (run.q0 if q0 is None else np.asarray(q0, dtype=float)).tolist()
-
     def lower_value(j: int, vals: list[float]) -> float:
-        """Min over the minimizer's controls of the nu-averaged block."""
-        _, nu_j, nv_j = core.blocks[j]
-        s = sigma[j]
-        best = None
-        for ui in range(nu_j):
+        """Min over the minimizer's controls (rows) of the nu-averaged block."""
+        s, rows = sigma[j], []
+        for row in range(0, len(vals), len(s)):
             acc = 0.0
-            for vi in range(nv_j):
-                acc += s[vi] * vals[ui * nv_j + vi]
-            if best is None or acc < best:
-                best = acc
-        return best
+            for k, p in enumerate(s):
+                acc += p * vals[row + k]
+            rows.append(acc)
+        return min(rows)
 
-    core = ReplayCore(m, run.config.delay_model, run.config.seed, qhat, kernel=lower_value)
-    value, write = core.value, core.write
-
-    min_margin = (run.q0 - np.array(qhat)).tolist()
-    qhat_events = []
-    violations: list[tuple[int, int]] = []
-
-    for k, (t, ell, j, cost, gamma, new_q, offs) in enumerate(rows):
-        # the recorded offsets, so the coupled table sees the engine's delays
-        val = value(j, t, offs)
-        new_hat = (1.0 - gamma) * qhat[ell] + gamma * (cost + val)
-        write(ell, t, new_hat)
-        qhat_events.append(new_hat)
-        margin = new_q - new_hat
-        if margin < min_margin[ell]:
-            min_margin[ell] = margin
-        if margin < -slack:
-            violations.append((k, ell))
-
-    return CouplingReport(np.array(qhat), np.array(qhat_events, dtype=float), np.array(min_margin), tuple(violations))
+    core = ReplayCore(m, run.config.delay_model, run.config.seed)
+    qhat = run.q0.tolist()
+    # the recorded offsets, so the coupled table sees the engine's delays
+    chunks = (_relax(core, qhat, lower_value, ev.t[sl], ev.ell[sl], ev.j[sl], ev.cost[sl], ev.gamma[sl].tolist(),
+                     ev.offsets[sl]) for sl in (slice(lo, lo + _CHUNK) for lo in range(0, len(ev), _CHUNK)))
+    qhat_events = np.fromiter(itertools.chain.from_iterable(chunks), float, len(ev))
+    margin = ev.new_q - qhat_events
+    # the minimum over time, the first of equal margins: a margin of -0.0
+    # never goes below the initial +0.0, so it counts as +0.0
+    min_margin = run.q0 - run.q0
+    np.minimum.at(min_margin, ev.ell, margin + 0.0)
+    violations = tuple((k, int(ev.ell[k])) for k in np.flatnonzero(margin < -_SLACK).tolist())
+    return CouplingReport(np.array(qhat[: m.n_triplets]), qhat_events, min_margin, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +221,7 @@ def run_trackers(m: GameModel, run: QLearnRun, check_support: bool = True) -> Tr
     row's support, which with the initial state keeps q_hat absolutely
     continuous at every step; the error names the first offending event.
     """
-    run.rows()  # raises without a history
-    ev = run.events
+    ev = run.history()
     ell, j = ev.ell.astype(np.intp), ev.j.astype(np.intp)
     bad = np.flatnonzero(~(m.P[ell, j] > 0.0)) if check_support else ()
     if len(bad):

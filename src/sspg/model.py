@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
@@ -31,8 +32,8 @@ TERMINAL = "0"
 PLAYER_MIN = 1
 PLAYER_MAX = 2
 
-#: tolerance for probability-vector mass checks; vectors whose mass is off by
-#: no more than this are renormalized on load so text round-trips are stable
+#: tolerance for probability-vector mass checks; rows whose mass is off by no
+#: more than this, but by more than rounding, are renormalized on load
 PROB_TOL = 1e-9
 
 
@@ -509,7 +510,9 @@ def load_model(text: str) -> GameModel:
             raise ModelFormatError(f"{loc}: duplicate transition row")
         entries = _parse_entries(row["next"], loc)
         mass = sum(p for _, p, _ in entries)
-        if math.isfinite(mass) and mass > 0 and abs(mass - 1.0) <= PROB_TOL:
+        # a row of k entries within k * 2**-52 of unit mass is kept as it is: a
+        # rescaled row lands there, so loading a saved model changes nothing
+        if math.isfinite(mass) and mass > 0 and len(entries) * sys.float_info.epsilon < abs(mass - 1.0) <= PROB_TOL:
             entries = [(j, p / mass, c) for j, p, c in entries]
         transitions[key] = entries
 

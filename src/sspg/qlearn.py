@@ -32,16 +32,17 @@ block reads, the game values and the relaxations.  Stepsizes depend only on
 the update count and come from one lazily grown list, which also gives the
 stepsize sums.
 
-The engine and the coupled replay read delayed values through the write
-history of one replay core, :class:`ReplayCore`, which holds the one delay
-rule; :func:`pair_delay_offsets` is the only delay hash.  The noise
-decomposition takes its offsets from that core but reads the recorded write
-log a chunk at a time; the trackers read the log's columns one update level
-at a time, and the CSV trace reads :meth:`QLearnRun.rows`.  No
-table is ever copied, so an iteration costs what its events cost, whatever
-|R|.  The engine's loop holds the one relaxation; each replay repeats it, on
-its own table or on whole columns.  The library reads no environment
-variable: the seed is the config's.
+One replay core, :class:`ReplayCore`, holds the one delay rule
+(:func:`pair_delay_offsets` is the only delay hash) and the one reader of
+delayed blocks.  The engine and the coupled replay run one recursion,
+:func:`_relax`, through that reader, each with its own block value.  The
+noise decomposition takes its offsets from the core and reads the recorded
+write log a chunk at a time; it and the reader find delayed writes among
+writes sorted by (component, iteration) (:func:`_write_index`).  The
+trackers read the log's columns one update level at a time, and the CSV
+trace reads :meth:`QLearnRun.rows`.  No table is ever copied, so an
+iteration costs what its events cost, whatever |R|.  The library reads no
+environment variable: the seed is the config's.
 """
 
 from __future__ import annotations
@@ -223,7 +224,6 @@ def _pylist(a: np.ndarray):
     return list(zip(*a.T.tolist())) if a.shape[1] else [()] * len(a)
 
 
-
 @dataclass
 class EventLog:
     """Per-update records, aligned arrays; offsets padded with -1."""
@@ -265,6 +265,12 @@ class QLearnRun:
                 h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
+    def history(self) -> EventLog:
+        """The recorded events; a ValueError if the run kept none."""
+        if self.events is None:
+            raise ValueError("run was not recorded with full history")
+        return self.events
+
     def rows(self, *names: str):
         """The named :class:`EventLog` columns as one tuple of Python scalars per event.
 
@@ -272,12 +278,10 @@ class QLearnRun:
         of the replays and memory bounded; the offsets come as tuples.  Raises
         at once without a history.
         """
-        if self.events is None:
-            raise ValueError("run was not recorded with full history")
-        cols = [getattr(self.events, name) for name in names]
+        ev = self.history()
+        cols = [getattr(ev, name) for name in names]
         return itertools.chain.from_iterable(
-            zip(*(_pylist(c[lo : lo + _CHUNK]) for c in cols))
-            for lo in range(0, len(self.events), _CHUNK)
+            zip(*(_pylist(c[lo : lo + _CHUNK]) for c in cols)) for lo in range(0, len(ev), _CHUNK)
         )
 
     def to_csv(self, path, m: GameModel) -> None:
@@ -337,45 +341,39 @@ def pair_delay_offsets(seed: int, nR: int, n_states: int, ell, count, js, block_
     return offs
 
 
+def _write_index(c: np.ndarray, it: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Writes sorted by (component, iteration), as keys ``c * span + it + 1`` and order.
+
+    ``searchsorted(keys, c * span + s, side="right")`` finds component c's
+    first write at iteration s or later, and just before it c's last write
+    before s, if they exist (iterations below ``span - 1``).
+    """
+    key = c * span + it + 1
+    order = np.argsort(key)
+    return key[order], order
+
+
 class ReplayCore:
-    """Delayed views of one run: the delay rule, the write history and the block read.
+    """Delayed views of one run: the delay rule and the reader of delayed blocks.
 
-    ``q`` is the table being built, a list its owner passes in and changes
-    only through :meth:`write`.  The write history is per component and
-    short: the iteration of its last write (``last``) and the value that
-    write replaced (``prev``), the iteration of the write before
-    (``last2``), and the earlier writes that a delay of at most D can still
-    reach (``older``, (iteration, replaced value) pairs), so at most D + 1
-    writes in all, D the largest delay.  A read at iteration t and offset d
-    wants the table at the start of iteration s = t - d: the current value
-    if the last write came before s (the usual case), the value the last
-    write replaced if the write before came before s, and otherwise the one
-    replaced by the first older write since s.  No table is ever copied.
-
-    :meth:`value` turns a successor's block, as read, into a number with
-    ``kernel(j, vals)``: the stage-game value unless a replay passes its own.
+    At the start of iteration s, component c holds the value that c's first
+    write at iteration s or later replaced, or its live value if no such
+    write has happened yet (a component is written at most once per
+    iteration).  So the core keeps a window, the writes of the last D
+    iterations in write order (D the largest delay), and the recursion keeps
+    the values they replaced (:func:`_relax`).  No table is ever copied.
     """
 
-    def __init__(self, m: GameModel, delay_model, seed: int, q: list, kernel=None):
+    def __init__(self, m: GameModel, delay_model, seed: int):
         self.hashed, cycle = _parse_delay(delay_model)
-        self.kernel = kernel
         self.cycle = np.array(cycle, dtype=np.int64)
         self.bound = max(cycle)
-        self.seed, self.nR, self.n_states = seed, m.n_triplets, m.n
-        self.q = q
-        never = -1 - self.bound  # before every iteration a read can reach
-        self.last = [never] * m.n_triplets
-        self.last2 = [never] * m.n_triplets
-        self.prev = [0.0] * m.n_triplets
-        self.older: dict[int, list] = {}
-        self._history = (q, self.last, self.last2, self.prev, self._replaced)
-        self._memo_t, self._memo = -1, {}
-        # (components, rows, columns) by state; the terminal state 0 has no block
-        self.blocks = [None]
-        for i in range(1, m.n + 1):
-            off, nu, nv = m.state_block(i)
-            self.blocks.append((list(range(off, off + nu * nv)), nu, nv))
-        self.block_size = np.array([0] + [nu * nv for _, nu, nv in self.blocks[1:]], dtype=np.int64)
+        self.seed, self.nR, self.n_states, self.triplets = seed, m.n_triplets, m.n, m.triplets
+        # first component and size of each state's block; the terminal state 0 has none
+        blocks = [(0, 0, 0)] + [m.state_block(i) for i in range(1, m.n + 1)]
+        self.first = np.array([off for off, _, _ in blocks], dtype=np.int64)
+        self.block_size = np.array([nu * nv for _, nu, nv in blocks], dtype=np.int64)
+        self.window = np.empty(0, np.int64), np.empty(0, np.int64)  # (component, iteration) per write
 
     def offsets(self, t: np.ndarray, ell: np.ndarray, count: np.ndarray, js: np.ndarray) -> np.ndarray:
         """Delay offsets of a batch of (event, successor) pairs, one row per pair.
@@ -390,59 +388,61 @@ class ReplayCore:
             return pair_delay_offsets(self.seed, self.nR, self.n_states, ell, count, js, size, dmax)
         return np.where(np.arange(size.max(initial=0)) < size[:, None], dmax[:, None], -1)
 
-    def write(self, c: int, t: int, value: float) -> None:
-        """Set component ``c`` at iteration ``t``: at most once per iteration, iterations in order."""
-        q, last, last2, prev, _ = self._history
-        before = last[c]
-        if before >= t - self.bound:  # still readable after this write: keep it
-            h = self.older.setdefault(c, [])
-            h.append((before, prev[c]))
-            while h[0][0] < t - self.bound:
-                del h[0]
-        last2[c] = before
-        last[c] = t
-        prev[c] = q[c]
-        q[c] = value
+    def reads(self, t: np.ndarray, ell: np.ndarray, j: np.ndarray, offs: np.ndarray) -> tuple[int, list]:
+        """Where the events of a chunk read their successor blocks, with one ``searchsorted``.
 
-    def _replaced(self, c: int, since: int) -> float:
-        """The value of ``c`` at the start of iteration ``since`` when two or more writes came after it."""
-        val = None
-        for it, v in reversed(self.older[c]):
-            if it < since:
-                break
-            val = v
-        return val
-
-    def value(self, j: int, t: int, offs) -> float:
-        """The kernel's value of state ``j``'s block at iteration ``t``, entry
-        k read ``offs[k]`` iterations back (zero at the terminal state).
-
-        The kernel defaults to the game value; a padded row's ``-1`` entries
-        are never reached.  Without hashed offsets every read of iteration t
-        sees the table at the start of the same iteration, which no write of
-        iteration t changes, so each block's value is computed once per
-        iteration.
+        The chunk's writes join the window; those before iteration ``t[0] -
+        D`` leave it.  Returns how many left and, per event, a tuple of table
+        positions, one per block entry of component c read at offset d:
+        |R| + w if window write w, c's first at iteration t - d or later,
+        precedes the event, and c (its live value) otherwise.
         """
-        if j == 0:
-            return 0.0
-        hashed = self.hashed
-        if not hashed:
-            if t != self._memo_t:
-                self._memo_t, self._memo = t, {}
-            elif j in self._memo:
-                return self._memo[j]
-        comps, nu, nv = self.blocks[j]
-        q, last, last2, prev, old = self._history
-        if hashed:
-            vals = [q[c] if last[c] < t - d else prev[c] if last2[c] < t - d else old(c, t - d)
-                    for c, d in zip(comps, offs)]
+        if not len(t):
+            return 0, []
+        wc, wt = self.window
+        drop = int(np.searchsorted(wt, t[0] - self.bound))
+        wc, wt = self.window = np.concatenate((wc[drop:], ell)), np.concatenate((wt[drop:], t))
+        before = len(wc) - len(t)  # window writes made before the chunk
+        span = int(t[-1]) + 2
+        key, order = _write_index(wc, wt, span)
+        e, k = np.nonzero(offs >= 0)
+        c = self.first[j[e]] + k
+        pos = np.searchsorted(key, c * span + t[e] - offs[e, k], side="right")
+        w = order[np.minimum(pos, len(order) - 1)]
+        flat = np.where((pos < len(order)) & (wc[w] == c) & (w < before + e), self.nR + w, c).tolist()
+        ends = np.cumsum(np.bincount(e, minlength=len(t))).tolist()
+        return drop, [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _relax(core: ReplayCore, table: list, kernel, t, ell, j, cost, gamma: list, offs):
+    """The Q recursion over one chunk of events, yielding each new value.
+
+    ``q[ell] <- (1 - gamma) * q[ell] + gamma * (cost + kernel(j, block as
+    read))``, zero in place of the kernel at the terminal state.  ``table``
+    holds the |R| live values, then the values the core's window writes
+    replaced.  Without hashed offsets every read of iteration t sees the
+    table at the start of t, so a block's value is computed once per
+    iteration.  Raises :class:`QLearnDivergenceError` on a non-finite value.
+    """
+    drop, refs = core.reads(t, ell, j, offs)
+    del table[core.nR : core.nR + drop]
+    hashed, memo, isfinite = core.hashed, {}, math.isfinite
+    for t, ell, j, cost, gamma, ref in zip(t.tolist(), ell.tolist(), j.tolist(), cost.tolist(), gamma, refs):
+        if not j:
+            v = 0.0
+        elif hashed:
+            v = kernel(j, [table[x] for x in ref])
         else:
-            s = t - offs[0]  # one offset for the whole block
-            vals = [q[c] if last[c] < s else prev[c] if last2[c] < s else old(c, s) for c in comps]
-        v = flat_game_value(vals, nu, nv) if self.kernel is None else self.kernel(j, vals)
-        if not hashed:
-            self._memo[j] = v
-        return v
+            v = memo.get((t, j))
+            if v is None:
+                v = memo[t, j] = kernel(j, [table[x] for x in ref])
+        old = table[ell]
+        new = (1.0 - gamma) * old + gamma * (cost + v)
+        if not isfinite(new):
+            raise QLearnDivergenceError(f"non-finite Q at iteration {t}, component {core.triplets[ell]}")
+        table.append(old)
+        table[ell] = new
+        yield new
 
 
 class _Stepsizes:
@@ -571,9 +571,13 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
     if q0_arr.shape != (nR,):
         raise ValueError(f"Q0 needs shape ({nR},)")
 
-    Q = q0_arr.tolist()
-    core = ReplayCore(m, cfg.delay_model, seed, Q)
-    write, value = core.write, core.value
+    Q = q0_arr.tolist()  # the live values, then the values the reader's window writes replaced
+    core = ReplayCore(m, cfg.delay_model, seed)
+    shapes = [None] + [m.state_block(i)[1:] for i in range(1, m.n + 1)]
+
+    def game_value(j: int, vals: list) -> float:
+        return flat_game_value(vals, *shapes[j])
+
     steps = _Stepsizes(cfg.stepsize)
     gammas = steps.gamma
     counts = np.zeros(nR, dtype=np.int64)
@@ -584,7 +588,7 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
     metrics: list[MetricsRow] = []
 
     def snap_metrics(t_now: int) -> None:
-        q_arr = np.array(Q)
+        q_arr = np.array(Q[:nR])
         dist = None if ref is None else float(np.abs(q_arr - ref).max())
         resid = float(np.abs(q_arr - q_bellman(m, q_arr)).max())
         metrics.append(MetricsRow(t_now, dist, max_abs, resid))
@@ -594,46 +598,30 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
     per_iter = nR if kind == "all" else max(map(len, arg)) if kind == "custom" else arg
     span = max(1, _CHUNK // max(per_iter, 1))
     interval, end = cfg.metric_interval, cfg.max_iters
-    isfinite = math.isfinite
 
     for t0 in range(0, end, span):
         t1 = min(t0 + span, end)
         plan = _event_plan(m, sched, seed, core, counts, t0, t1)
-        t_arr, cnt = plan[0], plan[2]
+        t_arr, ell, cnt, j, cost, offs = plan
         if len(cnt):
             steps.grow(int(cnt.max()) + 1)
-        events = zip(*map(_pylist, plan))
+        relax = _relax(core, Q, game_value, t_arr, ell, j, cost, [gammas[c] for c in cnt.tolist()], offs)
         # metric snapshots fall between iterations, so they split the chunk's events
         stops = list(range(t0 - t0 % interval + interval, t1 + 1, interval))
         if t1 == end and (not stops or stops[-1] != end):
             stops.append(end)
         new_qs: list[float] = []
-        done = 0
         for stop in [*stops, None]:
             upto = len(t_arr) if stop is None else int(np.searchsorted(t_arr, stop))
-            for t, ell, c, j, cost, offs in itertools.islice(events, upto - done):
-                gamma = gammas[c]
-                new_q = (1.0 - gamma) * Q[ell] + gamma * (cost + value(j, t, offs))
-                if not isfinite(new_q):
-                    raise QLearnDivergenceError(
-                        f"non-finite Q at iteration {t}, component {m.triplets[ell]}"
-                    )
-                write(ell, t, new_q)
-                if new_q > max_abs:
-                    max_abs = new_q
-                elif -new_q > max_abs:
-                    max_abs = -new_q
-                if record:
-                    new_qs.append(new_q)
-            done = upto
+            piece = list(itertools.islice(relax, upto - len(new_qs)))
+            max_abs = max(max_abs, float(np.abs(piece).max(initial=0.0)))
+            new_qs += piece
             if stop is not None:
                 snap_metrics(stop)
         if record:
-            t_arr, ell, cnt, j, cost, offs = plan
-            chunks.append((t_arr, ell.astype(np.int32), cnt, j.astype(np.int32), cost,
-                           offs.astype(np.int16), np.array(new_qs)))
+            chunks.append((*plan[:5], offs.astype(np.int16), np.array(new_qs)))
 
-    q_final = np.array(Q)
+    q_final = np.array(Q[:nR])
     run = QLearnRun(
         config=cfg,
         q0=q0_arr,
@@ -657,7 +645,8 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
     returns the difference.  The table at the start of iteration s is Q0
     overwritten by each component's last recorded write before s, so the
     delayed reads of a chunk of events are one ``searchsorted`` over the
-    writes sorted by (component, iteration), at :meth:`ReplayCore.offsets`;
+    writes sorted by (component, iteration) (:func:`_write_index`), at
+    :meth:`ReplayCore.offsets`;
     :func:`sspg.matgame.game_values` values the blocks read.
 
     Each recorded value must equal (1 - gamma) * (the recorded value it
@@ -666,20 +655,16 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
     value, by induction: if events 0..k-1 match, event k reads and replaces
     only values written before it, which equal the sequential replay's.
     """
-    ev = run.events
-    if ev is None:
-        raise ValueError("run was not recorded with full history")
-    core = ReplayCore(m, run.config.delay_model, run.config.seed, [])
-    nR, tab = m.n_triplets, m.sampling
-    first = np.array([0] + [m.state_block(i)[0] for i in range(1, m.n + 1)])
+    ev = run.history()
+    core = ReplayCore(m, run.config.delay_model, run.config.seed)
+    nR, tab, first = m.n_triplets, m.sampling, core.first
     row_len = np.diff(tab.start)
     # events per chunk, so that a chunk has at most 8 * _CHUNK pairs
     span = max(1, 8 * _CHUNK // max(int(row_len.max(initial=1)), 1))
-    # every write, Q0 as writes before iteration 0, keyed by (component, iteration + 1)
+    # every write, Q0 as writes before iteration 0
     K = int(ev.t.max(initial=-1)) + 2
-    key = np.concatenate((np.arange(nR), ev.ell)) * K + np.concatenate((np.zeros(nR, np.int64), ev.t + 1))
-    order = np.argsort(key)
-    key, written = key[order], np.concatenate((run.q0, ev.new_q))[order]
+    key, order = _write_index(np.concatenate((np.arange(nR), ev.ell)), np.concatenate((np.full(nR, -1), ev.t)), K)
+    written = np.concatenate((run.q0, ev.new_q))[order]
 
     def table(c, s):
         """Components ``c`` at the start of iterations ``s``: their last writes before ``s``."""

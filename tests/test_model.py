@@ -313,6 +313,17 @@ def test_load_canonicalizes_and_renormalizes():
     assert sspg.save_model(sspg.load_model(sspg.save_model(m))) == sspg.save_model(m)
 
 
+@pytest.mark.parametrize("family", ["contraction", "loopy", "sequential"])
+def test_load_of_saved_generated_model_is_exact(family):
+    # generated rows sum to one only up to rounding: loading must keep them as they are
+    for seed in range(20):
+        m = sspg.generate_model(sspg.GeneratorConfig(n_states=6, max_controls=3, family=family,
+                                                     cost_range=(0.5, 2.0), seed=seed))
+        text = sspg.save_model(m)
+        again = sspg.load_model(text)
+        assert again == m and sspg.save_model(again) == text, seed
+
+
 def test_load_missing_row_names_triplet():
     doc = {
         "states": ["1"],

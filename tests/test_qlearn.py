@@ -129,26 +129,47 @@ def test_delay_offsets_pure_function():
 
 
 def test_replay_core_reads_match_full_tables():
-    """The write history answers every delayed read as a ring of full tables would, gaps included."""
+    """The reader answers every delayed read as full tables at the start of each
+    iteration would: gaps between iterations, chunks that split an iteration,
+    delays that reach back past several chunks, the terminal state."""
     m = make_contraction(seed=44, n_states=5, max_controls=3)
+    nR = m.n_triplets
+    blocks = [(0, 0)] + [(off, nu * nv) for off, nu, nv in (m.state_block(i) for i in range(1, m.n + 1))]
+    width = max(size for _, size in blocks)
     rng = np.random.default_rng(8)
-    for bound in (0, 1, 4):
-        q = rng.random(m.n_triplets).tolist()
-        core = ReplayCore(m, ("uniform", bound), 0, q, kernel=lambda j, vals: vals)
-        starts = {}  # iteration -> table at its start
-        t = -1
-        for _ in range(400):
-            step = int(rng.choice([1, 1, 1, 2, bound + 3]))
-            for w in range(t + 1, t + step + 1):
-                starts[w] = list(q)
-            t += step
-            writes = rng.permutation(m.n_triplets)[: rng.integers(0, 6)].tolist()
-            for c in writes:  # reads before and after each write of the iteration
-                j = int(rng.integers(1, m.n + 1))
-                off, nu, nv = m.state_block(j)
-                offs = rng.integers(0, min(bound, t) + 1, nu * nv).tolist()
-                assert core.value(j, t, offs) == [starts[t - d][off + k] for k, d in enumerate(offs)]
-                core.write(c, t, float(rng.random()))
+    for bound in (0, 1, 4, 30):
+        # events: iterations with gaps, each component written at most once per iteration
+        ts, ells, t = [], [], -1
+        for _ in range(300):
+            t += int(rng.choice([1, 1, 1, 2, bound + 3]))
+            writes = rng.permutation(nR)[: rng.integers(0, 6)].tolist()
+            ts += [t] * len(writes)
+            ells += writes
+        t_arr, ell = np.array(ts, dtype=np.int64), np.array(ells, dtype=np.int64)
+        j = rng.integers(0, m.n + 1, len(ts))
+        offs = np.full((len(ts), width), -1, dtype=np.int64)
+        for e, (tt, jj) in enumerate(zip(ts, j)):
+            offs[e, : blocks[jj][1]] = rng.integers(0, min(bound, tt) + 1, blocks[jj][1])
+
+        core = ReplayCore(m, ("uniform", bound), 0)
+        table = rng.random(nR).tolist()  # the live values, then the values the window's writes replaced
+        starts, begun, lo = {}, -1, 0  # iteration -> the full table at its start
+        while lo < len(ts):
+            hi = min(lo + int(rng.integers(1, 40)), len(ts))
+            drop, refs = core.reads(t_arr[lo:hi], ell[lo:hi], j[lo:hi], offs[lo:hi])
+            assert len(refs) == hi - lo and (core.window[1] >= ts[lo] - bound).all()
+            del table[nR : nR + drop]
+            for e in range(lo, hi):
+                for w in range(begun + 1, ts[e] + 1):
+                    starts[w] = table[:nR]
+                begun = ts[e]
+                first, size = blocks[j[e]]
+                want = [starts[ts[e] - d][first + k] for k, d in enumerate(offs[e, :size].tolist())]
+                assert [table[x] for x in refs[e - lo]] == want
+                c = ells[e]
+                table.append(table[c])
+                table[c] = float(rng.random())
+            lo = hi
 
 
 def test_fixed_delay_schedule():
@@ -625,6 +646,39 @@ def test_golden_long_replays(pin_game, key, tmp_path):
     assert _replay_shas(pin_game, run, tmp_path) == GOLDEN_LONG_REPLAYS[key]
 
 
+# Delays that reach back past one chunk of the reader: 3000 iterations against
+# chunks of 2048 at |R| = 9, and chunks of one iteration at |R| = 2303 (> 2048).
+# (engine digest, sha256 of coupling qhat_events + min_margin, sha256 of noise)
+GOLDEN_FAR = {
+    "uniform-3000": (
+        dict(seed=0, n_states=3, max_controls=3),
+        dict(max_iters=12_000, scheduler="uniform-random:1", delay_model=("uniform", 3000)),
+        ("4e25708c819980645d0098b8cc18090f0c2b18041c58882f083b1fe62a6ed05f",
+         "e858943c3a25a276b5c6641d08b039a9132a2487d0571d4f1e369333f7adec20",
+         "75bade6e91d582185b5b32b6f01ff948b9842dbb18a2c213b592ec4ff07b00ac"),
+    ),
+    "all-fixed": (
+        dict(seed=0, n_states=1000, max_controls=2),
+        dict(max_iters=5, scheduler="all", delay_model=("fixed", (0, 2, 1, 3))),
+        ("5d7a531a8fa6a21a7342bfb5fcd15c54137dda7aa9a3042c8eb4589977fe0d37",
+         "00dc5ca9a9cea8158cf31334587a1a81d23f96b65012cfdf938ec2a2debdc77f",
+         "bda2d7c0763d30a7e741e8b8f965e434552a8c21f7f8ad3290115c10b1080264"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_FAR))
+def test_golden_delays_past_a_chunk(name):
+    game, cfg, want = GOLDEN_FAR[name]
+    m = make_contraction(**game)
+    _, run = sspg.run_qlearning(m, sspg.QLearnConfig(seed=4, record_full_history=True, **cfg))
+    per_iter = 1 if cfg["scheduler"] == "uniform-random:1" else m.n_triplets
+    assert int(run.events.offsets.max()) > max(1, _CHUNK // per_iter)  # a read reaches past its chunk
+    rep = sspg.run_coupled_lower_process(m, sspg.uniform_policy(m, sspg.PLAYER_MAX), run)
+    noise = sspg.noise_decomposition(run, m)
+    assert (run.digest(), _sha(rep.qhat_events, rep.min_margin), _sha(noise)) == want
+
+
 # ---------------------------------------------------------------------------
 # the batched noise decomposition against the sequential replay it replaced
 # ---------------------------------------------------------------------------
@@ -632,12 +686,14 @@ def test_golden_long_replays(pin_game, key, tmp_path):
 
 def _noise_oracle(run, m):
     """The sequential noise replay that the batched one replaced: a delayed
-    read and a game value per (event, successor) pair, each event's write
-    made on a :class:`ReplayCore` table before the next event."""
+    read and a game value per (event, successor) pair, read from full tables
+    at the start of the last D + 1 iterations, each event's write made
+    before the next event."""
     ev = run.events
     Q = run.q0.tolist()
-    core = ReplayCore(m, run.config.delay_model, run.config.seed, Q)
-    write, value = core.write, core.value
+    core = ReplayCore(m, run.config.delay_model, run.config.seed)  # the delay rule only
+    depth = core.bound + 1
+    ring, begun = [None] * depth, -1  # ring[s % depth]: the table at the start of iteration s
     tab = m.sampling
     row_len = np.diff(tab.start)
     g = m.g.tolist()
@@ -659,10 +715,15 @@ def _noise_oracle(run, m):
         rows = zip(t.tolist(), ell.tolist(), ev.j[sl].tolist(), ev.cost[sl].tolist(),
                    ev.gamma[sl].tolist(), ev.new_q[sl].tolist(), ends)
         for k, (tt, l, j, cost, gamma, recorded, b) in enumerate(rows, lo):
+            for s in range(max(begun + 1, tt + 1 - depth), tt + 1):
+                ring[s % depth] = Q[:]
+            begun = tt
             backup = g[l]
             val_j = 0.0
             for js_, p, offs_ in zip(js_l[a:b], p_l[a:b], offs_l[a:b]):
-                v = value(js_, tt, offs_)
+                off, nu, nv = m.state_block(js_)
+                block = [ring[(tt - d) % depth][off + i] for i, d in enumerate(offs_[: nu * nv])]
+                v = flat_game_value(block, nu, nv)
                 if js_ == j:
                     val_j = v
                 backup += p * v
@@ -672,7 +733,7 @@ def _noise_oracle(run, m):
             if new_q != recorded:
                 raise AssertionError(f"replay mismatch at event {k}: {new_q} != {recorded}")
             w[k] = target - backup
-            write(l, tt, new_q)
+            Q[l] = new_q
     return w
 
 
