@@ -19,7 +19,6 @@ validated triplet by triplet.
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,11 +163,16 @@ def run_coupled_lower_process(m: GameModel, nu: StationaryPolicy, run: QLearnRun
         return min(rows)
 
     core = ReplayCore(m, run.config.delay_model, run.config.seed)
-    qhat = run.q0.tolist()
-    # the recorded offsets, so the coupled table sees the engine's delays
-    chunks = (_relax(core, qhat, lower_value, ev.t[sl], ev.ell[sl], ev.j[sl], ev.cost[sl], ev.gamma[sl].tolist(),
-                     ev.offsets[sl]) for sl in (slice(lo, lo + _CHUNK) for lo in range(0, len(ev), _CHUNK)))
-    qhat_events = np.fromiter(itertools.chain.from_iterable(chunks), float, len(ev))
+    qhat, qhat_events, lo = run.q0.tolist(), [], 0
+    while lo < len(ev):
+        # a chunk covers the delay window, so the reader sorts about as many writes as the chunk adds
+        hi = min(max(lo + _CHUNK, int(np.searchsorted(ev.t, ev.t[lo] + core.bound))), lo + 4 * _CHUNK)
+        sl = slice(lo, hi)
+        # the recorded offsets, so the coupled table sees the engine's delays
+        qhat_events += _relax(core, qhat, lower_value, ev.t[sl], ev.ell[sl], ev.j[sl], ev.cost[sl],
+                              ev.gamma[sl].tolist(), ev.offsets[sl])
+        lo = hi
+    qhat_events = np.array(qhat_events, dtype=float)
     margin = ev.new_q - qhat_events
     # the minimum over time, the first of equal margins: a margin of -0.0
     # never goes below the initial +0.0, so it counts as +0.0

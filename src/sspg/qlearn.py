@@ -29,8 +29,8 @@ picks, each event's update count, successor uniform and draw
 (:meth:`sspg.model.SamplingTable.draw`), realized cost, delay bound and
 delay offsets.  Only the *Q recursion* runs event by event: the delayed
 block reads, the game values and the relaxations.  Stepsizes depend only on
-the update count and come from one lazily grown list, which also gives the
-stepsize sums.
+the update count and come from one lazily grown list of Python floats; one
+``cumsum`` of it at the end of the run gives the stepsize sums.
 
 One replay core, :class:`ReplayCore`, holds the one delay rule
 (:func:`pair_delay_offsets` is the only delay hash) and the one reader of
@@ -118,10 +118,7 @@ def _parse_delay(spec) -> tuple[bool, tuple[int, ...]]:
     if spec == "zero":
         return False, (0,)
     if isinstance(spec, str):
-        name, _, arg = spec.partition(":")
-        if name != "uniform":
-            raise ValueError(f"unknown delay model {spec!r}")
-        spec = (name, arg)
+        raise ValueError(f"unknown delay model {spec!r}")
     kind, arg = _pair("delay_model", spec)
     if kind == "uniform":
         d = _integer("delay bound", arg)
@@ -217,7 +214,7 @@ def _pylist(a: np.ndarray):
 
     The rows are built column by column: the garbage collector stops
     tracking a tuple of ints, never a list, and lists made per event would
-    otherwise make up most of a replay's collection work.
+    otherwise make up most of the CSV trace's collection work.
     """
     if a.ndim == 1:
         return a.tolist()
@@ -414,8 +411,8 @@ class ReplayCore:
         return drop, [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
-def _relax(core: ReplayCore, table: list, kernel, t, ell, j, cost, gamma: list, offs):
-    """The Q recursion over one chunk of events, yielding each new value.
+def _relax(core: ReplayCore, table: list, kernel, t, ell, j, cost, gamma: list, offs) -> list[float]:
+    """The Q recursion over one chunk of events; returns each event's new value.
 
     ``q[ell] <- (1 - gamma) * q[ell] + gamma * (cost + kernel(j, block as
     read))``, zero in place of the kernel at the terminal state.  ``table``
@@ -426,7 +423,7 @@ def _relax(core: ReplayCore, table: list, kernel, t, ell, j, cost, gamma: list, 
     """
     drop, refs = core.reads(t, ell, j, offs)
     del table[core.nR : core.nR + drop]
-    hashed, memo, isfinite = core.hashed, {}, math.isfinite
+    hashed, memo, isfinite, new_qs = core.hashed, {}, math.isfinite, []
     for t, ell, j, cost, gamma, ref in zip(t.tolist(), ell.tolist(), j.tolist(), cost.tolist(), gamma, refs):
         if not j:
             v = 0.0
@@ -442,33 +439,18 @@ def _relax(core: ReplayCore, table: list, kernel, t, ell, j, cost, gamma: list, 
             raise QLearnDivergenceError(f"non-finite Q at iteration {t}, component {core.triplets[ell]}")
         table.append(old)
         table[ell] = new
-        yield new
+        new_qs.append(new)
+    return new_qs
 
 
-class _Stepsizes:
-    """Stepsize ``a / (b + k)**p``, clamped into [0, 1], of a component's k-th
-    update, and the sums of the first k stepsizes and of their squares.
+def _stepsize(stepsize, k: int) -> float:
+    """Stepsize ``a / (b + k)**p``, clamped into [0, 1], of a component's k-th update.
 
-    Python floats, in the order a per-event loop would add them: they depend
-    only on the update count, so one list serves every component.
+    Python's ``**``: numpy's ``power`` differs from it in the last bit for
+    some counts.
     """
-
-    def __init__(self, stepsize):
-        self.a, self.b, self.p = stepsize
-        self.gamma: list[float] = []
-        self.sums, self.squares = [0.0], [0.0]
-
-    def grow(self, k: int) -> None:
-        """Make the stepsizes of updates 0..k-1 available."""
-        a, b, p = self.a, self.b, self.p
-        gamma, sums, squares = self.gamma, self.sums, self.squares
-        for c in range(len(gamma), k):
-            g = a / (b + c) ** p if (b + c) > 0 else math.inf
-            if g > 1.0:
-                g = 1.0
-            gamma.append(g)
-            sums.append(sums[-1] + g)
-            squares.append(squares[-1] + g * g)
+    a, b, p = stepsize
+    return min(a / (b + k) ** p if b + k > 0 else math.inf, 1.0)
 
 
 def _picks(sched, nR: int, seed: int, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -526,7 +508,7 @@ def _event_plan(m: GameModel, sched, seed: int, core: ReplayCore, counts: np.nda
     return t, ell, cnt, j, tab.cost[pos], core.offsets(t, ell, cnt, j)
 
 
-def _event_log(chunks: list, gamma: list[float]) -> EventLog:
+def _event_log(chunks: list, gamma: np.ndarray) -> EventLog:
     """One :class:`EventLog` from the recorded chunks; offsets padded with -1 to the widest."""
     def column(k, dtype):
         return np.concatenate([c[k] for c in chunks]).astype(dtype, copy=False) if chunks else np.empty(0, dtype)
@@ -544,7 +526,7 @@ def _event_log(chunks: list, gamma: list[float]) -> EventLog:
         count=count,
         j=column(3, np.int32),
         cost=column(4, float),
-        gamma=np.array(gamma, dtype=float)[count],
+        gamma=gamma[count],
         new_q=column(6, float),
         offsets=offsets,
     )
@@ -578,8 +560,7 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
     def game_value(j: int, vals: list) -> float:
         return flat_game_value(vals, *shapes[j])
 
-    steps = _Stepsizes(cfg.stepsize)
-    gammas = steps.gamma
+    gammas: list[float] = []  # the stepsize of each update count
     counts = np.zeros(nR, dtype=np.int64)
     record = cfg.record_full_history
     chunks: list = []
@@ -595,43 +576,40 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
 
     snap_metrics(0)
     kind, arg = sched
-    per_iter = nR if kind == "all" else max(map(len, arg)) if kind == "custom" else arg
-    span = max(1, _CHUNK // max(per_iter, 1))
+    per_iter = max(nR if kind == "all" else max(map(len, arg)) if kind == "custom" else arg, 1)
+    # a chunk covers the delay window, so the reader sorts about as many writes as the chunk adds
+    span = max(1, min(max(_CHUNK, core.bound * per_iter), 4 * _CHUNK) // per_iter)
     interval, end = cfg.metric_interval, cfg.max_iters
 
-    for t0 in range(0, end, span):
-        t1 = min(t0 + span, end)
+    t0 = 0
+    while t0 < end:
+        # metric snapshots fall between iterations, so each ends a chunk
+        t1 = min(t0 + span, end, t0 - t0 % interval + interval)
         plan = _event_plan(m, sched, seed, core, counts, t0, t1)
         t_arr, ell, cnt, j, cost, offs = plan
-        if len(cnt):
-            steps.grow(int(cnt.max()) + 1)
-        relax = _relax(core, Q, game_value, t_arr, ell, j, cost, [gammas[c] for c in cnt.tolist()], offs)
-        # metric snapshots fall between iterations, so they split the chunk's events
-        stops = list(range(t0 - t0 % interval + interval, t1 + 1, interval))
-        if t1 == end and (not stops or stops[-1] != end):
-            stops.append(end)
-        new_qs: list[float] = []
-        for stop in [*stops, None]:
-            upto = len(t_arr) if stop is None else int(np.searchsorted(t_arr, stop))
-            piece = list(itertools.islice(relax, upto - len(new_qs)))
-            max_abs = max(max_abs, float(np.abs(piece).max(initial=0.0)))
-            new_qs += piece
-            if stop is not None:
-                snap_metrics(stop)
+        gammas += [_stepsize(cfg.stepsize, k) for k in range(len(gammas), int(cnt.max(initial=-1)) + 1)]
+        new_qs = _relax(core, Q, game_value, t_arr, ell, j, cost, [gammas[c] for c in cnt.tolist()], offs)
+        max_abs = max(max_abs, float(np.abs(new_qs).max(initial=0.0)))
+        if t1 % interval == 0 or t1 == end:
+            snap_metrics(t1)
         if record:
             chunks.append((*plan[:5], offs.astype(np.int16), np.array(new_qs)))
+        t0 = t1
 
     q_final = np.array(Q[:nR])
+    # cumsum adds in sequence, as a running sum would
+    gamma = np.array(gammas)
+    sums, squares = (np.concatenate(([0.0], np.cumsum(x))) for x in (gamma, gamma * gamma))
     run = QLearnRun(
         config=cfg,
         q0=q0_arr,
         q_final=q_final,
         counts=counts,
-        sum_gamma=np.array(steps.sums)[counts],
-        sum_gamma_sq=np.array(steps.squares)[counts],
+        sum_gamma=sums[counts],
+        sum_gamma_sq=squares[counts],
         max_abs_q=max_abs,
         metrics=metrics,
-        events=_event_log(chunks, gammas) if record else None,
+        events=_event_log(chunks, gamma) if record else None,
     )
     return q_final, run
 

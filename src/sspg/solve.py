@@ -112,17 +112,11 @@ def value_iteration(
 
 
 def q_value_iteration(
-    m: GameModel,
-    q0=None,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-    ref=None,
-    record_iterates: bool = False,
+    m: GameModel, q0=None, tol: float = 1e-8, max_iter: int = 100_000
 ) -> tuple[np.ndarray, SolveTrace]:
     """Iterate the minimax backup on Q-tables until the residual meets tol."""
     x0 = np.zeros(m.n_triplets) if q0 is None else np.asarray(q0, dtype=float)
-    ref = None if ref is None else np.asarray(ref, dtype=float)
-    return _iterate(lambda q: q_bellman(m, q), x0, tol, max_iter, ref, record_iterates)
+    return _iterate(lambda q: q_bellman(m, q), x0, tol, max_iter, None, False)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +231,7 @@ def refine_fixed_point(m: GameModel, values) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _policy_loop(evaluate, residual, improve, policy, tol: float, max_outer: int, ref=None):
+def _policy_loop(evaluate, residual, improve, policy, tol: float, max_outer: int):
     """Evaluate, stop once the residual meets ``tol``, improve; repeat.
 
     ``evaluate(policy)`` returns values and "", or NaN values and why there
@@ -251,7 +245,7 @@ def _policy_loop(evaluate, residual, improve, policy, tol: float, max_outer: int
             trace.outcome, trace.note = ILL_POSED, note
             return x, policies, trace
         res = residual(x)
-        trace.rows.append(TraceRow(outer, res, None if ref is None else float(np.abs(x - ref).max())))
+        trace.rows.append(TraceRow(outer, res))
         if res <= tol:
             trace.outcome = CONVERGED
             return x, policies, trace
@@ -261,8 +255,7 @@ def _policy_loop(evaluate, residual, improve, policy, tol: float, max_outer: int
 
 
 def policy_iteration(
-    m: GameModel, player: int, start: StationaryPolicy, tol: float = 1e-6, max_outer: int = 50,
-    ref=None,
+    m: GameModel, player: int, start: StationaryPolicy, tol: float = 1e-6, max_outer: int = 50
 ) -> tuple[np.ndarray, list[StationaryPolicy], SolveTrace]:
     """Hoffman–Karp policy iteration for either player.
 
@@ -289,5 +282,5 @@ def policy_iteration(
         evaluate,
         lambda x: float(np.abs(x - bellman(m, x)).max()),
         lambda pol, x: greedy_policies(m, q_from_values(m, x))[player - 1],
-        start, tol, max_outer, None if ref is None else np.asarray(ref, dtype=float),
+        start, tol, max_outer,
     )

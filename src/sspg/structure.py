@@ -459,13 +459,17 @@ class AssumptionReport:
         }
 
 
-def check_ssp_game_assumption(m: GameModel, max_pairs: int = 10**6) -> AssumptionReport:
-    """Enumerate pure policy pairs and report the structural clause verdicts."""
+# pure policy pairs beyond which the assumption check enumerates nothing
+_MAX_PAIRS = 10**6
+
+
+def check_ssp_game_assumption(m: GameModel) -> AssumptionReport:
+    """Enumerate pure policy pairs (at most ``_MAX_PAIRS``) and report the structural clause verdicts."""
     n_mu = count_pure_policies(m, PLAYER_MIN)
     n_nu = count_pure_policies(m, PLAYER_MAX)
     caveat = "certified over deterministic stationary policies only"
-    if n_mu * n_nu > max_pairs:
-        too_big = ClauseVerdict("inconclusive", f"pure pair space {n_mu * n_nu} exceeds cap {max_pairs}")
+    if n_mu * n_nu > _MAX_PAIRS:
+        too_big = ClauseVerdict("inconclusive", f"pure pair space {n_mu * n_nu} exceeds cap {_MAX_PAIRS}")
         return AssumptionReport(too_big, too_big, too_big, (caveat,))
 
     n_v = np.array([len(m.controls2[s]) for s in m.states], dtype=np.intp)

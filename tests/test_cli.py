@@ -135,6 +135,15 @@ def test_analyze_everett(capsys, everett_file):
     assert witness["witness_nu"]["rules"]["1"]["1"] == 1.0
 
 
+def test_analyze_strict_past_the_pair_cap(capsys, tmp_path):
+    # an inconclusive report is no violation, so --strict exits 0
+    path = tmp_path / "wide.json"
+    path.write_text(sspg.save_model(sspg.generate_model(sspg.GeneratorConfig(n_states=20, max_controls=2, seed=0))))
+    code, out = run_cli(capsys, "analyze", "--model", str(path), "--strict")
+    assert code == 0
+    assert json.loads(out)["overall"] == "inconclusive"
+
+
 def test_analyze_zerocost_strict(capsys, zerocost_file):
     code, out = run_cli(capsys, "analyze", "--model", zerocost_file, "--strict")
     assert code == 4

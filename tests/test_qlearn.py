@@ -679,6 +679,42 @@ def test_golden_delays_past_a_chunk(name):
     assert (run.digest(), _sha(rep.qhat_events, rep.min_margin), _sha(noise)) == want
 
 
+# Chunks end at metric snapshots, so metric_interval moves every cut; the
+# delay bounds reach past one _CHUNK of events.
+CUT_RUNS = {
+    "uniform-3000": (dict(seed=0, n_states=3, max_controls=3),
+                     dict(max_iters=4500, scheduler="uniform-random:1", delay_model=("uniform", 3000))),
+    "all-200": (dict(seed=0, n_states=1000, max_controls=2),
+                dict(max_iters=40, scheduler="all", delay_model=("uniform", 200))),
+}
+
+
+@pytest.mark.parametrize("name", list(CUT_RUNS))
+def test_chunk_cuts_do_not_change_a_run(name):
+    game, cfg = CUT_RUNS[name]
+    m = make_contraction(**game)
+    ref = np.linspace(-1.0, 1.0, m.n_triplets)
+    runs = [sspg.run_qlearning(m, sspg.QLearnConfig(seed=2, metric_interval=k, reference_q=ref,
+                                                    record_full_history=True, **cfg))[1]
+            for k in (1, 7, 1000, 10**9)]
+    first = runs[0]
+    assert int(first.events.offsets.max()) > _CHUNK // (1 if name == "uniform-3000" else m.n_triplets)
+    rows = {r.iteration: r for r in first.metrics}
+    assert sorted(rows) == list(range(cfg["max_iters"] + 1))
+    for run in runs[1:]:
+        assert run.digest() == first.digest()
+        for field in ("q_final", "sum_gamma", "sum_gamma_sq"):
+            assert getattr(run, field).tobytes() == getattr(first, field).tobytes()
+        assert run.metrics[-1].iteration == cfg["max_iters"]
+        assert all(r == rows[r.iteration] for r in run.metrics)
+
+
+@pytest.mark.parametrize("spec", ["uniform:5", "uniform", "fixed:1", "Zero"])
+def test_delay_strings_other_than_zero_are_refused(spec):
+    with pytest.raises(ValueError, match=f"unknown delay model '{spec}'"):
+        sspg.QLearnConfig(delay_model=spec)
+
+
 # ---------------------------------------------------------------------------
 # the batched noise decomposition against the sequential replay it replaced
 # ---------------------------------------------------------------------------

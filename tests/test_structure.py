@@ -3,7 +3,7 @@ import pytest
 
 import sspg
 from conftest import make_contraction, make_terminal_only, random_policy
-from sspg.structure import InducedChain
+from sspg.structure import InducedChain, count_pure_policies
 
 
 def chain_from(p_rows, costs, labels):
@@ -238,6 +238,17 @@ def test_assumption_safeguard_notes_pursuit(pursuit):
         "witness_nu": {"player": "II", "rules": {"1": {"-": 1.0}, "2": {"run": 1.0, "hide": 0.0},
                                                  "3": {"-": 1.0}}},
     }
+
+
+def test_assumption_inconclusive_past_the_pair_cap():
+    m = sspg.generate_model(sspg.GeneratorConfig(n_states=20, max_controls=2, seed=0))
+    pairs = count_pure_policies(m, sspg.PLAYER_MIN) * count_pure_policies(m, sspg.PLAYER_MAX)
+    assert pairs == 8_388_608
+    report = sspg.check_ssp_game_assumption(m)
+    note = f"pure pair space {pairs} exceeds cap 1000000"
+    for clause in (report.clause_safeguard_min, report.clause_safeguard_max, report.clause_prolonging):
+        assert (clause.status, clause.note) == ("inconclusive", note)
+    assert report.overall == "inconclusive"
 
 
 def test_assumption_report_serializes(everett):
