@@ -52,7 +52,7 @@ for _ in range(200):
 print(f"   worst empirical contraction factor over 200 random pairs: {worst:.4f} (<= beta)")
 
 print("\n3. empirical trackers after the run:")
-state = sspg.run_trackers(m, run, check_support=True)
+state = sspg.run_trackers(m, run)
 print(f"   max |g_tilde - g| = {np.abs(state.g_tilde - m.g).max():.4f}")
 print(f"   max |q_hat - p|   = {np.abs(state.q_hat - m.P).max():.4f}")
 print("   sampled-frequency support contained in the kernel support at every step")

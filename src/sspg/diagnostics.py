@@ -163,16 +163,14 @@ def run_coupled_lower_process(m: GameModel, nu: StationaryPolicy, run: QLearnRun
         return min(rows)
 
     core = ReplayCore(m, run.config.delay_model, run.config.seed)
-    qhat, qhat_events, lo = run.q0.tolist(), [], 0
+    qhat, parts, lo = run.q0.tolist(), [np.zeros(0)], 0
     while lo < len(ev):
         # a chunk covers the delay window, so the reader sorts about as many writes as the chunk adds
         hi = min(max(lo + _CHUNK, int(np.searchsorted(ev.t, ev.t[lo] + core.bound))), lo + 4 * _CHUNK)
-        sl = slice(lo, hi)
         # the recorded offsets, so the coupled table sees the engine's delays
-        qhat_events += _relax(core, qhat, lower_value, ev.t[sl], ev.ell[sl], ev.j[sl], ev.cost[sl],
-                              ev.gamma[sl].tolist(), ev.offsets[sl])
+        parts.append(_relax(core, qhat, lower_value, ev[lo:hi]))
         lo = hi
-    qhat_events = np.array(qhat_events, dtype=float)
+    qhat_events = np.concatenate(parts)
     margin = ev.new_q - qhat_events
     # the minimum over time, the first of equal margins: a margin of -0.0
     # never goes below the initial +0.0, so it counts as +0.0
@@ -205,7 +203,7 @@ class TrackerState:
         return cls(np.zeros(m.n_triplets), m.P.copy())
 
 
-def run_trackers(m: GameModel, run: QLearnRun, check_support: bool = True) -> TrackerState:
+def run_trackers(m: GameModel, run: QLearnRun) -> TrackerState:
     """Replay a recorded run through the trackers, one update level at a time.
 
     An event reads only its own component's previous update, so level k is
@@ -216,18 +214,17 @@ def run_trackers(m: GameModel, run: QLearnRun, check_support: bool = True) -> Tr
     event-by-event fold's IEEE operations in its order, so the result is
     bit-identical: scaling a whole dense row equals scaling its live entries
     (gamma lies in [0, 1] and +0.0 * (1 - gamma) is +0.0), multiplication
-    commutes, and a successor outside its kernel row is one more column.
-    Cost: O(events * n) numpy work plus about 3 us per level.  The worst
-    case is one component updated far more often than the rest, which gives
-    levels of width one: 25k of them took 66 ms where the fold took 13 ms.
+    commutes.  Cost: O(events * n) numpy work plus about 3 us per level.
+    The worst case is one component updated far more often than the rest,
+    which gives levels of width one: 25k of them took 66 ms where the fold
+    took 13 ms.
 
-    ``check_support`` asserts every sampled successor inside its kernel
-    row's support, which with the initial state keeps q_hat absolutely
-    continuous at every step; the error names the first offending event.
+    A sampled successor outside its kernel row's support, which would break
+    q_hat's absolute continuity, is an AssertionError naming the first one.
     """
     ev = run.history()
     ell, j = ev.ell.astype(np.intp), ev.j.astype(np.intp)
-    bad = np.flatnonzero(~(m.P[ell, j] > 0.0)) if check_support else ()
+    bad = np.flatnonzero(~(m.P[ell, j] > 0.0))
     if len(bad):
         raise AssertionError(f"sampled successor {j[bad[0]]} outside kernel support of {m.triplets[ell[bad[0]]]}")
     counts = np.bincount(ell, minlength=m.n_triplets)

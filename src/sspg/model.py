@@ -559,7 +559,7 @@ def load_bundled_model(name: str) -> GameModel:
 def decision_rule(probs: Iterable[float]) -> np.ndarray:
     """A probability vector over one state's control list."""
     r = np.asarray(list(probs), dtype=float)
-    if r.ndim != 1 or r.size == 0 or (r < 0).any() or abs(r.sum() - 1.0) > PROB_TOL:
+    if r.ndim != 1 or r.size == 0 or not ((r >= 0).all() and abs(r.sum() - 1.0) <= PROB_TOL):
         raise ValueError(f"not a probability vector: {r}")
     return r
 
@@ -600,17 +600,26 @@ def policy_from_json(m: GameModel, doc: Mapping) -> StationaryPolicy:
     tables = doc.get("rules", {})
     if not isinstance(tables, dict):
         raise PolicyMismatchError('policy "rules" must be an object')
+    extra = [s for s in tables if s not in m.states]
+    if extra:
+        raise PolicyMismatchError(f"policy has a rule for state {extra[0]}, which the game does not have")
     rules = {}
     for s in m.states:
         if s not in tables:
             raise PolicyMismatchError(f"policy has no rule for state {s}")
         if not isinstance(tables[s], dict):
             raise PolicyMismatchError(f"rule at state {s} must map control labels to probabilities")
+        extra = [c for c in tables[s] if c not in ctrl[s]]
+        if extra:
+            raise PolicyMismatchError(f"rule at state {s} names control {extra[0]!r}, which the state does not have")
         try:
             probs = [float(tables[s].get(c, 0.0)) for c in ctrl[s]]
         except (TypeError, ValueError):
             raise PolicyMismatchError(f"rule at state {s} must map control labels to probabilities") from None
-        rules[s] = decision_rule(probs)
+        try:
+            rules[s] = decision_rule(probs)
+        except ValueError:
+            raise PolicyMismatchError(f"rule at state {s} is not a distribution: {probs}") from None
     return StationaryPolicy(player, rules)
 
 
@@ -658,8 +667,8 @@ def policy_arrays(m: GameModel, policy: StationaryPolicy, player: int | None = N
         rules.append(r)
     flat = np.concatenate(rules) if rules else np.zeros(0)
     owner = np.repeat(np.arange(m.n), [r.size for r in rules])  # state of each entry
-    bad = np.bincount(owner, flat < -PROB_TOL, m.n) > 0
-    bad |= np.abs(np.bincount(owner, flat, m.n) - 1.0) > 1e-6
+    bad = np.bincount(owner, ~(flat >= -PROB_TOL), m.n) > 0  # a NaN entry fails every comparison
+    bad |= ~(np.abs(np.bincount(owner, flat, m.n) - 1.0) <= 1e-6)
     if bad.any():
         k = int(bad.argmax())
         raise PolicyMismatchError(f"rule at state {m.states[k]} is not a distribution: {rules[k]}")

@@ -24,13 +24,13 @@ before the transition draw, as the update-noise analysis requires.
 
 None of these draws depends on Q (Tsitsiklis, *Machine Learning* 16, 1994;
 Yu & Bertsekas, *Math. of OR*, 2013), so a run splits in two.  The *event
-plan* is computed in numpy, ``_CHUNK`` events at a time: the scheduler's
-picks, each event's update count, successor uniform and draw
-(:meth:`sspg.model.SamplingTable.draw`), realized cost, delay bound and
-delay offsets.  Only the *Q recursion* runs event by event: the delayed
-block reads, the game values and the relaxations.  Stepsizes depend only on
-the update count and come from one lazily grown list of Python floats; one
-``cumsum`` of it at the end of the run gives the stepsize sums.
+plan* is an :class:`EventLog` computed in numpy a chunk of iterations at a
+time: the scheduler's picks, each event's update count, stepsize, successor
+draw (:meth:`sspg.model.SamplingTable.draw`), realized cost and delay
+offsets.  Only the *Q recursion* runs event by event: the delayed block
+reads, the game values and the relaxations, which fill the chunk's
+``new_q``; a recorded log is the chunks end to end.  Stepsizes come from one
+lazily grown table; one ``cumsum`` of it gives the stepsize sums.
 
 One replay core, :class:`ReplayCore`, holds the one delay rule
 (:func:`pair_delay_offsets` is the only delay hash) and the one reader of
@@ -39,17 +39,16 @@ delayed blocks.  The engine and the coupled replay run one recursion,
 noise decomposition takes its offsets from the core and reads the recorded
 write log a chunk at a time; it and the reader find delayed writes among
 writes sorted by (component, iteration) (:func:`_write_index`).  The
-trackers read the log's columns one update level at a time, and the CSV
-trace reads :meth:`QLearnRun.rows`.  No table is ever copied, so an
-iteration costs what its events cost, whatever |R|.  The library reads no
-environment variable: the seed is the config's.
+trackers read the log's columns one update level at a time.  No table is
+ever copied, so an iteration costs what its events cost, whatever |R|.  The
+library reads no environment variable: the seed is the config's.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -209,21 +208,12 @@ class MetricsRow:
 _CHUNK = 1 << 11
 
 
-def _pylist(a: np.ndarray):
-    """An array's entries as Python scalars, a 2-D array's rows as tuples.
-
-    The rows are built column by column: the garbage collector stops
-    tracking a tuple of ints, never a list, and lists made per event would
-    otherwise make up most of the CSV trace's collection work.
-    """
-    if a.ndim == 1:
-        return a.tolist()
-    return list(zip(*a.T.tolist())) if a.shape[1] else [()] * len(a)
-
-
 @dataclass
 class EventLog:
-    """Per-update records, aligned arrays; offsets padded with -1."""
+    """Per-update records, aligned arrays; offsets padded with -1 to the model's widest block.
+
+    A chunk of the engine's event plan is one too, its ``new_q`` filled by :func:`_relax`.
+    """
 
     t: np.ndarray
     ell: np.ndarray
@@ -236,6 +226,15 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def __getitem__(self, sl: slice) -> "EventLog":
+        """The events of a slice, every column a view."""
+        return EventLog(*(getattr(self, f.name)[sl] for f in dataclasses.fields(self)))
+
+
+# the dtype of each recorded column
+_RECORDED = {"t": np.int64, "ell": np.int32, "count": np.int64, "j": np.int32,
+             "cost": float, "gamma": float, "new_q": float, "offsets": np.int16}
 
 
 @dataclass
@@ -268,19 +267,6 @@ class QLearnRun:
             raise ValueError("run was not recorded with full history")
         return self.events
 
-    def rows(self, *names: str):
-        """The named :class:`EventLog` columns as one tuple of Python scalars per event.
-
-        One ``tolist()`` per column and chunk of events keeps numpy scalars out
-        of the replays and memory bounded; the offsets come as tuples.  Raises
-        at once without a history.
-        """
-        ev = self.history()
-        cols = [getattr(ev, name) for name in names]
-        return itertools.chain.from_iterable(
-            zip(*(_pylist(c[lo : lo + _CHUNK]) for c in cols)) for lo in range(0, len(ev), _CHUNK)
-        )
-
     def to_csv(self, path, m: GameModel) -> None:
         """Per-event trace; reference distances recomputed by replaying events.
 
@@ -288,7 +274,7 @@ class QLearnRun:
         when the component holding it shrinks: exact, as a maximum of floats
         does not depend on order.
         """
-        rows = self.rows("t", "ell", "j", "cost", "gamma", "new_q", "offsets")
+        ev = self.history()
         ref = self.config.reference_q
         if ref is not None:
             ref = np.asarray(ref, dtype=float)
@@ -301,18 +287,22 @@ class QLearnRun:
                 ["t", "active_component", "j_sample", "cost", "gamma",
                  "max_delay_used", "sup_dist_to_ref", "max_abs_q"]
             )
-            for t, ell, j, cost, gamma, new_q, offs in rows:
-                running_max = max(running_max, abs(new_q))
-                dist = ""
-                if ref is not None:
-                    gap, old = abs(new_q - ref[ell]), gaps[ell]
-                    gaps[ell] = gap
-                    if gap >= top:
-                        top = gap
-                    elif old == top:
-                        top = max(gaps)
-                    dist = repr(top)
-                w.writerow([t, ell, j, repr(cost), repr(gamma), max([0, *offs]), dist, repr(running_max)])
+            for lo in range(0, len(ev), _CHUNK):
+                part = ev[lo : lo + _CHUNK]
+                cols = (part.t, part.ell, part.j, part.cost, part.gamma, part.new_q,
+                        part.offsets.max(axis=1, initial=0))
+                for t, ell, j, cost, gamma, new_q, delay in zip(*(c.tolist() for c in cols)):
+                    running_max = max(running_max, abs(new_q))
+                    dist = ""
+                    if ref is not None:
+                        gap, old = abs(new_q - ref[ell]), gaps[ell]
+                        gaps[ell] = gap
+                        if gap >= top:
+                            top = gap
+                        elif old == top:
+                            top = max(gaps)
+                        dist = repr(top)
+                    w.writerow([t, ell, j, repr(cost), repr(gamma), delay, dist, repr(running_max)])
 
 
 def pair_delay_offsets(seed: int, nR: int, n_states: int, ell, count, js, block_size, dmax):
@@ -370,20 +360,24 @@ class ReplayCore:
         blocks = [(0, 0, 0)] + [m.state_block(i) for i in range(1, m.n + 1)]
         self.first = np.array([off for off, _, _ in blocks], dtype=np.int64)
         self.block_size = np.array([nu * nv for _, nu, nv in blocks], dtype=np.int64)
+        self.width = int(self.block_size.max())
         self.window = np.empty(0, np.int64), np.empty(0, np.int64)  # (component, iteration) per write
 
     def offsets(self, t: np.ndarray, ell: np.ndarray, count: np.ndarray, js: np.ndarray) -> np.ndarray:
         """Delay offsets of a batch of (event, successor) pairs, one row per pair.
 
-        Rows are padded with -1 past the successor's block (all of the row
-        at the terminal state).  Hashed offsets are drawn per pair in [0, bound],
-        otherwise every pair reads the bound: the delay model's, capped at t.
+        Rows are padded with -1 past the successor's block to the widest block
+        (all of the row at the terminal state).  Hashed offsets are drawn per
+        pair in [0, bound], otherwise every pair reads the bound, capped at t.
         """
         dmax = np.minimum(self.cycle[t % len(self.cycle)], t)
         size = self.block_size[js]
-        if self.hashed:
-            return pair_delay_offsets(self.seed, self.nR, self.n_states, ell, count, js, size, dmax)
-        return np.where(np.arange(size.max(initial=0)) < size[:, None], dmax[:, None], -1)
+        if not self.hashed:
+            return np.where(np.arange(self.width) < size[:, None], dmax[:, None], -1)
+        offs = pair_delay_offsets(self.seed, self.nR, self.n_states, ell, count, js, size, dmax)
+        if offs.shape[1] < self.width:  # no pair of the batch reads a widest block
+            offs = np.concatenate((offs, np.full((len(offs), self.width - offs.shape[1]), -1)), axis=1)
+        return offs
 
     def reads(self, t: np.ndarray, ell: np.ndarray, j: np.ndarray, offs: np.ndarray) -> tuple[int, list]:
         """Where the events of a chunk read their successor blocks, with one ``searchsorted``.
@@ -411,7 +405,7 @@ class ReplayCore:
         return drop, [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
-def _relax(core: ReplayCore, table: list, kernel, t, ell, j, cost, gamma: list, offs) -> list[float]:
+def _relax(core: ReplayCore, table: list, kernel, ev: EventLog) -> np.ndarray:
     """The Q recursion over one chunk of events; returns each event's new value.
 
     ``q[ell] <- (1 - gamma) * q[ell] + gamma * (cost + kernel(j, block as
@@ -421,10 +415,11 @@ def _relax(core: ReplayCore, table: list, kernel, t, ell, j, cost, gamma: list, 
     table at the start of t, so a block's value is computed once per
     iteration.  Raises :class:`QLearnDivergenceError` on a non-finite value.
     """
-    drop, refs = core.reads(t, ell, j, offs)
+    drop, refs = core.reads(ev.t, ev.ell, ev.j, ev.offsets)
     del table[core.nR : core.nR + drop]
     hashed, memo, isfinite, new_qs = core.hashed, {}, math.isfinite, []
-    for t, ell, j, cost, gamma, ref in zip(t.tolist(), ell.tolist(), j.tolist(), cost.tolist(), gamma, refs):
+    cols = (ev.t.tolist(), ev.ell.tolist(), ev.j.tolist(), ev.cost.tolist(), ev.gamma.tolist(), refs)
+    for t, ell, j, cost, gamma, ref in zip(*cols):
         if not j:
             v = 0.0
         elif hashed:
@@ -440,17 +435,7 @@ def _relax(core: ReplayCore, table: list, kernel, t, ell, j, cost, gamma: list, 
         table.append(old)
         table[ell] = new
         new_qs.append(new)
-    return new_qs
-
-
-def _stepsize(stepsize, k: int) -> float:
-    """Stepsize ``a / (b + k)**p``, clamped into [0, 1], of a component's k-th update.
-
-    Python's ``**``: numpy's ``power`` differs from it in the last bit for
-    some counts.
-    """
-    a, b, p = stepsize
-    return min(a / (b + k) ** p if b + k > 0 else math.inf, 1.0)
+    return np.array(new_qs)
 
 
 def _picks(sched, nR: int, seed: int, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -497,39 +482,15 @@ def _counts_before(ell: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return cnt
 
 
-def _event_plan(m: GameModel, sched, seed: int, core: ReplayCore, counts: np.ndarray, t0: int, t1: int):
-    """Every Q-independent column of the events of iterations [t0, t1):
-    iteration, component, update count, successor, cost and delay offsets."""
+def _event_plan(m: GameModel, sched, seed: int, core: ReplayCore, counts: np.ndarray, stepsizes,
+                t0: int, t1: int) -> EventLog:
+    """The events of iterations [t0, t1): every column but the Q-dependent ``new_q``."""
     t, ell = _picks(sched, m.n_triplets, seed, t0, t1)
     cnt = _counts_before(ell, counts)
     tab = m.sampling
     pos = tab.draw(ell, counter_uniform(seed, ell.astype(np.uint64), cnt.astype(np.uint64)))
     j = tab.succ[pos]
-    return t, ell, cnt, j, tab.cost[pos], core.offsets(t, ell, cnt, j)
-
-
-def _event_log(chunks: list, gamma: np.ndarray) -> EventLog:
-    """One :class:`EventLog` from the recorded chunks; offsets padded with -1 to the widest."""
-    def column(k, dtype):
-        return np.concatenate([c[k] for c in chunks]).astype(dtype, copy=False) if chunks else np.empty(0, dtype)
-
-    count = column(2, np.int64)
-    width = max((c[5].shape[1] for c in chunks), default=0)
-    offsets = np.full((len(count), width), -1, dtype=np.int16)
-    lo = 0
-    for c in chunks:
-        offsets[lo : lo + len(c[0]), : c[5].shape[1]] = c[5]
-        lo += len(c[0])
-    return EventLog(
-        t=column(0, np.int64),
-        ell=column(1, np.int32),
-        count=count,
-        j=column(3, np.int32),
-        cost=column(4, float),
-        gamma=gamma[count],
-        new_q=column(6, float),
-        offsets=offsets,
-    )
+    return EventLog(t, ell, cnt, j, tab.cost[pos], stepsizes(cnt), None, core.offsets(t, ell, cnt, j))
 
 
 def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray, QLearnRun]:
@@ -560,45 +521,61 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
     def game_value(j: int, vals: list) -> float:
         return flat_game_value(vals, *shapes[j])
 
-    gammas: list[float] = []  # the stepsize of each update count
+    a, b, p = cfg.stepsize
+    gamma = np.empty(0)  # a / (b + k)**p, clamped into [0, 1], at update count k; grown by doubling
+
+    def stepsizes(cnt: np.ndarray) -> np.ndarray:
+        nonlocal gamma
+        need = int(cnt.max(initial=-1)) + 1
+        if need > len(gamma):
+            # Python's ``**``: numpy's ``power`` differs from it in the last bit for some counts
+            ks = range(len(gamma), max(need, 2 * len(gamma)))
+            gamma = np.append(gamma, [min(a / (b + k) ** p if b + k > 0 else math.inf, 1.0) for k in ks])
+        return gamma[cnt]
+
     counts = np.zeros(nR, dtype=np.int64)
-    record = cfg.record_full_history
-    chunks: list = []
-
+    chunks: list[EventLog] = []  # the recorded chunks, cast to the recorded dtypes as they come
     max_abs = float(np.abs(q0_arr).max()) if nR else 0.0
-    metrics: list[MetricsRow] = []
 
-    def snap_metrics(t_now: int) -> None:
-        q_arr = np.array(Q[:nR])
-        dist = None if ref is None else float(np.abs(q_arr - ref).max())
-        resid = float(np.abs(q_arr - q_bellman(m, q_arr)).max())
-        metrics.append(MetricsRow(t_now, dist, max_abs, resid))
+    def snap(s: int, q: np.ndarray, top: float) -> MetricsRow:
+        dist = None if ref is None else float(np.abs(q - ref).max())
+        return MetricsRow(s, dist, top, float(np.abs(q - q_bellman(m, q)).max()))
 
-    snap_metrics(0)
+    metrics = [snap(0, q0_arr, max_abs)]
     kind, arg = sched
     per_iter = max(nR if kind == "all" else max(map(len, arg)) if kind == "custom" else arg, 1)
     # a chunk covers the delay window, so the reader sorts about as many writes as the chunk adds
     span = max(1, min(max(_CHUNK, core.bound * per_iter), 4 * _CHUNK) // per_iter)
     interval, end = cfg.metric_interval, cfg.max_iters
 
-    t0 = 0
-    while t0 < end:
-        # metric snapshots fall between iterations, so each ends a chunk
-        t1 = min(t0 + span, end, t0 - t0 % interval + interval)
-        plan = _event_plan(m, sched, seed, core, counts, t0, t1)
-        t_arr, ell, cnt, j, cost, offs = plan
-        gammas += [_stepsize(cfg.stepsize, k) for k in range(len(gammas), int(cnt.max(initial=-1)) + 1)]
-        new_qs = _relax(core, Q, game_value, t_arr, ell, j, cost, [gammas[c] for c in cnt.tolist()], offs)
-        max_abs = max(max_abs, float(np.abs(new_qs).max(initial=0.0)))
-        if t1 % interval == 0 or t1 == end:
-            snap_metrics(t1)
-        if record:
-            chunks.append((*plan[:5], offs.astype(np.int16), np.array(new_qs)))
-        t0 = t1
+    for t0 in range(0, max(end, 1), span):  # one chunk at least, empty, so that a log has its columns
+        t1 = min(t0 + span, end)
+        plan = _event_plan(m, sched, seed, core, counts, stepsizes, t0, t1)
+        plan.new_q = _relax(core, Q, game_value, plan)
+        due = list(range(t0 + interval - t0 % interval, t1 + 1, interval))
+        if t1 == end and end % interval:
+            due.append(end)
+        if due:
+            # the table at the start of iteration s, read off the window: each
+            # component written at s or later holds what its first such write
+            # replaced; undone a stretch of writes at a time, last snapshot first
+            q, old = np.array(Q[:nR]), np.array(Q[len(Q) - len(plan) :])
+            tops = np.maximum.accumulate(np.abs(plan.new_q)).tolist()
+            rows, hi = [], len(plan)
+            for s in reversed(due):
+                lo = int(np.searchsorted(plan.t, s))
+                comps, first = np.unique(plan.ell[lo:hi], return_index=True)
+                q[comps] = old[lo + first]
+                rows.append(snap(s, q, max(max_abs, tops[lo - 1]) if lo else max_abs))
+                hi = lo
+            metrics += rows[::-1]
+        max_abs = max(max_abs, float(np.abs(plan.new_q).max(initial=0.0)))
+        if cfg.record_full_history:
+            chunks.append(EventLog(**{name: getattr(plan, name).astype(dtype, copy=False)
+                                      for name, dtype in _RECORDED.items()}))
 
     q_final = np.array(Q[:nR])
     # cumsum adds in sequence, as a running sum would
-    gamma = np.array(gammas)
     sums, squares = (np.concatenate(([0.0], np.cumsum(x))) for x in (gamma, gamma * gamma))
     run = QLearnRun(
         config=cfg,
@@ -609,7 +586,8 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
         sum_gamma_sq=squares[counts],
         max_abs_q=max_abs,
         metrics=metrics,
-        events=_event_log(chunks, gamma) if record else None,
+        events=EventLog(**{name: np.concatenate([getattr(c, name) for c in chunks]) for name in _RECORDED})
+        if cfg.record_full_history else None,
     )
     return q_final, run
 

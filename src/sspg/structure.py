@@ -244,7 +244,8 @@ class ChainClassification:
 
     def classification(self, k: int) -> str:
         v = self.values[k]
-        return "plus_infinity" if np.isposinf(v) else "minus_infinity" if np.isneginf(v) else "finite"
+        return ("plus_infinity" if np.isposinf(v) else "minus_infinity" if np.isneginf(v)
+                else "undetermined" if np.isnan(v) else "finite")
 
     def to_json(self, m: GameModel) -> dict:
         per_state = {}

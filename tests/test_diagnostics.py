@@ -243,7 +243,8 @@ def _fold_trackers(m, run):
     """The trackers of a recorded run as a fold of single-event updates, from
     g_tilde = Q0 * 0.0 (so -0.0 where Q0 is negative) and q_hat = P."""
     state = sspg.TrackerState(run.q0 * 0.0, m.P.copy())
-    for event in run.rows("ell", "gamma", "j", "cost"):
+    ev = run.events
+    for event in zip(ev.ell.tolist(), ev.gamma.tolist(), ev.j.tolist(), ev.cost.tolist()):
         state = _update_trackers(state, event)
     return state
 
@@ -302,7 +303,7 @@ def test_tracker_convergence_and_support():
     cfg = sspg.QLearnConfig(seed=1, max_iters=60_000, scheduler="all",
                             record_full_history=True)
     _, run = sspg.run_qlearning(m, cfg)
-    state = sspg.run_trackers(m, run, check_support=True)
+    state = sspg.run_trackers(m, run)  # raises on any support escape
     assert np.abs(state.g_tilde - m.g).max() <= 0.02
     assert np.abs(state.q_hat - m.P).max() <= 0.02
     # support containment
@@ -329,10 +330,12 @@ def test_tracker_batch_equals_fold_bitwise(outside):
         run = _with_outside_successors(m, run, moved)
         with pytest.raises(AssertionError, match="outside kernel support"):
             sspg.run_trackers(m, run)
-    batch = sspg.run_trackers(m, run, check_support=not outside)
+        return
+    batch = sspg.run_trackers(m, run)
     state = sspg.TrackerState.initial(m)
-    for ell, gamma, j, cost in run.rows("ell", "gamma", "j", "cost"):
-        state = _update_trackers(state, (ell, gamma, j, cost))
+    ev = run.events
+    for event in zip(ev.ell.tolist(), ev.gamma.tolist(), ev.j.tolist(), ev.cost.tolist()):
+        state = _update_trackers(state, event)
     assert state.g_tilde.tobytes() == batch.g_tilde.tobytes()
     assert state.q_hat.tobytes() == batch.q_hat.tobytes()
 
@@ -366,7 +369,10 @@ def test_tracker_levels_equal_fold_bitwise(case):
         moved = _outside_candidates(m, run)[::5]
         assert moved
         run = _with_outside_successors(m, run, moved)
-    got, want = sspg.run_trackers(m, run, check_support=not outside), _fold_trackers(m, run)
+        with pytest.raises(AssertionError, match="outside kernel support"):
+            sspg.run_trackers(m, run)
+        return
+    got, want = sspg.run_trackers(m, run), _fold_trackers(m, run)
     assert got.g_tilde.tobytes() == want.g_tilde.tobytes()
     assert got.q_hat.tobytes() == want.q_hat.tobytes()
     if case == "skewed":

@@ -8,7 +8,7 @@ import sspg
 from conftest import make_contraction, make_terminal_only
 from sspg.matgame import flat_game_value
 from sspg.model import counter_uniform
-from sspg.qlearn import _CHUNK, ReplayCore, _pylist, pair_delay_offsets
+from sspg.qlearn import _CHUNK, MetricsRow, ReplayCore, pair_delay_offsets
 
 
 @pytest.fixture(scope="module")
@@ -679,14 +679,28 @@ def test_golden_delays_past_a_chunk(name):
     assert (run.digest(), _sha(rep.qhat_events, rep.min_margin), _sha(noise)) == want
 
 
-# Chunks end at metric snapshots, so metric_interval moves every cut; the
-# delay bounds reach past one _CHUNK of events.
+# Metric snapshots fall inside chunks, and metric_interval must change
+# nothing else; the delay bounds reach past one _CHUNK of events.
 CUT_RUNS = {
     "uniform-3000": (dict(seed=0, n_states=3, max_controls=3),
                      dict(max_iters=4500, scheduler="uniform-random:1", delay_model=("uniform", 3000))),
     "all-200": (dict(seed=0, n_states=1000, max_controls=2),
                 dict(max_iters=40, scheduler="all", delay_model=("uniform", 200))),
 }
+
+
+def _snapshot_oracle(m, run):
+    """Every metric row of a run rebuilt from its write log: at iteration s, Q0
+    overwritten by each component's last recorded write before s."""
+    ev, ref = run.events, run.config.reference_q
+    q, top, k = run.q0.copy(), float(np.abs(run.q0).max()), 0
+    for s in (row.iteration for row in run.metrics):
+        while k < len(ev) and ev.t[k] < s:
+            q[ev.ell[k]] = ev.new_q[k]
+            top = max(top, abs(float(ev.new_q[k])))
+            k += 1
+        dist = None if ref is None else float(np.abs(q - ref).max())
+        yield MetricsRow(s, dist, top, float(np.abs(q - sspg.q_bellman(m, q)).max()))
 
 
 @pytest.mark.parametrize("name", list(CUT_RUNS))
@@ -701,12 +715,30 @@ def test_chunk_cuts_do_not_change_a_run(name):
     assert int(first.events.offsets.max()) > _CHUNK // (1 if name == "uniform-3000" else m.n_triplets)
     rows = {r.iteration: r for r in first.metrics}
     assert sorted(rows) == list(range(cfg["max_iters"] + 1))
+    assert first.metrics == list(_snapshot_oracle(m, first))  # every snapshot, most inside chunks
     for run in runs[1:]:
         assert run.digest() == first.digest()
         for field in ("q_final", "sum_gamma", "sum_gamma_sq"):
             assert getattr(run, field).tobytes() == getattr(first, field).tobytes()
         assert run.metrics[-1].iteration == cfg["max_iters"]
         assert all(r == rows[r.iteration] for r in run.metrics)
+
+
+def test_recorded_offsets_are_as_wide_as_the_widest_block():
+    # nothing moves to state 1, the only state with a 2x2 block: no event reads it
+    m = sspg.GameModel(
+        ["1", "2"], {"1": ["a", "b"], "2": ["a"]}, {"1": ["x", "y"], "2": ["x"]},
+        {**{("1", u, v): [("2", 1.0, 1.0)] for u in "ab" for v in "xy"},
+         ("2", "a", "x"): [("2", 0.5, 1.0), ("0", 0.5, 0.0)]},
+    )
+    cfg = sspg.QLearnConfig(seed=1, max_iters=200, scheduler="uniform-random:2",
+                            delay_model=("uniform", 3), record_full_history=True)
+    _, run = sspg.run_qlearning(m, cfg)
+    offs = run.events.offsets
+    assert offs.shape == (len(run.events), 4) and offs.dtype == np.int16
+    assert (offs[:, 1:] == -1).all() and (offs[run.events.j == 2, 0] >= 0).all()
+    empty = sspg.run_qlearning(m, dataclasses.replace(cfg, max_iters=0))[1].events
+    assert empty.offsets.shape == (0, 4)
 
 
 @pytest.mark.parametrize("spec", ["uniform:5", "uniform", "fixed:1", "Zero"])
@@ -745,7 +777,7 @@ def _noise_oracle(run, m):
         keep = js != 0
         of, js = of[keep], js[keep]
         js_l, p_l = js.tolist(), m.P[ell[of], js].tolist()
-        offs_l = _pylist(core.offsets(t[of], ell[of], cnt[of], js))
+        offs_l = core.offsets(t[of], ell[of], cnt[of], js).tolist()
         ends = np.cumsum(np.bincount(of, minlength=len(ell))).tolist()
         a = 0
         rows = zip(t.tolist(), ell.tolist(), ev.j[sl].tolist(), ev.cost[sl].tolist(),
