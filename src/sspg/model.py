@@ -556,10 +556,19 @@ def load_bundled_model(name: str) -> GameModel:
 # ---------------------------------------------------------------------------
 
 
+def _not_distributions(flat: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """True for each of the ``n`` groups of ``flat`` (entry k in group ``owner[k]``) that is not a distribution.
+
+    A distribution has entries >= 0, which a NaN fails, summing to 1 within ``PROB_TOL``.
+    """
+    bad = np.bincount(owner, ~(flat >= 0.0), n) > 0
+    return bad | ~(np.abs(np.bincount(owner, flat, n) - 1.0) <= PROB_TOL)
+
+
 def decision_rule(probs: Iterable[float]) -> np.ndarray:
     """A probability vector over one state's control list."""
     r = np.asarray(list(probs), dtype=float)
-    if r.ndim != 1 or r.size == 0 or not ((r >= 0).all() and abs(r.sum() - 1.0) <= PROB_TOL):
+    if r.ndim != 1 or _not_distributions(r, np.zeros(r.size, dtype=np.intp), 1)[0]:
         raise ValueError(f"not a probability vector: {r}")
     return r
 
@@ -667,8 +676,7 @@ def policy_arrays(m: GameModel, policy: StationaryPolicy, player: int | None = N
         rules.append(r)
     flat = np.concatenate(rules) if rules else np.zeros(0)
     owner = np.repeat(np.arange(m.n), [r.size for r in rules])  # state of each entry
-    bad = np.bincount(owner, ~(flat >= -PROB_TOL), m.n) > 0  # a NaN entry fails every comparison
-    bad |= ~(np.abs(np.bincount(owner, flat, m.n) - 1.0) <= 1e-6)
+    bad = _not_distributions(flat, owner, m.n)
     if bad.any():
         k = int(bad.argmax())
         raise PolicyMismatchError(f"rule at state {m.states[k]} is not a distribution: {rules[k]}")

@@ -73,10 +73,10 @@ def induce_chain(m: GameModel, mu: StationaryPolicy, nu: StationaryPolicy) -> In
 
 
 def _reverse_reachable(adj: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Nodes with a directed path into the source set (sources included)."""
+    """Nodes with a directed path into the source set (sources included); leading axes are a batch."""
     r = sources.copy()
     while True:
-        grown = r | (adj[:, r].any(axis=1))
+        grown = r | (adj & r[..., None, :]).any(axis=-1)
         if (grown == r).all():
             return r
         r = grown
@@ -332,24 +332,6 @@ def iter_pure_policies(m: GameModel, player: int) -> Iterator[StationaryPolicy]:
     return (_pure_policy(m, player, combo) for combo in _pure_combos(m, player))
 
 
-def _pure_chains(
-    m: GameModel, rows: np.ndarray, first: np.ndarray
-) -> Iterator[tuple[tuple[int, ...], InducedChain]]:
-    """The chain of every pure maximizer policy that picks rows of a table.
-
-    ``rows`` holds a stage cost and then a kernel over 0..n per row; a
-    policy whose control at state i has position k takes row
-    ``first[i] + k``.  Yields the positions and the chain, in canonical
-    order.
-    """
-    costs = np.concatenate(([0.0], rows[:, 0]))
-    probs = np.vstack((np.eye(1, m.n + 1), rows[:, 1:]))
-    base = np.concatenate(([0], np.asarray(first) + 1))
-    for combo in _pure_combos(m, PLAYER_MAX):
-        idx = base + (0, *combo)
-        yield combo, InducedChain(probs[idx], costs[idx], m.states)
-
-
 # ---------------------------------------------------------------------------
 # Essential properness
 # ---------------------------------------------------------------------------
@@ -462,10 +444,56 @@ class AssumptionReport:
 
 # pure policy pairs beyond which the assumption check enumerates nothing
 _MAX_PAIRS = 10**6
+# stacked chain entries (pairs x (n+1) x (n+2) doubles) gathered per chunk of pure pairs
+_CHUNK_ENTRIES = 2**18
+
+
+def _pure_pair_signs(m: GameModel) -> tuple[np.ndarray, np.ndarray, ClauseVerdict]:
+    """Whether each pure pair (minimizer row, maximizer column) has a +inf and a -inf total cost; clause 3.
+
+    Pairs go in canonical order, a chunk at a time, each chain one gather of
+    a (cost, kernel) table.  The pairs whose every state reaches 0 share one
+    stacked solve; only the others go through :func:`classify_chain`, in
+    order, so the clause-3 witness is the first offending pair.
+    """
+    sizes = [np.array([len(c[s]) for s in m.states], dtype=np.intp) for c in (m.controls1, m.controls2)]
+    n_nu = count_pure_policies(m, PLAYER_MAX)
+    signs = np.zeros((2, count_pure_policies(m, PLAYER_MIN) * n_nu), dtype=bool)
+    clause3 = ClauseVerdict("holds", "every pure prolonging pair has an infinite total cost")
+    table = np.vstack((np.eye(1, m.n + 2, 1), np.column_stack((m.g, m.P))))  # row 0: state 0's
+    base = np.concatenate(([0], m.control_layout.blocks + 1))
+    step = max(1, _CHUNK_ENTRIES // ((m.n + 1) * (m.n + 2)))
+    total = math.prod(sizes[0]) * math.prod(sizes[1])  # 0 when a state has no controls
+    for k in (np.arange(k0, min(k0 + step, total)) for k0 in range(0, total, step)):
+        u, v = (np.stack(np.unravel_index(x, z), axis=-1) for x, z in zip(divmod(k, n_nu), sizes))
+        chains = table[base + np.pad(u * sizes[1] + v, ((0, 0), (1, 0)))]  # (K, n+1, n+2)
+        adj = chains[..., 1:] > 0.0
+        proper = _reverse_reachable(adj, adj[:, 0]).all(axis=-1)  # row 0 of a chain marks state 0
+        c = chains[proper]
+        values = np.linalg.solve(np.eye(m.n) - c[:, 1:, 2:], c[:, 1:, :1])[..., 0]
+        signs[:, k[proper]] = np.isposinf(values).any(axis=-1), np.isneginf(values).any(axis=-1)
+        for j in np.flatnonzero(~proper):
+            chain = InducedChain(chains[j, :, 1:], chains[j, :, 0], m.states)
+            values = classify_chain(chain).values
+            signs[:, k[j]] = np.isposinf(values).any(), np.isneginf(values).any()
+            if not signs[:, k[j]].any() and clause3.status == "holds":
+                clause3 = ClauseVerdict(
+                    "violated",
+                    "prolonging pair with finite total cost (zero-gain recurrent class)",
+                    witness_mu=_pure_policy(m, PLAYER_MIN, u[j]),
+                    witness_nu=_pure_policy(m, PLAYER_MAX, v[j]),
+                    witness_states=tuple(m.states[i] for i in np.flatnonzero(~reach_probability_one(chain))),
+                )
+    return *signs.reshape(2, -1, n_nu), clause3
 
 
 def check_ssp_game_assumption(m: GameModel) -> AssumptionReport:
-    """Enumerate pure policy pairs (at most ``_MAX_PAIRS``) and report the structural clause verdicts."""
+    """Enumerate pure policy pairs (at most ``_MAX_PAIRS``) and report the structural clause verdicts.
+
+    Pairs whose chain reaches 0 with probability 1 from every state are
+    decided a stacked chunk at a time; only the other pairs reach
+    :func:`classify_chain` (:func:`_pure_pair_signs`).
+    """
     n_mu = count_pure_policies(m, PLAYER_MIN)
     n_nu = count_pure_policies(m, PLAYER_MAX)
     caveat = "certified over deterministic stationary policies only"
@@ -473,25 +501,7 @@ def check_ssp_game_assumption(m: GameModel) -> AssumptionReport:
         too_big = ClauseVerdict("inconclusive", f"pure pair space {n_mu * n_nu} exceeds cap {_MAX_PAIRS}")
         return AssumptionReport(too_big, too_big, too_big, (caveat,))
 
-    n_v = np.array([len(m.controls2[s]) for s in m.states], dtype=np.intp)
-    table = np.column_stack((m.g, m.P))
-    has_pos, has_neg = np.zeros((2, n_mu, n_nu), dtype=bool)
-    clause3 = ClauseVerdict("holds", "every pure prolonging pair has an infinite total cost")
-    for a, mu_combo in enumerate(_pure_combos(m, PLAYER_MIN)):
-        # the triplet rows (i, u_i, v) of this minimizer policy
-        first = m.control_layout.blocks + np.asarray(mu_combo, dtype=np.intp) * n_v
-        for b, (nu_combo, chain) in enumerate(_pure_chains(m, table, first)):
-            cls = classify_chain(chain)
-            has_pos[a, b] = np.isposinf(cls.values).any()
-            has_neg[a, b] = np.isneginf(cls.values).any()
-            if cls.prolonging and not has_pos[a, b] and not has_neg[a, b] and clause3.status == "holds":
-                clause3 = ClauseVerdict(
-                    "violated",
-                    "prolonging pair with finite total cost (zero-gain recurrent class)",
-                    witness_mu=_pure_policy(m, PLAYER_MIN, mu_combo),
-                    witness_nu=_pure_policy(m, PLAYER_MAX, nu_combo),
-                    witness_states=tuple(m.states[i] for i in np.flatnonzero(~reach_probability_one(chain))),
-                )
+    has_pos, has_neg, clause3 = _pure_pair_signs(m)
 
     from .solve import CONVERGED, evaluate_vs_best_response  # solve imports this module
 

@@ -340,6 +340,8 @@ MALFORMED = {
     "states-is-a-number": '"states" must be a list',
     "p-is-text": 'transitions[0] (1,1,1): entry 0: "p" and "cost" must be numbers',
     "weight-is-nan": "rule at state 1 is not a distribution: [0.0, nan]",
+    "mass-off-by-1e-7": "rule at state 1 is not a distribution: [0.5, 0.5000001]",
+    "weight-is-minus-1e-12": "rule at state 1 is not a distribution: [1.000000000001, -1e-12]",
     "weight-on-unknown-control": "rule at state 1 names control 'typo', which the state does not have",
     "rule-for-unknown-state": "policy has a rule for state 9, which the game does not have",
 }
@@ -366,6 +368,10 @@ def test_malformed_json_exits_invalid(capsys, everett_file, tmp_path, case):
         doc["transitions"][0]["next"][0]["p"] = "x"
     elif case == "weight-is-nan":
         mu_doc["rules"]["1"]["2"] = float("nan")  # json writes NaN and reads it back
+    elif case == "mass-off-by-1e-7":
+        mu_doc["rules"]["1"] = {"1": 0.5, "2": 0.5000001}
+    elif case == "weight-is-minus-1e-12":
+        mu_doc["rules"]["1"] = {"1": 1.0 + 1e-12, "2": -1e-12}
     elif case == "weight-on-unknown-control":
         mu_doc["rules"]["1"] = {"1": 1.0, "typo": 0.5}
     elif case == "rule-for-unknown-state":

@@ -1,6 +1,6 @@
 """Every computation with one player's stationary policy fixed.
 
-Four kinds of test:
+Five kinds of test:
 
 * sha256 pins of graph results, verdicts and witnesses (assumption reports,
   termination sets, essential properness, pure-pair induced chains, SSP(A)
@@ -9,6 +9,9 @@ Four kinds of test:
 * a verdict oracle: the pure-response enumeration that essential properness
   and the SSP(A) check once used, against their exact best-response
   decision, and the witness responses of that decision.
+* a pair oracle: the assumption check's former per-pair loop (one chain and
+  one ``classify_chain`` per pure pair) against its stacked pass, with
+  chunks of any size.
 * a tolerance oracle: the per-state averaging loops, kept here as
   references, against the operators, best response, SSP(A), the pinned
   Q-backup and the certificate weights on random mixed policies.
@@ -25,8 +28,9 @@ import numpy as np
 import pytest
 
 import sspg
+from sspg import structure
 from sspg.model import PolicyMismatchError, policy_arrays
-from sspg.structure import GAIN_TOL, count_pure_policies, iter_pure_policies
+from sspg.structure import GAIN_TOL, ClauseVerdict, _pure_pair_signs, count_pure_policies, iter_pure_policies
 
 # recorded on the per-state-loop implementation; "assumption" re-recorded when
 # the safeguard check's best response became exact: the maximizer notes of
@@ -228,6 +232,108 @@ def test_witness_response_prolongs_without_the_needed_infinity():
         assert cls.prolonging and not _needed_infinity(pol)(cls.values).any()
         witnesses += 1
     assert witnesses >= 40
+
+
+# ---------------------------------------------------------------------------
+# Pair oracle: the per-pair loop of the assumption check as a reference
+# ---------------------------------------------------------------------------
+
+
+def ref_pure_pair_signs(m):
+    """The assumption check's former pair loop: one chain and one classify_chain per pure pair."""
+    pols = [list(iter_pure_policies(m, p)) for p in (sspg.PLAYER_MIN, sspg.PLAYER_MAX)]
+    combos = [list(itertools.product(*(range(len(c[s])) for s in m.states))) for c in (m.controls1, m.controls2)]
+    n_v = np.array([len(m.controls2[s]) for s in m.states], dtype=np.intp)
+    rows = np.column_stack((m.g, m.P))
+    costs = np.concatenate(([0.0], rows[:, 0]))
+    probs = np.vstack((np.eye(1, m.n + 1), rows[:, 1:]))
+    shape = (count_pure_policies(m, sspg.PLAYER_MIN), count_pure_policies(m, sspg.PLAYER_MAX))
+    has_pos, has_neg = np.zeros((2, *shape), dtype=bool)
+    clause3 = ClauseVerdict("holds", "every pure prolonging pair has an infinite total cost")
+    for a, mu_combo in enumerate(combos[0]):
+        base = np.concatenate(([0], m.control_layout.blocks + np.asarray(mu_combo, dtype=np.intp) * n_v + 1))
+        for b, nu_combo in enumerate(combos[1]):
+            idx = base + (0, *nu_combo)
+            chain = sspg.InducedChain(probs[idx], costs[idx], m.states)
+            cls = sspg.classify_chain(chain)
+            has_pos[a, b] = np.isposinf(cls.values).any()
+            has_neg[a, b] = np.isneginf(cls.values).any()
+            if cls.prolonging and not has_pos[a, b] and not has_neg[a, b] and clause3.status == "holds":
+                clause3 = ClauseVerdict(
+                    "violated",
+                    "prolonging pair with finite total cost (zero-gain recurrent class)",
+                    witness_mu=pols[0][a],
+                    witness_nu=pols[1][b],
+                    witness_states=tuple(m.states[i] for i in np.flatnonzero(~sspg.reach_probability_one(chain))),
+                )
+    return has_pos, has_neg, clause3
+
+
+def _zero_gain_loop_game():
+    """States 2 and 3 cycle at costs -1, +1 when u = b at 2 and v = y at 3; the first such pair is pair 5.
+
+    Pair 5 is (a, b, a) against (x, x, y).  Other pairs loop at state 1 with gain 1 or 0.
+    """
+    c1 = {"1": ["a", "b"], "2": ["a", "b"], "3": ["a"]}
+    c2 = {"1": ["x", "y"], "2": ["x"], "3": ["x", "y"]}
+    rows = {
+        ("1", "a", "x"): [("0", 0.5, 1.0), ("2", 0.5, 0.0)],
+        ("1", "a", "y"): [("1", 1.0, 1.0)],
+        ("1", "b", "x"): [("0", 1.0, 2.0)],
+        ("1", "b", "y"): [("1", 1.0, 0.0)],
+        ("2", "a", "x"): [("0", 1.0, 1.0)],
+        ("2", "b", "x"): [("3", 1.0, -1.0)],
+        ("3", "a", "x"): [("0", 0.25, 0.0), ("1", 0.75, -1.0)],
+        ("3", "a", "y"): [("2", 1.0, 1.0)],
+    }
+    return sspg.GameModel(["1", "2", "3"], c1, c2, rows)
+
+
+def _pair_oracle_games():
+    games = [sspg.load_bundled_model(name) for name in ("everett", "zerocost", "pursuit")]
+    games += [_trap_game(s, n=n, controls=c, absorbing=a)
+              for n in (4, 5) for c in (2, 3) for a in (True, False) for s in range(20, 26)]
+    games += [_generated(f, n, mc, s) for f in ("loopy", "sequential", "contraction")
+              for n, mc in ((2, 3), (4, 2), (6, 2)) for s in range(4)]
+    return games + [_zero_gain_loop_game()]
+
+
+def _prolonging_clause(m, clause):
+    return sspg.AssumptionReport(clause, clause, clause, ()).to_json(m)["clauses"]["prolonging_pairs"]
+
+
+def test_pair_signs_match_the_per_pair_loop(monkeypatch):
+    statuses = Counter()
+    for m in _pair_oracle_games():
+        has_pos, has_neg, clause3 = _pure_pair_signs(m)
+        want_pos, want_neg, want3 = ref_pure_pair_signs(m)
+        assert has_pos.tolist() == want_pos.tolist() and has_neg.tolist() == want_neg.tolist()
+        assert _prolonging_clause(m, clause3) == _prolonging_clause(m, want3)
+        statuses[clause3.status] += 1
+        report = sspg.check_ssp_game_assumption(m).to_json(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(structure, "_pure_pair_signs", ref_pure_pair_signs)
+            assert report == sspg.check_ssp_game_assumption(m).to_json(m)
+    assert statuses["violated"] >= 3 and statuses["holds"] >= 10
+
+
+def test_zero_gain_loop_witness_is_the_first_offending_pair():
+    m = _zero_gain_loop_game()
+    clause3 = sspg.check_ssp_game_assumption(m).clause_prolonging
+    assert clause3.status == "violated" and clause3.witness_states == ("1", "2", "3")  # 1 enters 2 w.p. 1/2
+    picks = [{s: max(r, key=r.get) for s, r in pol.to_json(m)["rules"].items()}
+             for pol in (clause3.witness_mu, clause3.witness_nu)]
+    assert picks == [{"1": "a", "2": "b", "3": "a"}, {"1": "x", "2": "x", "3": "y"}]
+
+
+@pytest.mark.parametrize("game", ["zerocost", "zero-gain-loop", "trap"])
+def test_chunks_of_three_pairs_give_the_same_report(monkeypatch, game):
+    m = {"zerocost": lambda: sspg.load_bundled_model("zerocost"), "zero-gain-loop": _zero_gain_loop_game,
+         "trap": lambda: _trap_game(22, controls=3)}[game]()
+    want = sspg.check_ssp_game_assumption(m).to_json(m)
+    monkeypatch.setattr(structure, "_CHUNK_ENTRIES", 3 * (m.n + 1) * (m.n + 2))
+    assert want == sspg.check_ssp_game_assumption(m).to_json(m)
+    assert _prolonging_clause(m, _pure_pair_signs(m)[2]) == _prolonging_clause(m, ref_pure_pair_signs(m)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +546,7 @@ def test_policy_arrays_flat_state_order(pursuit):
     assert flat.tolist() == [x for s in pursuit.states for x in mu.rules[s].tolist()]
 
 
-@pytest.mark.parametrize("defect", ["missing", "length", "negative", "mass", "player"])
+@pytest.mark.parametrize("defect", ["missing", "length", "negative", "mass", "player", "mass-1e-7", "minus-1e-12"])
 def test_policy_arrays_rejections(pursuit, defect):
     m = pursuit
     rules = {s: np.asarray(r).copy() for s, r in sspg.uniform_policy(m, sspg.PLAYER_MIN).rules.items()}
@@ -456,6 +562,10 @@ def test_policy_arrays_rejections(pursuit, defect):
         rules[s][0], rules[s][-1] = -0.5, 1.5
     elif defect == "mass":
         rules[s] = rules[s] * (1.0 + 2e-6)
+    elif defect == "mass-1e-7":  # decision_rule rejects it, so policy_arrays does too
+        rules[s] = np.array([0.5, 0.5000001])
+    elif defect == "minus-1e-12":
+        rules[s] = np.array([1.0 + 1e-12, -1e-12])
     else:
         player = sspg.PLAYER_MAX
     with pytest.raises(PolicyMismatchError) as err:
@@ -475,7 +585,7 @@ def test_policy_arrays_rejects_empty_rule():
 
 
 def test_policy_arrays_accepts_mass_within_tolerance(pursuit):
-    rules = {s: r * (1.0 + 5e-7) for s, r in sspg.uniform_policy(pursuit, sspg.PLAYER_MAX).rules.items()}
+    rules = {s: r * (1.0 + 5e-10) for s, r in sspg.uniform_policy(pursuit, sspg.PLAYER_MAX).rules.items()}
     policy_arrays(pursuit, sspg.StationaryPolicy(sspg.PLAYER_MAX, rules), sspg.PLAYER_MAX)
 
 

@@ -49,7 +49,12 @@ def test_tracer_installs_and_restores(everett):
 
 def test_tracer_counts_pairs_under_the_assumption_check(everett):
     # structure.pairs_enumerated counts the classify_chain spans directly under
-    # check_ssp_game_assumption: one per pure pair, and everett has 2 x 2
+    # check_ssp_game_assumption: one per pure pair whose chain can avoid 0 (the
+    # others are solved a stacked chunk at a time); everett has 1 of its 2 x 2
+    mus, nus = (list(sspg.iter_pure_policies(everett, p)) for p in (sspg.PLAYER_MIN, sspg.PLAYER_MAX))
+    improper = sum(not sspg.reach_probability_one(sspg.induce_chain(everett, mu, nu)).all()
+                   for mu in mus for nu in nus)
+    assert (len(mus) * len(nus), improper) == (4, 1)
     tracer = _tracer_module()
     t = tracer.Tracer()
     t.install()
@@ -59,7 +64,7 @@ def test_tracer_counts_pairs_under_the_assumption_check(everett):
         t.restore()
     view = tracer.SpanView(t, 0, len(t.s_name))
     [check] = view.indices("structure.check_ssp_game_assumption")
-    assert len(view.children(check, "structure.classify_chain")) == 4
+    assert len(view.children(check, "structure.classify_chain")) == improper
 
 
 def test_tracer_sees_every_best_response(pursuit, everett):
