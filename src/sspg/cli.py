@@ -316,6 +316,10 @@ def _cmd_solve_pi(args) -> int:
     )
     if args.csv:
         trace.to_csv(args.csv)
+    clause = structure.check_ssp_game_assumption(m).clause_prolonging if trace.outcome == solve.ITERATION_CAP else None
+    if clause is not None and clause.status == "violated":  # the one clause with "violated" verdicts
+        trace.note = (f"the game violates the SSP game assumption: {clause.note}; "
+                      f"so player {args.player} may have no optimal stationary policy")
     _emit(
         {
             "values": _values_doc(m, values),

@@ -12,12 +12,10 @@ is read off the slack reduced costs.  Degenerate one-row / one-column games
 short-circuit to pure min/max.  Tie-breaking is lowest-index everywhere, so
 results are deterministic for a fixed matrix.
 
-Values alone come cheaper.  :func:`game_values` evaluates every state of a
-game at once from its :class:`ShapeGroups`: 1 x k and k x 1 blocks as a
-max / min over a padded index array, 2 x 2 blocks with a vectorized
-:func:`value_2x2`, and only the remaining blocks through the simplex,
-without assembling strategies; :meth:`ShapeGroups.laid_out` points it at
-any batch of blocks.  :func:`flat_game_value` is the same dispatch for one.
+All LP blocks of a batch share one padded tableau (:func:`_stacked_simplex`),
+serving :func:`solve_blocks` and :func:`game_values`, which takes 1 x k and
+k x 1 blocks as a max / min and 2 x 2 ones by :func:`value_2x2`.  For one
+block :func:`flat_game_value` runs the scalar :func:`_simplex`, equal bit for bit.
 """
 
 from __future__ import annotations
@@ -38,33 +36,28 @@ class MatrixGameSolution:
     col_strategy: np.ndarray
 
 
+def _finite(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    if not np.isfinite(q).all():
+        raise ValueError("matrix game entries must be finite")
+    return q
+
+
 def _as_matrix(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix game needs a 2-D m x n matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix game entries must be finite")
-    return a
+    return _finite(a)
 
 
-def _pure(size: int, index: int) -> np.ndarray:
-    s = np.zeros(size)
-    s[index] = 1.0
-    return s
+def _simplex(vals: list, m: int, n: int) -> float:
+    """Value of a u-major flattened ``m x n`` game by the primal simplex.
 
-
-def _simplex(vals: list, m: int, n: int) -> tuple[float, np.ndarray, list]:
-    """Primal simplex on a u-major flattened ``m x n`` game.
-
-    Returns the value, the row weights ``x`` and the slack reduced costs
-    ``y`` (unnormalized strategies).  The tableau is a list of Python float
-    rows: at these sizes a numpy call per row operation costs more than the
-    arithmetic.  Every entry goes through the same IEEE operations in the
-    same order as a dense array tableau would, so results are bit-stable.
+    A list of Python float rows: for one block a numpy call per row operation
+    costs more than the arithmetic.  Bit for bit :func:`_stacked_simplex`'s
+    IEEE operations, in the same order (property-tested).
     """
-    shift = 1.0 - min(vals)
-    if shift < 0.0:
-        shift = 0.0
+    shift = max(1.0 - min(vals), 0.0)
     # tableau rows, one per column v: A'x + s = 1;  objective: maximize sum(x)
     t = []
     for v in range(n):
@@ -111,23 +104,98 @@ def _simplex(vals: list, m: int, n: int) -> tuple[float, np.ndarray, list]:
     total = float(x.sum())  # numpy sums 8 or more entries pairwise; the pins record that order
     if total <= 0:
         raise RuntimeError("matrix game LP returned a degenerate solution")
-    return 1.0 / total - shift, x, obj[m:width]
+    return 1.0 / total - shift
+
+
+def _stacked_simplex(q: np.ndarray, idx, nu, nv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_simplex` on the blocks of :attr:`ShapeGroups.other` at once, bit for bit: values, ``x``, ``y``.
+
+    The tableau ``(B, N + 1, M + N + 1)`` keeps reduced costs in row N, x_u in column u and s_v in
+    column M + v, so Bland's rule and the tie-break see each block's variables in order; padding is
+    zero and never enters or leaves.  A round pivots every unfinished block; a finished one divides by 1.
+    """
+    for b in np.flatnonzero(nu * nv == 0)[:1].tolist():
+        raise ValueError(f"matrix game needs a 2-D m x n matrix, got shape {(int(nu[b]), int(nv[b]))}")
+    (nb, n, m), a = idx.shape, q[idx]
+    with np.errstate(all="ignore"):  # shifted entries may overflow, as Python floats do silently
+        shift = np.maximum(1.0 - a.reshape(nb, n * m).min(axis=1), 0.0)
+        t = np.zeros((nb, n + 1, m + n + 1))
+        t[:, :n, :m] = np.where((np.arange(m) < nu[:, None, None]) & (np.arange(n)[:, None] < nv[:, None, None]),
+                                a + shift[:, None, None], 0.0)
+        t[:, :n, m:] = np.eye(n, n + 1) + np.eye(1, n + 1, n)  # slack basis, right-hand side 1
+        t[:, n, :m] = np.where(np.arange(m) < nu[:, None], -1.0, 0.0)
+        basis, k, rows = np.tile(np.arange(m, m + n + 1), (nb, 1)), np.arange(nb), np.arange(n + 1)
+        for _ in range(_MAX_PIVOTS):
+            neg = t[:, n, :-1] < -_EPS
+            go = neg.any(axis=1)
+            if not go.any():
+                break
+            enter = neg.argmax(axis=1)  # Bland: lowest-index improving column
+            col = np.where(go[:, None], t[k, :, enter], 0.0)  # a finished block leaves row -1, its cost row
+            ratios = np.where(col[:, :n] > _EPS, t[:, :n, -1] / col[:, :n], math.inf)
+            leave = np.where(go, ratios.argmin(axis=1), -1)  # the least ratio wins if no other is within eps
+            low = ratios[k, leave][:, None]
+            apart = (ratios >= low + _EPS) & (low < ratios - _EPS) | ~go[:, None]
+            apart[k, leave] = True
+            if not apart.all():  # else the ratio test of _simplex: a fold over the rows
+                leave, best, best_var = -1, math.inf, math.inf
+                for i in range(n):
+                    ratio, var = ratios[:, i], basis[:, i]
+                    take = (ratio < best - _EPS) | ((ratio < best + _EPS) & (var < best_var))
+                    leave, best = np.where(take, i, leave), np.where(take, ratio, best)
+                    best_var = np.where(take, var, best_var)
+            if (go & (leave < 0)).any():
+                raise RuntimeError("matrix game LP unbounded; input not positive?")
+            lrow = t[k, leave] / np.where(go, col[k, leave], 1.0)[:, None]
+            keep = (col == 0.0) | (rows == leave[:, None])  # f == 0 is skipped: w - 0*z can flip a zero
+            t = np.where(keep[:, :, None], t, t - col[:, :, None] * lrow[:, None, :])
+            t[k, leave], basis[k, leave] = lrow, enter
+        else:
+            raise RuntimeError("matrix game LP did not terminate")
+    x = np.zeros((nb, m))
+    b, i = np.nonzero(basis[:, :n] < m)
+    x[b, basis[b, i]] = t[b, i, -1]
+    total = _row_sums(x, nu)
+    if (total <= 0).any():
+        raise RuntimeError("matrix game LP returned a degenerate solution")
+    return 1.0 / total - shift, x, t[:, n, m:-1]
+
+
+def _row_sums(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``s[b, :k[b]].sum()`` for each row b: numpy sums 8 or more entries pairwise, so padding would regroup them."""
+    out = np.empty(len(s))
+    for width in set(k.tolist()):
+        out[k == width] = s[k == width, :width].sum(axis=1)
+    return out
+
+
+def solve_blocks(q, blocks) -> list[MatrixGameSolution]:
+    """Value and saddle-point pair of every ``(offset, nu, nv)`` block of a flat u-major table.
+
+    1 x k and k x 1 blocks are pure (first max, first min); the rest take one :func:`_stacked_simplex`.
+    """
+    q, (_, idx, nu, nv) = _finite(q), ShapeGroups.from_blocks(blocks, closed_2x2=False).other
+    values, x, y = _stacked_simplex(q, idx, nu, nv)
+    found = zip(values.tolist(), *(s / _row_sums(s, k)[:, None] for s, k in ((np.maximum(x, 0.0), nu),
+                                                                            (np.maximum(y, 0.0), nv))))
+    sols = []
+    for off, m, n in blocks:
+        if min(m, n) != 1:
+            value, row, col = next(found)
+            sols.append(MatrixGameSolution(value, row[:m], col[:n]))
+        else:  # pure: entry j of a row or a column, j % m and j % n pick the strategies
+            a = q[off : off + m * n]
+            j = int(a.argmax() if m == 1 else a.argmin())
+            row, col = np.zeros(m), np.zeros(n)
+            row[j % m] = col[j % n] = 1.0
+            sols.append(MatrixGameSolution(float(a[j]), row, col))
+    return sols
 
 
 def solve_matrix_game(matrix) -> MatrixGameSolution:
     """Solve a matrix game; returns value and a certificate-valid mixed pair."""
     a = _as_matrix(matrix)
-    m, n = a.shape
-    if m == 1:
-        j = int(np.argmax(a[0]))
-        return MatrixGameSolution(float(a[0, j]), np.ones(1), _pure(n, j))
-    if n == 1:
-        i = int(np.argmin(a[:, 0]))
-        return MatrixGameSolution(float(a[i, 0]), _pure(m, i), np.ones(1))
-    value, x, y = _simplex(a.ravel().tolist(), m, n)
-    row = np.maximum(x, 0.0)
-    col = np.maximum(np.array(y), 0.0)  # dual values from slack reduced costs
-    return MatrixGameSolution(value, row / row.sum(), col / col.sum())
+    return solve_blocks(a.ravel(), [(0, *a.shape)])[0]
 
 
 def best_response_value(matrix, strategy, side: str) -> tuple[float, int]:
@@ -193,52 +261,45 @@ class ShapeGroups:
     ``rows`` (1 x k, 1 x 1 included), ``cols`` (k x 1) and ``pairs``
     (2 x 2) each hold 0-based state positions and a matrix of triplet
     indices, one row per state, padded by repeating the block's first entry.
-    ``other`` lists every remaining block as ``(position, offset, nu, nv)``.
+    ``other``, the rest (2 x 2 too unless ``closed_2x2``), is ``(pos, idx[b, v, u] of entry (u, v), nu, nv)``.
     """
 
     n: int
     rows: tuple[np.ndarray, np.ndarray]
     cols: tuple[np.ndarray, np.ndarray]
     pairs: tuple[np.ndarray, np.ndarray]
-    other: tuple[tuple[int, int, int, int], ...]
+    other: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     @classmethod
-    def from_blocks(cls, blocks) -> "ShapeGroups":
+    def from_blocks(cls, blocks, closed_2x2: bool = True) -> "ShapeGroups":
         """Group ``(offset, nu, nv)`` blocks, one per state, by the kernel's dispatch."""
-        rows, cols, pairs, other = [], [], [], []
-        for p, (off, nu, nv) in enumerate(blocks):
-            if nu * nv == 0:
-                other.append((p, off, nu, nv))  # the LP path rejects it
-            elif nu == 1:
-                rows.append((p, off, nv))
-            elif nv == 1:
-                cols.append((p, off, nu))
-            elif nu == 2 and nv == 2:
-                pairs.append((p, off, 4))
-            else:
-                other.append((p, off, nu, nv))
+        off, nu, nv = np.array(blocks, dtype=np.intp).reshape(-1, 3).T
+        rows, cols, pairs = (nu == 1) & (nv > 0), (nv == 1) & (nu > 1), (nu == 2) & (nv == 2) & closed_2x2
 
-        def indexed(group):
-            width = max((k for _, _, k in group), default=0)
-            idx = [[off + (j if j < k else 0) for j in range(width)] for _, off, k in group]
-            return (np.array([p for p, _, _ in group], dtype=np.intp),
-                    np.array(idx, dtype=np.intp).reshape(len(group), width))
+        def indexed(sel, k):
+            pos = np.flatnonzero(sel)
+            j = np.arange(k[pos].max(initial=0))
+            return pos, np.where(j < k[pos, None], off[pos, None] + j, off[pos, None])
 
-        return cls(len(blocks), indexed(rows), indexed(cols), indexed(pairs), tuple(other))
+        p = np.flatnonzero(~(rows | cols | pairs))  # zero-size blocks too: the LP rejects them
+        o, m, n = off[p, None, None], nu[p, None, None], nv[p, None, None]
+        u, v = np.arange(nu[p].max(initial=1)), np.arange(nv[p].max(initial=1))[:, None]
+        lp = p, np.where((u < m) & (v < n), o + u * n + v, o), nu[p], nv[p]  # idx[b, v, u]: entry (u, v)
+        return cls(len(nu), indexed(rows, nv), indexed(cols, nu), indexed(pairs, nu * nv), lp)
 
     def laid_out(self, blocks: np.ndarray, width: int) -> "ShapeGroups":
         """The groups of a batch of blocks: block ``b`` has the shape of
         position ``blocks[b]`` and is stored at ``b * width`` of a flat table."""
         at, groups = np.arange(len(blocks)) * width, []
-        for pos, idx in (self.rows, self.cols, self.pairs):
+        for pos, idx, *shape in (self.rows, self.cols, self.pairs, self.other):
             row = np.full(self.n, -1)
             row[pos] = np.arange(len(pos))
             b = np.flatnonzero(row[blocks] >= 0)
-            local = idx[row[blocks[b]]]
-            groups.append((b, at[b, None] + local - local[:, :1]))
-        shape = {p: (nu, nv) for p, _, nu, nv in self.other}
-        rest = np.flatnonzero(np.isin(blocks, list(shape))).tolist()
-        return ShapeGroups(len(blocks), *groups, tuple((b, b * width, *shape[blocks[b]]) for b in rest))
+            r = row[blocks[b]]
+            local = idx[r]
+            first = local[(slice(None),) + (slice(1),) * (local.ndim - 1)]  # each block's first entry
+            groups.append((b, local - first + at[b].reshape(first.shape), *(k[r] for k in shape)))
+        return ShapeGroups(len(blocks), *groups)
 
 
 def game_values(q, groups: ShapeGroups) -> np.ndarray:
@@ -246,12 +307,10 @@ def game_values(q, groups: ShapeGroups) -> np.ndarray:
 
     The value kernel of the exact layer.  1 x k blocks take the first
     maximum and k x 1 blocks the first minimum, 2 x 2 blocks the vectorized
-    :func:`value_2x2`, and every other block a value-only LP.  Equals
+    :func:`value_2x2`, and all other blocks one :func:`_stacked_simplex`.  Equals
     :func:`flat_game_value` on each block bit for bit (property-tested).
     """
-    q = np.asarray(q, dtype=float)
-    if not np.isfinite(q).all():
-        raise ValueError("matrix game entries must be finite")
+    q = _finite(q)
     out = np.empty(groups.n)
     for (pos, idx), pick in ((groups.rows, np.argmax), (groups.cols, np.argmin)):
         if pos.size:
@@ -260,12 +319,8 @@ def game_values(q, groups: ShapeGroups) -> np.ndarray:
     pos, idx = groups.pairs
     if pos.size:
         out[pos] = _values_2x2(*q[idx].T)
-    if groups.other:
-        flat = q.tolist()
-        for p, off, nu, nv in groups.other:
-            if nu * nv == 0:
-                raise ValueError(f"matrix game needs a 2-D m x n matrix, got shape {(nu, nv)}")
-            out[p] = _simplex(flat[off : off + nu * nv], nu, nv)[0]
+    if groups.other[0].size:
+        out[groups.other[0]] = _stacked_simplex(q, *groups.other[1:])[0]
     return out
 
 
@@ -273,8 +328,8 @@ def flat_game_value(vals, nu: int, nv: int) -> float:
     """Game value of a u-major flattened ``nu x nv`` matrix.
 
     Fast dispatch used in sampling loops: single-row/column games are pure
-    min/max, 2x2 uses the closed form, and larger blocks the value-only LP
-    of :func:`game_values`.  Entries are not checked: every table the engine
+    min/max, 2x2 uses the closed form, and larger blocks :func:`_simplex`,
+    the scalar twin of :func:`game_values`' LP.  Entries are not checked: every table the engine
     reads is finite (Q0 passes :func:`game_values` at t = 0 and every write
     is checked).  Agrees with :func:`solve_matrix_game` (property-tested).
     """
@@ -284,5 +339,5 @@ def flat_game_value(vals, nu: int, nv: int) -> float:
         return min(vals)
     if nu == 2 and nv == 2:
         return value_2x2(vals[0], vals[1], vals[2], vals[3])
-    return _simplex(vals, nu, nv)[0]
+    return _simplex(vals, nu, nv)
 

@@ -287,7 +287,6 @@ class GameModel:
         self.triplets = tuple(trips)
         self.n_triplets = len(trips)
         self._blocks = tuple(blocks)
-        self.shape_groups = ShapeGroups.from_blocks(blocks)  # for the batched value kernel
         self.control_layout = ControlLayout.from_blocks(blocks)  # for fixed-policy averages
         self._tidx = {t: k for k, t in enumerate(trips)}
 
@@ -308,6 +307,11 @@ class GameModel:
             at = s.start.tolist()
             self._rows = {t: tuple(entries[a:b]) for t, a, b in zip(self.triplets, at, at[1:])}
         return self._rows
+
+    @functools.cached_property
+    def shape_groups(self) -> ShapeGroups:
+        """The states grouped by block shape for the batched value kernel, built on first use."""
+        return ShapeGroups.from_blocks(self._blocks)
 
     @property
     def P(self) -> np.ndarray:
@@ -401,6 +405,12 @@ class ValidationReport:
         }
 
 
+def _empty_controls(m: GameModel) -> list[Finding]:
+    """The ``empty-controls`` findings of :func:`validate_model`: a state where a player has no control."""
+    return [Finding("empty-controls", f"state {s}", f"empty control set for player {k}")
+            for s in m.states for k, ctrl in ((1, m.controls1), (2, m.controls2)) if not ctrl[s]]
+
+
 def validate_model(m: GameModel) -> ValidationReport:
     """Check every model invariant and report all violations.
 
@@ -409,11 +419,7 @@ def validate_model(m: GameModel) -> ValidationReport:
     found: list[Finding] = []
     if not m.states:
         found.append(Finding("no-states", "states", "the game has no states"))
-    for s in m.states:
-        if not m.controls1[s]:
-            found.append(Finding("empty-controls", f"state {s}", "empty control set for player 1"))
-        if not m.controls2[s]:
-            found.append(Finding("empty-controls", f"state {s}", "empty control set for player 2"))
+    found += _empty_controls(m)
     for t in m.triplets:
         loc = f"({t[0]},{t[1]},{t[2]})"
         row = m.transitions[t]

@@ -7,10 +7,10 @@ terminal entry pinned to zero implicitly.
 
 Every minimax evaluation is a matrix game per state.  Values go through the
 batched kernel :func:`sspg.matgame.game_values` (closed forms for 1 x k,
-k x 1 and 2 x 2 blocks, a value-only LP for the rest), which serves
+k x 1 and 2 x 2 blocks, one stacked value LP for the rest), which serves
 :func:`values_from_q` and through it :func:`bellman` and :func:`q_bellman`.
 So does :func:`bellman_maximin`, on the transposed blocks.  Strategies
-come from :func:`sspg.matgame.solve_matrix_game`.  Operators with one
+come from one :func:`sspg.matgame.solve_blocks` call.  Operators with one
 player's policy fixed average the stage matrices over that policy with
 :func:`sspg.model.policy_average` and take pure best responses over the
 opponent's controls, which is exact because a linear function on a simplex
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matgame import ShapeGroups, game_values, solve_matrix_game
+from .matgame import ShapeGroups, game_values, solve_blocks
 from .model import (
     PLAYER_MAX,
     PLAYER_MIN,
@@ -113,19 +113,12 @@ def q_bellman(m: GameModel, q) -> np.ndarray:
 def greedy_policies(
     m: GameModel, q
 ) -> tuple[StationaryPolicy, StationaryPolicy]:
-    """Per-state matrix-game optimal decision rules of a Q-table.
+    """Per-state matrix-game optimal decision rules of a Q-table, as :func:`sspg.solve_matrix_game` gives them.
 
     At the Q-table solving Q = FQ these form an equilibrium pair when the
     game's structural assumptions hold; on other inputs they are only
     stage-game optimal for the given Q (no game-level optimality claim).
     """
-    q = _as_qtable(m, q)
-    rules1, rules2 = {}, {}
-    for i, s in enumerate(m.states, start=1):
-        sol = solve_matrix_game(m.q_block(q, i))
-        rules1[s] = sol.row_strategy
-        rules2[s] = sol.col_strategy
-    return (
-        StationaryPolicy(PLAYER_MIN, rules1),
-        StationaryPolicy(PLAYER_MAX, rules2),
-    )
+    sols = solve_blocks(_as_qtable(m, q), [m.state_block(i) for i in range(1, m.n + 1)])
+    return (StationaryPolicy(PLAYER_MIN, {s: sol.row_strategy for s, sol in zip(m.states, sols)}),
+            StationaryPolicy(PLAYER_MAX, {s: sol.col_strategy for s, sol in zip(m.states, sols)}))

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PLAYER_MAX, GameModel, StationaryPolicy, policy_average
+from .model import PLAYER_MAX, GameModel, StationaryPolicy, _empty_controls, policy_average
 from .operators import bellman, greedy_policies, q_bellman, q_from_values
 from .structure import (
     ChainClassification,
@@ -142,6 +142,8 @@ def _best_response(m: GameModel, fixed: StationaryPolicy, costs) -> tuple[np.nda
     the states with no terminating response, or else a response that never
     terminates from the staying set and is not infinitely bad there.
     """
+    for finding in _empty_controls(m):  # no response there, and no pure response to count
+        raise ValueError(str(finding))
     minimize = fixed.player == PLAYER_MAX
     table = np.column_stack((costs, m.P))
     rows, offsets = policy_average(m, table, *((None, fixed) if minimize else (fixed, None)))

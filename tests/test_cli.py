@@ -402,7 +402,7 @@ def test_out_flag(capsys, everett_file, tmp_path):
 CLI_PINS = {
     ("everett", "solve-vi"): "52f80c95d8ff03b8801336459701bc8f66e3df90806296dd2777ab594165c3a9",
     ("everett", "solve-pi --player I"): "48be180b8c0757841abff3ea937a6394f04e8e6e7c15e104f7fc4c44c611b24a",
-    ("everett", "solve-pi --player II"): "9fd12f5b8777ea0f93f9d4ec3803b58fb7f097cbb8019300f6154b13084e23ec",
+    ("everett", "solve-pi --player II"): "3315fbd037b95cc8a67ff9f52b8d70b1ac4bc6c9e06c692d1517b68bca014150",
     ("everett", "certificate"): "831b626f5e8568224240742be0fd5e7cb1e42f4345c4a880299d686868b98a74",
     ("zerocost", "solve-vi"): "d0e39364d50e4210c6c20f26269c710b4d4147269882ed8e6e1802d4a980e258",
     ("zerocost", "solve-pi --player I"): "7ddabe4b62c53ad33bdba4875d0dddf26919645a3f913360087fcfd440e10f0c",
@@ -423,6 +423,20 @@ def test_cli_output_pins(capsys, tmp_path, game, cmd):
         warnings.simplefilter("ignore")  # the start-policy warning goes to stderr
         _, out = run_cli(capsys, *cmd.split(), "--model", str(path))
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_PINS[(game, cmd)]
+
+
+def test_solve_pi_cap_note_names_the_violated_assumption(capsys, everett_file, tmp_path, pursuit):
+    # everett's maximizer has no optimal stationary policy: its PI stops at the cap
+    _, out = run_cli(capsys, "solve-pi", "--player", "II", "--model", everett_file)
+    doc = json.loads(out)
+    assert doc["outcome"] == "iteration-cap"
+    assert doc["note"] == ("the game violates the SSP game assumption: prolonging pair with finite total cost "
+                           "(zero-gain recurrent class); so player II may have no optimal stationary policy")
+    # pursuit meets the assumption: a cap there is only a cap
+    path = tmp_path / "pursuit.json"
+    path.write_text(sspg.save_model(pursuit))
+    _, out = run_cli(capsys, "solve-pi", "--player", "I", "--max-outer", "1", "--model", str(path))
+    assert (json.loads(out)["outcome"], json.loads(out)["note"]) == ("iteration-cap", "")
 
 
 def _strict_json(text):

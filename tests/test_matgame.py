@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 
 import sspg
 from conftest import make_contraction
+from sspg import matgame
 from sspg.matgame import ShapeGroups, flat_game_value, game_values
 
 
@@ -253,3 +254,81 @@ def test_kernel_rejects_bad_tables(everett):
     empty = sspg.GameModel(["1"], {"1": ["a"]}, {"1": []}, {})
     with pytest.raises(ValueError, match="matrix"):
         game_values(np.zeros(0), empty.shape_groups)
+
+
+def mixed_lp_batch(rng, kind, count=24):
+    """Blocks of shapes from 2 x 3 up to 9 x 9 laid out in one flat table."""
+    shapes = [(2, 3), (3, 2), (8, 9), (9, 8)] + [tuple(int(x) for x in rng.integers(2, 10, size=2))
+                                                 for _ in range(count - 4)]
+    offsets = np.cumsum([0] + [a * b for a, b in shapes])
+    size = int(offsets[-1])
+    if kind == "integer":  # small-integer ties, signed zeros included
+        q = rng.integers(-2, 3, size=size).astype(float)
+        q[q == 0.0] *= rng.choice([1.0, -1.0], size=int((q == 0.0).sum()))
+    else:
+        q = rng.uniform(-10, 10, size=size) * {"continuous": 1.0, "large": 2.0**40, "small": 2.0**-40}[kind]
+    return q, [(int(off), a, b) for off, (a, b) in zip(offsets, shapes)]
+
+
+def scalar_outcome(q, off, a, b):
+    try:
+        return matgame._simplex(q[off : off + a * b].tolist(), a, b)
+    except RuntimeError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "integer", "large", "small"])
+def test_stacked_simplex_equals_scalar_simplex_bitwise(kind, monkeypatch):
+    rng = np.random.default_rng({"continuous": 1, "integer": 2, "large": 3, "small": 4}[kind])
+    slow = 0
+    for _ in range(6):
+        q, blocks = mixed_lp_batch(rng, kind)
+        # a block the scalar simplex rejects raises the same error in the stacked one, alone
+        outcomes = [scalar_outcome(q, *block) for block in blocks]
+        for block, out in zip(blocks, outcomes):
+            if isinstance(out, str):
+                with pytest.raises(RuntimeError) as err:
+                    game_values(q, ShapeGroups.from_blocks([block]))
+                assert str(err.value) == out
+        blocks = [block for block, out in zip(blocks, outcomes) if not isinstance(out, str)]
+        _, idx, nu, nv = ShapeGroups.from_blocks(blocks, closed_2x2=False).other
+        values, x, y = matgame._stacked_simplex(q, idx, nu, nv)
+        want = [matgame._simplex(q[off : off + a * b].tolist(), a, b) for off, a, b in blocks]
+        assert values.tobytes() == np.array(want).tobytes()
+        assert game_values(q, ShapeGroups.from_blocks(blocks)).tobytes() == np.array(
+            [flat_game_value(q[off : off + a * b].tolist(), a, b) for off, a, b in blocks]).tobytes()
+        # strategies: the batch normalizes each block over its own entries only
+        for sol, (off, a, b) in zip(matgame.solve_blocks(q, blocks), blocks):
+            one = sspg.solve_matrix_game(q[off : off + a * b].reshape(a, b))
+            assert (sol.value, sol.row_strategy.tobytes(), sol.col_strategy.tobytes()) == (
+                one.value, one.row_strategy.tobytes(), one.col_strategy.tobytes())
+        # blocks that need 5 or more pivots hit a cap of 5 in both solvers
+        with monkeypatch.context() as patch:
+            patch.setattr(matgame, "_MAX_PIVOTS", 5)
+            capped = [out for out in (scalar_outcome(q, *block) for block in blocks) if isinstance(out, str)]
+            slow += len(capped)
+            assert set(capped) <= {"matrix game LP did not terminate"}
+            if capped:
+                with pytest.raises(RuntimeError, match="^matrix game LP did not terminate$"):
+                    matgame._stacked_simplex(q, idx, nu, nv)
+            else:
+                assert matgame._stacked_simplex(q, idx, nu, nv)[0].tobytes() == values.tobytes()
+    assert slow > 0
+
+
+@pytest.mark.parametrize("block,message", [
+    ([-1e308] * 6, "matrix game LP unbounded; input not positive?"),
+    ([-1e308, -1e308, 1e308, -1e308, -1e308, 1e308], "matrix game LP returned a degenerate solution"),
+])
+def test_stacked_simplex_keeps_the_scalar_errors(block, message):
+    # a 2 x 3 block whose shifted entries overflow, batched with an ordinary 3 x 3 block
+    q = np.array(block + np.arange(9.0).tolist())
+    with pytest.raises(RuntimeError) as scalar:
+        matgame._simplex(block, 2, 3)
+    assert str(scalar.value) == message
+    groups = ShapeGroups.from_blocks([(0, 2, 3), (6, 3, 3)])
+    with pytest.raises(RuntimeError) as stacked:
+        game_values(q, groups)
+    assert str(stacked.value) == message
+    with pytest.raises(ValueError, match=r"^matrix game needs a 2-D m x n matrix, got shape \(0, 2\)$"):
+        matgame.solve_blocks(q, [(0, 2, 3), (6, 0, 2)])

@@ -190,6 +190,43 @@ def test_greedy_policies_pins(key):
     assert hashlib.sha256(doc.encode()).hexdigest() == GREEDY_PINS[key]
 
 
+def ref_greedy_policies(m, q):
+    """The per-state loop that greedy_policies replaced: one solve_matrix_game per state."""
+    rules1, rules2 = {}, {}
+    for i, s in enumerate(m.states, start=1):
+        sol = sspg.solve_matrix_game(m.q_block(q, i))
+        rules1[s], rules2[s] = sol.row_strategy, sol.col_strategy
+    return rules1, rules2
+
+
+def terminating_game(rng, n_states, max_controls):
+    """Random control sets up to max_controls (the generator stops at 8), state 1 the widest; all triplets end."""
+    states = [str(i) for i in range(1, n_states + 1)]
+    c1, c2 = ({s: [f"c{k}" for k in range(max_controls if s == "1" else int(rng.integers(1, max_controls + 1)))]
+               for s in states} for _ in range(2))
+    return sspg.GameModel(states, c1, c2, {(s, u, v): [("0", 1.0, 0.0)] for s in states for u in c1[s] for v in c2[s]})
+
+
+def test_greedy_policies_equal_per_state_reference():
+    rng = np.random.default_rng(91)
+    shapes = set()
+    for k in range(126):
+        n, controls = int(rng.integers(1, 7)), 1 + k % 9
+        m = terminating_game(rng, n, controls) if controls == 9 else make_contraction(1300 + k, n, controls)
+        if k % 2:
+            q = rng.uniform(-10, 10, size=m.n_triplets)
+        else:  # ties, signed zeros included
+            q = rng.integers(-2, 3, size=m.n_triplets).astype(float)
+            q[q == 0.0] *= rng.choice([1.0, -1.0], size=int((q == 0.0).sum()))
+        mu, nu = sspg.greedy_policies(m, q)
+        rules1, rules2 = ref_greedy_policies(m, q)
+        for s in m.states:
+            assert mu.rule(s).tobytes() == rules1[s].tobytes(), (k, s)
+            assert nu.rule(s).tobytes() == rules2[s].tobytes(), (k, s)
+        shapes.update(m.state_block(i)[1:] for i in range(1, m.n + 1))
+    assert {(1, 1), (2, 2), (9, 9)} <= shapes and any(min(s) == 1 < max(s) for s in shapes)
+
+
 def test_everett_greedy_certificate_at_fixed_point(everett):
     q = sspg.q_from_values(everett, [1.0])
     mu, nu = sspg.greedy_policies(everett, q)

@@ -309,3 +309,17 @@ def test_sequential_brute_force_equivalence():
         assert trace.outcome == sspg.CONVERGED
         j, _ = sspg.refine_fixed_point(m, j)
         assert np.abs(j - brute_force_value(m)).max() <= 1e-8
+
+
+def test_empty_control_set_is_named_not_unbound():
+    # an unvalidated model: state 1 has no player-1 control, so no policy loop can start
+    m = sspg.GameModel(["1", "2"], {"1": [], "2": ["a"]}, {"1": ["x"], "2": ["x"]},
+                       {("2", "a", "x"): [("0", 1.0, 0.0)]})
+    wording = "[empty-controls] state 1: empty control set for player 1"
+    assert [str(f) for f in sspg.validate_model(m).findings if f.code == "empty-controls"] == [wording]
+    nu = sspg.uniform_policy(m, 2)
+    for call in (lambda: sspg.check_ssp_game_assumption(m), lambda: sspg.evaluate_vs_best_response(m, nu),
+                 lambda: sspg.policy_iteration(m, 2, nu)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == wording
