@@ -4,8 +4,9 @@ empirical trackers.
 The coupled lower process replays a recorded Q-learning run with the
 maximizer pinned to a fixed policy: the same stepsizes, successor samples,
 realized costs, and delay offsets drive a second table, through the
-engine's own recursion and delayed reader, whose update takes the min over
-the remaining player's controls of the policy-averaged delayed values.
+engine's own recursion, delayed reader and chunks, whose update takes the
+min over the remaining player's controls of the policy-averaged delayed
+values.  A replay refuses any model but the run's own.
 Pathwise, the main iterates dominate the coupled ones, so a bounded lower
 process certifies the run bounded below; the symmetric upper coupling is
 obtained by running the same machinery on the negated, role-swapped game.
@@ -30,7 +31,7 @@ from .model import (
     policy_arrays,
     policy_average,
 )
-from .qlearn import _CHUNK, QLearnRun, ReplayCore, _relax
+from .qlearn import QLearnRun, ReplayCore, _chunk_iterations, _parse_scheduler, _relax
 from .solve import _best_response
 from .structure import forall_termination
 
@@ -140,15 +141,15 @@ class CouplingReport:
 def run_coupled_lower_process(m: GameModel, nu: StationaryPolicy, run: QLearnRun) -> CouplingReport:
     """Replay a recorded run's lower coupling under a fixed maximizer policy.
 
-    Uses the recorded Q0, stepsizes, successors, realized costs, and delay
-    offsets, through the engine's recursion; the only change is the update
-    target, which averages the delayed coupled table with ``nu`` at the
-    successor state and minimizes over the remaining player's controls.
+    Uses the recorded Q0, stepsizes, successors and realized costs, and the
+    engine's delay offsets, recursion and chunks; the only change is the
+    update target, which averages the delayed coupled table with ``nu`` at
+    the successor state and minimizes over the remaining player's controls.
     Reports any (event, component) where the main iterate drops below the
     coupled one by more than ``_SLACK``; the domination is pathwise and
-    exact, so none are expected.
+    exact, so none are expected.  ``m`` must be the run's model.
     """
-    ev = run.history()
+    ev = run.history(m)
     rules = policy_arrays(m, nu, PLAYER_MAX)
     sigma = [None] + [r.tolist() for r in np.split(rules, m.control_layout.offsets[1][1:])]
 
@@ -163,14 +164,11 @@ def run_coupled_lower_process(m: GameModel, nu: StationaryPolicy, run: QLearnRun
         return min(rows)
 
     core = ReplayCore(m, run.config.delay_model, run.config.seed)
-    qhat, parts, lo = run.q0.tolist(), [np.zeros(0)], 0
-    while lo < len(ev):
-        # a chunk covers the delay window, so the reader sorts about as many writes as the chunk adds
-        hi = min(max(lo + _CHUNK, int(np.searchsorted(ev.t, ev.t[lo] + core.bound))), lo + 4 * _CHUNK)
-        # the recorded offsets, so the coupled table sees the engine's delays
-        parts.append(_relax(core, qhat, lower_value, ev[lo:hi]))
-        lo = hi
-    qhat_events = np.concatenate(parts)
+    span = _chunk_iterations(core, _parse_scheduler(run.config.scheduler))
+    cuts = np.searchsorted(ev.t, range(span, int(ev.t.max(initial=0)) + 1, span)).tolist()
+    qhat = run.q0.tolist()
+    qhat_events = np.concatenate([_relax(core, qhat, lower_value, ev[lo:hi])
+                                  for lo, hi in zip([0, *cuts], [*cuts, len(ev)])])
     margin = ev.new_q - qhat_events
     # the minimum over time, the first of equal margins: a margin of -0.0
     # never goes below the initial +0.0, so it counts as +0.0
@@ -219,11 +217,12 @@ def run_trackers(m: GameModel, run: QLearnRun) -> TrackerState:
     which gives levels of width one: 25k of them took 66 ms where the fold
     took 13 ms.
 
-    A sampled successor outside its kernel row's support, which would break
-    q_hat's absolute continuity, is an AssertionError naming the first one.
+    ``m`` must be the run's model (a ValueError otherwise).  A sampled
+    successor outside its kernel row's support, which would break q_hat's
+    absolute continuity, is an AssertionError naming the first one.
     """
-    ev = run.history()
-    ell, j = ev.ell.astype(np.intp), ev.j.astype(np.intp)
+    ev = run.history(m)
+    ell, j = ev.ell, ev.j
     bad = np.flatnonzero(~(m.P[ell, j] > 0.0))
     if len(bad):
         raise AssertionError(f"sampled successor {j[bad[0]]} outside kernel support of {m.triplets[ell[bad[0]]]}")

@@ -28,6 +28,19 @@ import numpy as np
 _EPS = 1e-12
 _MAX_PIVOTS = 10_000
 
+#: tolerance for probability-vector mass checks; model rows whose mass is off
+#: by no more than this, but by more than rounding, are renormalized on load
+PROB_TOL = 1e-9
+
+
+def _not_distributions(flat: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """True for each of the ``n`` groups of ``flat`` (entry k in group ``owner[k]``) that is not a distribution.
+
+    A distribution has entries >= 0, which a NaN fails, summing to 1 within ``PROB_TOL``.
+    """
+    bad = np.bincount(owner, ~(flat >= 0.0), n) > 0
+    return bad | ~(np.abs(np.bincount(owner, flat, n) - 1.0) <= PROB_TOL)
+
 
 @dataclass(frozen=True)
 class MatrixGameSolution:
@@ -204,6 +217,7 @@ def best_response_value(matrix, strategy, side: str) -> tuple[float, int]:
     ``side="row"``: the row strategy is given, the opponent maximizes over
     columns; returns ``(max_v (s'A)_v, argmax)``.  ``side="col"``: the given
     column strategy is minimized over rows.  Ties break to the lowest index.
+    A strategy that is not a probability vector is a ValueError.
     """
     a = _as_matrix(matrix)
     s = np.asarray(strategy, dtype=float)
@@ -219,6 +233,8 @@ def best_response_value(matrix, strategy, side: str) -> tuple[float, int]:
         w = int(np.argmin(payoff))
     else:
         raise ValueError(f'side must be "row" or "col", got {side!r}')
+    if _not_distributions(s, np.zeros(s.size, dtype=np.intp), 1)[0]:
+        raise ValueError(f"not a probability vector: {s}")
     return float(payoff[w]), w
 
 

@@ -26,16 +26,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .matgame import ShapeGroups
+from .matgame import PROB_TOL, ShapeGroups, _not_distributions
 
 TERMINAL = "0"
 PLAYER_MIN = 1
 PLAYER_MAX = 2
-
-#: tolerance for probability-vector mass checks; rows whose mass is off by no
-#: more than this, but by more than rounding, are renormalized on load
-PROB_TOL = 1e-9
-
 
 class ModelFormatError(ValueError):
     """Raised when a game document cannot be parsed into a model."""
@@ -560,15 +555,6 @@ def load_bundled_model(name: str) -> GameModel:
 # ---------------------------------------------------------------------------
 # Decision rules and stationary policies
 # ---------------------------------------------------------------------------
-
-
-def _not_distributions(flat: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
-    """True for each of the ``n`` groups of ``flat`` (entry k in group ``owner[k]``) that is not a distribution.
-
-    A distribution has entries >= 0, which a NaN fails, summing to 1 within ``PROB_TOL``.
-    """
-    bad = np.bincount(owner, ~(flat >= 0.0), n) > 0
-    return bad | ~(np.abs(np.bincount(owner, flat, n) - 1.0) <= PROB_TOL)
 
 
 def decision_rule(probs: Iterable[float]) -> np.ndarray:

@@ -26,22 +26,23 @@ None of these draws depends on Q (Tsitsiklis, *Machine Learning* 16, 1994;
 Yu & Bertsekas, *Math. of OR*, 2013), so a run splits in two.  The *event
 plan* is an :class:`EventLog` computed in numpy a chunk of iterations at a
 time: the scheduler's picks, each event's update count, stepsize, successor
-draw (:meth:`sspg.model.SamplingTable.draw`), realized cost and delay
-offsets.  Only the *Q recursion* runs event by event: the delayed block
-reads, the game values and the relaxations, which fill the chunk's
-``new_q``; a recorded log is the chunks end to end.  Stepsizes come from one
-lazily grown table; one ``cumsum`` of it gives the stepsize sums.
+draw (:meth:`sspg.model.SamplingTable.draw`) and realized cost.  Only the
+*Q recursion* runs event by event: the delayed block reads, the game values
+and the relaxations, which fill the chunk's ``new_q``; a recorded log is the
+chunks end to end.  Stepsizes come from one lazily grown table; one
+``cumsum`` of it gives the stepsize sums.
 
 One replay core, :class:`ReplayCore`, holds the one delay rule
-(:func:`pair_delay_offsets` is the only delay hash) and the one reader of
-delayed blocks.  The engine and the coupled replay run one recursion,
-:func:`_relax`, through that reader, each with its own block value.  The
-noise decomposition takes its offsets from the core and reads the recorded
-write log a chunk at a time; it and the reader find delayed writes among
-writes sorted by (component, iteration) (:func:`_write_index`).  The
-trackers read the log's columns one update level at a time.  No table is
-ever copied, so an iteration costs what its events cost, whatever |R|.  The
-library reads no environment variable: the seed is the config's.
+(:func:`pair_delay_offsets` is the only delay hash), which gives every
+reader of a run its offsets, and the one reader of delayed blocks.  The
+engine and the coupled replay run one recursion, :func:`_relax`, through
+that reader on the same chunks, each with its own block value.  The noise
+decomposition reads the recorded write log a chunk at a time; it and the
+reader find delayed writes among writes sorted by (component, iteration)
+(:func:`_write_index`).  The trackers read the log's columns one update
+level at a time.  No table is ever copied, so an iteration costs what its
+events cost, whatever |R|.  The library reads no environment variable: the
+seed is the config's.
 """
 
 from __future__ import annotations
@@ -135,10 +136,6 @@ def _parse_delay(spec) -> tuple[bool, tuple[int, ...]]:
     raise ValueError(f"unknown delay model {spec!r}")
 
 
-# recorded offsets are stored as int16
-_MAX_RECORDED_OFFSET = int(np.iinfo(np.int16).max)
-
-
 @dataclass(frozen=True)
 class QLearnConfig:
     """Run configuration.
@@ -187,12 +184,7 @@ class QLearnConfig:
         if self.metric_interval < 1:
             raise ValueError("metric_interval must be positive")
         _parse_scheduler(self.scheduler)
-        largest = min(max(_parse_delay(self.delay_model)[1]), self.max_iters - 1)
-        if self.record_full_history and largest > _MAX_RECORDED_OFFSET:
-            raise ValueError(
-                f"recorded runs store delay offsets as int16: the largest offset, "
-                f"{largest}, exceeds {_MAX_RECORDED_OFFSET}"
-            )
+        _parse_delay(self.delay_model)
 
 
 @dataclass(frozen=True)
@@ -210,7 +202,7 @@ _CHUNK = 1 << 11
 
 @dataclass
 class EventLog:
-    """Per-update records, aligned arrays; offsets padded with -1 to the model's widest block.
+    """Per-update records, aligned arrays; delay offsets come from :meth:`ReplayCore.offsets`.
 
     A chunk of the engine's event plan is one too, its ``new_q`` filled by :func:`_relax`.
     """
@@ -222,7 +214,6 @@ class EventLog:
     cost: np.ndarray
     gamma: np.ndarray
     new_q: np.ndarray
-    offsets: np.ndarray  # (n_events, max_block) int16
 
     def __len__(self) -> int:
         return len(self.t)
@@ -232,16 +223,12 @@ class EventLog:
         return EventLog(*(getattr(self, f.name)[sl] for f in dataclasses.fields(self)))
 
 
-# the dtype of each recorded column
-_RECORDED = {"t": np.int64, "ell": np.int32, "count": np.int64, "j": np.int32,
-             "cost": float, "gamma": float, "new_q": float, "offsets": np.int16}
-
-
 @dataclass
 class QLearnRun:
-    """Everything needed to audit, replay, and couple a recorded run."""
+    """Everything needed to audit, replay, and couple a recorded run, on its ``model``."""
 
     config: QLearnConfig
+    model: GameModel
     q0: np.ndarray
     q_final: np.ndarray
     counts: np.ndarray
@@ -252,29 +239,40 @@ class QLearnRun:
     events: EventLog | None
 
     def digest(self) -> str:
+        """sha256 of Q0, Q_final, the counts and any events' components and successors
+        as int32, values, and delay offsets as int16 rows as wide as the widest block."""
         h = hashlib.sha256()
         h.update(self.q0.tobytes())
         h.update(self.q_final.tobytes())
         h.update(self.counts.tobytes())
         if self.events is not None:
-            for arr in (self.events.ell, self.events.j, self.events.new_q, self.events.offsets):
+            ev = self.events
+            for arr in (ev.ell.astype(np.int32), ev.j.astype(np.int32), ev.new_q):
                 h.update(np.ascontiguousarray(arr).tobytes())
+            core = ReplayCore(self.model, self.config.delay_model, self.config.seed)
+            for lo in range(0, len(ev), 4 * _CHUNK):
+                part = ev[lo : lo + 4 * _CHUNK]
+                h.update(core.offsets(part.t, part.ell, part.count, part.j).astype(np.int16).tobytes())
         return h.hexdigest()
 
-    def history(self) -> EventLog:
-        """The recorded events; a ValueError if the run kept none."""
+    def history(self, m: GameModel) -> EventLog:
+        """The recorded events, to replay on ``m``; a ValueError if the run
+        kept none or ran on another model."""
         if self.events is None:
             raise ValueError("run was not recorded with full history")
+        if m is not self.model and m != self.model:
+            raise ValueError(f"the run was recorded on another model than {m!r}")
         return self.events
 
     def to_csv(self, path, m: GameModel) -> None:
-        """Per-event trace; reference distances recomputed by replaying events.
+        """Per-event trace on the run's model ``m``; reference distances recomputed by replaying events.
 
         The distance is a running maximum of per-component gaps, rescanned only
         when the component holding it shrinks: exact, as a maximum of floats
         does not depend on order.
         """
-        ev = self.history()
+        ev = self.history(m)
+        core = ReplayCore(m, self.config.delay_model, self.config.seed)
         ref = self.config.reference_q
         if ref is not None:
             ref = np.asarray(ref, dtype=float)
@@ -290,7 +288,7 @@ class QLearnRun:
             for lo in range(0, len(ev), _CHUNK):
                 part = ev[lo : lo + _CHUNK]
                 cols = (part.t, part.ell, part.j, part.cost, part.gamma, part.new_q,
-                        part.offsets.max(axis=1, initial=0))
+                        core.offsets(part.t, part.ell, part.count, part.j).max(axis=1, initial=0))
                 for t, ell, j, cost, gamma, new_q, delay in zip(*(c.tolist() for c in cols)):
                     running_max = max(running_max, abs(new_q))
                     dist = ""
@@ -379,17 +377,18 @@ class ReplayCore:
             offs = np.concatenate((offs, np.full((len(offs), self.width - offs.shape[1]), -1)), axis=1)
         return offs
 
-    def reads(self, t: np.ndarray, ell: np.ndarray, j: np.ndarray, offs: np.ndarray) -> tuple[int, list]:
+    def reads(self, t: np.ndarray, ell: np.ndarray, count: np.ndarray, j: np.ndarray) -> tuple[int, list]:
         """Where the events of a chunk read their successor blocks, with one ``searchsorted``.
 
         The chunk's writes join the window; those before iteration ``t[0] -
         D`` leave it.  Returns how many left and, per event, a tuple of table
-        positions, one per block entry of component c read at offset d:
-        |R| + w if window write w, c's first at iteration t - d or later,
-        precedes the event, and c (its live value) otherwise.
+        positions, one per block entry of component c read at offset d
+        (:meth:`offsets`): |R| + w if window write w, c's first at iteration
+        t - d or later, precedes the event, and c (its live value) otherwise.
         """
         if not len(t):
             return 0, []
+        offs = self.offsets(t, ell, count, j)
         wc, wt = self.window
         drop = int(np.searchsorted(wt, t[0] - self.bound))
         wc, wt = self.window = np.concatenate((wc[drop:], ell)), np.concatenate((wt[drop:], t))
@@ -415,7 +414,7 @@ def _relax(core: ReplayCore, table: list, kernel, ev: EventLog) -> np.ndarray:
     table at the start of t, so a block's value is computed once per
     iteration.  Raises :class:`QLearnDivergenceError` on a non-finite value.
     """
-    drop, refs = core.reads(ev.t, ev.ell, ev.j, ev.offsets)
+    drop, refs = core.reads(ev.t, ev.ell, ev.count, ev.j)
     del table[core.nR : core.nR + drop]
     hashed, memo, isfinite, new_qs = core.hashed, {}, math.isfinite, []
     cols = (ev.t.tolist(), ev.ell.tolist(), ev.j.tolist(), ev.cost.tolist(), ev.gamma.tolist(), refs)
@@ -482,15 +481,22 @@ def _counts_before(ell: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return cnt
 
 
-def _event_plan(m: GameModel, sched, seed: int, core: ReplayCore, counts: np.ndarray, stepsizes,
-                t0: int, t1: int) -> EventLog:
+def _event_plan(m: GameModel, sched, seed: int, counts: np.ndarray, stepsizes, t0: int, t1: int) -> EventLog:
     """The events of iterations [t0, t1): every column but the Q-dependent ``new_q``."""
     t, ell = _picks(sched, m.n_triplets, seed, t0, t1)
     cnt = _counts_before(ell, counts)
     tab = m.sampling
     pos = tab.draw(ell, counter_uniform(seed, ell.astype(np.uint64), cnt.astype(np.uint64)))
     j = tab.succ[pos]
-    return EventLog(t, ell, cnt, j, tab.cost[pos], stepsizes(cnt), None, core.offsets(t, ell, cnt, j))
+    return EventLog(t, ell, cnt, j, tab.cost[pos], stepsizes(cnt), None)
+
+
+def _chunk_iterations(core: ReplayCore, sched) -> int:
+    """Iterations per chunk of the engine and the coupled replay: a chunk covers the delay
+    window, so the reader sorts about as many writes as the chunk adds, up to 4 * _CHUNK events."""
+    kind, arg = sched
+    per_iter = max(core.nR if kind == "all" else max(map(len, arg)) if kind == "custom" else arg, 1)
+    return max(1, min(max(_CHUNK, core.bound * per_iter), 4 * _CHUNK) // per_iter)
 
 
 def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray, QLearnRun]:
@@ -534,7 +540,7 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
         return gamma[cnt]
 
     counts = np.zeros(nR, dtype=np.int64)
-    chunks: list[EventLog] = []  # the recorded chunks, cast to the recorded dtypes as they come
+    chunks: list[EventLog] = []
     max_abs = float(np.abs(q0_arr).max()) if nR else 0.0
 
     def snap(s: int, q: np.ndarray, top: float) -> MetricsRow:
@@ -542,15 +548,11 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
         return MetricsRow(s, dist, top, float(np.abs(q - q_bellman(m, q)).max()))
 
     metrics = [snap(0, q0_arr, max_abs)]
-    kind, arg = sched
-    per_iter = max(nR if kind == "all" else max(map(len, arg)) if kind == "custom" else arg, 1)
-    # a chunk covers the delay window, so the reader sorts about as many writes as the chunk adds
-    span = max(1, min(max(_CHUNK, core.bound * per_iter), 4 * _CHUNK) // per_iter)
-    interval, end = cfg.metric_interval, cfg.max_iters
+    span, interval, end = _chunk_iterations(core, sched), cfg.metric_interval, cfg.max_iters
 
     for t0 in range(0, max(end, 1), span):  # one chunk at least, empty, so that a log has its columns
         t1 = min(t0 + span, end)
-        plan = _event_plan(m, sched, seed, core, counts, stepsizes, t0, t1)
+        plan = _event_plan(m, sched, seed, counts, stepsizes, t0, t1)
         plan.new_q = _relax(core, Q, game_value, plan)
         due = list(range(t0 + interval - t0 % interval, t1 + 1, interval))
         if t1 == end and end % interval:
@@ -571,14 +573,14 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
             metrics += rows[::-1]
         max_abs = max(max_abs, float(np.abs(plan.new_q).max(initial=0.0)))
         if cfg.record_full_history:
-            chunks.append(EventLog(**{name: getattr(plan, name).astype(dtype, copy=False)
-                                      for name, dtype in _RECORDED.items()}))
+            chunks.append(plan)
 
     q_final = np.array(Q[:nR])
     # cumsum adds in sequence, as a running sum would
     sums, squares = (np.concatenate(([0.0], np.cumsum(x))) for x in (gamma, gamma * gamma))
     run = QLearnRun(
         config=cfg,
+        model=m,
         q0=q0_arr,
         q_final=q_final,
         counts=counts,
@@ -586,7 +588,7 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
         sum_gamma_sq=squares[counts],
         max_abs_q=max_abs,
         metrics=metrics,
-        events=EventLog(**{name: np.concatenate([getattr(c, name) for c in chunks]) for name in _RECORDED})
+        events=EventLog(*(np.concatenate([getattr(c, f.name) for c in chunks]) for f in dataclasses.fields(EventLog)))
         if cfg.record_full_history else None,
     )
     return q_final, run
@@ -605,13 +607,14 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
     :meth:`ReplayCore.offsets`;
     :func:`sspg.matgame.game_values` values the blocks read.
 
-    Each recorded value must equal (1 - gamma) * (the recorded value it
-    replaced) + gamma * target bit for bit, which guards the replay itself.
+    ``m`` must be the run's model (a ValueError otherwise).  Each recorded
+    value must equal (1 - gamma) * (the recorded value it replaced) + gamma *
+    target bit for bit, which guards the replay itself.
     This finds the first mismatch a sequential replay finds, with the same
     value, by induction: if events 0..k-1 match, event k reads and replaces
     only values written before it, which equal the sequential replay's.
     """
-    ev = run.history()
+    ev = run.history(m)
     core = ReplayCore(m, run.config.delay_model, run.config.seed)
     nR, tab, first = m.n_triplets, m.sampling, core.first
     row_len = np.diff(tab.start)
@@ -629,7 +632,7 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
     w = np.empty(len(ev))
     for lo in range(0, len(ev), span):
         sl = slice(lo, lo + span)
-        t, ell = ev.t[sl], ev.ell[sl].astype(np.int64)
+        t, ell = ev.t[sl], ev.ell[sl]
         # every (event, successor) pair of the chunk, the terminal state left out
         n = row_len[ell]
         of = np.repeat(np.arange(len(ell)), n)

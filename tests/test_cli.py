@@ -229,6 +229,15 @@ def test_qlearn_with_reference_and_csv(capsys, self_loop_file, tmp_path):
     assert csv_path.exists()
 
 
+def test_qlearn_records_delays_past_int16(capsys, everett_file, tmp_path):
+    csv_path = tmp_path / "trace.csv"
+    code, out = run_cli(capsys, "qlearn", "--model", everett_file, "--record", "--delay", "40000",
+                        "--iters", "41000", "--csv", str(csv_path))
+    assert code == 0 and json.loads(out)["events"] == 41000
+    delays = [int(line.split(",")[5]) for line in csv_path.read_text().splitlines()[1:]]
+    assert max(delays) > 32_767
+
+
 def test_qlearn_config_file(capsys, self_loop_file, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"seed": 9, "max_iters": 50, "stepsize": [1, 1, 0.8],

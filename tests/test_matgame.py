@@ -123,6 +123,19 @@ def test_best_response_dimension_mismatch():
         sspg.best_response_value([[1, 2], [3, 4]], [1.0], "sideways")
 
 
+@pytest.mark.parametrize("side", ["row", "col"])
+@pytest.mark.parametrize("strategy", [[2.0], [np.nan], [-1.0], [np.inf]])
+def test_best_response_rejects_non_distributions(side, strategy):
+    # [2.0] gave (2.0, 0), [nan] gave (nan, 0): the one check, entries >= 0 summing to 1 within PROB_TOL
+    with pytest.raises(ValueError, match="not a probability vector"):
+        sspg.best_response_value([[1.0]], strategy, side)
+    for bad in ([np.nan, 0.5], [-1.0, 2.0], [0.5, 0.5 + 1e-8]):
+        with pytest.raises(ValueError, match="not a probability vector"):
+            sspg.best_response_value([[1.0, 2.0], [3.0, 4.0]], bad, side)
+    # within the tolerance, and a zero of either sign, is a distribution
+    assert sspg.best_response_value([[1.0, 2.0], [3.0, 4.0]], [-0.0, 1.0 + 1e-10], side)[1] in (0, 1)
+
+
 def test_rejects_bad_matrices():
     with pytest.raises(ValueError):
         sspg.solve_matrix_game([[np.inf, 1.0]])

@@ -20,6 +20,12 @@ def recorded_run():
     return m, cfg, q, run
 
 
+def _offsets(run, m):
+    """The delay offsets of a recorded run's events, one row per event, by the run's delay rule."""
+    ev = run.events
+    return ReplayCore(m, run.config.delay_model, run.config.seed).offsets(ev.t, ev.ell, ev.count, ev.j)
+
+
 def test_zero_iterations_returns_q0():
     m = make_contraction(seed=32)
     q0 = np.arange(m.n_triplets, dtype=float)
@@ -62,10 +68,10 @@ def test_seed_changes_run(recorded_run):
 
 def test_delay_validity(recorded_run):
     m, cfg, q, run = recorded_run
-    ev = run.events
+    ev, offsets = run.events, _offsets(run, m)
     d_bound = 5
     for k in range(len(ev)):
-        offs = ev.offsets[k]
+        offs = offsets[k]
         used = offs[offs >= 0]
         if used.size:
             assert used.max() <= min(d_bound, int(ev.t[k]))  # tau <= t and t - tau <= D
@@ -97,7 +103,7 @@ def test_engine_matches_sample_transition(recorded_run):
 def test_engine_matches_public_update(recorded_run):
     """Rebuild each event's delayed view from full past tables and re-apply the relaxation."""
     m, cfg, q, run = recorded_run
-    ev = run.events
+    ev, offsets = run.events, _offsets(run, m)
     depth = cfg.delay_model[1] + 1  # tables at the start of iterations t - D .. t
     q_now = run.q0.tolist()
     ring = [q_now[:] for _ in range(depth)]
@@ -112,7 +118,7 @@ def test_engine_matches_public_update(recorded_run):
         val = 0.0
         if j != 0:
             off, nu, nv = m.state_block(j)
-            offs = ev.offsets[k].tolist()
+            offs = offsets[k].tolist()
             val = flat_game_value([ring[(t - offs[kk]) % depth][off + kk] for kk in range(nu * nv)], nu, nv)
         assert (1.0 - gamma) * q_now[ell] + gamma * (float(ev.cost[k]) + val) == float(ev.new_q[k])
         checked[j == 0] += 1
@@ -147,16 +153,17 @@ def test_replay_core_reads_match_full_tables():
             ells += writes
         t_arr, ell = np.array(ts, dtype=np.int64), np.array(ells, dtype=np.int64)
         j = rng.integers(0, m.n + 1, len(ts))
-        offs = np.full((len(ts), width), -1, dtype=np.int64)
-        for e, (tt, jj) in enumerate(zip(ts, j)):
-            offs[e, : blocks[jj][1]] = rng.integers(0, min(bound, tt) + 1, blocks[jj][1])
-
+        count = rng.integers(0, 10**6, len(ts))
         core = ReplayCore(m, ("uniform", bound), 0)
+        offs = core.offsets(t_arr, ell, count, j)
+        assert offs.shape == (len(ts), width) and (offs <= np.minimum(bound, t_arr)[:, None]).all()
+        if bound == 30:
+            assert offs.max() == 30  # delays reach back past several chunks
         table = rng.random(nR).tolist()  # the live values, then the values the window's writes replaced
         starts, begun, lo = {}, -1, 0  # iteration -> the full table at its start
         while lo < len(ts):
             hi = min(lo + int(rng.integers(1, 40)), len(ts))
-            drop, refs = core.reads(t_arr[lo:hi], ell[lo:hi], j[lo:hi], offs[lo:hi])
+            drop, refs = core.reads(t_arr[lo:hi], ell[lo:hi], count[lo:hi], j[lo:hi])
             assert len(refs) == hi - lo and (core.window[1] >= ts[lo] - bound).all()
             del table[nR : nR + drop]
             for e in range(lo, hi):
@@ -178,10 +185,10 @@ def test_fixed_delay_schedule():
     cfg = sspg.QLearnConfig(seed=6, max_iters=1500, scheduler="uniform-random:1",
                             delay_model=("fixed", schedule), record_full_history=True)
     _, run = sspg.run_qlearning(m, cfg)
-    ev = run.events
+    ev, offsets = run.events, _offsets(run, m)
     for k in range(len(ev)):
         t = int(ev.t[k])
-        offs = ev.offsets[k]
+        offs = offsets[k]
         used = offs[offs >= 0]
         if used.size:
             want = min(schedule[t % len(schedule)], t)
@@ -348,16 +355,44 @@ def test_pair_delay_offsets_batch_matches_scalar():
         assert batch[k].tolist() == one[0].tolist() + [-1] * (size.max() - size[k])
 
 
-def test_config_rejects_offsets_beyond_int16():
-    # recorded offsets are stored as int16: refuse the run before it starts
-    for delay in (("uniform", 40_000), ("fixed", (0, 40_000))):
-        with pytest.raises(ValueError, match="int16"):
-            sspg.QLearnConfig(max_iters=40_000, delay_model=delay, record_full_history=True)
-    with pytest.raises(ValueError, match="int16"):
-        sspg.QLearnConfig(max_iters=32_769, delay_model=("uniform", 40_000), record_full_history=True)
-    # no offset exceeds t < max_iters, and unrecorded runs store none
-    sspg.QLearnConfig(max_iters=32_768, delay_model=("uniform", 40_000), record_full_history=True)
-    sspg.QLearnConfig(max_iters=40_000, delay_model=("uniform", 40_000))
+def test_recorded_run_with_delays_past_int16(tmp_path):
+    """Delays longer than 32767 iterations: a recorded run digests, replays and traces end to end."""
+    m = make_contraction(seed=31, n_states=3, max_controls=2)
+    cfg = sspg.QLearnConfig(seed=4, max_iters=41_000, scheduler="uniform-random:1",
+                            delay_model=("uniform", 40_000), record_full_history=True)
+    _, run = sspg.run_qlearning(m, cfg)
+    assert run.digest() == sspg.run_qlearning(m, cfg)[1].digest()
+    assert int(_offsets(run, m).max()) > 32_767
+    assert sspg.run_coupled_lower_process(m, sspg.uniform_policy(m, sspg.PLAYER_MAX), run).ok
+    assert sspg.noise_decomposition(run, m).tobytes() == _noise_oracle(run, m).tobytes()
+    tr = sspg.run_trackers(m, run)
+    assert np.isfinite(tr.q_hat).all() and np.isfinite(tr.g_tilde).all()
+    run.to_csv(tmp_path / "run.csv", m)
+    delays = [int(line.split(",")[5]) for line in (tmp_path / "run.csv").read_text().splitlines()[1:]]
+    assert len(delays) == len(run.events) and max(delays) > 32_767
+
+
+def test_replays_refuse_a_model_other_than_the_runs(tmp_path):
+    m = make_contraction(seed=31, n_states=3, max_controls=2)
+    # a game of the same shape: same states, controls and support, other probabilities and costs
+    other = sspg.GameModel(m.states, m.controls1, m.controls2,
+                           {k: [(j, 1.0 / len(row), 2.0 * c + 1.0) for j, _, c in row]
+                            for k, row in m.transitions.items()})
+    assert other != m and other.triplets == m.triplets
+    cfg = sspg.QLearnConfig(seed=4, max_iters=300, scheduler="uniform-random:1",
+                            delay_model=("uniform", 5), record_full_history=True)
+    _, run = sspg.run_qlearning(m, cfg)
+    nu = sspg.uniform_policy(other, sspg.PLAYER_MAX)
+    replays = {
+        "couple": lambda g: sspg.run_coupled_lower_process(g, nu, run),
+        "noise": lambda g: sspg.noise_decomposition(run, g),
+        "trackers": lambda g: sspg.run_trackers(g, run),
+        "csv": lambda g: run.to_csv(tmp_path / "run.csv", g),
+    }
+    for replay in replays.values():
+        with pytest.raises(ValueError, match="another model"):
+            replay(other)
+        replay(sspg.load_model(sspg.save_model(m)))  # an equal model is the run's
 
 
 def test_metrics_series():
@@ -673,7 +708,7 @@ def test_golden_delays_past_a_chunk(name):
     m = make_contraction(**game)
     _, run = sspg.run_qlearning(m, sspg.QLearnConfig(seed=4, record_full_history=True, **cfg))
     per_iter = 1 if cfg["scheduler"] == "uniform-random:1" else m.n_triplets
-    assert int(run.events.offsets.max()) > max(1, _CHUNK // per_iter)  # a read reaches past its chunk
+    assert int(_offsets(run, m).max()) > max(1, _CHUNK // per_iter)  # a read reaches past its chunk
     rep = sspg.run_coupled_lower_process(m, sspg.uniform_policy(m, sspg.PLAYER_MAX), run)
     noise = sspg.noise_decomposition(run, m)
     assert (run.digest(), _sha(rep.qhat_events, rep.min_margin), _sha(noise)) == want
@@ -712,7 +747,7 @@ def test_chunk_cuts_do_not_change_a_run(name):
                                                     record_full_history=True, **cfg))[1]
             for k in (1, 7, 1000, 10**9)]
     first = runs[0]
-    assert int(first.events.offsets.max()) > _CHUNK // (1 if name == "uniform-3000" else m.n_triplets)
+    assert int(_offsets(first, m).max()) > _CHUNK // (1 if name == "uniform-3000" else m.n_triplets)
     rows = {r.iteration: r for r in first.metrics}
     assert sorted(rows) == list(range(cfg["max_iters"] + 1))
     assert first.metrics == list(_snapshot_oracle(m, first))  # every snapshot, most inside chunks
@@ -724,7 +759,7 @@ def test_chunk_cuts_do_not_change_a_run(name):
         assert all(r == rows[r.iteration] for r in run.metrics)
 
 
-def test_recorded_offsets_are_as_wide_as_the_widest_block():
+def test_digest_offsets_are_as_wide_as_the_widest_block():
     # nothing moves to state 1, the only state with a 2x2 block: no event reads it
     m = sspg.GameModel(
         ["1", "2"], {"1": ["a", "b"], "2": ["a"]}, {"1": ["x", "y"], "2": ["x"]},
@@ -734,11 +769,16 @@ def test_recorded_offsets_are_as_wide_as_the_widest_block():
     cfg = sspg.QLearnConfig(seed=1, max_iters=200, scheduler="uniform-random:2",
                             delay_model=("uniform", 3), record_full_history=True)
     _, run = sspg.run_qlearning(m, cfg)
-    offs = run.events.offsets
-    assert offs.shape == (len(run.events), 4) and offs.dtype == np.int16
-    assert (offs[:, 1:] == -1).all() and (offs[run.events.j == 2, 0] >= 0).all()
-    empty = sspg.run_qlearning(m, dataclasses.replace(cfg, max_iters=0))[1].events
-    assert empty.offsets.shape == (0, 4)
+    empty = sspg.run_qlearning(m, dataclasses.replace(cfg, max_iters=0))[1]
+    for r in (run, empty):
+        ev, offs = r.events, _offsets(r, m)
+        assert offs.shape == (len(ev), 4)
+        assert (offs[:, 1:] == -1).all() and (offs[ev.j == 2, 0] >= 0).all()
+        # the digest hashes the offsets as int16 rows of that width, components and successors as int32
+        cols = (r.q0, r.q_final, r.counts, ev.ell.astype(np.int32), ev.j.astype(np.int32), ev.new_q,
+                offs.astype(np.int16))
+        assert r.digest() == _sha(*cols)
+    assert len(run.events) and not len(empty.events)
 
 
 @pytest.mark.parametrize("spec", ["uniform:5", "uniform", "fixed:1", "Zero"])

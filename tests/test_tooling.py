@@ -1,9 +1,11 @@
 """The traced benchmark run (``perfbench/run.py --trace 1``) and the demos keep working.
 
-Its tracer wraps named ``sspg`` functions from outside; a refactor that
-renames or removes one of them would only fail once a traced run starts.
+Its tracer wraps named ``sspg`` functions from outside, and its workloads
+rebuild recorded logs field by field; a refactor that renames or removes
+one of them would only fail once a benchmark run starts.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -14,16 +16,20 @@ from pathlib import Path
 import pytest
 
 import sspg
+from conftest import make_contraction
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return _perfbench_module("tracer")
 
 
 def test_tracer_targets_resolve():
@@ -87,6 +93,23 @@ def test_tracer_sees_every_best_response(pursuit, everett):
     assert len(view.children(refine, span)) == 1
     [check] = view.indices("structure.check_ssp_game_assumption")
     assert len(view.children(check, span)) == 2  # one per safeguard clause
+
+
+def test_workloads_truncate_cuts_a_replayable_run():
+    # the benchmark times replays of a recorded run cut by workloads.truncate
+    workloads = _perfbench_module("workloads")
+    m = make_contraction(seed=30, n_states=4, max_controls=2)
+    cfg = sspg.QLearnConfig(seed=9, max_iters=3000, scheduler="uniform-random:1",
+                            delay_model=("uniform", 5), record_full_history=True)
+    _, run = sspg.run_qlearning(m, cfg)
+    assert sum(getattr(run.events, f.name).nbytes for f in dataclasses.fields(run.events)) == 56 * len(run.events)
+    cut = workloads.truncate(run, 200)
+    assert len(cut.events) == 200 and cut.model is m
+    assert cut.digest() == workloads.truncate(run, 200).digest() != run.digest()
+    nu = sspg.uniform_policy(m, sspg.PLAYER_MAX)
+    assert sspg.noise_decomposition(cut, m).tobytes() == sspg.noise_decomposition(run, m)[:200].tobytes()
+    rep = sspg.run_coupled_lower_process(m, nu, cut)
+    assert rep.ok and rep.qhat_events.tobytes() == sspg.run_coupled_lower_process(m, nu, run).qhat_events[:200].tobytes()
 
 
 def test_cli_import_loads_no_scipy():
