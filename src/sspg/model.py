@@ -352,13 +352,12 @@ class GameModel:
         return np.asarray(q)[off : off + nu * nv].reshape(nu, nv)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GameModel)
-            and self.states == other.states
-            and self.controls1 == other.controls1
-            and self.controls2 == other.controls2
-            and self.transitions == other.transitions
-        )
+        if not (isinstance(other, GameModel) and self.states == other.states
+                and self.controls1 == other.controls1 and self.controls2 == other.controls2):
+            return False
+        if self._rows is None and other._rows is None:  # both array-built: P, and C where rows would read it
+            return np.array_equal(self._P, other._P) and np.array_equal(self._C[self._P > 0], other._C[self._P > 0])
+        return self.transitions == other.transitions
 
     def __repr__(self) -> str:
         return f"GameModel(n_states={self.n}, n_triplets={self.n_triplets})"

@@ -37,12 +37,12 @@ One replay core, :class:`ReplayCore`, holds the one delay rule
 reader of a run its offsets, and the one reader of delayed blocks.  The
 engine and the coupled replay run one recursion, :func:`_relax`, through
 that reader on the same chunks, each with its own block value.  The noise
-decomposition reads the recorded write log a chunk at a time; it and the
-reader find delayed writes among writes sorted by (component, iteration)
-(:func:`_write_index`).  The trackers read the log's columns one update
-level at a time.  No table is ever copied, so an iteration costs what its
-events cost, whatever |R|.  The library reads no environment variable: the
-seed is the config's.
+decomposition reads blocks untouched since a chunk's delay window opened
+from one base view, the rest from the recorded write log; it and the reader
+find writes sorted by (component, iteration) (:func:`_write_index`).  The
+trackers read the log's columns one update level at a time.  No table is
+ever copied, so an iteration costs what its events cost, whatever |R|.  The
+library reads no environment variable: the seed is the config's.
 """
 
 from __future__ import annotations
@@ -601,11 +601,15 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
     one-step backup of the same delayed view (expected stage cost plus
     probability-weighted successor game values, added in row order), and
     returns the difference.  The table at the start of iteration s is Q0
-    overwritten by each component's last recorded write before s, so the
-    delayed reads of a chunk of events are one ``searchsorted`` over the
-    writes sorted by (component, iteration) (:func:`_write_index`), at
-    :meth:`ReplayCore.offsets`;
-    :func:`sspg.matgame.game_values` values the blocks read.
+    overwritten by each component's last recorded write before s.  No read of
+    a chunk precedes b = t[0] - D (D the largest delay): a *fresh* pair, whose
+    successor block had no write in [b, t), reads its value at b from a
+    per-state ``base`` refreshed only where writes dirtied it, and a pair
+    whose block was last written before t - D reads it as that write left it.
+    Only the other, *stale* pairs take :meth:`ReplayCore.offsets` and read the
+    log by one ``searchsorted`` over the writes sorted by (component,
+    iteration) (:func:`_write_index`); one :func:`sspg.matgame.game_values`
+    call per chunk values every block read.
 
     ``m`` must be the run's model (a ValueError otherwise).  Each recorded
     value must equal (1 - gamma) * (the recorded value it replaced) + gamma *
@@ -616,14 +620,17 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
     """
     ev = run.history(m)
     core = ReplayCore(m, run.config.delay_model, run.config.seed)
-    nR, tab, first = m.n_triplets, m.sampling, core.first
+    nR, tab, first, D = m.n_triplets, m.sampling, core.first, core.bound
     row_len = np.diff(tab.start)
     # events per chunk, so that a chunk has at most 8 * _CHUNK pairs
     span = max(1, 8 * _CHUNK // max(int(row_len.max(initial=1)), 1))
     # every write, Q0 as writes before iteration 0
     K = int(ev.t.max(initial=-1)) + 2
     key, order = _write_index(np.concatenate((np.arange(nR), ev.ell)), np.concatenate((np.full(nR, -1), ev.t)), K)
-    written = np.concatenate((run.q0, ev.new_q))[order]
+    written, ranks = np.concatenate((run.q0, ev.new_q))[order], np.empty_like(order)
+    ranks[order] = np.arange(len(order))  # each write's place in that order: just after the write it replaced
+    state, entry = np.repeat(np.arange(m.n + 1), core.block_size)[ev.ell], np.arange(core.width)  # per write
+    base, dirty, since = np.zeros(m.n + 1), np.ones(m.n + 1, dtype=bool), 0  # block values at the start of since
 
     def table(c, s):
         """Components ``c`` at the start of iterations ``s``: their last writes before ``s``."""
@@ -638,11 +645,35 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
         of = np.repeat(np.arange(len(ell)), n)
         js = tab.succ[(tab.start[ell] - np.cumsum(n) + n)[of] + np.arange(len(of))]
         of, js = of[js != 0], js[js != 0]
-        offs = core.offsets(t[of], ell[of], ev.count[sl][of], js)
+        tp = t[of]
+        b = max(int(t[0]) - D, 0)  # the earliest iteration the chunk reads
+        a, z = np.searchsorted(ev.t, (since, b))
+        dirty[state[a:z]], since = True, b  # the writes of [since, b) leave base's blocks stale
+        first_w = np.full(m.n + 1, K)  # each block's first write in [b, t[-1]]
+        np.minimum.at(first_w, state[z : lo + len(t)], ev.t[z : lo + len(t)])
+        fresh = first_w[js] >= tp  # no write in [b, t): the block as base holds it
+        fresh &= np.count_nonzero(fresh) * 16 >= len(js)  # too few to pay for subsets: read them as stale
+        sel, ver, lw, need = slice(None), *np.zeros((3, 0), dtype=np.int64)
+        if fresh.any():
+            hot, hk = np.flatnonzero(~fresh), np.sort(state[z : lo + len(t)] * K + ev.t[z : lo + len(t)])
+            lw = hk[np.searchsorted(hk, js[hot] * K + tp[hot]) - 1] - js[hot] * K  # the block's last write before t
+            quiet = lw + D < tp[hot]  # none since t - D: the pair reads the block as lw left it
+            sel, ver, lw = hot[~quiet], hot[quiet], lw[quiet]
+            need = np.flatnonzero(np.bincount(js[fresh & dirty[js]], minlength=m.n + 1))
+        vkey, inv = np.unique(js[ver] * K + lw + 1, return_inverse=True)  # a block just after a write
+        # one batch: the stale pairs' delayed reads, then the blocks of need at b and of vkey after lw
+        sj, st, rj = js[sel], tp[sel], np.concatenate((need, vkey // K))
+        offs = core.offsets(st, ell[of[sel]], ev.count[sl][of[sel]], sj)
+        vals = np.zeros((len(sj) + len(rj), core.width))
         live = offs >= 0
-        vals = np.zeros(offs.shape)
-        vals[live] = table((first[js, None] + np.arange(offs.shape[1]))[live], (t[of, None] - offs)[live])
-        v = game_values(vals.ravel(), m.shape_groups.laid_out(js - 1, offs.shape[1]))
+        vals[: len(sj)][live] = table((first[sj, None] + entry)[live], (st[:, None] - offs)[live])
+        live = entry < core.block_size[rj, None]
+        rs = np.concatenate((np.full(len(need), b), vkey % K))
+        vals[len(sj) :][live] = table((first[rj, None] + entry)[live], np.repeat(rs, core.block_size[rj]))
+        out = game_values(vals.ravel(), m.shape_groups.laid_out(np.concatenate((sj, rj)) - 1, core.width))
+        base[need], dirty[need] = out[len(sj) : len(sj) + len(need)], False
+        v = base[js]
+        v[sel], v[ver] = out[: len(sj)], out[len(sj) + len(need) :][inv]
         # g + p1 v1 + p2 v2 + ..., left to right: a running sum read at each row's last successor
         n = np.bincount(of, minlength=len(ell))
         terms = np.zeros((len(ell), int(n.max(initial=0)) + 1))
@@ -654,7 +685,7 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
         val_j[of[hit]] = v[hit]
         target = ev.cost[sl] + val_j
         gamma, recorded = ev.gamma[sl], ev.new_q[sl]
-        new_q = (1.0 - gamma) * table(ell, t) + gamma * target
+        new_q = (1.0 - gamma) * written[ranks[nR:][sl] - 1] + gamma * target
         bad = np.flatnonzero(new_q != recorded)
         if bad.size:
             k = int(bad[0])

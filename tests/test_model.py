@@ -438,6 +438,22 @@ def test_generated_rows_come_on_demand():
         assert rows[t] == want
 
 
+def test_generated_models_compare_by_their_arrays():
+    cfg = sspg.GeneratorConfig(n_states=500, max_controls=2, termination_floor=0.1, seed=5)
+    a, b = sspg.generate_model(cfg), sspg.generate_model(cfg)
+    assert a == b and b == a
+    assert a._rows is None and b._rows is None  # decided without building rows
+    k, j = np.argwhere(a.P > 0)[7]
+    for name in ("P", "C"):  # one entry of the support changed
+        arrays = {"P": a.P.copy(), "C": a.C.copy()}
+        arrays[name][k, j] = np.nextafter(arrays[name][k, j], 2.0)
+        other = sspg.GameModel._from_arrays(a.states, a.controls1, a.controls2, arrays["P"], arrays["C"])
+        assert a != other and other != a, name
+    assert a._rows is None and b._rows is None
+    small = sspg.generate_model(sspg.GeneratorConfig(n_states=40, max_controls=3, seed=5))
+    assert sspg.load_model(sspg.save_model(small)) == small  # a constructor-built model compares rows
+
+
 # a malformed GeneratorConfig field and the start of its error
 BAD_CONFIGS = {
     "n_states-a-float": (dict(n_states=2.5), "n_states must be an integer, got 2.5"),

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import hashlib
 
@@ -850,6 +851,7 @@ NOISE_GAMES = {
     "square": lambda: make_contraction(seed=65, n_states=5, max_controls=3),  # 1x1, 2x2, 1x2, 3x1, 3x3
     "terminal": lambda: make_terminal_only(seed=3, n_states=6, max_controls=3),  # no successor but 0
     "wide": lambda: make_contraction(seed=3, n_states=60, max_controls=2),  # rows of up to 54
+    "broad": lambda: make_contraction(seed=3, n_states=150, max_controls=3),  # blocks up to 3x3, rows of up to 129
     "zero-cost": lambda: make_contraction(seed=65, n_states=5, max_controls=3, cost_range=(0.0, 0.0)),
 }
 NOISE_SCHEDULERS = ["uniform-random:1", "uniform-random:3", "all", "round-robin:2",
@@ -872,6 +874,8 @@ def test_noise_matches_sequential_oracle(noise_game, scheduler, delay):
         q0[:] = -0.0
     # the wide game's runs span several chunks of about 300 events
     iters = (12 if scheduler == "all" else 1500) if name == "wide" else 150
+    if name == "broad":  # 574 components, 113 successors a row: one iteration of "all" is 64,000 pairs
+        iters = 1 if scheduler == "all" else 60
     cfg = sspg.QLearnConfig(seed=3, max_iters=iters, scheduler=scheduler, delay_model=delay,
                             record_full_history=True)
     for start in (None, q0):
@@ -880,6 +884,64 @@ def test_noise_matches_sequential_oracle(noise_game, scheduler, delay):
         assert got.tobytes() == want.tobytes()
     if name == "wide":
         assert len(run.events) > 3 * 8 * _CHUNK // int(np.diff(m.sampling.start).max())
+
+
+def _chunk_mixes_fresh_and_stale(run, m, bound):
+    """Whether some chunk of the noise replay (at most 8 * _CHUNK pairs) has a fresh pair,
+    whose successor block had no write since ``bound`` iterations before the chunk's first,
+    and a stale one, whose block had a write in the ``bound`` iterations before the pair's."""
+    ev = run.events
+    state = np.repeat(np.arange(1, m.n + 1), [m.state_block(i)[1] * m.state_block(i)[2] for i in range(1, m.n + 1)])
+    writes = {i: [] for i in range(1, m.n + 1)}  # iterations of the writes to each state's block
+    for t, ell in zip(ev.t.tolist(), ev.ell.tolist()):
+        writes[int(state[ell])].append(t)
+    span = max(1, 8 * _CHUNK // int(np.diff(m.sampling.start).max()))
+    for lo in range(0, len(ev), span):
+        b, kinds = max(int(ev.t[lo]) - bound, 0), set()
+        for t, ell in zip(ev.t[lo : lo + span].tolist(), ev.ell[lo : lo + span].tolist()):
+            for j in np.flatnonzero(m.P[ell, 1:] > 0.0) + 1:
+                w = writes[j]
+                if bisect.bisect_left(w, t) == bisect.bisect_left(w, b):
+                    kinds.add("fresh")
+                elif bisect.bisect_left(w, t) > bisect.bisect_left(w, max(t - bound, 0)):
+                    kinds.add("stale")
+        if kinds == {"fresh", "stale"}:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name, delay, iters", [("broad", 5, 400), ("wide", 400, 1500)])
+def test_noise_chunks_of_fresh_and_stale_pairs(name, delay, iters):
+    """3 x 3 blocks read fresh, and a delay window longer than a chunk."""
+    m = NOISE_GAMES[name]()
+    q0 = np.random.default_rng(7).uniform(-2.0, 2.0, m.n_triplets)
+    cfg = sspg.QLearnConfig(seed=5, max_iters=iters, scheduler="uniform-random:1", delay_model=("uniform", delay),
+                            record_full_history=True)
+    _, run = sspg.run_qlearning(m, cfg, q0)
+    assert _chunk_mixes_fresh_and_stale(run, m, delay)
+    assert sspg.noise_decomposition(run, m).tobytes() == _noise_oracle(run, m).tobytes()
+    if name == "broad":
+        assert max(m.state_block(i)[1:] for i in range(1, m.n + 1)) == (3, 3)
+    else:
+        assert delay > 8 * _CHUNK // int(np.diff(m.sampling.start).max())  # events a chunk, one per iteration
+
+
+def test_noise_hashes_the_offsets_of_stale_pairs_alone(monkeypatch):
+    m = NOISE_GAMES["broad"]()
+    cfg = sspg.QLearnConfig(seed=3, max_iters=1000, scheduler="uniform-random:1", delay_model=("uniform", 5),
+                            record_full_history=True)
+    _, run = sspg.run_qlearning(m, cfg)
+    hashed, real = [], sspg.qlearn.pair_delay_offsets
+
+    def counting(*args):
+        rows = real(*args)
+        hashed.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(sspg.qlearn, "pair_delay_offsets", counting)
+    sspg.noise_decomposition(run, m)
+    pairs = int((m.P[run.events.ell, 1:] > 0.0).sum())  # (event, successor) pairs, the terminal state left out
+    assert 0 < sum(hashed) <= pairs / 10
 
 
 def test_noise_of_empty_run():
