@@ -37,6 +37,7 @@ from .model import (
     save_model,
     uniform_policy,
     validate_model,
+    _real,
 )
 
 EXIT_OK = 0
@@ -189,7 +190,7 @@ def _read_reference(m: GameModel, path: str) -> np.ndarray:
     ref = np.full(m.n_triplets, np.nan)
     for k, row in enumerate(rows):
         try:
-            ell, q = m.triplet_index((row["i"], row["u"], row["v"])), float(row["q"])
+            ell, q = m.triplet_index((row["i"], row["u"], row["v"])), _real(row["q"])
         except (KeyError, TypeError, ValueError):
             raise ModelFormatError(f'--ref row {k} needs a triplet "i", "u", "v" of the game and a number "q"') from None
         if not math.isfinite(q):
@@ -206,7 +207,7 @@ def _qlearn_config(args, m: GameModel) -> qlearn.QLearnConfig:
     doc = args.config or {}
     stepsize = doc.get("stepsize", args.stepsize)
     try:
-        a, b, p = (float(x) for x in (stepsize.split(",") if isinstance(stepsize, str) else stepsize))
+        a, b, p = (float(x) for x in stepsize.split(",")) if isinstance(stepsize, str) else map(_real, stepsize)
     except (TypeError, ValueError):
         raise ValueError(f"stepsize needs three comma-separated numbers a,b,p, got {stepsize!r}") from None
     if "delay" in doc and args.delay_schedule:
@@ -229,8 +230,9 @@ def _qlearn_config(args, m: GameModel) -> qlearn.QLearnConfig:
         record_full_history=getattr(args, "record", True),  # couple always records
     )
     kwargs.update((key, doc[key]) for key in ("max_iters", "record_full_history", "scheduler") if key in doc)
-    if "delay" in doc:
-        kwargs["delay_model"] = ("uniform", doc["delay"]) if doc["delay"] else "zero"
+    if "delay" in doc:  # 0 is "zero", as --delay 0; QLearnConfig refuses anything but an integer bound
+        d = doc["delay"]
+        kwargs["delay_model"] = "zero" if d == 0 and type(d) is int else ("uniform", d)
     if args.csv and not kwargs["record_full_history"]:
         raise ValueError("--csv needs the event history: pass --record or set record_full_history in --config")
     cfg = qlearn.QLearnConfig(**kwargs)  # checks the types of the --config values
@@ -256,6 +258,10 @@ def _cmd_matgame(args) -> int:
     else:
         with open(args.file) as f:
             matrix = json.load(f)
+    try:
+        matrix = [[_real(x) for x in row] for row in matrix]
+    except TypeError:
+        raise ValueError(f"matrix game needs a list of rows of numbers, got {matrix!r}") from None
     sol = solve_matrix_game(matrix)
     _emit(
         {

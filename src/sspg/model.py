@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -61,12 +62,6 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 33)
 
 
-# a run draws every number from one seed, so its first mix is computed once
-@functools.lru_cache(maxsize=64)
-def _seed_mix(seed: int) -> int:
-    return _mix64((seed & _M64) ^ 0x9E3779B97F4A7C15)
-
-
 def counter_hash(seed: int, component, counter):
     """64-bit hash of (seed, component, counter); pure and platform-stable.
 
@@ -74,7 +69,7 @@ def counter_hash(seed: int, component, counter):
     together): numpy's wrapping arithmetic is the ``& _M64`` of the scalar
     form, so each entry equals the scalar call bit for bit.
     """
-    h = _mix64(_seed_mix(seed) ^ (component & _M64))
+    h = _mix64(_mix64((seed & _M64) ^ 0x9E3779B97F4A7C15) ^ (component & _M64))
     h = _mix64(h ^ (counter & _M64))
     return h
 
@@ -148,23 +143,22 @@ class SamplingTable:
     """The support successors of every triplet, flattened for batched draws.
 
     Row ``k`` is ``[start[k], start[k + 1])`` of ``succ`` (successor state
-    indices in increasing order), ``cum`` (cumulative probabilities) and
-    ``cost`` (transition costs).
+    indices in increasing order) and ``cum`` (cumulative probabilities).
+    The cost of a drawn successor ``j`` of triplet ``k`` is ``C[k, j]``.
     """
 
     start: np.ndarray
     succ: np.ndarray
     cum: np.ndarray
-    cost: np.ndarray
 
     @classmethod
-    def from_kernel(cls, P: np.ndarray, C: np.ndarray) -> "SamplingTable":
+    def from_kernel(cls, P: np.ndarray) -> "SamplingTable":
         live = P > 0.0
         # a running sum over the whole row adds 0.0 off the support, so each
         # entry equals the cumulative sum over the support alone, bit for bit
         cum = np.cumsum(np.where(live, P, 0.0), axis=1)[live]
         start = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
-        return cls(start, np.nonzero(live)[1], cum, C[live])
+        return cls(start, np.nonzero(live)[1], cum)
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Flat position of the successor that uniform ``u[e]`` draws in row ``rows[e]``.
@@ -193,9 +187,11 @@ class SamplingTable:
 class GameModel:
     """Immutable finite SSP game.
 
-    The kernel arrays :attr:`P` and :attr:`C` are the representation, and
-    every other array is derived from them.  The private :meth:`_from_arrays`
-    builds a model from them alone; its :attr:`transitions` come on demand.
+    The kernel arrays :attr:`P` and :attr:`C`, with a read-only mask of the
+    entries the rows listed (zero-probability and NaN entries included), are
+    the representation; every other array and :attr:`transitions` are
+    derived from them.  The private :meth:`_from_arrays` builds a model from
+    ``P`` and ``C`` alone, listing the entries of ``P > 0``.
 
     Parameters
     ----------
@@ -205,11 +201,11 @@ class GameModel:
     controls1, controls2:
         Ordered control label lists per state for the minimizer / maximizer.
     transitions:
-        Mapping ``(i, u, v) -> sequence of (j, p, cost)`` rows.  Successor
-        entries are stored in canonical order (terminal first, then state
-        order).  Construction is permissive about probability mass and
-        missing rows so that :func:`validate_model` can report findings;
-        downstream operators assume a validated model.
+        Mapping ``(i, u, v) -> sequence of (j, p, cost)`` rows; every entry
+        is listed, zero-probability and NaN ones included.  Construction is
+        permissive about probability mass and missing rows so that
+        :func:`validate_model` can report findings; downstream operators
+        assume a validated model.
     """
 
     def __init__(
@@ -220,35 +216,32 @@ class GameModel:
         transitions: Mapping[Triplet, Sequence[NextEntry]],
     ):
         self._set_labels(states, controls1, controls2)
-        rows: dict[Triplet, tuple[NextEntry, ...]] = {}
-        for key, entries in transitions.items():
-            key = (str(key[0]), str(key[1]), str(key[2]))
+        rows = {(str(key[0]), str(key[1]), str(key[2])): entries for key, entries in transitions.items()}
+        flat = []  # (triplet, successor, p, cost) of every listed entry
+        for key, entries in rows.items():
             if key not in self._tidx:
                 raise ModelFormatError(f"transition row for unknown triplet {key}")
-            canon = []
+            row = []
             for j, p, cost in entries:
-                j = str(j)
-                if j not in self._sidx:
-                    raise ModelFormatError(f"unknown successor {j!r} in row {key}")
-                canon.append((j, float(p), float(cost)))
-            canon.sort(key=lambda e: self._sidx[e[0]])
-            if len({e[0] for e in canon}) != len(canon):
+                if str(j) not in self._sidx:
+                    raise ModelFormatError(f"unknown successor {str(j)!r} in row {key}")
+                row.append((self._tidx[key], self._sidx[str(j)], float(p), float(cost)))
+            if len({e[1] for e in row}) != len(row):
                 raise ModelFormatError(f"duplicate successor entries in row {key}")
-            rows[key] = tuple(canon)
-        rows = {t: rows.get(t, ()) for t in self.triplets}
+            flat += row
         P, C = np.zeros((2, self.n_triplets, self.n + 1))
-        flat = [(k, self._sidx[j], p, c) for k, row in enumerate(rows.values()) for j, p, c in row]
+        listed = np.zeros(P.shape, dtype=bool)
         if flat:
             k, j, p, c = zip(*flat)
-            P[k, j], C[k, j] = p, c
-        self._set_kernel(P, C, rows)  # the input rows, zero-probability and NaN entries included
+            P[k, j], C[k, j], listed[k, j] = p, c, True
+        self._set_kernel(P, C, listed)
 
     @classmethod
     def _from_arrays(cls, states, controls1, controls2, P: np.ndarray, C: np.ndarray) -> "GameModel":
-        """A model from float arrays of shape (|R|, n+1) over the canonical triplets; no rows are built."""
+        """A model from float arrays of shape (|R|, n+1) over the canonical triplets, listing ``P > 0``."""
         m = cls.__new__(cls)
         m._set_labels(states, controls1, controls2)
-        m._set_kernel(P, C, None)
+        m._set_kernel(P, C, P > 0.0)
         return m
 
     def _set_labels(self, states, controls1, controls2) -> None:
@@ -285,23 +278,22 @@ class GameModel:
         self.control_layout = ControlLayout.from_blocks(blocks)  # for fixed-policy averages
         self._tidx = {t: k for k, t in enumerate(trips)}
 
-    def _set_kernel(self, P: np.ndarray, C: np.ndarray, rows) -> None:
-        self._P, self._C, self._g, self._rows = P, C, (P * C).sum(axis=1), rows
-        for a in (P, C, self._g):
+    def _set_kernel(self, P: np.ndarray, C: np.ndarray, listed: np.ndarray) -> None:
+        self._P, self._C, self._listed, self._g = P, C, listed, (P * C).sum(axis=1)
+        for a in (P, C, listed, self._g):
             a.setflags(write=False)
-        self.sampling = SamplingTable.from_kernel(P, C)
+        self.sampling = SamplingTable.from_kernel(P)
 
     # -- accessors ----------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def transitions(self) -> Mapping[Triplet, tuple[NextEntry, ...]]:
-        """Rows ``(i, u, v) -> ((j, p, cost), ...)``: as given to the constructor, else read off ``P > 0`` once."""
-        if self._rows is None:
-            s, labels = self.sampling, (TERMINAL,) + self.states
-            entries = list(zip([labels[j] for j in s.succ.tolist()], self._P[self._P > 0.0].tolist(), s.cost.tolist()))
-            at = s.start.tolist()
-            self._rows = {t: tuple(entries[a:b]) for t, a, b in zip(self.triplets, at, at[1:])}
-        return self._rows
+        """Rows ``(i, u, v) -> ((j, p, cost), ...)`` of the listed entries in successor order, built on first use."""
+        labels = (TERMINAL,) + self.states
+        succ = np.nonzero(self._listed)[1].tolist()
+        entries = list(zip([labels[j] for j in succ], self._P[self._listed].tolist(), self._C[self._listed].tolist()))
+        at = [0, *np.cumsum(self._listed.sum(axis=1)).tolist()]
+        return {t: tuple(entries[a:b]) for t, a, b in zip(self.triplets, at, at[1:])}
 
     @functools.cached_property
     def shape_groups(self) -> ShapeGroups:
@@ -352,12 +344,12 @@ class GameModel:
         return np.asarray(q)[off : off + nu * nv].reshape(nu, nv)
 
     def __eq__(self, other) -> bool:
-        if not (isinstance(other, GameModel) and self.states == other.states
-                and self.controls1 == other.controls1 and self.controls2 == other.controls2):
-            return False
-        if self._rows is None and other._rows is None:  # both array-built: P, and C where rows would read it
-            return np.array_equal(self._P, other._P) and np.array_equal(self._C[self._P > 0], other._C[self._P > 0])
-        return self.transitions == other.transitions
+        # the labels, the listed entries and P and C on them; a model with a NaN entry equals only itself
+        return other is self or (isinstance(other, GameModel) and self.states == other.states
+                                 and self.controls1 == other.controls1 and self.controls2 == other.controls2
+                                 and np.array_equal(self._listed, other._listed)
+                                 and np.array_equal(self._P[self._listed], other._P[self._listed])
+                                 and np.array_equal(self._C[self._listed], other._C[self._listed]))
 
     def __repr__(self) -> str:
         return f"GameModel(n_states={self.n}, n_triplets={self.n_triplets})"
@@ -452,6 +444,13 @@ def expected_stage_cost(m: GameModel, t: Triplet) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _real(x) -> float:
+    """``x`` as a float if it is a number, as JSON writes one; a TypeError for a bool, a string or anything else."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"not a number: {x!r}")
+    return float(x)
+
+
 def _parse_entries(raw, loc: str) -> list[NextEntry]:
     if not isinstance(raw, list):
         raise ModelFormatError(f'{loc}: "next" must be a list')
@@ -460,7 +459,7 @@ def _parse_entries(raw, loc: str) -> list[NextEntry]:
         if not isinstance(e, dict) or not {"j", "p", "cost"} <= set(e):
             raise ModelFormatError(f'{loc}: entry {k} needs fields "j", "p", "cost"')
         try:
-            out.append((str(e["j"]), float(e["p"]), float(e["cost"])))
+            out.append((str(e["j"]), _real(e["p"]), _real(e["cost"])))
         except (TypeError, ValueError):
             raise ModelFormatError(f'{loc}: entry {k}: "p" and "cost" must be numbers') from None
     return out
@@ -613,7 +612,7 @@ def policy_from_json(m: GameModel, doc: Mapping) -> StationaryPolicy:
         if extra:
             raise PolicyMismatchError(f"rule at state {s} names control {extra[0]!r}, which the state does not have")
         try:
-            probs = [float(tables[s].get(c, 0.0)) for c in ctrl[s]]
+            probs = [_real(tables[s].get(c, 0.0)) for c in ctrl[s]]
         except (TypeError, ValueError):
             raise PolicyMismatchError(f"rule at state {s} must map control labels to probabilities") from None
         try:

@@ -73,12 +73,9 @@ def _pair(field: str, spec) -> tuple:
 
 
 def _integer(field: str, x) -> int:
-    """``x`` as an int: an integer, or a string of one (the ``"kind:k"`` forms)."""
-    try:
-        if isinstance(x, str) or (isinstance(x, numbers.Integral) and not isinstance(x, bool)):
-            return int(x)
-    except ValueError:
-        pass
+    """``x`` as an int: an integer, not a bool, a string or a float."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
     raise ValueError(f"{field} needs an integer, got {x!r}")
 
 
@@ -89,7 +86,10 @@ def _parse_scheduler(spec):
         name, _, arg = spec.partition(":")
         if name not in ("uniform-random", "round-robin"):
             raise ValueError(f"unknown scheduler {spec!r}")
-        spec = (name, arg or 1)
+        try:
+            spec = (name, int(arg or 1))
+        except ValueError:
+            raise ValueError(f"scheduler {name!r} needs an integer, got {arg!r}") from None
     kind, arg = _pair("scheduler", spec)
     if kind in ("uniform-random", "round-robin"):
         k = _integer(f"scheduler {kind!r}", arg)
@@ -488,7 +488,7 @@ def _event_plan(m: GameModel, sched, seed: int, counts: np.ndarray, stepsizes, t
     tab = m.sampling
     pos = tab.draw(ell, counter_uniform(seed, ell.astype(np.uint64), cnt.astype(np.uint64)))
     j = tab.succ[pos]
-    return EventLog(t, ell, cnt, j, tab.cost[pos], stepsizes(cnt), None)
+    return EventLog(t, ell, cnt, j, m.C[ell, j], stepsizes(cnt), None)
 
 
 def _chunk_iterations(core: ReplayCore, sched) -> int:

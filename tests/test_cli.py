@@ -77,6 +77,17 @@ def test_matgame(capsys):
     assert doc["row_strategy"] == pytest.approx([0.25, 0.75], abs=1e-9)
 
 
+@pytest.mark.parametrize("matrix", [[[True, "2"], [0, 1]], [[3, 0], [1, "2"]], [[3, 0], [False, 2]], [[None]], [3, 0]])
+def test_matgame_entries_must_be_numbers(capsys, tmp_path, matrix):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix))
+    for flags in (["--matrix", json.dumps(matrix)], ["--file", str(path)]):
+        code = main(["matgame", *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == f"error: matrix game needs a list of rows of numbers, got {matrix!r}\n"
+
+
 def test_solve_vi_everett(capsys, everett_file):
     code, out = run_cli(capsys, "solve-vi", "--model", everett_file, "--tol", "1e-6")
     assert code == 0
@@ -249,6 +260,15 @@ def test_qlearn_config_file(capsys, self_loop_file, tmp_path):
     assert doc["iterations"] == 50  # config file entries override the flags
 
 
+@pytest.mark.parametrize("delay", [0, 3])
+def test_config_delay_reads_as_the_flag(capsys, everett_file, tmp_path, delay):
+    for cmd in ("qlearn", "couple"):
+        flag = run_cli(capsys, cmd, "--model", everett_file, "--iters", "200", "--delay", str(delay))
+        assert flag[0] == 0
+        assert run_cli(capsys, cmd, "--model", everett_file, "--iters", "200",
+                       "--config", _config(tmp_path, {"delay": delay})) == flag
+
+
 def test_couple(capsys, everett_file):
     code, out = run_cli(capsys, "couple", "--model", everett_file, "--iters", "2000",
                         "--seed", "3", "--scheduler", "uniform-random:1", "--delay", "3")
@@ -348,6 +368,10 @@ MALFORMED = {
     "control-list-is-a-number": '"controls1" entry for state 1 must be a list',
     "states-is-a-number": '"states" must be a list',
     "p-is-text": 'transitions[0] (1,1,1): entry 0: "p" and "cost" must be numbers',
+    "p-is-true": 'transitions[0] (1,1,1): entry 0: "p" and "cost" must be numbers',
+    "cost-is-numeric-text": 'transitions[0] (1,1,1): entry 0: "p" and "cost" must be numbers',
+    "probability-is-numeric-text": "rule at state 1 must map control labels to probabilities",
+    "probability-is-true": "rule at state 1 must map control labels to probabilities",
     "weight-is-nan": "rule at state 1 is not a distribution: [0.0, nan]",
     "mass-off-by-1e-7": "rule at state 1 is not a distribution: [0.5, 0.5000001]",
     "weight-is-minus-1e-12": "rule at state 1 is not a distribution: [1.000000000001, -1e-12]",
@@ -375,6 +399,14 @@ def test_malformed_json_exits_invalid(capsys, everett_file, tmp_path, case):
         doc["states"] = 3
     elif case == "p-is-text":
         doc["transitions"][0]["next"][0]["p"] = "x"
+    elif case == "p-is-true":
+        doc["transitions"][0]["next"][0]["p"] = True
+    elif case == "cost-is-numeric-text":
+        doc["transitions"][0]["next"][0]["cost"] = "2.5"
+    elif case == "probability-is-numeric-text":
+        mu_doc["rules"]["1"]["2"] = "1"
+    elif case == "probability-is-true":
+        mu_doc["rules"]["1"]["2"] = True
     elif case == "weight-is-nan":
         mu_doc["rules"]["1"]["2"] = float("nan")  # json writes NaN and reads it back
     elif case == "mass-off-by-1e-7":
@@ -622,6 +654,8 @@ REF_FAULTS = {
     "unknown-triplet": '--ref row 3 needs a triplet "i", "u", "v" of the game and a number "q"',
     "repeated-triplet": "--ref row 3 repeats triplet ('1', '1', '1')",
     "infinite-q": '--ref row 2: "q" must be finite',
+    "q-is-numeric-text": '--ref row 2 needs a triplet "i", "u", "v" of the game and a number "q"',
+    "q-is-true": '--ref row 2 needs a triplet "i", "u", "v" of the game and a number "q"',
 }
 
 
@@ -636,6 +670,10 @@ def test_qlearn_ref_needs_every_triplet_once(capsys, everett, everett_file, tmp_
         rows[3]["v"] = "9"
     elif case == "repeated-triplet":
         rows[3] = dict(rows[0])
+    elif case == "q-is-numeric-text":
+        rows[2]["q"] = "0.5"
+    elif case == "q-is-true":
+        rows[2]["q"] = True
     else:
         rows[2]["q"] = float("inf")
     ref = tmp_path / "ref.json"
@@ -669,6 +707,16 @@ FLAG_CONFLICTS = {
                                   "scheduler must be a string or a (kind, argument) pair, got 5"),
     "config-max-iters-a-string": ([], {"max_iters": "10"}, "max_iters must be an integer, got '10'"),
     "config-delay-a-list": ([], {"delay": [1]}, "delay bound needs an integer, got [1]"),
+    "config-delay-null": ([], {"delay": None}, "delay bound needs an integer, got None"),
+    "config-delay-false": ([], {"delay": False}, "delay bound needs an integer, got False"),
+    "config-delay-a-float": ([], {"delay": 0.0}, "delay bound needs an integer, got 0.0"),
+    "config-delay-empty-text": ([], {"delay": ""}, "delay bound needs an integer, got ''"),
+    "config-delay-empty-list": ([], {"delay": []}, "delay bound needs an integer, got []"),
+    "config-delay-numeric-text": ([], {"delay": "3"}, "delay bound needs an integer, got '3'"),
+    "config-stepsize-a-bool": ([], {"stepsize": [True, 1, 0.75]},
+                               "stepsize needs three comma-separated numbers a,b,p, got [True, 1, 0.75]"),
+    "config-stepsize-numeric-text": ([], {"stepsize": [1, "1", 0.75]},
+                                     "stepsize needs three comma-separated numbers a,b,p, got [1, '1', 0.75]"),
     "config-seed-a-string": ([], {"seed": "x"}, "seed must be an integer, got 'x'"),
 }
 
@@ -685,6 +733,14 @@ FLAG_CONFLICTS = {
     ("qlearn", "config-max-iters-a-string"),
     ("couple", "config-max-iters-a-string"),
     ("qlearn", "config-delay-a-list"),
+    ("qlearn", "config-delay-null"),
+    ("couple", "config-delay-false"),
+    ("qlearn", "config-delay-a-float"),
+    ("qlearn", "config-delay-empty-text"),
+    ("couple", "config-delay-empty-list"),
+    ("qlearn", "config-delay-numeric-text"),
+    ("qlearn", "config-stepsize-a-bool"),
+    ("couple", "config-stepsize-numeric-text"),
     ("couple", "config-seed-a-string"),
 ])
 def test_qlearn_flag_conflicts_rejected_before_running(capsys, monkeypatch, everett_file, tmp_path, cmd, case):

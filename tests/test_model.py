@@ -61,7 +61,7 @@ def _generate_oracle(cfg: sspg.GeneratorConfig) -> sspg.GameModel:
 def _assert_same_model(a: sspg.GameModel, b: sspg.GameModel, text: bool = True):
     for name in ("P", "C", "g"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    for name in ("start", "succ", "cum", "cost"):
+    for name in ("start", "succ", "cum"):
         assert getattr(a.sampling, name).tobytes() == getattr(b.sampling, name).tobytes(), name
     assert (a.states, a.controls1, a.controls2, a.triplets) == (b.states, b.controls1, b.controls2, b.triplets)
     assert a.transitions == b.transitions and a == b
@@ -158,8 +158,8 @@ def test_stage_cost_linear_in_costs():
 def _draws(m, row: int, seed: int, n: int):
     """Successor indices and costs of the first ``n`` transitions of triplet ``row``, as the engine draws them."""
     u = counter_uniform(seed, row, np.arange(n, dtype=np.uint64))
-    pos = m.sampling.draw(np.full(n, row), u)
-    return m.sampling.succ[pos], m.sampling.cost[pos]
+    succ = m.sampling.succ[m.sampling.draw(np.full(n, row), u)]
+    return succ, m.C[row, succ]
 
 
 def test_sample_transition_deterministic_row():
@@ -218,7 +218,7 @@ def test_draw_equals_linear_scan():
         P = rng.random((n_rows, width)) * (rng.random((n_rows, width)) < 0.5)
         P[np.arange(n_rows), rng.integers(0, width, n_rows)] += 0.1  # no empty row
         P /= P.sum(axis=1, keepdims=True)
-        tab = SamplingTable.from_kernel(P, rng.random((n_rows, width)))
+        tab = SamplingTable.from_kernel(P)
         rows, us = [], []
         for k in range(n_rows):
             cum = tab.cum[tab.start[k] : tab.start[k + 1]]
@@ -241,15 +241,15 @@ def test_sample_transition_equals_linear_scan():
         m = sspg.generate_model(sspg.GeneratorConfig(seed=seed, n_states=6, max_controls=3))
         rows = np.repeat(np.arange(m.n_triplets), 20)
         u = counter_uniform(seed, rows.astype(np.uint64), np.tile(np.arange(20, dtype=np.uint64), m.n_triplets))
-        pos = m.sampling.draw(rows, u)
-        for k, uk, j, cost in zip(rows.tolist(), u.tolist(), m.sampling.succ[pos], m.sampling.cost[pos]):
+        succ = m.sampling.succ[m.sampling.draw(rows, u)]
+        for k, uk, j, cost in zip(rows.tolist(), u.tolist(), succ, m.C[rows, succ]):
             idx = np.flatnonzero(m.P[k] > 0.0)
             want = idx[_linear_scan(np.cumsum(m.P[k, idx]).tolist(), uk)]
             assert (j, cost) == (want, m.C[k, want])
 
 
 def test_draw_rejects_empty_rows():
-    tab = SamplingTable.from_kernel(np.array([[0.5, 0.5], [0.0, 0.0]]), np.zeros((2, 2)))
+    tab = SamplingTable.from_kernel(np.array([[0.5, 0.5], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="no transition row"):
         tab.draw(np.array([0, 1]), np.array([0.2, 0.2]))
 
@@ -428,7 +428,7 @@ def test_duplicate_rows_and_successors_refused():
 
 def test_generated_rows_come_on_demand():
     m = sspg.generate_model(sspg.GeneratorConfig(n_states=5, max_controls=3, seed=2))
-    assert m._rows is None  # array-built: nothing derived until asked
+    assert "transitions" not in m.__dict__  # nothing derived until asked
     rows = m.transitions
     assert m.transitions is rows
     live = m.P > 0
@@ -442,16 +442,36 @@ def test_generated_models_compare_by_their_arrays():
     cfg = sspg.GeneratorConfig(n_states=500, max_controls=2, termination_floor=0.1, seed=5)
     a, b = sspg.generate_model(cfg), sspg.generate_model(cfg)
     assert a == b and b == a
-    assert a._rows is None and b._rows is None  # decided without building rows
+    assert "transitions" not in a.__dict__ and "transitions" not in b.__dict__  # decided without building rows
     k, j = np.argwhere(a.P > 0)[7]
     for name in ("P", "C"):  # one entry of the support changed
         arrays = {"P": a.P.copy(), "C": a.C.copy()}
         arrays[name][k, j] = np.nextafter(arrays[name][k, j], 2.0)
         other = sspg.GameModel._from_arrays(a.states, a.controls1, a.controls2, arrays["P"], arrays["C"])
         assert a != other and other != a, name
-    assert a._rows is None and b._rows is None
+    assert "transitions" not in a.__dict__ and "transitions" not in b.__dict__
     small = sspg.generate_model(sspg.GeneratorConfig(n_states=40, max_controls=3, seed=5))
-    assert sspg.load_model(sspg.save_model(small)) == small  # a constructor-built model compares rows
+    assert sspg.load_model(sspg.save_model(small)) == small  # a constructor-built model equals its source
+
+
+def test_rows_and_arrays_of_the_same_entries_compare_equal():
+    labels = (["1"], {"1": ["a", "b"]}, {"1": ["x"]})
+    rows = {("1", "a", "x"): [("1", 0.25, 2.0), ("0", 0.75, 1.0)], ("1", "b", "x"): [("0", 1.0, 0.0)]}
+    built = sspg.GameModel(*labels, rows)
+    arrays = sspg.GameModel._from_arrays(*labels, built.P.copy(), built.C.copy())
+    assert built == arrays and arrays == built
+    # a listed zero-probability entry: the same P and C, another model
+    zero = sspg.GameModel(*labels, {**rows, ("1", "b", "x"): [("0", 1.0, 0.0), ("1", 0.0, 0.0)]})
+    assert zero.P.tobytes() == built.P.tobytes() and zero.C.tobytes() == built.C.tobytes()
+    for other in (built, arrays):
+        assert zero != other and other != zero
+
+
+def test_a_model_with_a_nan_entry_equals_itself_alone():
+    rows = {("1", "a", "x"): [("0", float("nan"), 1.0), ("1", 0.5, 0.0)]}
+    m = sspg.GameModel(["1"], {"1": ["a"]}, {"1": ["x"]}, rows)
+    assert m == m
+    assert m != sspg.GameModel(["1"], {"1": ["a"]}, {"1": ["x"]}, rows)
 
 
 # a malformed GeneratorConfig field and the start of its error

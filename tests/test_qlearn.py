@@ -314,6 +314,13 @@ def test_config_validation():
     (dict(delay_model=5), "delay_model must be a string or a (kind, argument) pair, got 5"),
     (dict(delay_model=("uniform", 2.5)), "delay bound needs an integer, got 2.5"),
     (dict(delay_model=("fixed", 3)), "fixed delay schedule needs a list of offsets, got 3"),
+    (dict(delay_model=("uniform", "3")), "delay bound needs an integer, got '3'"),
+    (dict(delay_model=("uniform", True)), "delay bound needs an integer, got True"),
+    (dict(delay_model=("fixed", ["1", "2"])), "fixed delay schedule needs an integer, got '1'"),
+    (dict(scheduler=("round-robin", "2")), "scheduler 'round-robin' needs an integer, got '2'"),
+    (dict(scheduler=("uniform-random", 1.0)), "scheduler 'uniform-random' needs an integer, got 1.0"),
+    (dict(scheduler=("custom", [["0", "1"]])), "custom scheduler needs an integer, got '0'"),
+    (dict(scheduler="uniform-random:2.0"), "scheduler 'uniform-random' needs an integer, got '2.0'"),
 ])
 def test_config_types_named(kwargs, err):
     """A value of the wrong type is a ValueError naming the field and the expected form."""
@@ -462,7 +469,7 @@ def test_noise_monte_carlo_mean(self_loop):
     backup = 1.0 + 0.5 * view_value
     tab = self_loop.sampling
     pos = tab.draw(np.zeros(10_000, dtype=np.int64), counter_uniform(8, 0, np.arange(10_000, dtype=np.uint64)))
-    samples = tab.cost[pos] + np.where(tab.succ[pos] == 1, view_value, 0.0) - backup
+    samples = self_loop.C[0, tab.succ[pos]] + np.where(tab.succ[pos] == 1, view_value, 0.0) - backup
     assert abs(samples.mean()) <= 3 * samples.std() / 100
 
 

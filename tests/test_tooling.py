@@ -112,12 +112,16 @@ def test_workloads_truncate_cuts_a_replayable_run():
     assert rep.ok and rep.qhat_events.tobytes() == sspg.run_coupled_lower_process(m, nu, run).qhat_events[:200].tobytes()
 
 
+def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh process that imports ``sspg`` from this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test dependency only; importing it cost the CLI about a third of its start-up
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    probe = "import sspg.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
+    proc = _python("-c", "import sspg.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -126,8 +130,14 @@ def test_cli_import_loads_no_scipy():
 @pytest.mark.parametrize("demo", ["01_matrix_games", "02_everett_game", "03_generate_solve_verify",
                                   "05_boundedness_diagnostics"])
 def test_demo_runs(demo, tmp_path):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _python(str(ROOT / "demos" / f"{demo}.py"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    """The README's library quick start, run as written; it ends in ``assert coupling.ok``."""
+    section = (ROOT / "README.md").read_text().split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert code.rstrip().splitlines()[-1].startswith("assert coupling.ok")
+    proc = _python("-c", code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
