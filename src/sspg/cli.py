@@ -8,8 +8,10 @@ failure, 3 solver non-convergence, 4 assumption-check violation under
 ``--strict``.
 
 Every subcommand registers only the flags it reads, and is deterministic
-given its flags and seed.  The environment variable ``SSPG_SEED``, read only
-here, overrides ``--seed`` and the ``--config`` seed when set.
+given its flags and seed.  Each ``--config`` key sets the flag it names, so a
+run is built from its flags alone.  The environment variable ``SSPG_SEED``,
+read only here, then overrides the seed when set.  What counts as a number
+or an integer in any input is decided in :mod:`sspg.model`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .model import (
     save_model,
     uniform_policy,
     validate_model,
+    _is_number,
     _real,
 )
 
@@ -104,12 +107,13 @@ _FLAGS = {
     "scheduler": dict(default="uniform-random:1"),
     "delay": dict(type=int, default=0, help="uniform delay bound D (0 = no delays)"),
     "delay-schedule": dict(help="CSV of fixed delay offsets, one per line"),
-    "config": dict(help="JSON config file; its entries override the flags"),
+    "config": dict(help="JSON config file; each key sets the flag it names"),
 }
 _SOLVE = ("model", "tol", "out", "csv")
 _QLEARN = ("model", "seed", "out", "csv", "iters", "stepsize", "scheduler", "delay", "delay-schedule", "config")
-# --config keys; couple always records, so it reads all but the last
-_CONFIG_KEYS = ("seed", "max_iters", "stepsize", "scheduler", "delay", "record_full_history")
+# each --config key and the flag it sets; a subcommand reads the keys whose flags it has
+_CONFIG_FLAGS = {"seed": "seed", "max_iters": "iters", "stepsize": "stepsize", "scheduler": "scheduler",
+                 "delay": "delay", "record_full_history": "record"}
 
 
 def _command(sub, name: str, help_text: str, *flags: str) -> argparse.ArgumentParser:
@@ -168,17 +172,20 @@ def build_parser() -> _Parser:
     return top
 
 
-def _read_config(args) -> dict:
-    """The ``--config`` document, refused if it holds a key the subcommand does not read."""
+def _apply_config(args) -> None:
+    """Set the flag each ``--config`` key names; a key whose flag the subcommand lacks is refused."""
     with open(args.config) as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
         raise ValueError("--config must hold a JSON object")
-    keys = _CONFIG_KEYS if args.cmd == "qlearn" else _CONFIG_KEYS[:-1]
+    keys = [key for key, flag in _CONFIG_FLAGS.items() if hasattr(args, flag)]
     unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise ValueError(f"--config key {unknown[0]!r} is not one of {', '.join(keys)}")
-    return doc
+    if "delay" in doc and args.delay_schedule:
+        raise ValueError("--config key 'delay' and --delay-schedule both set the delays; give one")
+    for key, value in doc.items():
+        setattr(args, _CONFIG_FLAGS[key], value)
 
 
 def _read_reference(m: GameModel, path: str) -> np.ndarray:
@@ -203,39 +210,39 @@ def _read_reference(m: GameModel, path: str) -> np.ndarray:
     return ref
 
 
+def _read_delay_schedule(path: str) -> tuple[int, ...]:
+    """The ``--delay-schedule`` offsets, one integer per line; blank lines are skipped."""
+    offsets = []
+    with open(path) as f:
+        for n, line in enumerate(f, 1):
+            if line.strip():
+                try:
+                    offsets.append(int(line))
+                except ValueError:
+                    raise ValueError(f"--delay-schedule line {n} needs an integer, got {line.strip()!r}") from None
+    return tuple(offsets)
+
+
 def _qlearn_config(args, m: GameModel) -> qlearn.QLearnConfig:
-    doc = args.config or {}
-    stepsize = doc.get("stepsize", args.stepsize)
+    stepsize = args.stepsize
     try:
         a, b, p = (float(x) for x in stepsize.split(",")) if isinstance(stepsize, str) else map(_real, stepsize)
     except (TypeError, ValueError):
         raise ValueError(f"stepsize needs three comma-separated numbers a,b,p, got {stepsize!r}") from None
-    if "delay" in doc and args.delay_schedule:
-        raise ValueError("--config key 'delay' and --delay-schedule both set the delays; give one")
     if args.delay_schedule:
-        with open(args.delay_schedule) as f:
-            offsets = tuple(int(line.strip()) for line in f if line.strip())
-        delay = ("fixed", offsets)
-    elif args.delay:
-        delay = ("uniform", args.delay)  # QLearnConfig rejects a negative bound
-    else:
+        delay = ("fixed", _read_delay_schedule(args.delay_schedule))
+    elif args.delay == 0 and _is_number(args.delay, integer=True):
         delay = "zero"
-    kwargs = dict(
-        seed=args.seed,  # main applied the --config seed and SSPG_SEED
-        max_iters=args.iters,
-        stepsize=(a, b, p),
-        scheduler=args.scheduler,
-        delay_model=delay,
-        reference_q=_read_reference(m, args.ref) if getattr(args, "ref", None) else None,
-        record_full_history=getattr(args, "record", True),  # couple always records
-    )
-    kwargs.update((key, doc[key]) for key in ("max_iters", "record_full_history", "scheduler") if key in doc)
-    if "delay" in doc:  # 0 is "zero", as --delay 0; QLearnConfig refuses anything but an integer bound
-        d = doc["delay"]
-        kwargs["delay_model"] = "zero" if d == 0 and type(d) is int else ("uniform", d)
-    if args.csv and not kwargs["record_full_history"]:
+    else:
+        delay = ("uniform", args.delay)  # QLearnConfig refuses a negative or non-integer bound
+    reference = _read_reference(m, args.ref) if getattr(args, "ref", None) else None
+    record = getattr(args, "record", True)  # couple always records
+    if args.csv and not record:
         raise ValueError("--csv needs the event history: pass --record or set record_full_history in --config")
-    cfg = qlearn.QLearnConfig(**kwargs)  # checks the types of the --config values
+    cfg = qlearn.QLearnConfig(  # checks the types of the --config values
+        seed=args.seed, max_iters=args.iters, stepsize=(a, b, p), scheduler=args.scheduler,
+        delay_model=delay, reference_q=reference, record_full_history=record,
+    )
     # the CLI prints only the final metric row, the snapshot at the end
     return dataclasses.replace(cfg, metric_interval=max(1, cfg.max_iters))
 
@@ -463,8 +470,7 @@ def main(argv=None) -> int:
     try:
         # precedence: SSPG_SEED over the --config seed over --seed
         if getattr(args, "config", None):
-            args.config = _read_config(args)
-            args.seed = args.config.get("seed", args.seed)
+            _apply_config(args)
         env = os.environ.get("SSPG_SEED")
         if env and hasattr(args, "seed"):
             args.seed = int(env)

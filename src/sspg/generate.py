@@ -26,18 +26,13 @@ triplet with k live entries, the same random stream as k scalar draws.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameModel
+from .model import GameModel, _is_number
 
 FAMILIES = ("contraction", "loopy", "sequential")
-
-
-def _real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -52,14 +47,14 @@ class GeneratorConfig:
     def __post_init__(self):
         for name in ("n_states", "max_controls", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not _is_number(value, integer=True):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if not _real(self.termination_floor):
+        if not _is_number(self.termination_floor):
             raise ValueError(f"termination_floor must be a real number, got {self.termination_floor!r}")
         cost = self.cost_range
-        if not (isinstance(cost, (tuple, list)) and len(cost) == 2 and all(map(_real, cost))
+        if not (isinstance(cost, (tuple, list)) and len(cost) == 2 and all(map(_is_number, cost))
                 and np.isfinite(float(cost[1]) - float(cost[0]))):
             raise ValueError(f"cost_range must be two finite numbers (lo, hi), got {cost!r}")
         if self.n_states < 1:

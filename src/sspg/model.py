@@ -444,11 +444,24 @@ def expected_stage_cost(m: GameModel, t: Triplet) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _is_number(x, integer: bool = False) -> bool:
+    """Whether ``x`` is a number (an integer with ``integer``) as JSON writes one: never a bool or a string."""
+    return isinstance(x, numbers.Integral if integer else numbers.Real) and not isinstance(x, bool)
+
+
 def _real(x) -> float:
-    """``x`` as a float if it is a number, as JSON writes one; a TypeError for a bool, a string or anything else."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    """``x`` as a float if it is a number; a TypeError for a bool, a string or anything else."""
+    if not _is_number(x):
         raise TypeError(f"not a number: {x!r}")
     return float(x)
+
+
+def _label(x, where: str, *args) -> str:
+    """``x`` if it is a string, as every label in a game document is; else a ModelFormatError
+    naming the field ``where.format(*args)``, formatted only then (a game has a "j" per entry)."""
+    if not isinstance(x, str):
+        raise ModelFormatError(f"{where.format(*args)} must be a string, got {x!r}")
+    return x
 
 
 def _parse_entries(raw, loc: str) -> list[NextEntry]:
@@ -458,8 +471,9 @@ def _parse_entries(raw, loc: str) -> list[NextEntry]:
     for k, e in enumerate(raw):
         if not isinstance(e, dict) or not {"j", "p", "cost"} <= set(e):
             raise ModelFormatError(f'{loc}: entry {k} needs fields "j", "p", "cost"')
+        j = _label(e["j"], '{}: entry {}: "j"', loc, k)
         try:
-            out.append((str(e["j"]), _real(e["p"]), _real(e["cost"])))
+            out.append((j, _real(e["p"]), _real(e["cost"])))
         except (TypeError, ValueError):
             raise ModelFormatError(f'{loc}: entry {k}: "p" and "cost" must be numbers') from None
     return out
@@ -484,7 +498,7 @@ def load_model(text: str) -> GameModel:
     for field_name in ("states", "transitions"):
         if not isinstance(doc[field_name], list):
             raise ModelFormatError(f'"{field_name}" must be a list')
-    states = [str(s) for s in doc["states"]]
+    states = [_label(s, '"states" entry {}', k) for k, s in enumerate(doc["states"])]
     if TERMINAL in states:
         raise ModelFormatError('termination state "0" must not appear in "states"')
     for name in ("controls1", "controls2"):
@@ -496,14 +510,14 @@ def load_model(text: str) -> GameModel:
         for s, labels in doc[name].items():
             if not isinstance(labels, list):
                 raise ModelFormatError(f'"{name}" entry for state {s} must be a list')
-    controls1 = {str(k): [str(c) for c in v] for k, v in doc["controls1"].items()}
-    controls2 = {str(k): [str(c) for c in v] for k, v in doc["controls2"].items()}
+            for k, c in enumerate(labels):
+                _label(c, '"{}" entry for state {}: control {}', name, s, k)
 
     transitions: dict[Triplet, list[NextEntry]] = {}
     for k, row in enumerate(doc["transitions"]):
         if not isinstance(row, dict) or not {"i", "u", "v", "next"} <= set(row):
             raise ModelFormatError(f'transitions[{k}]: needs fields "i", "u", "v", "next"')
-        key = (str(row["i"]), str(row["u"]), str(row["v"]))
+        key = tuple(_label(row[f], 'transitions[{}]: "{}"', k, f) for f in "iuv")
         loc = f"transitions[{k}] ({key[0]},{key[1]},{key[2]})"
         if key in transitions:
             raise ModelFormatError(f"{loc}: duplicate transition row")
@@ -515,7 +529,7 @@ def load_model(text: str) -> GameModel:
             entries = [(j, p / mass, c) for j, p, c in entries]
         transitions[key] = entries
 
-    model = GameModel(states, controls1, controls2, transitions)
+    model = GameModel(states, doc["controls1"], doc["controls2"], transitions)
     report = validate_model(model)
     if not report.ok:
         raise ModelValidationError(report)
@@ -592,7 +606,7 @@ def policy_from_json(m: GameModel, doc: Mapping) -> StationaryPolicy:
         raise PolicyMismatchError("policy document must be an object")
     label = doc.get("player")
     names = {"I": PLAYER_MIN, "II": PLAYER_MAX, 1: PLAYER_MIN, 2: PLAYER_MAX}
-    player = names.get(label) if isinstance(label, (str, int)) else None
+    player = names.get(label) if isinstance(label, str) or _is_number(label, integer=True) else None
     if player is None:
         raise PolicyMismatchError('policy "player" must be "I" or "II"')
     ctrl = m.controls1 if player == PLAYER_MIN else m.controls2

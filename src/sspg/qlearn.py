@@ -51,13 +51,12 @@ import csv
 import dataclasses
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matgame import flat_game_value, game_values
-from .model import GameModel, counter_hash, counter_uniform, mulhi
+from .model import GameModel, _is_number, counter_hash, counter_uniform, mulhi
 from .operators import q_bellman
 
 
@@ -74,7 +73,7 @@ def _pair(field: str, spec) -> tuple:
 
 def _integer(field: str, x) -> int:
     """``x`` as an int: an integer, not a bool, a string or a float."""
-    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+    if _is_number(x, integer=True):
         return int(x)
     raise ValueError(f"{field} needs an integer, got {x!r}")
 
@@ -167,14 +166,13 @@ class QLearnConfig:
     def __post_init__(self):
         for name in ("seed", "max_iters", "metric_interval"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not _is_number(value, integer=True):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # a numpy seed would overflow the hash
         if not isinstance(self.record_full_history, (bool, np.bool_)):
             raise ValueError(f"record_full_history must be true or false, got {self.record_full_history!r}")
         step = self.stepsize
-        if not (isinstance(step, (tuple, list)) and len(step) == 3
-                and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in step)):
+        if not (isinstance(step, (tuple, list)) and len(step) == 3 and all(map(_is_number, step))):
             raise ValueError(f"stepsize must be three numbers (a, b, p), got {step!r}")
         a, b, p = step
         if not (a > 0 and b >= 0 and 0.5 < p <= 1.0):

@@ -260,13 +260,27 @@ def test_qlearn_config_file(capsys, self_loop_file, tmp_path):
     assert doc["iterations"] == 50  # config file entries override the flags
 
 
-@pytest.mark.parametrize("delay", [0, 3])
-def test_config_delay_reads_as_the_flag(capsys, everett_file, tmp_path, delay):
-    for cmd in ("qlearn", "couple"):
-        flag = run_cli(capsys, cmd, "--model", everett_file, "--iters", "200", "--delay", str(delay))
+# a --config document and the flags it stands for
+CONFIG_AS_FLAGS = {
+    "delay-0": ({"delay": 0}, ["--delay", "0"]),
+    "delay-3": ({"delay": 3}, ["--delay", "3"]),
+    "seed": ({"seed": 7}, ["--seed", "7"]),
+    "max_iters": ({"max_iters": 150}, ["--iters", "150"]),
+    "stepsize-a-list": ({"stepsize": [2, 0.5, 0.9]}, ["--stepsize", "2,0.5,0.9"]),
+    "stepsize-a-string": ({"stepsize": "2,0.5,0.9"}, ["--stepsize", "2,0.5,0.9"]),
+    "scheduler": ({"scheduler": "round-robin:2"}, ["--scheduler", "round-robin:2"]),
+    "record_full_history": ({"record_full_history": True}, ["--record"]),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_AS_FLAGS)
+def test_config_key_reads_as_the_flag(capsys, everett_file, tmp_path, case):
+    doc, flags = CONFIG_AS_FLAGS[case]
+    for cmd in ("qlearn", "couple") if "record_full_history" not in doc else ("qlearn",):  # couple always records
+        base = [cmd, "--model", everett_file, "--iters", "200", "--delay", "1"]
+        flag = run_cli(capsys, *base, *flags)
         assert flag[0] == 0
-        assert run_cli(capsys, cmd, "--model", everett_file, "--iters", "200",
-                       "--config", _config(tmp_path, {"delay": delay})) == flag
+        assert run_cli(capsys, *base, "--config", _config(tmp_path, doc)) == flag
 
 
 def test_couple(capsys, everett_file):
@@ -377,6 +391,14 @@ MALFORMED = {
     "weight-is-minus-1e-12": "rule at state 1 is not a distribution: [1.000000000001, -1e-12]",
     "weight-on-unknown-control": "rule at state 1 names control 'typo', which the state does not have",
     "rule-for-unknown-state": "policy has a rule for state 9, which the game does not have",
+    "player-is-true": 'policy "player" must be "I" or "II"',
+    "state-label-is-true": '"states" entry 0 must be a string, got True',
+    "control-label-is-null": '"controls1" entry for state 1: control 0 must be a string, got None',
+    "control-label-is-a-float": '"controls2" entry for state 1: control 1 must be a string, got 1.5',
+    "i-is-a-number": 'transitions[0]: "i" must be a string, got 1',
+    "u-is-a-number": 'transitions[1]: "u" must be a string, got 1',
+    "v-is-false": 'transitions[2]: "v" must be a string, got False',
+    "j-is-a-number": 'transitions[0] (1,1,1): entry 0: "j" must be a string, got 0',
 }
 
 
@@ -417,6 +439,22 @@ def test_malformed_json_exits_invalid(capsys, everett_file, tmp_path, case):
         mu_doc["rules"]["1"] = {"1": 1.0, "typo": 0.5}
     elif case == "rule-for-unknown-state":
         mu_doc["rules"]["9"] = {"1": 1.0}
+    elif case == "player-is-true":
+        mu_doc["player"] = True
+    elif case == "state-label-is-true":
+        doc["states"] = [True]
+    elif case == "control-label-is-null":
+        doc["controls1"]["1"][0] = None
+    elif case == "control-label-is-a-float":
+        doc["controls2"]["1"][1] = 1.5
+    elif case == "i-is-a-number":
+        doc["transitions"][0]["i"] = 1
+    elif case == "u-is-a-number":
+        doc["transitions"][1]["u"] = 1
+    elif case == "v-is-false":
+        doc["transitions"][2]["v"] = False
+    elif case == "j-is-a-number":
+        doc["transitions"][0]["next"][0]["j"] = 0
     else:
         doc["controls1"] = [doc["controls1"]["1"]]
     model.write_text(json.dumps(doc))
@@ -718,6 +756,8 @@ FLAG_CONFLICTS = {
     "config-stepsize-numeric-text": ([], {"stepsize": [1, "1", 0.75]},
                                      "stepsize needs three comma-separated numbers a,b,p, got [1, '1', 0.75]"),
     "config-seed-a-string": ([], {"seed": "x"}, "seed must be an integer, got 'x'"),
+    "delay-schedule-fractional-line": (["--delay-schedule", "fractional.csv"], None,
+                                       "--delay-schedule line 3 needs an integer, got '1.5'"),
 }
 
 
@@ -742,10 +782,13 @@ FLAG_CONFLICTS = {
     ("qlearn", "config-stepsize-a-bool"),
     ("couple", "config-stepsize-numeric-text"),
     ("couple", "config-seed-a-string"),
+    ("qlearn", "delay-schedule-fractional-line"),
+    ("couple", "delay-schedule-fractional-line"),
 ])
 def test_qlearn_flag_conflicts_rejected_before_running(capsys, monkeypatch, everett_file, tmp_path, cmd, case):
     flags, doc, err = FLAG_CONFLICTS[case]
     (tmp_path / "offsets.csv").write_text("0\n2\n1\n")
+    (tmp_path / "fractional.csv").write_text("0\n\n1.5\n")  # blank lines are skipped but counted
     argv = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
     if doc is not None:
         argv += ["--config", _config(tmp_path, doc)]

@@ -479,7 +479,12 @@ BAD_CONFIGS = {
     "n_states-a-float": (dict(n_states=2.5), "n_states must be an integer, got 2.5"),
     "n_states-a-bool": (dict(n_states=True), "n_states must be an integer, got True"),
     "max_controls-a-string": (dict(max_controls="2"), "max_controls must be an integer, got '2'"),
+    "n_states-a-string": (dict(n_states="3"), "n_states must be an integer, got '3'"),
+    "max_controls-a-float": (dict(max_controls=2.0), "max_controls must be an integer, got 2.0"),
+    "max_controls-a-bool": (dict(max_controls=True), "max_controls must be an integer, got True"),
     "seed-a-float": (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    "seed-a-bool": (dict(seed=False), "seed must be an integer, got False"),
+    "seed-a-string": (dict(seed="0"), "seed must be an integer, got '0'"),
     "seed-negative": (dict(seed=-1), "seed must be a non-negative integer, got -1"),
     "floor-a-string": (dict(termination_floor="0.1"), "termination_floor must be a real number, got '0.1'"),
     "floor-a-bool": (dict(termination_floor=True), "termination_floor must be a real number, got True"),

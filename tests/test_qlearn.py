@@ -321,6 +321,15 @@ def test_config_validation():
     (dict(scheduler=("uniform-random", 1.0)), "scheduler 'uniform-random' needs an integer, got 1.0"),
     (dict(scheduler=("custom", [["0", "1"]])), "custom scheduler needs an integer, got '0'"),
     (dict(scheduler="uniform-random:2.0"), "scheduler 'uniform-random' needs an integer, got '2.0'"),
+    (dict(metric_interval=True), "metric_interval must be an integer, got True"),
+    (dict(metric_interval="5"), "metric_interval must be an integer, got '5'"),
+    (dict(seed=1.0), "seed must be an integer, got 1.0"),
+    (dict(seed="1"), "seed must be an integer, got '1'"),
+    (dict(scheduler=("round-robin", True)), "scheduler 'round-robin' needs an integer, got True"),
+    (dict(scheduler=("custom", [[0, 1.0]])), "custom scheduler needs an integer, got 1.0"),
+    (dict(scheduler=("custom", [[True]])), "custom scheduler needs an integer, got True"),
+    (dict(delay_model=("fixed", [1, 2.0])), "fixed delay schedule needs an integer, got 2.0"),
+    (dict(delay_model=("fixed", [False])), "fixed delay schedule needs an integer, got False"),
 ])
 def test_config_types_named(kwargs, err):
     """A value of the wrong type is a ValueError naming the field and the expected form."""

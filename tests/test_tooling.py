@@ -126,12 +126,13 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# 04_qlearning.py is left out: it takes about 9 s
 @pytest.mark.parametrize("demo", ["01_matrix_games", "02_everett_game", "03_generate_solve_verify",
-                                  "05_boundedness_diagnostics"])
+                                  "04_qlearning", "05_boundedness_diagnostics"])
 def test_demo_runs(demo, tmp_path):
     proc = _python(str(ROOT / "demos" / f"{demo}.py"), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    # only demo 04 writes a file, and it writes it into the working directory
+    assert [p.name for p in tmp_path.iterdir()] == (["qlearn_trace.csv"] if demo == "04_qlearning" else [])
 
 
 def test_readme_quick_start_runs(tmp_path):
