@@ -93,6 +93,8 @@ def _q_doc(m: GameModel, q) -> list:
     ]
 
 
+# --delay's default: no delays, told apart from any --delay given, 0 too, or --config "delay" null
+_NO_DELAY = object()
 # the flags several subcommands share, by name; each subcommand lists the ones it reads
 _FLAGS = {
     "model": dict(required=True, help="game file (JSON)"),
@@ -105,7 +107,7 @@ _FLAGS = {
     "iters": dict(type=int, default=10_000),
     "stepsize": dict(default="1,1,0.75", help="a,b,p"),
     "scheduler": dict(default="uniform-random:1"),
-    "delay": dict(type=int, default=0, help="uniform delay bound D (0 = no delays)"),
+    "delay": dict(type=int, default=_NO_DELAY, help="uniform delay bound D (default 0: no delays)"),
     "delay-schedule": dict(help="CSV of fixed delay offsets, one per line"),
     "config": dict(help="JSON config file; each key sets the flag it names"),
 }
@@ -230,8 +232,10 @@ def _qlearn_config(args, m: GameModel) -> qlearn.QLearnConfig:
     except (TypeError, ValueError):
         raise ValueError(f"stepsize needs three comma-separated numbers a,b,p, got {stepsize!r}") from None
     if args.delay_schedule:
+        if args.delay is not _NO_DELAY:
+            raise ValueError("--delay and --delay-schedule both set the delays; give one")
         delay = ("fixed", _read_delay_schedule(args.delay_schedule))
-    elif args.delay == 0 and _is_number(args.delay, integer=True):
+    elif args.delay is _NO_DELAY or args.delay == 0 and _is_number(args.delay, integer=True):
         delay = "zero"
     else:
         delay = ("uniform", args.delay)  # QLearnConfig refuses a negative or non-integer bound

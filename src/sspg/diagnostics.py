@@ -3,9 +3,10 @@ empirical trackers.
 
 The coupled lower process replays a recorded Q-learning run with the
 maximizer pinned to a fixed policy: the same stepsizes, successor samples,
-realized costs, and delay offsets drive a second table, through the
-engine's own recursion, delayed reader and chunks, whose update takes the
-min over the remaining player's controls of the policy-averaged delayed
+realized costs, and delay offsets drive a second table through the
+engine's own recursion, delayed reader and chunk cuts
+(:func:`sspg.qlearn._replay`), with one change: the update takes the min
+over the remaining player's controls of the policy-averaged delayed
 values.  A replay refuses any model but the run's own.
 Pathwise, the main iterates dominate the coupled ones, so a bounded lower
 process certifies the run bounded below; the symmetric upper coupling is
@@ -31,7 +32,7 @@ from .model import (
     policy_arrays,
     policy_average,
 )
-from .qlearn import QLearnRun, ReplayCore, _chunk_iterations, _parse_scheduler, _relax
+from .qlearn import QLearnRun, _replay
 from .solve import _best_response
 from .structure import forall_termination
 
@@ -163,19 +164,14 @@ def run_coupled_lower_process(m: GameModel, nu: StationaryPolicy, run: QLearnRun
             rows.append(acc)
         return min(rows)
 
-    core = ReplayCore(m, run.config.delay_model, run.config.seed)
-    span = _chunk_iterations(core, _parse_scheduler(run.config.scheduler))
-    cuts = np.searchsorted(ev.t, range(span, int(ev.t.max(initial=0)) + 1, span)).tolist()
-    qhat = run.q0.tolist()
-    qhat_events = np.concatenate([_relax(core, qhat, lower_value, ev[lo:hi])
-                                  for lo, hi in zip([0, *cuts], [*cuts, len(ev)])])
+    qhat_events, qhat_final = _replay(run, m, lower_value)
     margin = ev.new_q - qhat_events
     # the minimum over time, the first of equal margins: a margin of -0.0
     # never goes below the initial +0.0, so it counts as +0.0
     min_margin = run.q0 - run.q0
     np.minimum.at(min_margin, ev.ell, margin + 0.0)
     violations = tuple((k, int(ev.ell[k])) for k in np.flatnonzero(margin < -_SLACK).tolist())
-    return CouplingReport(np.array(qhat[: m.n_triplets]), qhat_events, min_margin, violations)
+    return CouplingReport(qhat_final, qhat_events, min_margin, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,9 @@ class GameModel:
     derived from them.  The private :meth:`_from_arrays` builds a model from
     ``P`` and ``C`` alone, listing the entries of ``P > 0``.
 
+    Every label is a string, as in a game document; anything else is a
+    :class:`ModelFormatError` naming it.
+
     Parameters
     ----------
     states:
@@ -216,16 +219,17 @@ class GameModel:
         transitions: Mapping[Triplet, Sequence[NextEntry]],
     ):
         self._set_labels(states, controls1, controls2)
-        rows = {(str(key[0]), str(key[1]), str(key[2])): entries for key, entries in transitions.items()}
         flat = []  # (triplet, successor, p, cost) of every listed entry
-        for key, entries in rows.items():
+        for key, entries in transitions.items():
+            for f, x in zip("iuv", key):
+                _label(x, 'transition row {}: "{}"', key, f)
             if key not in self._tidx:
                 raise ModelFormatError(f"transition row for unknown triplet {key}")
             row = []
             for j, p, cost in entries:
-                if str(j) not in self._sidx:
-                    raise ModelFormatError(f"unknown successor {str(j)!r} in row {key}")
-                row.append((self._tidx[key], self._sidx[str(j)], float(p), float(cost)))
+                if _label(j, "successor in row {}", key) not in self._sidx:
+                    raise ModelFormatError(f"unknown successor {j!r} in row {key}")
+                row.append((self._tidx[key], self._sidx[j], float(p), float(cost)))
             if len({e[1] for e in row}) != len(row):
                 raise ModelFormatError(f"duplicate successor entries in row {key}")
             flat += row
@@ -245,14 +249,16 @@ class GameModel:
         return m
 
     def _set_labels(self, states, controls1, controls2) -> None:
-        states = tuple(str(s) for s in states)
+        states = tuple(_label(s, "state {}", k) for k, s in enumerate(states))
         if TERMINAL in states:
             raise ModelFormatError('termination state "0" must not appear in "states"')
         if len(set(states)) != len(states):
             raise ModelFormatError("duplicate state labels")
         self.states = states
-        self.controls1 = {s: tuple(controls1.get(s, ())) for s in states}
-        self.controls2 = {s: tuple(controls2.get(s, ())) for s in states}
+        self.controls1, self.controls2 = (
+            {s: tuple(_label(c, "{} at state {}: control {}", name, s, k) for k, c in enumerate(given.get(s, ())))
+             for s in states}
+            for name, given in (("controls1", controls1), ("controls2", controls2)))
         for s in states:
             for labels in (self.controls1[s], self.controls2[s]):
                 if len(set(labels)) != len(labels):

@@ -32,17 +32,16 @@ and the relaxations, which fill the chunk's ``new_q``; a recorded log is the
 chunks end to end.  Stepsizes come from one lazily grown table; one
 ``cumsum`` of it gives the stepsize sums.
 
-One replay core, :class:`ReplayCore`, holds the one delay rule
-(:func:`pair_delay_offsets` is the only delay hash), which gives every
-reader of a run its offsets, and the one reader of delayed blocks.  The
-engine and the coupled replay run one recursion, :func:`_relax`, through
-that reader on the same chunks, each with its own block value.  The noise
-decomposition reads blocks untouched since a chunk's delay window opened
-from one base view, the rest from the recorded write log; it and the reader
-find writes sorted by (component, iteration) (:func:`_write_index`).  The
-trackers read the log's columns one update level at a time.  No table is
-ever copied, so an iteration costs what its events cost, whatever |R|.  The
-library reads no environment variable: the seed is the config's.
+One replay core, :class:`ReplayCore`, holds the one delay rule (:func:`pair_delay_offsets`
+is the only delay hash) and the one reader of delayed blocks.  The engine and the coupled
+replay (:func:`_replay`) run one recursion, :func:`_relax`, through it, each with its own
+block value; a metric snapshot pauses the engine at its iteration and reads the live table.
+The coupled replay, :meth:`QLearnRun.to_csv` and :meth:`QLearnRun.digest` cut the log where
+the engine did.  The noise decomposition reads blocks untouched since a chunk's delay window
+opened from one base view, the rest from the recorded write log, by (component, iteration)
+as the reader does (:func:`_write_index`).  The trackers read the log one update level at a
+time.  No table is ever copied, so an iteration costs what its events cost, whatever |R|.
+The library reads no environment variable: the seed is the config's.
 """
 
 from __future__ import annotations
@@ -193,8 +192,8 @@ class MetricsRow:
     residual: float
 
 
-# events per chunk of the event plan and of the event reader; noise replays
-# bound a chunk's (event, successor) pairs by a multiple
+# events per chunk of the engine and its sequential replays, at least, up to 4 *
+# _CHUNK (_chunk_iterations); noise replays bound a chunk's (event, successor) pairs by 8 * _CHUNK
 _CHUNK = 1 << 11
 
 
@@ -218,7 +217,7 @@ class EventLog:
 
     def __getitem__(self, sl: slice) -> "EventLog":
         """The events of a slice, every column a view."""
-        return EventLog(*(getattr(self, f.name)[sl] for f in dataclasses.fields(self)))
+        return EventLog(*[col[sl] for col in vars(self).values()])
 
 
 @dataclass
@@ -247,9 +246,8 @@ class QLearnRun:
             ev = self.events
             for arr in (ev.ell.astype(np.int32), ev.j.astype(np.int32), ev.new_q):
                 h.update(np.ascontiguousarray(arr).tobytes())
-            core = ReplayCore(self.model, self.config.delay_model, self.config.seed)
-            for lo in range(0, len(ev), 4 * _CHUNK):
-                part = ev[lo : lo + 4 * _CHUNK]
+            core, chunks = self._chunks(self.model)
+            for part in chunks:
                 h.update(core.offsets(part.t, part.ell, part.count, part.j).astype(np.int16).tobytes())
         return h.hexdigest()
 
@@ -262,6 +260,15 @@ class QLearnRun:
             raise ValueError(f"the run was recorded on another model than {m!r}")
         return self.events
 
+    def _chunks(self, m: GameModel) -> tuple["ReplayCore", list[EventLog]]:
+        """A fresh :class:`ReplayCore` of the run on ``m`` and the recorded events cut where
+        the engine cut them (:func:`_chunk_iterations`), for every sequential replay."""
+        ev = self.history(m)
+        core = ReplayCore(m, self.config.delay_model, self.config.seed)
+        span = _chunk_iterations(core, _parse_scheduler(self.config.scheduler))
+        cuts = np.searchsorted(ev.t, range(span, int(ev.t.max(initial=0)) + 1, span)).tolist()
+        return core, [ev[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(ev)])]
+
     def to_csv(self, path, m: GameModel) -> None:
         """Per-event trace on the run's model ``m``; reference distances recomputed by replaying events.
 
@@ -269,8 +276,7 @@ class QLearnRun:
         when the component holding it shrinks: exact, as a maximum of floats
         does not depend on order.
         """
-        ev = self.history(m)
-        core = ReplayCore(m, self.config.delay_model, self.config.seed)
+        core, chunks = self._chunks(m)
         ref = self.config.reference_q
         if ref is not None:
             ref = np.asarray(ref, dtype=float)
@@ -283,8 +289,7 @@ class QLearnRun:
                 ["t", "active_component", "j_sample", "cost", "gamma",
                  "max_delay_used", "sup_dist_to_ref", "max_abs_q"]
             )
-            for lo in range(0, len(ev), _CHUNK):
-                part = ev[lo : lo + _CHUNK]
+            for part in chunks:
                 cols = (part.t, part.ell, part.j, part.cost, part.gamma, part.new_q,
                         core.offsets(part.t, part.ell, part.count, part.j).max(axis=1, initial=0))
                 for t, ell, j, cost, gamma, new_q, delay in zip(*(c.tolist() for c in cols)):
@@ -343,8 +348,8 @@ class ReplayCore:
     write at iteration s or later replaced, or its live value if no such
     write has happened yet (a component is written at most once per
     iteration).  So the core keeps a window, the writes of the last D
-    iterations in write order (D the largest delay), and the recursion keeps
-    the values they replaced (:func:`_relax`).  No table is ever copied.
+    iterations in write order (D the largest delay), and the table the values they replaced,
+    appended by :func:`_relax` and dropped by :meth:`reads`.  No table is ever copied.
     """
 
     def __init__(self, m: GameModel, delay_model, seed: int):
@@ -375,20 +380,21 @@ class ReplayCore:
             offs = np.concatenate((offs, np.full((len(offs), self.width - offs.shape[1]), -1)), axis=1)
         return offs
 
-    def reads(self, t: np.ndarray, ell: np.ndarray, count: np.ndarray, j: np.ndarray) -> tuple[int, list]:
-        """Where the events of a chunk read their successor blocks, with one ``searchsorted``.
+    def reads(self, table: list, t: np.ndarray, ell: np.ndarray, count: np.ndarray, j: np.ndarray) -> list:
+        """Where the events of a chunk read their successor blocks in ``table``, with one ``searchsorted``.
 
-        The chunk's writes join the window; those before iteration ``t[0] -
-        D`` leave it.  Returns how many left and, per event, a tuple of table
-        positions, one per block entry of component c read at offset d
-        (:meth:`offsets`): |R| + w if window write w, c's first at iteration
-        t - d or later, precedes the event, and c (its live value) otherwise.
+        ``table`` holds the |R| live values, then the values the window's writes replaced.
+        The chunk's writes join the window; those before iteration ``t[0] - D`` leave it and
+        ``table``.  Returns, per event, a tuple of table positions, one per block entry of
+        component c read at offset d (:meth:`offsets`): |R| + w if window write w, c's first
+        at iteration t - d or later, precedes the event, and c (its live value) otherwise.
         """
         if not len(t):
-            return 0, []
+            return []
         offs = self.offsets(t, ell, count, j)
         wc, wt = self.window
         drop = int(np.searchsorted(wt, t[0] - self.bound))
+        del table[self.nR : self.nR + drop]
         wc, wt = self.window = np.concatenate((wc[drop:], ell)), np.concatenate((wt[drop:], t))
         before = len(wc) - len(t)  # window writes made before the chunk
         span = int(t[-1]) + 2
@@ -399,21 +405,17 @@ class ReplayCore:
         w = order[np.minimum(pos, len(order) - 1)]
         flat = np.where((pos < len(order)) & (wc[w] == c) & (w < before + e), self.nR + w, c).tolist()
         ends = np.cumsum(np.bincount(e, minlength=len(t))).tolist()
-        return drop, [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
+        return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
-def _relax(core: ReplayCore, table: list, kernel, ev: EventLog) -> np.ndarray:
-    """The Q recursion over one chunk of events; returns each event's new value.
+def _relax(core: ReplayCore, table: list, kernel, ev: EventLog, refs: list) -> np.ndarray:
+    """The Q recursion over events whose reads :meth:`ReplayCore.reads` resolved; each event's new value.
 
-    ``q[ell] <- (1 - gamma) * q[ell] + gamma * (cost + kernel(j, block as
-    read))``, zero in place of the kernel at the terminal state.  ``table``
-    holds the |R| live values, then the values the core's window writes
-    replaced.  Without hashed offsets every read of iteration t sees the
-    table at the start of t, so a block's value is computed once per
-    iteration.  Raises :class:`QLearnDivergenceError` on a non-finite value.
+    ``q[ell] <- (1 - gamma) * q[ell] + gamma * (cost + kernel(j, block read at refs))``, zero
+    in place of the kernel at the terminal state; ``table`` gets the replaced value.  Without
+    hashed offsets every read of iteration t sees the table at the start of t, so a block's
+    value is computed once per iteration.  Raises :class:`QLearnDivergenceError` if not finite.
     """
-    drop, refs = core.reads(ev.t, ev.ell, ev.count, ev.j)
-    del table[core.nR : core.nR + drop]
     hashed, memo, isfinite, new_qs = core.hashed, {}, math.isfinite, []
     cols = (ev.t.tolist(), ev.ell.tolist(), ev.j.tolist(), ev.cost.tolist(), ev.gamma.tolist(), refs)
     for t, ell, j, cost, gamma, ref in zip(*cols):
@@ -433,6 +435,15 @@ def _relax(core: ReplayCore, table: list, kernel, ev: EventLog) -> np.ndarray:
         table[ell] = new
         new_qs.append(new)
     return np.array(new_qs)
+
+
+def _replay(run: QLearnRun, m: GameModel, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """A recorded run's recursion on its model ``m`` with block value ``kernel``, in the engine's
+    chunks: each event's new value and the final table."""
+    core, chunks = run._chunks(m)
+    table = run.q0.tolist()
+    new_q = [_relax(core, table, kernel, ev, core.reads(table, ev.t, ev.ell, ev.count, ev.j)) for ev in chunks]
+    return np.concatenate(new_q), np.array(table[: m.n_triplets])
 
 
 def _picks(sched, nR: int, seed: int, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -486,11 +497,11 @@ def _event_plan(m: GameModel, sched, seed: int, counts: np.ndarray, stepsizes, t
     tab = m.sampling
     pos = tab.draw(ell, counter_uniform(seed, ell.astype(np.uint64), cnt.astype(np.uint64)))
     j = tab.succ[pos]
-    return EventLog(t, ell, cnt, j, m.C[ell, j], stepsizes(cnt), None)
+    return EventLog(t, ell, cnt, j, m.C[ell, j], stepsizes(cnt), np.empty(len(t)))
 
 
 def _chunk_iterations(core: ReplayCore, sched) -> int:
-    """Iterations per chunk of the engine and the coupled replay: a chunk covers the delay
+    """Iterations per chunk of the engine and every sequential replay: a chunk covers the delay
     window, so the reader sorts about as many writes as the chunk adds, up to 4 * _CHUNK events."""
     kind, arg = sched
     per_iter = max(core.nR if kind == "all" else max(map(len, arg)) if kind == "custom" else arg, 1)
@@ -551,25 +562,17 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
     for t0 in range(0, max(end, 1), span):  # one chunk at least, empty, so that a log has its columns
         t1 = min(t0 + span, end)
         plan = _event_plan(m, sched, seed, counts, stepsizes, t0, t1)
-        plan.new_q = _relax(core, Q, game_value, plan)
+        refs = core.reads(Q, plan.t, plan.ell, plan.count, plan.j)
         due = list(range(t0 + interval - t0 % interval, t1 + 1, interval))
         if t1 == end and end % interval:
             due.append(end)
-        if due:
-            # the table at the start of iteration s, read off the window: each
-            # component written at s or later holds what its first such write
-            # replaced; undone a stretch of writes at a time, last snapshot first
-            q, old = np.array(Q[:nR]), np.array(Q[len(Q) - len(plan) :])
-            tops = np.maximum.accumulate(np.abs(plan.new_q)).tolist()
-            rows, hi = [], len(plan)
-            for s in reversed(due):
-                lo = int(np.searchsorted(plan.t, s))
-                comps, first = np.unique(plan.ell[lo:hi], return_index=True)
-                q[comps] = old[lo + first]
-                rows.append(snap(s, q, max(max_abs, tops[lo - 1]) if lo else max_abs))
-                hi = lo
-            metrics += rows[::-1]
-        max_abs = max(max_abs, float(np.abs(plan.new_q).max(initial=0.0)))
+        # relaxed in pieces that end at the snapshots: the live table is the one at iteration s
+        cuts = np.searchsorted(plan.t, due).tolist()
+        for s, lo, hi in zip([*due, None], [0, *cuts], [*cuts, len(plan)]):
+            plan.new_q[lo:hi] = _relax(core, Q, game_value, plan[lo:hi], refs[lo:hi])
+            max_abs = float(np.abs(plan.new_q[lo:hi]).max(initial=max_abs))
+            if s is not None:
+                metrics.append(snap(s, np.array(Q[:nR]), max_abs))
         if cfg.record_full_history:
             chunks.append(plan)
 

@@ -735,6 +735,10 @@ FLAG_CONFLICTS = {
                                       "--csv needs the event history"),
     "delay-key-and-schedule": (["--delay-schedule", "offsets.csv"], {"delay": 0},
                                "--config key 'delay' and --delay-schedule both set the delays"),
+    "delay-flag-and-schedule": (["--delay", "3", "--delay-schedule", "offsets.csv"], None,
+                                "--delay and --delay-schedule both set the delays"),
+    "delay-flag-zero-and-schedule": (["--delay", "0", "--delay-schedule", "offsets.csv"], None,
+                                     "--delay and --delay-schedule both set the delays"),
     "stepsize-two-numbers": (["--stepsize", "1,2"], None,
                              "stepsize needs three comma-separated numbers a,b,p, got '1,2'"),
     "stepsize-not-a-number": (["--stepsize", "1,b,0.75"], None,
@@ -766,6 +770,9 @@ FLAG_CONFLICTS = {
     ("qlearn", "csv-with-record-off-in-config"),
     ("qlearn", "delay-key-and-schedule"),
     ("couple", "delay-key-and-schedule"),
+    ("qlearn", "delay-flag-and-schedule"),
+    ("couple", "delay-flag-and-schedule"),
+    ("qlearn", "delay-flag-zero-and-schedule"),
     ("qlearn", "stepsize-two-numbers"),
     ("couple", "stepsize-not-a-number"),
     ("qlearn", "config-stepsize-two-numbers"),

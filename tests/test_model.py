@@ -419,7 +419,27 @@ def test_malformed_rows_reach_validation_unchanged(case):
 
 def test_duplicate_rows_and_successors_refused():
     with pytest.raises(sspg.ModelFormatError, match=r"duplicate successor entries in row \('1', 'a', 'x'\)"):
-        sspg.GameModel(["1"], {"1": ["a"]}, {"1": ["x"]}, {("1", "a", "x"): [("0", 0.5, 1.0), (0, 0.5, 1.0)]})
+        sspg.GameModel(["1"], {"1": ["a"]}, {"1": ["x"]}, {("1", "a", "x"): [("0", 0.5, 1.0), ("0", 0.5, 1.0)]})
+
+
+NON_STRING_LABELS = {
+    "state": (([1], {"1": ["a"]}, {"1": ["x"]}, {}), "state 0 must be a string, got 1"),
+    "control": ((["1"], {"1": [1]}, {"1": ["x"]}, {("1", 1, "x"): [("0", 1.0, 0.0)]}),
+                "controls1 at state 1: control 0 must be a string, got 1"),
+    "row-key": ((["1"], {"1": ["a"]}, {"1": ["x"]}, {(1, "a", "x"): [("0", 1.0, 0.0)]}),
+                "transition row (1, 'a', 'x'): \"i\" must be a string, got 1"),
+    "successor": ((["1"], {"1": ["a"]}, {"1": ["x"]}, {("1", "a", "x"): [(0, 1.0, 0.0)]}),
+                  "successor in row ('1', 'a', 'x') must be a string, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", NON_STRING_LABELS)
+def test_non_string_labels_refused(case):
+    """The constructor keeps load_model's rule: labels are strings, never coerced."""
+    args, err = NON_STRING_LABELS[case]
+    with pytest.raises(sspg.ModelFormatError) as info:
+        sspg.GameModel(*args)
+    assert str(info.value) == err
     row = {"i": "1", "u": "a", "v": "x", "next": [{"j": "0", "p": 1.0, "cost": 0.0}]}
     doc = {"states": ["1"], "controls1": {"1": ["a"]}, "controls2": {"1": ["x"]}, "transitions": [row, row]}
     with pytest.raises(sspg.ModelFormatError, match=r"transitions\[1\] \(1,a,x\): duplicate transition row"):

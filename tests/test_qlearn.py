@@ -9,7 +9,7 @@ import sspg
 from conftest import make_contraction, make_terminal_only
 from sspg.matgame import flat_game_value
 from sspg.model import counter_uniform
-from sspg.qlearn import _CHUNK, MetricsRow, ReplayCore, pair_delay_offsets
+from sspg.qlearn import _CHUNK, MetricsRow, ReplayCore, _replay, pair_delay_offsets
 
 
 @pytest.fixture(scope="module")
@@ -164,9 +164,8 @@ def test_replay_core_reads_match_full_tables():
         starts, begun, lo = {}, -1, 0  # iteration -> the full table at its start
         while lo < len(ts):
             hi = min(lo + int(rng.integers(1, 40)), len(ts))
-            drop, refs = core.reads(t_arr[lo:hi], ell[lo:hi], count[lo:hi], j[lo:hi])
+            refs = core.reads(table, t_arr[lo:hi], ell[lo:hi], count[lo:hi], j[lo:hi])
             assert len(refs) == hi - lo and (core.window[1] >= ts[lo] - bound).all()
-            del table[nR : nR + drop]
             for e in range(lo, hi):
                 for w in range(begun + 1, ts[e] + 1):
                     starts[w] = table[:nR]
@@ -774,6 +773,45 @@ def test_chunk_cuts_do_not_change_a_run(name):
             assert getattr(run, field).tobytes() == getattr(first, field).tobytes()
         assert run.metrics[-1].iteration == cfg["max_iters"]
         assert all(r == rows[r.iteration] for r in run.metrics)
+
+
+@pytest.mark.parametrize("interval", [1, 7, 10**9])
+def test_reads_resolved_once_per_plan_chunk(monkeypatch, interval):
+    """Snapshots pause the recursion inside a chunk; the chunk's reads stay resolved once."""
+    game, cfg = CUT_RUNS["uniform-3000"]
+    m = make_contraction(**game)
+    starts, reads = [], ReplayCore.reads
+
+    def counted(self, table, t, *args):
+        starts.append(int(t[0]))
+        return reads(self, table, t, *args)
+
+    monkeypatch.setattr(ReplayCore, "reads", counted)
+    sspg.run_qlearning(m, sspg.QLearnConfig(seed=2, metric_interval=interval, **cfg))
+    assert starts == [0, 3000]  # a chunk covers the delay window: 3000 iterations of one event
+
+
+# Sequential replays with the engine's own block value: CUT_RUNS, blocks up to
+# 4x4 under fixed offsets, and every component at once without delays.
+REPLAY_RUNS = {
+    **CUT_RUNS,
+    "blocks-4x4-fixed": (dict(seed=5, n_states=4, max_controls=4),
+                         dict(max_iters=3000, scheduler="round-robin:3", delay_model=("fixed", (0, 3, 1)))),
+    "all-zero": (dict(seed=3, n_states=5, max_controls=3), dict(max_iters=300, scheduler="all")),
+}
+
+
+@pytest.mark.parametrize("name", list(REPLAY_RUNS))
+def test_replay_with_the_engine_kernel_gives_the_run_back(name):
+    game, cfg = REPLAY_RUNS[name]
+    m = make_contraction(**game)
+    if name == "blocks-4x4-fixed":
+        assert max(nu * nv for _, nu, nv in map(m.state_block, range(1, m.n + 1))) > 4
+    _, run = sspg.run_qlearning(m, sspg.QLearnConfig(seed=2, record_full_history=True, **cfg))
+    shapes = [None] + [m.state_block(i)[1:] for i in range(1, m.n + 1)]
+    new_q, q_final = _replay(run, m, lambda j, vals: flat_game_value(vals, *shapes[j]))
+    assert new_q.tobytes() == run.events.new_q.tobytes()
+    assert q_final.tobytes() == run.q_final.tobytes()
 
 
 def test_digest_offsets_are_as_wide_as_the_widest_block():
