@@ -193,8 +193,8 @@ class GameModel:
     derived from them.  The private :meth:`_from_arrays` builds a model from
     ``P`` and ``C`` alone, listing the entries of ``P > 0``.
 
-    Every label is a string, as in a game document; anything else is a
-    :class:`ModelFormatError` naming it.
+    Every label is a string and every probability and cost a number, as in
+    a game document; anything else is a :class:`ModelFormatError` naming it.
 
     Parameters
     ----------
@@ -226,10 +226,11 @@ class GameModel:
             if key not in self._tidx:
                 raise ModelFormatError(f"transition row for unknown triplet {key}")
             row = []
-            for j, p, cost in entries:
+            for k, (j, p, cost) in enumerate(entries):
                 if _label(j, "successor in row {}", key) not in self._sidx:
                     raise ModelFormatError(f"unknown successor {j!r} in row {key}")
-                row.append((self._tidx[key], self._sidx[j], float(p), float(cost)))
+                row.append((self._tidx[key], self._sidx[j], _number(p, 'row {}: entry {}: "p"', key, k),
+                            _number(cost, 'row {}: entry {}: "cost"', key, k)))
             if len({e[1] for e in row}) != len(row):
                 raise ModelFormatError(f"duplicate successor entries in row {key}")
             flat += row
@@ -468,6 +469,13 @@ def _label(x, where: str, *args) -> str:
     if not isinstance(x, str):
         raise ModelFormatError(f"{where.format(*args)} must be a string, got {x!r}")
     return x
+
+
+def _number(x, where: str, *args) -> float:
+    """``x`` as a float if it is a number; else a ModelFormatError naming the field, as :func:`_label` does."""
+    if type(x) is not float and not _is_number(x):  # a float is one: spare the abstract-class check
+        raise ModelFormatError(f"{where.format(*args)} must be a number, got {x!r}")
+    return float(x)
 
 
 def _parse_entries(raw, loc: str) -> list[NextEntry]:

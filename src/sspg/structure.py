@@ -37,6 +37,7 @@ from .model import (
     PLAYER_MIN,
     GameModel,
     StationaryPolicy,
+    _empty_controls,
     policy_arrays,
     policy_average,
     pure_policy,
@@ -175,6 +176,14 @@ def _terminating_response(m: GameModel, fixed: StationaryPolicy):
 # ---------------------------------------------------------------------------
 
 
+def _reach(adj: np.ndarray) -> np.ndarray:
+    """reach[..., i, j] iff j is reachable from i along ``adj``'s edges (i included); leading axes are a batch."""
+    reach = adj | np.eye(adj.shape[-1], dtype=bool)
+    for _ in range(adj.shape[-1].bit_length()):  # each squaring doubles the path length covered
+        reach = (reach.astype(float) @ reach) > 0.0
+    return reach
+
+
 def _closed_classes(chain: InducedChain) -> list[tuple[np.ndarray, np.ndarray]]:
     """Closed classes of the chain as (member indices, stationary distribution).
 
@@ -182,9 +191,7 @@ def _closed_classes(chain: InducedChain) -> list[tuple[np.ndarray, np.ndarray]]:
     {0} is one.  States in no closed class are transient.  Classes come in
     the order of their smallest member.
     """
-    reach = (chain.P > 0.0) | np.eye(len(chain.P), dtype=bool)
-    for _ in range(len(reach).bit_length()):  # each squaring doubles the path length covered
-        reach = (reach.astype(float) @ reach) > 0.0  # ends with reach[i, j] iff j is reachable from i
+    reach = _reach(chain.P > 0.0)
     # i is in a closed class iff every state it reaches reaches it back
     closed = ~(reach & ~reach.T).any(axis=1)
     out = []
@@ -316,12 +323,6 @@ def count_pure_policies(m: GameModel, player: int) -> int:
     return math.prod(max(len(ctrl[s]), 1) for s in m.states)
 
 
-def _pure_combos(m: GameModel, player: int) -> Iterator[tuple[int, ...]]:
-    """Every pick of one control position per state, in canonical order."""
-    ctrl = m.controls1 if player == PLAYER_MIN else m.controls2
-    return itertools.product(*(range(len(ctrl[s])) for s in m.states))
-
-
 def _pure_policy(m: GameModel, player: int, combo: Sequence[int]) -> StationaryPolicy:
     ctrl = m.controls1 if player == PLAYER_MIN else m.controls2
     return pure_policy(m, player, {s: ctrl[s][k] for s, k in zip(m.states, combo)})
@@ -329,7 +330,8 @@ def _pure_policy(m: GameModel, player: int, combo: Sequence[int]) -> StationaryP
 
 def iter_pure_policies(m: GameModel, player: int) -> Iterator[StationaryPolicy]:
     """All deterministic stationary policies, in canonical label order."""
-    return (_pure_policy(m, player, combo) for combo in _pure_combos(m, player))
+    ctrl = m.controls1 if player == PLAYER_MIN else m.controls2
+    return (_pure_policy(m, player, combo) for combo in itertools.product(*(range(len(ctrl[s])) for s in m.states)))
 
 
 # ---------------------------------------------------------------------------
@@ -442,86 +444,116 @@ class AssumptionReport:
         }
 
 
-# pure policy pairs beyond which the assumption check enumerates nothing
+# pure pairs local to the end components beyond which the assumption check enumerates nothing
 _MAX_PAIRS = 10**6
-# stacked chain entries (pairs x (n+1) x (n+2) doubles) gathered per chunk of pure pairs
-_CHUNK_ENTRIES = 2**18
 
 
-def _pure_pair_signs(m: GameModel) -> tuple[np.ndarray, np.ndarray, ClauseVerdict]:
-    """Whether each pure pair (minimizer row, maximizer column) has a +inf and a -inf total cost; clause 3.
+def _end_components(m: GameModel) -> list[np.ndarray]:
+    """Maximal end components of the joint MDP in which one controller picks a triplet row per state.
 
-    Pairs go in canonical order, a chunk at a time, each chain one gather of
-    a (cost, kernel) table.  The pairs whose every state reaches 0 share one
-    stacked solve; only the others go through :func:`classify_chain`, in
-    order, so the clause-3 witness is the first offending pair.
+    Sorted state arrays (0..n-1), by smallest state: the staying set split
+    into strongly connected components, less the rows that leave their
+    component, until no row goes (de Alfaro, PhD thesis, Stanford 1997).
     """
-    sizes = [np.array([len(c[s]) for s in m.states], dtype=np.intp) for c in (m.controls1, m.controls2)]
-    n_nu = count_pure_policies(m, PLAYER_MAX)
-    signs = np.zeros((2, count_pure_policies(m, PLAYER_MIN) * n_nu), dtype=bool)
-    clause3 = ClauseVerdict("holds", "every pure prolonging pair has an infinite total cost")
-    table = np.vstack((np.eye(1, m.n + 2, 1), np.column_stack((m.g, m.P))))  # row 0: state 0's
-    base = np.concatenate(([0], m.control_layout.blocks + 1))
-    step = max(1, _CHUNK_ENTRIES // ((m.n + 1) * (m.n + 2)))
-    total = math.prod(sizes[0]) * math.prod(sizes[1])  # 0 when a state has no controls
-    for k in (np.arange(k0, min(k0 + step, total)) for k0 in range(0, total, step)):
-        u, v = (np.stack(np.unravel_index(x, z), axis=-1) for x, z in zip(divmod(k, n_nu), sizes))
-        chains = table[base + np.pad(u * sizes[1] + v, ((0, 0), (1, 0)))]  # (K, n+1, n+2)
-        adj = chains[..., 1:] > 0.0
-        proper = _reverse_reachable(adj, adj[:, 0]).all(axis=-1)  # row 0 of a chain marks state 0
-        c = chains[proper]
-        values = np.linalg.solve(np.eye(m.n) - c[:, 1:, 2:], c[:, 1:, :1])[..., 0]
-        signs[:, k[proper]] = np.isposinf(values).any(axis=-1), np.isneginf(values).any(axis=-1)
-        for j in np.flatnonzero(~proper):
-            chain = InducedChain(chains[j, :, 1:], chains[j, :, 0], m.states)
+    supp, blocks = m.P > 0.0, m.control_layout.blocks
+    state = np.repeat(np.arange(m.n), np.diff(np.append(blocks, len(supp))))
+    ok = ~(supp & ~_staying_set(supp, blocks)).any(axis=1)  # the rows that stay inside the staying set
+    while ok.any():
+        comp = _reach(np.logical_or.reduceat(supp[:, 1:] & ok[:, None], blocks))
+        comp &= comp.T  # comp[i, j] iff states i and j are strongly connected
+        kept = ok & ~(supp[:, 1:] & ~comp[state]).any(axis=1)
+        if (kept == ok).all():
+            break
+        ok = kept
+    owners = np.flatnonzero(np.logical_or.reduceat(ok, blocks))
+    return [np.flatnonzero(comp[i]) for i in owners if comp[i].argmax() == i]
+
+
+def _local_pair_signs(m: GameModel, states: np.ndarray, nu: np.ndarray, nv: np.ndarray) -> np.ndarray:
+    """Signs of the pure pairs local to an end component, indexed (sign, u picks..., v picks...).
+
+    Sign 0: the pair's rows at ``states``, the mass leaving them sent to 0,
+    have a closed class; only those chains reach :func:`classify_chain`.
+    Signs 1, 2: a +inf, -inf total cost, from class gains that are the
+    floats of the pair's full chain, as a class's rows stay inside it.
+    """
+    k, out = len(states), ~np.isin(np.arange(m.n + 1), states + 1)
+    inside, leaves = m.P[:, states + 1] > 0.0, (m.P[:, out] > 0.0).any(axis=1)
+    picks = [np.indices(z).reshape(k, -1).T for z in (nu[states], nv[states])]  # canonical order
+    signs = np.zeros((3, len(picks[0]), len(picks[1])), dtype=bool)
+    wide = int(len(picks[1]) > len(picks[0]))  # one at a time, so a batch is the side with fewer picks
+    view = signs.transpose(0, 2, 1) if wide else signs
+    for a, pick in enumerate(picks[wide]):
+        u, v = (picks[0], pick) if wide else (pick, picks[1])
+        rows = m.control_layout.blocks[states] + u * nv[states] + v
+        trapped = ~(_reach(inside[rows]) & leaves[rows][:, None, :]).any(axis=-1).all(axis=-1)
+        for b in np.flatnonzero(trapped):
+            p = m.P[rows[b]]
+            p = np.vstack((np.eye(1, k + 1), np.column_stack((p[:, out].sum(axis=1), p[:, states + 1]))))
+            chain = InducedChain(p, np.concatenate(([0.0], m.g[rows[b]])), tuple(m.states[i] for i in states))
             values = classify_chain(chain).values
-            signs[:, k[j]] = np.isposinf(values).any(), np.isneginf(values).any()
-            if not signs[:, k[j]].any() and clause3.status == "holds":
-                clause3 = ClauseVerdict(
-                    "violated",
-                    "prolonging pair with finite total cost (zero-gain recurrent class)",
-                    witness_mu=_pure_policy(m, PLAYER_MIN, u[j]),
-                    witness_nu=_pure_policy(m, PLAYER_MAX, v[j]),
-                    witness_states=tuple(m.states[i] for i in np.flatnonzero(~reach_probability_one(chain))),
-                )
-    return *signs.reshape(2, -1, n_nu), clause3
+            view[:, a, b] = True, np.isposinf(values).any(), np.isneginf(values).any()
+    return signs.reshape(3, *nu[states], *nv[states])
 
 
 def check_ssp_game_assumption(m: GameModel) -> AssumptionReport:
-    """Enumerate pure policy pairs (at most ``_MAX_PAIRS``) and report the structural clause verdicts.
+    """Report the structural clause verdicts over the pure policy pairs, enumerated per end component.
 
-    Pairs whose chain reaches 0 with probability 1 from every state are
-    decided a stacked chunk at a time; only the other pairs reach
-    :func:`classify_chain` (:func:`_pure_pair_signs`).
+    A closed class of a pure pair's chain lies in one maximal end component
+    (:func:`_end_components`) and depends on the pair's picks there alone, so
+    only the pairs local to each are enumerated (``_MAX_PAIRS`` in all).  As
+    a product over disjoint coordinate blocks has its lexicographic minimum
+    blockwise, the safeguards and the clause-3 witness are the first in
+    canonical pair order; a state in no component takes its first control.
     """
-    n_mu = count_pure_policies(m, PLAYER_MIN)
-    n_nu = count_pure_policies(m, PLAYER_MAX)
+    for finding in _empty_controls(m):  # no pure policy of that player, and no best response to one
+        raise ValueError(str(finding))
     caveat = "certified over deterministic stationary policies only"
-    if n_mu * n_nu > _MAX_PAIRS:
-        too_big = ClauseVerdict("inconclusive", f"pure pair space {n_mu * n_nu} exceeds cap {_MAX_PAIRS}")
+    components = _end_components(m)
+    sizes = [np.array([len(c[s]) for s in m.states], dtype=np.intp) for c in (m.controls1, m.controls2)]
+    local = sum(math.prod((sizes[0] * sizes[1])[c].tolist()) for c in components)
+    if local > _MAX_PAIRS:
+        too_big = ClauseVerdict("inconclusive", f"end-component pure pair space {local} exceeds cap {_MAX_PAIRS}")
         return AssumptionReport(too_big, too_big, too_big, (caveat,))
+    signs = [_local_pair_signs(m, c, *sizes) for c in components]
 
-    has_pos, has_neg, clause3 = _pure_pair_signs(m)
+    def first(masks: list[np.ndarray]) -> np.ndarray | None:
+        """The first pair (u picks, v picks) whose local pair at each component is in its mask."""
+        pick = np.zeros(2 * m.n, dtype=np.intp)
+        for c, mask in zip(components, masks):
+            if not mask.any():
+                return None
+            pick[np.concatenate((c, c + m.n))] = np.unravel_index(mask.argmax(), mask.shape)  # a kept axis picks 0
+        return pick.reshape(2, m.n)
 
     from .solve import CONVERGED, evaluate_vs_best_response  # solve imports this module
 
-    def safeguard(rows_bad: np.ndarray, player: int, who: str) -> ClauseVerdict:
-        for combo, bad in zip(_pure_combos(m, player), rows_bad):
-            if bad.any():
-                continue
-            pol = _pure_policy(m, player, combo)
-            _, trace = evaluate_vs_best_response(m, pol)
-            note = f"pure safeguard found for {who}"
-            if trace.outcome != CONVERGED:
-                note += f" (best response {trace.outcome}: {trace.note}; pure-pair evidence only)"
-            return ClauseVerdict("holds", note, *((pol, None) if player == PLAYER_MIN else (None, pol)))
-        return ClauseVerdict(
-            "inconclusive", f"no pure safeguard for the {who}; randomized safeguards not excluded"
-        )
+    def safeguard(player: int, who: str) -> ClauseVerdict:
+        # signs[player] is the infinity the player must avoid against every opponent pick
+        pick = first([~s[player].any(axis=tuple(range(len(c), 2 * len(c)) if player == PLAYER_MIN else range(len(c))),
+                                     keepdims=True) for c, s in zip(components, signs)])
+        if pick is None:
+            return ClauseVerdict("inconclusive", f"no pure safeguard for the {who}; randomized safeguards not excluded")
+        pol = _pure_policy(m, player, pick[player - 1])
+        _, trace = evaluate_vs_best_response(m, pol)
+        note = f"pure safeguard found for {who}"
+        if trace.outcome != CONVERGED:
+            note += f" (best response {trace.outcome}: {trace.note}; pure-pair evidence only)"
+        return ClauseVerdict("holds", note, *((pol, None) if player == PLAYER_MIN else (None, pol)))
 
-    clause1 = safeguard(has_pos, PLAYER_MIN, "minimizer")
-    clause2 = safeguard(has_neg.T, PLAYER_MAX, "maximizer")
-    return AssumptionReport(clause1, clause2, clause3, (caveat,))
+    clause3 = ClauseVerdict("holds", "every pure prolonging pair has an infinite total cost")
+    # a pair offends when one component holds a closed class and none an infinite total cost
+    finite = [~pos & ~neg for _, pos, neg in signs]
+    offending = [first([f & s[0] if j == k else f for k, (f, s) in enumerate(zip(finite, signs))])
+                 for j in range(len(components))]
+    offending = [pair.ravel().tolist() for pair in offending if pair is not None]
+    if offending:
+        u, v = np.reshape(min(offending), (2, m.n))
+        mu, nu = _pure_policy(m, PLAYER_MIN, u), _pure_policy(m, PLAYER_MAX, v)
+        trapped = np.flatnonzero(~reach_probability_one(induce_chain(m, mu, nu)))
+        clause3 = ClauseVerdict("violated", "prolonging pair with finite total cost (zero-gain recurrent class)",
+                                mu, nu, tuple(m.states[i] for i in trapped))
+    return AssumptionReport(safeguard(PLAYER_MIN, "minimizer"), safeguard(PLAYER_MAX, "maximizer"), clause3, (caveat,))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,15 @@ def make_contraction(seed=0, n_states=3, max_controls=2, kappa=0.1, cost_range=(
     )
 
 
+def make_ring(n_states=10):
+    """One end component of every state: each row but (a, x) steps around a ring at cost 1; (a, x) stops."""
+    states = [str(i) for i in range(1, n_states + 1)]
+    rows = {(s, u, v): [(states[(k + 1) % n_states], 1.0, 1.0)]
+            for k, s in enumerate(states) for u in "ab" for v in "xy"}
+    rows.update({(s, "a", "x"): [("0", 1.0, 1.0)] for s in states})
+    return sspg.GameModel(states, dict.fromkeys(states, ["a", "b"]), dict.fromkeys(states, ["x", "y"]), rows)
+
+
 def random_policy(m, player, rng):
     """Random fully-mixed stationary policy."""
     ctrl = m.controls1 if player == sspg.PLAYER_MIN else m.controls2

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sspg
-from conftest import make_contraction
+from conftest import make_contraction, make_ring
 from sspg.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_USAGE, build_parser, main
 
 
@@ -176,7 +176,7 @@ def test_analyze_everett(capsys, everett_file):
 def test_analyze_strict_past_the_pair_cap(capsys, tmp_path):
     # an inconclusive report is no violation, so --strict exits 0
     path = tmp_path / "wide.json"
-    path.write_text(sspg.save_model(sspg.generate_model(sspg.GeneratorConfig(n_states=20, max_controls=2, seed=0))))
+    path.write_text(sspg.save_model(make_ring(10)))  # 4**10 pure pairs local to one end component
     code, out = run_cli(capsys, "analyze", "--model", str(path), "--strict")
     assert code == 0
     assert json.loads(out)["overall"] == "inconclusive"

@@ -10,8 +10,8 @@ Five kinds of test:
   and the SSP(A) check once used, against their exact best-response
   decision, and the witness responses of that decision.
 * a pair oracle: the assumption check's former per-pair loop (one chain and
-  one ``classify_chain`` per pure pair) against its stacked pass, with
-  chunks of any size.
+  one ``classify_chain`` per pure pair, every pair enumerated) against its
+  enumeration per maximal end component, report for report.
 * a tolerance oracle: the per-state averaging loops, kept here as
   references, against the operators, best response, SSP(A), the pinned
   Q-backup and the certificate weights on random mixed policies.
@@ -30,7 +30,7 @@ import pytest
 import sspg
 from sspg import structure
 from sspg.model import PolicyMismatchError, policy_arrays
-from sspg.structure import GAIN_TOL, ClauseVerdict, _pure_pair_signs, count_pure_policies, iter_pure_policies
+from sspg.structure import GAIN_TOL, ClauseVerdict, count_pure_policies, iter_pure_policies
 
 # recorded on the per-state-loop implementation; "assumption" re-recorded when
 # the safeguard check's best response became exact: the maximizer notes of
@@ -289,32 +289,139 @@ def _zero_gain_loop_game():
     return sspg.GameModel(["1", "2", "3"], c1, c2, rows)
 
 
+def ref_assumption_report(m):
+    """The assumption report composed from the per-pair loop, as before end components.
+
+    The first pure policy (canonical order) with no +inf (-inf) pair is the
+    minimizer (maximizer) safeguard, noted from its best response.
+    """
+    has_pos, has_neg, clause3 = ref_pure_pair_signs(m)
+
+    def safeguard(rows_bad, player, who):
+        for pol, bad in zip(iter_pure_policies(m, player), rows_bad):
+            if bad.any():
+                continue
+            _, trace = sspg.evaluate_vs_best_response(m, pol)
+            note = f"pure safeguard found for {who}"
+            if trace.outcome != sspg.CONVERGED:
+                note += f" (best response {trace.outcome}: {trace.note}; pure-pair evidence only)"
+            return ClauseVerdict("holds", note, *((pol, None) if player == sspg.PLAYER_MIN else (None, pol)))
+        return ClauseVerdict("inconclusive", f"no pure safeguard for the {who}; randomized safeguards not excluded")
+
+    return sspg.AssumptionReport(safeguard(has_pos, sspg.PLAYER_MIN, "minimizer"),
+                                 safeguard(has_neg.T, sspg.PLAYER_MAX, "maximizer"), clause3,
+                                 ("certified over deterministic stationary policies only",))
+
+
+def _rows_game(controls1, controls2, rows):
+    """A game on states "1".."n" from its control lists and rows {(i, u, v): [(j, p, cost), ...]}."""
+    return sspg.GameModel([str(i) for i in range(1, len(controls1) + 1)],
+                          {str(i): list(c) for i, c in enumerate(controls1, start=1)},
+                          {str(i): list(c) for i, c in enumerate(controls2, start=1)},
+                          {tuple(map(str, key)): [(str(j), p, c) for j, p, c in row] for key, row in rows.items()})
+
+
+def _end_component_games():
+    """Games with several end components, each built for one way the per-component enumeration combines."""
+    return {
+        # components {1, 3} and {2, 4} interleave in state order; 5 is in none.
+        # Each has a zero-gain loop; the one of {2, 4} needs u = b at 2, so
+        # the first offending pair loops in {1, 3} with u = a at 2
+        "interleaved": _rows_game(["ab", "ab", "a", "ab", "ab"], ["x", "xy", "xy", "x", "x"], {
+            (1, "a", "x"): [(3, 1.0, 1.0)],
+            (1, "b", "x"): [(0, 0.5, 2.0), (1, 0.5, 0.0)],
+            (3, "a", "x"): [(1, 1.0, -1.0)],  # 1 -> 3 -> 1 has gain 0
+            (3, "a", "y"): [(1, 0.5, 1.0), (3, 0.5, 1.0)],
+            (2, "a", "x"): [(4, 1.0, 1.0)],
+            (2, "a", "y"): [(0, 1.0, 0.0)],
+            (2, "b", "x"): [(2, 1.0, 0.0)],
+            (2, "b", "y"): [(4, 0.5, 1.0), (0, 0.5, 1.0)],
+            (4, "a", "x"): [(2, 1.0, 1.0)],
+            (4, "b", "x"): [(0, 1.0, 1.0)],
+            (5, "a", "x"): [(0, 0.5, 1.0), (1, 0.25, 0.0), (2, 0.25, 0.0)],
+            (5, "b", "x"): [(0, 1.0, 3.0)],
+        }),
+        # both components have a zero-gain loop under u = b; the first offending
+        # pair loops in the second, (a, b), before (b, a)
+        "second-witness": _rows_game(["ab", "ab"], ["xy", "x"], {
+            (1, "a", "x"): [(0, 1.0, 1.0)],
+            (1, "a", "y"): [(1, 1.0, 1.0)],
+            (1, "b", "x"): [(1, 1.0, 0.0)],
+            (1, "b", "y"): [(0, 1.0, 2.0)],
+            (2, "a", "x"): [(0, 1.0, 1.0)],
+            (2, "b", "x"): [(2, 1.0, 0.0)],
+        }),
+        # at 1 the maximizer answers each minimizer control with a +1 loop;
+        # component {2} has a clean minimizer control
+        "no-clean-minimizer": _rows_game(["ab", "ab", "a"], ["xy", "x", "x"], {
+            (1, "a", "x"): [(1, 1.0, 1.0)],
+            (1, "a", "y"): [(0, 1.0, 0.0)],
+            (1, "b", "x"): [(0, 1.0, 0.0)],
+            (1, "b", "y"): [(1, 1.0, 2.0)],
+            (2, "a", "x"): [(2, 1.0, 1.0)],
+            (2, "b", "x"): [(0, 1.0, 1.0)],
+            (3, "a", "x"): [(0, 0.5, 1.0), (1, 0.25, 1.0), (2, 0.25, 1.0)],
+        }),
+        # component {1, 2} holds a +1 loop at 1 and a -1 loop at 2 in one chain
+        "mixed-signs": _rows_game(["ab", "a", "a"], ["x", "xy", "x"], {
+            (1, "a", "x"): [(1, 1.0, 1.0)],
+            (1, "b", "x"): [(2, 1.0, 0.0)],
+            (2, "a", "x"): [(2, 1.0, -1.0)],
+            (2, "a", "y"): [(1, 1.0, 0.0)],
+            (3, "a", "x"): [(0, 0.5, 1.0), (2, 0.5, 1.0)],
+        }),
+    }
+
+
 def _pair_oracle_games():
     games = [sspg.load_bundled_model(name) for name in ("everett", "zerocost", "pursuit")]
     games += [_trap_game(s, n=n, controls=c, absorbing=a)
               for n in (4, 5) for c in (2, 3) for a in (True, False) for s in range(20, 26)]
     games += [_generated(f, n, mc, s) for f in ("loopy", "sequential", "contraction")
               for n, mc in ((2, 3), (4, 2), (6, 2)) for s in range(4)]
-    return games + [_zero_gain_loop_game()]
+    return games + [_zero_gain_loop_game(), *_end_component_games().values()]
 
 
-def _prolonging_clause(m, clause):
-    return sspg.AssumptionReport(clause, clause, clause, ()).to_json(m)["clauses"]["prolonging_pairs"]
-
-
-def test_pair_signs_match_the_per_pair_loop(monkeypatch):
+def test_pair_signs_match_the_per_pair_loop():
     statuses = Counter()
     for m in _pair_oracle_games():
-        has_pos, has_neg, clause3 = _pure_pair_signs(m)
-        want_pos, want_neg, want3 = ref_pure_pair_signs(m)
-        assert has_pos.tolist() == want_pos.tolist() and has_neg.tolist() == want_neg.tolist()
-        assert _prolonging_clause(m, clause3) == _prolonging_clause(m, want3)
-        statuses[clause3.status] += 1
-        report = sspg.check_ssp_game_assumption(m).to_json(m)
-        with monkeypatch.context() as patch:
-            patch.setattr(structure, "_pure_pair_signs", ref_pure_pair_signs)
-            assert report == sspg.check_ssp_game_assumption(m).to_json(m)
+        report = sspg.check_ssp_game_assumption(m)
+        assert report.to_json(m) == ref_assumption_report(m).to_json(m)
+        statuses[report.clause_prolonging.status] += 1
     assert statuses["violated"] >= 3 and statuses["holds"] >= 10
+
+
+def _components(m):
+    return [[m.states[i] for i in c] for c in structure._end_components(m)]
+
+
+def _picks(m, *policies):
+    return [{s: max(r, key=r.get) for s, r in pol.to_json(m)["rules"].items()} for pol in policies]
+
+
+def test_end_component_games_exercise_their_case():
+    games = _end_component_games()
+    m = games["interleaved"]
+    assert _components(m) == [["1", "3"], ["2", "4"]]
+    clause3 = sspg.check_ssp_game_assumption(m).clause_prolonging
+    assert clause3.witness_states == ("1", "3", "5")
+    assert _picks(m, clause3.witness_mu, clause3.witness_nu) == [dict.fromkeys("12345", "a"),
+                                                                  {"1": "x", "2": "y", "3": "x", "4": "x", "5": "x"}]
+    m = games["second-witness"]
+    assert _components(m) == [["1"], ["2"]]
+    clause3 = sspg.check_ssp_game_assumption(m).clause_prolonging
+    assert clause3.witness_states == ("2",)
+    assert _picks(m, clause3.witness_mu, clause3.witness_nu) == [{"1": "a", "2": "b"}, {"1": "x", "2": "x"}]
+    m = games["no-clean-minimizer"]
+    assert _components(m) == [["1"], ["2"]]
+    report = sspg.check_ssp_game_assumption(m)
+    assert [report.clause_safeguard_min.status, report.clause_safeguard_max.status, report.overall] == \
+        ["inconclusive", "holds", "inconclusive"]
+    m = games["mixed-signs"]
+    assert _components(m) == [["1", "2"]]
+    pair = [sspg.pure_policy(m, 1, dict.fromkeys("123", "a")), sspg.pure_policy(m, 2, dict.fromkeys("123", "x"))]
+    values = sspg.classify_chain(sspg.induce_chain(m, *pair)).values
+    assert np.isposinf(values[0]) and np.isneginf(values[1])
 
 
 def test_zero_gain_loop_witness_is_the_first_offending_pair():
@@ -326,14 +433,31 @@ def test_zero_gain_loop_witness_is_the_first_offending_pair():
     assert picks == [{"1": "a", "2": "b", "3": "a"}, {"1": "x", "2": "x", "3": "y"}]
 
 
-@pytest.mark.parametrize("game", ["zerocost", "zero-gain-loop", "trap"])
-def test_chunks_of_three_pairs_give_the_same_report(monkeypatch, game):
-    m = {"zerocost": lambda: sspg.load_bundled_model("zerocost"), "zero-gain-loop": _zero_gain_loop_game,
-         "trap": lambda: _trap_game(22, controls=3)}[game]()
-    want = sspg.check_ssp_game_assumption(m).to_json(m)
-    monkeypatch.setattr(structure, "_CHUNK_ENTRIES", 3 * (m.n + 1) * (m.n + 2))
-    assert want == sspg.check_ssp_game_assumption(m).to_json(m)
-    assert _prolonging_clause(m, _pure_pair_signs(m)[2]) == _prolonging_clause(m, ref_pure_pair_signs(m)[2])
+def _count_classify_chain(monkeypatch, m):
+    calls = []
+    real = structure.classify_chain
+    monkeypatch.setattr(structure, "classify_chain", lambda chain: calls.append(1) or real(chain))
+    sspg.check_ssp_game_assumption(m)
+    return len(calls)
+
+
+def test_classify_chain_runs_once_per_local_pair_with_a_closed_class(monkeypatch):
+    m = _trap_game(9, controls=3)
+    assert count_pure_policies(m, sspg.PLAYER_MIN) * count_pure_policies(m, sspg.PLAYER_MAX) == 1944
+    components = structure._end_components(m)
+    assert [c.tolist() for c in components] == [[1, 2, 3], [4]]
+    sizes = [len(m.controls1[s]) * len(m.controls2[s]) for s in m.states]
+    assert sum(np.prod([sizes[i] for i in c]) for c in components) == 162 + 3
+    # the local pairs with a closed class, read off the closed classes of all 1944 full pairs
+    local = set()
+    for mu, nu in itertools.product(*(iter_pure_policies(m, p) for p in (sspg.PLAYER_MIN, sspg.PLAYER_MAX))):
+        picks = _picks(m, mu, nu)
+        for members, _ in structure._closed_classes(sspg.induce_chain(m, mu, nu)):
+            if members[0] != 0:
+                c = next(c for c in components if members[0] - 1 in c)
+                local.add(tuple((picks[0][m.states[i]], picks[1][m.states[i]]) for i in c))
+    assert len(local) == _count_classify_chain(monkeypatch, m) == 34
+    assert _count_classify_chain(monkeypatch, _generated("contraction", 6, 3, 1)) == 0
 
 
 # ---------------------------------------------------------------------------

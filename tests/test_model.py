@@ -446,6 +446,28 @@ def test_non_string_labels_refused(case):
         sspg.load_model(json.dumps(doc))
 
 
+NON_NUMBER_ENTRIES = {
+    "p-bool": ([("0", True, "2")], "row ('1', 'a', 'x'): entry 0: \"p\" must be a number, got True"),
+    "p-string": ([("0", "1", 2.0)], "row ('1', 'a', 'x'): entry 0: \"p\" must be a number, got '1'"),
+    "cost-string": ([("0", 1.0, "2")], "row ('1', 'a', 'x'): entry 0: \"cost\" must be a number, got '2'"),
+    "cost-none": ([("1", 0.5, 1.0), ("0", 0.5, None)],
+                  "row ('1', 'a', 'x'): entry 1: \"cost\" must be a number, got None"),
+}
+
+
+@pytest.mark.parametrize("case", NON_NUMBER_ENTRIES)
+def test_non_number_entries_refused(case):
+    """The constructor keeps load_model's rule: probabilities and costs are numbers, never coerced."""
+    entries, err = NON_NUMBER_ENTRIES[case]
+    with pytest.raises(sspg.ModelFormatError) as info:
+        sspg.GameModel(["1"], {"1": ["a"]}, {"1": ["x"]}, {("1", "a", "x"): entries})
+    assert str(info.value) == err
+    row = {"i": "1", "u": "a", "v": "x", "next": [{"j": j, "p": p, "cost": c} for j, p, c in entries]}
+    doc = {"states": ["1"], "controls1": {"1": ["a"]}, "controls2": {"1": ["x"]}, "transitions": [row]}
+    with pytest.raises(sspg.ModelFormatError, match='"p" and "cost" must be numbers'):
+        sspg.load_model(json.dumps(doc))
+
+
 def test_generated_rows_come_on_demand():
     m = sspg.generate_model(sspg.GeneratorConfig(n_states=5, max_controls=3, seed=2))
     assert "transitions" not in m.__dict__  # nothing derived until asked

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import sspg
-from conftest import make_contraction, make_terminal_only, random_policy
-from sspg.structure import InducedChain, count_pure_policies
+from conftest import make_contraction, make_ring, make_terminal_only, random_policy
+from sspg.structure import InducedChain, _end_components, count_pure_policies
 
 
 def chain_from(p_rows, costs, labels):
@@ -241,14 +241,46 @@ def test_assumption_safeguard_notes_pursuit(pursuit):
 
 
 def test_assumption_inconclusive_past_the_pair_cap():
-    m = sspg.generate_model(sspg.GeneratorConfig(n_states=20, max_controls=2, seed=0))
-    pairs = count_pure_policies(m, sspg.PLAYER_MIN) * count_pure_policies(m, sspg.PLAYER_MAX)
-    assert pairs == 8_388_608
+    # the cap counts the pure pairs local to the end components: here one
+    # component of all ten states, with 4 triplets each
+    m = make_ring(10)
+    assert [c.tolist() for c in _end_components(m)] == [list(range(10))]
     report = sspg.check_ssp_game_assumption(m)
-    note = f"pure pair space {pairs} exceeds cap 1000000"
+    note = f"end-component pure pair space {4**10} exceeds cap 1000000"
     for clause in (report.clause_safeguard_min, report.clause_safeguard_max, report.clause_prolonging):
         assert (clause.status, clause.note) == ("inconclusive", note)
     assert report.overall == "inconclusive"
+
+
+def test_assumption_holds_past_the_pair_cap_without_end_components():
+    # a contraction game has no end component, so none of its 8,388,608 pure
+    # pairs is enumerated; the full pair space used to make it inconclusive
+    m = sspg.generate_model(sspg.GeneratorConfig(n_states=20, max_controls=2, seed=0))
+    pairs = count_pure_policies(m, sspg.PLAYER_MIN) * count_pure_policies(m, sspg.PLAYER_MAX)
+    assert pairs == 8_388_608 and _end_components(m) == []
+    report = sspg.check_ssp_game_assumption(m)
+    assert report.overall == "holds"
+    assert [(c.status, c.note) for c in (report.clause_safeguard_min, report.clause_safeguard_max,
+                                         report.clause_prolonging)] == [
+        ("holds", "pure safeguard found for minimizer"),
+        ("holds", "pure safeguard found for maximizer"),
+        ("holds", "every pure prolonging pair has an infinite total cost"),
+    ]
+    # with no end component, each safeguard is the player's first pure policy
+    for pol in (report.clause_safeguard_min.witness_mu, report.clause_safeguard_max.witness_nu):
+        assert all(r[0] == 1.0 for r in pol.rules.values())
+
+
+def test_assumption_overflowed_proper_pair_is_not_infinite():
+    # the one pair terminates a.s. with total cost 2e308, which overflows to
+    # +inf; proper pairs are never solved, so the overflow does not count as
+    # +inf (it used to leave the minimizer without a pure safeguard)
+    m = sspg.GameModel(["1"], {"1": ["a"]}, {"1": ["x"]}, {("1", "a", "x"): [("0", 0.5, 1e308), ("1", 0.5, 1e308)]})
+    assert sspg.validate_model(m).ok and _end_components(m) == []
+    with np.errstate(invalid="ignore"):
+        assert np.isposinf(sspg.evaluate_pair(m, *(sspg.uniform_policy(m, p) for p in (1, 2))).values).all()
+        report = sspg.check_ssp_game_assumption(m)
+    assert report.clause_safeguard_min.status == "holds" and report.overall == "holds"
 
 
 def test_assumption_report_serializes(everett):

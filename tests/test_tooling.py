@@ -55,8 +55,9 @@ def test_tracer_installs_and_restores(everett):
 
 def test_tracer_counts_pairs_under_the_assumption_check(everett):
     # structure.pairs_enumerated counts the classify_chain spans directly under
-    # check_ssp_game_assumption: one per pure pair whose chain can avoid 0 (the
-    # others are solved a stacked chunk at a time); everett has 1 of its 2 x 2
+    # check_ssp_game_assumption: one per pure pair local to an end component
+    # whose chain has a closed class there; everett's one state is its one
+    # end component, so that is each of its 2 x 2 pairs that can avoid 0: 1
     mus, nus = (list(sspg.iter_pure_policies(everett, p)) for p in (sspg.PLAYER_MIN, sspg.PLAYER_MAX))
     improper = sum(not sspg.reach_probability_one(sspg.induce_chain(everett, mu, nu)).all()
                    for mu in mus for nu in nus)
