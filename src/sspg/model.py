@@ -21,7 +21,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -193,8 +193,12 @@ class GameModel:
     derived from them.  The private :meth:`_from_arrays` builds a model from
     ``P`` and ``C`` alone, listing the entries of ``P > 0``.
 
-    Every label is a string and every probability and cost a number, as in
-    a game document; anything else is a :class:`ModelFormatError` naming it.
+    The one checker of labels, numbers and rows, for a game document too
+    (:func:`load_model` checks only its shape): every label is a string and
+    every probability and cost a number a float can hold, never coerced; a
+    fault is a :class:`ModelFormatError` worded as for the document,
+    ``transitions[k]`` naming the row at position ``k`` of the ``transitions``
+    mapping.
 
     Parameters
     ----------
@@ -202,7 +206,8 @@ class GameModel:
         Non-terminal state labels in order.  ``"0"`` is reserved for the
         termination state and must not appear.
     controls1, controls2:
-        Ordered control label lists per state for the minimizer / maximizer.
+        Ordered control label lists per state for the minimizer / maximizer;
+        every state needs an entry, and every entry's labels are checked.
     transitions:
         Mapping ``(i, u, v) -> sequence of (j, p, cost)`` rows; every entry
         is listed, zero-probability and NaN ones included.  Construction is
@@ -220,25 +225,27 @@ class GameModel:
     ):
         self._set_labels(states, controls1, controls2)
         flat = []  # (triplet, successor, p, cost) of every listed entry
-        for key, entries in transitions.items():
-            for f, x in zip("iuv", key):
-                _label(x, 'transition row {}: "{}"', key, f)
+        for k, (key, entries) in enumerate(transitions.items()):
+            _row_key(key, k)
             if key not in self._tidx:
                 raise ModelFormatError(f"transition row for unknown triplet {key}")
-            row = []
-            for k, (j, p, cost) in enumerate(entries):
-                if _label(j, "successor in row {}", key) not in self._sidx:
+            t, row = self._tidx[key], []
+            for e, (j, p, cost) in enumerate(entries):
+                if _label(j, 'transitions[{}] ({},{},{}): entry {}: "j"', k, *key, e) not in self._sidx:
                     raise ModelFormatError(f"unknown successor {j!r} in row {key}")
-                row.append((self._tidx[key], self._sidx[j], _number(p, 'row {}: entry {}: "p"', key, k),
-                            _number(cost, 'row {}: entry {}: "cost"', key, k)))
+                try:  # an int too large for a float is no number either
+                    row.append((t, self._sidx[j], _real(p), _real(cost)))
+                except (TypeError, OverflowError):
+                    raise ModelFormatError(f'transitions[{k}] ({",".join(key)}): entry {e}: "p" and "cost" '
+                                           "must be numbers") from None
             if len({e[1] for e in row}) != len(row):
                 raise ModelFormatError(f"duplicate successor entries in row {key}")
             flat += row
         P, C = np.zeros((2, self.n_triplets, self.n + 1))
         listed = np.zeros(P.shape, dtype=bool)
         if flat:
-            k, j, p, c = zip(*flat)
-            P[k, j], C[k, j], listed[k, j] = p, c, True
+            t, j, p, c = zip(*flat)
+            P[t, j], C[t, j], listed[t, j] = p, c, True
         self._set_kernel(P, C, listed)
 
     @classmethod
@@ -250,24 +257,26 @@ class GameModel:
         return m
 
     def _set_labels(self, states, controls1, controls2) -> None:
-        states = tuple(_label(s, "state {}", k) for k, s in enumerate(states))
+        states = tuple(_label(s, '"states" entry {}', k) for k, s in enumerate(states))
         if TERMINAL in states:
             raise ModelFormatError('termination state "0" must not appear in "states"')
         if len(set(states)) != len(states):
             raise ModelFormatError("duplicate state labels")
         self.states = states
-        self.controls1, self.controls2 = (
-            {s: tuple(_label(c, "{} at state {}: control {}", name, s, k) for k, c in enumerate(given.get(s, ())))
-             for s in states}
-            for name, given in (("controls1", controls1), ("controls2", controls2)))
+        for name, given in (("controls1", controls1), ("controls2", controls2)):
+            for s in states:
+                if s not in given:
+                    raise ModelFormatError(f'"{name}" has no entry for state {s}')
+            for s, labels in given.items():  # a key that is not a state too
+                for k, c in enumerate(labels):
+                    _label(c, '"{}" entry for state {}: control {}', name, s, k)
+        self.controls1, self.controls2 = ({s: tuple(given[s]) for s in states} for given in (controls1, controls2))
         for s in states:
             for labels in (self.controls1[s], self.controls2[s]):
                 if len(set(labels)) != len(labels):
                     raise ModelFormatError(f"duplicate control labels at state {s}")
 
-        self._sidx = {TERMINAL: 0}
-        for k, s in enumerate(states):
-            self._sidx[s] = k + 1
+        self._sidx = {s: k for k, s in enumerate((TERMINAL,) + states)}
         self.n = len(states)
 
         # canonical triplet enumeration
@@ -389,13 +398,7 @@ class ValidationReport:
         return "\n".join(str(f) for f in self.findings) if self.findings else "ok"
 
     def to_json(self) -> dict:
-        return {
-            "valid": self.ok,
-            "findings": [
-                {"code": f.code, "location": f.location, "message": f.message}
-                for f in self.findings
-            ],
-        }
+        return {"valid": self.ok, "findings": [asdict(f) for f in self.findings]}
 
 
 def _empty_controls(m: GameModel) -> list[Finding]:
@@ -453,6 +456,8 @@ def expected_stage_cost(m: GameModel, t: Triplet) -> float:
 
 def _is_number(x, integer: bool = False) -> bool:
     """Whether ``x`` is a number (an integer with ``integer``) as JSON writes one: never a bool or a string."""
+    if type(x) is float:  # the common case: spare the abstract-class check
+        return not integer
     return isinstance(x, numbers.Integral if integer else numbers.Real) and not isinstance(x, bool)
 
 
@@ -471,34 +476,20 @@ def _label(x, where: str, *args) -> str:
     return x
 
 
-def _number(x, where: str, *args) -> float:
-    """``x`` as a float if it is a number; else a ModelFormatError naming the field, as :func:`_label` does."""
-    if type(x) is not float and not _is_number(x):  # a float is one: spare the abstract-class check
-        raise ModelFormatError(f"{where.format(*args)} must be a number, got {x!r}")
-    return float(x)
-
-
-def _parse_entries(raw, loc: str) -> list[NextEntry]:
-    if not isinstance(raw, list):
-        raise ModelFormatError(f'{loc}: "next" must be a list')
-    out = []
-    for k, e in enumerate(raw):
-        if not isinstance(e, dict) or not {"j", "p", "cost"} <= set(e):
-            raise ModelFormatError(f'{loc}: entry {k} needs fields "j", "p", "cost"')
-        j = _label(e["j"], '{}: entry {}: "j"', loc, k)
-        try:
-            out.append((j, _real(e["p"]), _real(e["cost"])))
-        except (TypeError, ValueError):
-            raise ModelFormatError(f'{loc}: entry {k}: "p" and "cost" must be numbers') from None
-    return out
+def _row_key(key, k: int) -> None:
+    """Refuse a row key ``(i, u, v)`` that is not three strings, naming the row's position ``k``."""
+    for f, x in zip("iuv", key):
+        _label(x, 'transitions[{}]: "{}"', k, f)
 
 
 def load_model(text: str) -> GameModel:
     """Parse a game document, renormalize near-unit probability rows, validate.
 
-    Raises :class:`ModelFormatError` on structural problems (with field
-    context) and :class:`ModelValidationError` listing every violated
-    invariant otherwise.
+    The loader checks the document's shape (JSON, objects and lists, required
+    fields, no repeated row); :class:`GameModel` checks every label, number
+    and row, ``transitions[k]`` naming the document's k-th row.  Raises
+    :class:`ModelFormatError` on either (with field context) and
+    :class:`ModelValidationError` listing every violated invariant otherwise.
     """
     try:
         doc = json.loads(text)
@@ -512,38 +503,42 @@ def load_model(text: str) -> GameModel:
     for field_name in ("states", "transitions"):
         if not isinstance(doc[field_name], list):
             raise ModelFormatError(f'"{field_name}" must be a list')
-    states = [_label(s, '"states" entry {}', k) for k, s in enumerate(doc["states"])]
-    if TERMINAL in states:
-        raise ModelFormatError('termination state "0" must not appear in "states"')
     for name in ("controls1", "controls2"):
         if not isinstance(doc[name], dict):
             raise ModelFormatError(f'"{name}" must be an object')
-        for s in states:
-            if s not in doc[name]:
-                raise ModelFormatError(f'"{name}" has no entry for state {s}')
         for s, labels in doc[name].items():
             if not isinstance(labels, list):
                 raise ModelFormatError(f'"{name}" entry for state {s} must be a list')
-            for k, c in enumerate(labels):
-                _label(c, '"{}" entry for state {}: control {}', name, s, k)
 
-    transitions: dict[Triplet, list[NextEntry]] = {}
+    transitions = {}
     for k, row in enumerate(doc["transitions"]):
-        if not isinstance(row, dict) or not {"i", "u", "v", "next"} <= set(row):
+        if not isinstance(row, dict) or not {"i", "u", "v", "next"} <= row.keys():
             raise ModelFormatError(f'transitions[{k}]: needs fields "i", "u", "v", "next"')
-        key = tuple(_label(row[f], 'transitions[{}]: "{}"', k, f) for f in "iuv")
+        key, entries = (row["i"], row["u"], row["v"]), row["next"]
+        try:
+            repeated = key in transitions
+        except TypeError:  # a list or an object as a label cannot key a row: name it
+            _row_key(key, k)
         loc = f"transitions[{k}] ({key[0]},{key[1]},{key[2]})"
-        if key in transitions:
+        if repeated:
             raise ModelFormatError(f"{loc}: duplicate transition row")
-        entries = _parse_entries(row["next"], loc)
-        mass = sum(p for _, p, _ in entries)
+        if not isinstance(entries, list):
+            raise ModelFormatError(f'{loc}: "next" must be a list')
+        for e, entry in enumerate(entries):
+            if not isinstance(entry, dict) or not {"j", "p", "cost"} <= entry.keys():
+                raise ModelFormatError(f'{loc}: entry {e} needs fields "j", "p", "cost"')
+        transitions[key] = [(e["j"], e["p"], e["cost"]) for e in entries]
+
+    model = GameModel(doc["states"], doc["controls1"], doc["controls2"], transitions)
+    rescaled = {}
+    for key, entries in transitions.items():
+        mass = sum(float(p) for _, p, _ in entries)  # the constructor took every p: each is a number
         # a row of k entries within k * 2**-52 of unit mass is kept as it is: a
         # rescaled row lands there, so loading a saved model changes nothing
         if math.isfinite(mass) and mass > 0 and len(entries) * sys.float_info.epsilon < abs(mass - 1.0) <= PROB_TOL:
-            entries = [(j, p / mass, c) for j, p, c in entries]
-        transitions[key] = entries
-
-    model = GameModel(states, doc["controls1"], doc["controls2"], transitions)
+            rescaled[key] = [(j, float(p) / mass, c) for j, p, c in entries]
+    if rescaled:  # rare: only a document not written by save_model has such rows
+        model = GameModel(doc["states"], doc["controls1"], doc["controls2"], transitions | rescaled)
     report = validate_model(model)
     if not report.ok:
         raise ModelValidationError(report)
@@ -552,21 +547,10 @@ def load_model(text: str) -> GameModel:
 
 def save_model(m: GameModel) -> str:
     """Serialize to the canonical game document; inverse of :func:`load_model`."""
-    doc = {
-        "states": list(m.states),
-        "controls1": {s: list(m.controls1[s]) for s in m.states},
-        "controls2": {s: list(m.controls2[s]) for s in m.states},
-        "transitions": [
-            {
-                "i": i,
-                "u": u,
-                "v": v,
-                "next": [{"j": j, "p": p, "cost": c} for j, p, c in m.transitions[(i, u, v)]],
-            }
-            for (i, u, v) in m.triplets
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    rows = [{"i": i, "u": u, "v": v, "next": [{"j": j, "p": p, "cost": c} for j, p, c in entries]}
+            for (i, u, v), entries in m.transitions.items()]  # in canonical triplet order
+    return json.dumps({"states": list(m.states), "controls1": {s: list(m.controls1[s]) for s in m.states},
+                       "controls2": {s: list(m.controls2[s]) for s in m.states}, "transitions": rows}, indent=2)
 
 
 def load_bundled_model(name: str) -> GameModel:

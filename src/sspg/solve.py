@@ -3,8 +3,8 @@
 Outcomes are reported honestly: the structural assumptions give no
 contraction rate, so every iterative routine returns a trace whose outcome
 is ``converged``, ``iteration-cap``, or ``diverging`` (iterate sup-norm past
-1e9); a best response, and so each policy-iteration step, is exact or
-``ill-posed``.
+1e9); a best response, and so each policy-iteration step, is exact,
+``ill-posed``, or ``diverging`` (a total cost past the float range).
 """
 
 from __future__ import annotations
@@ -162,13 +162,16 @@ def _best_response(m: GameModel, fixed: StationaryPolicy, costs) -> tuple[np.nda
         nonlocal witness
         if (pick < 0).any():
             witness = pick
-            return nan, f"no terminating response from state {m.states[np.argmin(pick)]}"
+            return nan, (ILL_POSED, f"no terminating response from state {m.states[np.argmin(pick)]}")
         # I - P with each diagonal entry summed from the row's other mass, not
         # taken as 1 - p_ii, which cancels when p_ii is near 1
         a = -p[pick]
         np.fill_diagonal(a, 0.0)
         np.fill_diagonal(a, stop[pick] - a.sum(axis=1))
         x = np.linalg.solve(a, c[pick])
+        if not np.isfinite(x).all():
+            s = m.states[np.argmin(np.isfinite(x))]
+            return x, (DIVERGING, f"the total cost from state {s} leaves the float range")
         # if rows no worse than x can avoid 0 forever, some response that never
         # terminates has gain <= 0 for the responder; otherwise the next
         # response, made of such rows, terminates
@@ -179,8 +182,9 @@ def _best_response(m: GameModel, fixed: StationaryPolicy, costs) -> tuple[np.nda
             inside = np.minimum.reduceat(np.where((kept & ~stay).any(axis=1), len(index), index), offsets)
             witness = np.where(stay[1:], inside, pick)
             s = m.states[np.argmax(stay) - 1]
-            return nan, f"a never-terminating response from state {s} is not infinitely bad for the responder"
-        return x, ""
+            return nan, (ILL_POSED, f"a never-terminating response from state {s} is not infinitely bad "
+                                    "for the responder")
+        return x, None
 
     def improve(pick, x):
         gap = slack(x)
@@ -204,7 +208,8 @@ def evaluate_vs_best_response(m: GameModel, policy: StationaryPolicy) -> tuple[n
     :func:`sspg.operators.bellman_min_fixed` / ``bellman_max_fixed``.  The
     outcome is ``ill-posed``, with NaN values, when the opponent's problem
     is not an SSP: some state has no terminating response, or a response
-    that never terminates is not infinitely bad for the opponent.
+    that never terminates is not infinitely bad for the opponent; it is
+    ``diverging`` when a response's total cost leaves the float range.
     """
     return _best_response(m, policy, m.g)[:2]
 
@@ -236,15 +241,16 @@ def refine_fixed_point(m: GameModel, values) -> tuple[np.ndarray, bool]:
 def _policy_loop(evaluate, residual, improve, policy, tol: float, max_outer: int):
     """Evaluate, stop once the residual meets ``tol``, improve; repeat.
 
-    ``evaluate(policy)`` returns values and "", or NaN values and why there
-    are none (outcome ``ill-posed``).  Returns values, policies and trace.
+    ``evaluate(policy)`` returns values and None, or values and the outcome
+    that ends the loop with its note (``ill-posed`` or ``diverging``).
+    Returns values, policies and trace.
     """
     trace = SolveTrace()
     policies = [policy]
     for outer in range(1, max_outer + 1):
-        x, note = evaluate(policy)
-        if note:
-            trace.outcome, trace.note = ILL_POSED, note
+        x, stop = evaluate(policy)
+        if stop:
+            trace.outcome, trace.note = stop
             return x, policies, trace
         res = residual(x)
         trace.rows.append(TraceRow(outer, res))
@@ -266,8 +272,8 @@ def policy_iteration(
     minimax backup within ``tol``, and otherwise improves to the player's
     greedy stage-game policy.  The values are componentwise non-increasing
     for the minimizer (non-decreasing for the maximizer).  The outcome is
-    ``ill-posed``, with NaN values, when an evaluation is; that happens at
-    once when the start policy is not essentially proper.
+    ``ill-posed`` when an evaluation is not exact; that happens at once when
+    the start policy is not essentially proper.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -278,7 +284,7 @@ def policy_iteration(
 
     def evaluate(pol):
         x, tr = evaluate_vs_best_response(m, pol)
-        return x, "" if tr.outcome == CONVERGED else f"best response {tr.outcome}: {tr.note}"
+        return x, None if tr.outcome == CONVERGED else (ILL_POSED, f"best response {tr.outcome}: {tr.note}")
 
     return _policy_loop(
         evaluate,

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -423,19 +424,19 @@ def test_duplicate_rows_and_successors_refused():
 
 
 NON_STRING_LABELS = {
-    "state": (([1], {"1": ["a"]}, {"1": ["x"]}, {}), "state 0 must be a string, got 1"),
+    "state": (([1], {"1": ["a"]}, {"1": ["x"]}, {}), '"states" entry 0 must be a string, got 1'),
     "control": ((["1"], {"1": [1]}, {"1": ["x"]}, {("1", 1, "x"): [("0", 1.0, 0.0)]}),
-                "controls1 at state 1: control 0 must be a string, got 1"),
+                '"controls1" entry for state 1: control 0 must be a string, got 1'),
     "row-key": ((["1"], {"1": ["a"]}, {"1": ["x"]}, {(1, "a", "x"): [("0", 1.0, 0.0)]}),
-                "transition row (1, 'a', 'x'): \"i\" must be a string, got 1"),
+                'transitions[0]: "i" must be a string, got 1'),
     "successor": ((["1"], {"1": ["a"]}, {"1": ["x"]}, {("1", "a", "x"): [(0, 1.0, 0.0)]}),
-                  "successor in row ('1', 'a', 'x') must be a string, got 0"),
+                  'transitions[0] (1,a,x): entry 0: "j" must be a string, got 0'),
 }
 
 
 @pytest.mark.parametrize("case", NON_STRING_LABELS)
 def test_non_string_labels_refused(case):
-    """The constructor keeps load_model's rule: labels are strings, never coerced."""
+    """The constructor keeps load_model's rule and wording: labels are strings, never coerced."""
     args, err = NON_STRING_LABELS[case]
     with pytest.raises(sspg.ModelFormatError) as info:
         sspg.GameModel(*args)
@@ -447,17 +448,17 @@ def test_non_string_labels_refused(case):
 
 
 NON_NUMBER_ENTRIES = {
-    "p-bool": ([("0", True, "2")], "row ('1', 'a', 'x'): entry 0: \"p\" must be a number, got True"),
-    "p-string": ([("0", "1", 2.0)], "row ('1', 'a', 'x'): entry 0: \"p\" must be a number, got '1'"),
-    "cost-string": ([("0", 1.0, "2")], "row ('1', 'a', 'x'): entry 0: \"cost\" must be a number, got '2'"),
+    "p-bool": ([("0", True, "2")], 'transitions[0] (1,a,x): entry 0: "p" and "cost" must be numbers'),
+    "p-string": ([("0", "1", 2.0)], 'transitions[0] (1,a,x): entry 0: "p" and "cost" must be numbers'),
+    "cost-string": ([("0", 1.0, "2")], 'transitions[0] (1,a,x): entry 0: "p" and "cost" must be numbers'),
     "cost-none": ([("1", 0.5, 1.0), ("0", 0.5, None)],
-                  "row ('1', 'a', 'x'): entry 1: \"cost\" must be a number, got None"),
+                  'transitions[0] (1,a,x): entry 1: "p" and "cost" must be numbers'),
 }
 
 
 @pytest.mark.parametrize("case", NON_NUMBER_ENTRIES)
 def test_non_number_entries_refused(case):
-    """The constructor keeps load_model's rule: probabilities and costs are numbers, never coerced."""
+    """The constructor keeps load_model's rule and wording: probabilities and costs are numbers, never coerced."""
     entries, err = NON_NUMBER_ENTRIES[case]
     with pytest.raises(sspg.ModelFormatError) as info:
         sspg.GameModel(["1"], {"1": ["a"]}, {"1": ["x"]}, {("1", "a", "x"): entries})
@@ -466,6 +467,121 @@ def test_non_number_entries_refused(case):
     doc = {"states": ["1"], "controls1": {"1": ["a"]}, "controls2": {"1": ["x"]}, "transitions": [row]}
     with pytest.raises(sspg.ModelFormatError, match='"p" and "cost" must be numbers'):
         sspg.load_model(json.dumps(doc))
+
+
+def _document(states, controls1, controls2, transitions) -> str:
+    """The game document of the constructor's arguments, rows in mapping order."""
+    rows = [{"i": i, "u": u, "v": v, "next": [{"j": j, "p": p, "cost": c} for j, p, c in entries]}
+            for (i, u, v), entries in transitions.items()]
+    return json.dumps({"states": states, "controls1": controls1, "controls2": controls2, "transitions": rows})
+
+
+ONE_ROW = (["1"], {"1": ["a"]}, {"1": ["x"]})
+ONE_FAULT = {f"label-{case}": args for case, (args, _) in NON_STRING_LABELS.items()}
+ONE_FAULT.update({f"entry-{case}": (*ONE_ROW, {("1", "a", "x"): entries})
+                  for case, (entries, _) in NON_NUMBER_ENTRIES.items()})
+ONE_FAULT["entry-cost-past-float"] = (*ONE_ROW, {("1", "a", "x"): [("0", 1.0, 10**400)]})  # not an OverflowError
+
+
+@pytest.mark.parametrize("case", ONE_FAULT)
+def test_one_message_per_fault_from_both_entry_points(case):
+    """A game given as a mapping and as a document is refused by one checker, in one wording."""
+    args = ONE_FAULT[case]
+    with pytest.raises(sspg.ModelFormatError) as built:
+        sspg.GameModel(*args)
+    with pytest.raises(sspg.ModelFormatError) as loaded:
+        sspg.load_model(_document(*args))
+    assert str(loaded.value) == str(built.value)
+
+
+# a fault only a document can hold, and the message it gets
+DOCUMENT_ONLY = {
+    "i-a-list": (lambda d: d["transitions"][0].update(i=["1"]), 'transitions[0]: "i" must be a string, got [\'1\']'),
+    "j-a-list": (lambda d: d["transitions"][0]["next"][0].update(j=["0"]),
+                 'transitions[0] (1,a,x): entry 0: "j" must be a string, got [\'0\']'),
+    "state-a-list": (lambda d: d.update(states=[["1"]]), '"states" entry 0 must be a string, got [\'1\']'),
+    "control-a-list": (lambda d: d["controls1"].update({"1": [["a"]]}),
+                       '"controls1" entry for state 1: control 0 must be a string, got [\'a\']'),
+    "control-of-no-state": (lambda d: d["controls1"].update({"9": [1]}),
+                            '"controls1" entry for state 9: control 0 must be a string, got 1'),
+    "controls-of-a-state-missing": (lambda d: d["controls1"].pop("1"), '"controls1" has no entry for state 1'),
+}
+
+
+@pytest.mark.parametrize("case", DOCUMENT_ONLY)
+def test_document_only_faults_refused(case):
+    edit, err = DOCUMENT_ONLY[case]
+    doc = json.loads(_document(*ONE_ROW, {("1", "a", "x"): [("0", 1.0, 0.0)]}))
+    edit(doc)
+    with pytest.raises(sspg.ModelFormatError) as info:
+        sspg.load_model(json.dumps(doc))
+    assert str(info.value) == err
+
+
+def test_load_checks_each_label_and_number_once(monkeypatch):
+    """A work count, not a timing: one label check per label, one number check per p and cost."""
+    m = sspg.generate_model(sspg.GeneratorConfig(n_states=20, max_controls=2, seed=3))
+    text = sspg.save_model(m)
+    counts, paused = {"label": 0, "number": 0}, []
+
+    def counted(name, check):
+        def wrapped(*args, **kwargs):
+            counts[name] += not paused
+            return check(*args, **kwargs)
+        return wrapped
+
+    def from_arrays(*args):  # the suite's row check (conftest.py) rebuilds each model from its arrays
+        paused.append(True)
+        try:
+            return build(*args)
+        finally:
+            paused.pop()
+
+    build = sspg.GameModel._from_arrays
+    monkeypatch.setattr(sspg.GameModel, "_from_arrays", staticmethod(from_arrays))
+    monkeypatch.setattr(sspg.model, "_label", counted("label", sspg.model._label))
+    monkeypatch.setattr(sspg.model, "_is_number", counted("number", sspg.model._is_number))
+    assert sspg.load_model(text) == m
+    entries = int(m._listed.sum())
+    controls = sum(len(c[s]) for c in (m.controls1, m.controls2) for s in m.states)
+    assert (len(m.states), controls, m.n_triplets, entries) == (20, 59, 45, 722)
+    assert counts == {"label": len(m.states) + controls + 3 * m.n_triplets + entries, "number": 2 * entries}
+    assert counts["label"] == 936
+
+
+def _pinned_games():
+    for name in ("everett", "zerocost", "pursuit"):
+        yield name, sspg.load_bundled_model(name)
+    for family in sspg.generate.FAMILIES:
+        cfg = sspg.GeneratorConfig(n_states=6, max_controls=3, cost_range=(0.25, 2.0), family=family, seed=7)
+        yield family, sspg.generate_model(cfg)
+    # a listed zero-probability entry and a NaN cost: not a valid game, but a savable one
+    yield "listed", sspg.GameModel(["1", "2"], {"1": ["a"], "2": ["a", "b"]}, {"1": ["x"], "2": ["x"]},
+                                   {("1", "a", "x"): [("2", 0.5, 2.0), ("0", 0.5, 1.0), ("1", 0.0, 3.0)],
+                                    ("2", "a", "x"): [("0", 1.0, float("nan"))], ("2", "b", "x"): [("1", 1.0, 0.25)]})
+
+
+# sha256 of save_model's text for each game of _pinned_games
+SAVE_PINS = {
+    "everett": "d30bc7151dad2e92f1c105fbcdc67d3b5305e3351b22b09b07b70956797ff5f1",
+    "zerocost": "efdc9d2e9a27243bb710905f0fd636b9a06dcf7f4a6a651bf625e238d7ceadcb",
+    "pursuit": "19445dd0dfd7a236bffe6e52429211af4d824c0f32000feb26ff2d9e4b931e7e",
+    "contraction": "1a340f9304a83c0fb28439b2f513e285cd45cfab37306302a3fea668691018ee",
+    "loopy": "2da18a39c1512246c5c3739ffefe4c90619f063abafab1c4b2a47b5420259363",
+    "sequential": "b36152699d12b470dec8ccf859dd510527cf2c55380c499ef6b5917b11817dcb",
+    "listed": "6b8b8e12006fc9eac15655d7ddd718a5ea7ba1a33c6c377f48a7e39dfed39f8f",
+}
+
+
+def test_saved_bytes_pinned():
+    games = dict(_pinned_games())
+    assert list(games) == list(SAVE_PINS)
+    for name, m in games.items():
+        text = sspg.save_model(m)
+        assert hashlib.sha256(text.encode()).hexdigest() == SAVE_PINS[name], name
+        if sspg.validate_model(m).ok:
+            assert sspg.load_model(text) == m, name
+    assert not sspg.validate_model(games["listed"]).ok
 
 
 def test_generated_rows_come_on_demand():

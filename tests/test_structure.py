@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -279,8 +281,18 @@ def test_assumption_overflowed_proper_pair_is_not_infinite():
     assert sspg.validate_model(m).ok and _end_components(m) == []
     with np.errstate(invalid="ignore"):
         assert np.isposinf(sspg.evaluate_pair(m, *(sspg.uniform_policy(m, p) for p in (1, 2))).values).all()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x, trace = sspg.evaluate_vs_best_response(m, sspg.uniform_policy(m, 2))
         report = sspg.check_ssp_game_assumption(m)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning) and w.filename.endswith("solve.py")]
+    assert np.isposinf(x).all() and not trace.rows
+    assert (trace.outcome, trace.note) == ("diverging", "the total cost from state 1 leaves the float range")
     assert report.clause_safeguard_min.status == "holds" and report.overall == "holds"
+    # each safeguard's best response stops at the overflowed evaluation and says where
+    overflow = "best response diverging: the total cost from state 1 leaves the float range"
+    assert [c.note for c in (report.clause_safeguard_min, report.clause_safeguard_max)] == [
+        f"pure safeguard found for {who} ({overflow}; pure-pair evidence only)" for who in ("minimizer", "maximizer")]
 
 
 def test_assumption_report_serializes(everett):
