@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -400,3 +401,52 @@ def test_tracker_support_error_names_the_earliest_event():
     with pytest.raises(AssertionError) as err:
         sspg.run_trackers(m, run)
     assert str(err.value) == f"sampled successor {j} outside kernel support of {m.triplets[ell]}"
+
+
+# ---------------------------------------------------------------------------
+# coupled-replay pins on every block shape the coupled kernel tells apart
+# ---------------------------------------------------------------------------
+
+# blocks 1x1, 1x2, 1x3, 2x1, 3x1, 4x1, 2x2, 2x3, 3x2, 3x3, 3x4 and 4x4
+WIDE_GAME = dict(n_states=16, max_controls=4, family="loopy", cost_range=(0.5, 1.0), seed=31)
+# (scheduler, delay model, iterations): hashed offsets, the memoised zero-delay path, fixed offsets
+WIDE_RUNS = {
+    "uniform-random:1-uniform-5": ("uniform-random:1", ("uniform", 5), 3000),
+    "all-zero": ("all", "zero", 30),
+    "round-robin:3-fixed": ("round-robin:3", ("fixed", (0, 2, 1, 3)), 1000),
+}
+# (the run's digest, sha256 of the coupled qhat_events, qhat_final and min_margin)
+GOLDEN_COUPLED = {
+    "uniform-random:1-uniform-5": (
+        "49e63764ce50a92028b1e4b875a171611ed44bb81af55e156559be2429a426f6",
+        "364600cb59a9c29e85e1f1b707731ac5d255f8bfcc48b6482c4f60dcbf3e0e47",
+    ),
+    "all-zero": (
+        "dbd17aaa42c965dcc442ef4a2859575ceaee8158e14bb31e632da2bdf0b37868",
+        "e8b4385eac891196e6047de3c8e04c4483efae0aab220119264ddfd7a5ad14a0",
+    ),
+    "round-robin:3-fixed": (
+        "2fb869f982b1d7d1dc33a089e5ba85bece7399ae5932938ff48ee068e510c4c0",
+        "67d7ac997b7be14a3b227265096e20781615ea8cde1b31ac18681e017c7b3ec4",
+    ),
+}
+
+
+def _skewed_policy(m):
+    """The maximizer's weight k / (0 + 1 + ... + (n - 1)) on its k-th of n controls: zeros and unequal mixes."""
+    return sspg.StationaryPolicy(sspg.PLAYER_MAX, {
+        s: np.arange(n) / (n * (n - 1) / 2) if n > 1 else np.ones(1)
+        for s, n in ((s, len(m.controls2[s])) for s in m.states)})
+
+
+@pytest.mark.parametrize("name", list(WIDE_RUNS))
+def test_golden_coupled_replays_on_every_block_shape(name):
+    m = sspg.generate_model(sspg.GeneratorConfig(**WIDE_GAME))
+    shapes = {m.state_block(i)[1:] for i in range(1, m.n + 1)}
+    assert {(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)} <= shapes
+    sched, delay, iters = WIDE_RUNS[name]
+    _, run = sspg.run_qlearning(m, sspg.QLearnConfig(seed=3, max_iters=iters, scheduler=sched, delay_model=delay,
+                                                     record_full_history=True))
+    rep = sspg.run_coupled_lower_process(m, _skewed_policy(m), run)
+    got = hashlib.sha256(b"".join(a.tobytes() for a in (rep.qhat_events, rep.qhat_final, rep.min_margin)))
+    assert rep.ok and (run.digest(), got.hexdigest()) == GOLDEN_COUPLED[name]
