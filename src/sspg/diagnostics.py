@@ -7,7 +7,8 @@ realized costs, and delay offsets drive a second table through the
 engine's own recursion, delayed reader and chunk cuts
 (:func:`sspg.qlearn._replay`), with one change: the update takes the min
 over the remaining player's controls of the policy-averaged delayed
-values.  A replay refuses any model but the run's own.
+values, by one kernel per state with the policy's weights bound in
+(closed forms up to 2 x 2 blocks).  A replay refuses any model but the run's own.
 Pathwise, the main iterates dominate the coupled ones, so a bounded lower
 process certifies the run bounded below; the symmetric upper coupling is
 obtained by running the same machinery on the negated, role-swapped game.
@@ -139,6 +140,35 @@ class CouplingReport:
                 w.writerow([i, u, v, repr(float(margin))])
 
 
+def _lower_kernel(s: list, nu: int):
+    """``(table, positions) -> float``: the min over the minimizer's ``nu`` controls (rows) of the
+    block read at ``positions``, each row averaged by the weights ``s`` as ``0.0 + s0 * a + s1 * b ...``.
+
+    Blocks of at most 2 x 2 take closed forms with the loop's IEEE operations in its order.
+    """
+    if len(s) == 1 and nu <= 2:
+        (a,) = s
+        if nu == 1:
+            return lambda q, at: 0.0 + a * q[at[0]]
+        return lambda q, at: min(0.0 + a * q[at[0]], 0.0 + a * q[at[1]])
+    if len(s) == 2 and nu <= 2:
+        a, b = s
+        if nu == 1:
+            return lambda q, at: 0.0 + a * q[at[0]] + b * q[at[1]]
+        return lambda q, at: min(0.0 + a * q[at[0]] + b * q[at[1]], 0.0 + a * q[at[2]] + b * q[at[3]])
+
+    def lower_value(q: list, at: list) -> float:
+        rows = []
+        for row in range(0, nu * len(s), len(s)):
+            acc = 0.0
+            for k, p in enumerate(s):
+                acc += p * q[at[row + k]]
+            rows.append(acc)
+        return min(rows)
+
+    return lower_value
+
+
 def run_coupled_lower_process(m: GameModel, nu: StationaryPolicy, run: QLearnRun) -> CouplingReport:
     """Replay a recorded run's lower coupling under a fixed maximizer policy.
 
@@ -151,20 +181,9 @@ def run_coupled_lower_process(m: GameModel, nu: StationaryPolicy, run: QLearnRun
     exact, so none are expected.  ``m`` must be the run's model.
     """
     ev = run.history(m)
-    rules = policy_arrays(m, nu, PLAYER_MAX)
-    sigma = [None] + [r.tolist() for r in np.split(rules, m.control_layout.offsets[1][1:])]
-
-    def lower_value(j: int, vals: list[float]) -> float:
-        """Min over the minimizer's controls (rows) of the nu-averaged block."""
-        s, rows = sigma[j], []
-        for row in range(0, len(vals), len(s)):
-            acc = 0.0
-            for k, p in enumerate(s):
-                acc += p * vals[row + k]
-            rows.append(acc)
-        return min(rows)
-
-    qhat_events, qhat_final = _replay(run, m, lower_value)
+    rules = np.split(policy_arrays(m, nu, PLAYER_MAX), m.control_layout.offsets[1][1:])
+    kernels = [None] + [_lower_kernel(r.tolist(), m.state_block(i)[1]) for i, r in enumerate(rules, 1)]
+    qhat_events, qhat_final = _replay(run, m, kernels)
     margin = ev.new_q - qhat_events
     # the minimum over time, the first of equal margins: a margin of -0.0
     # never goes below the initial +0.0, so it counts as +0.0

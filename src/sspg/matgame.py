@@ -14,8 +14,10 @@ results are deterministic for a fixed matrix.
 
 All LP blocks of a batch share one padded tableau (:func:`_stacked_simplex`),
 serving :func:`solve_blocks` and :func:`game_values`, which takes 1 x k and
-k x 1 blocks as a max / min and 2 x 2 ones by :func:`value_2x2`.  For one
-block :func:`flat_game_value` runs the scalar :func:`_simplex`, equal bit for bit.
+k x 1 blocks as a max / min and 2 x 2 ones by :func:`value_2x2`.  One block at
+a time, :func:`block_kernel` picks a scalar kernel per block shape, which reads
+the block from a table by position (the Q-learning recursion's, picked once per
+run); larger blocks take the scalar :func:`_simplex`, equal bit for bit.
 """
 
 from __future__ import annotations
@@ -340,20 +342,32 @@ def game_values(q, groups: ShapeGroups) -> np.ndarray:
     return out
 
 
-def flat_game_value(vals, nu: int, nv: int) -> float:
-    """Game value of a u-major flattened ``nu x nv`` matrix.
+def block_kernel(nu: int, nv: int):
+    """The scalar value kernel of ``nu x nv`` blocks, picked once: ``(table, positions) -> float``.
 
-    Fast dispatch used in sampling loops: single-row/column games are pure
-    min/max, 2x2 uses the closed form, and larger blocks :func:`_simplex`,
-    the scalar twin of :func:`game_values`' LP.  Entries are not checked: every table the engine
-    reads is finite (Q0 passes :func:`game_values` at t = 0 and every write
-    is checked).  Agrees with :func:`solve_matrix_game` (property-tested).
+    The block's u-major entries are ``table[positions[0]], table[positions[1]], ...``;
+    positions past its ``nu * nv`` are never read.  A 1 x 1 block is its entry, 1 x k
+    the first maximum, k x 1 the first minimum, 2 x 2 :func:`value_2x2` and larger blocks
+    :func:`_simplex`, the scalar twin of :func:`game_values`' LP.  Entries are not checked:
+    every table the engine reads is finite (Q0 passes :func:`game_values` at t = 0 and
+    every write is checked).
     """
-    if nu == 1:
-        return max(vals)
-    if nv == 1:
-        return min(vals)
+    size = nu * nv
+    if size == 1:
+        return lambda q, at: q[at[0]]
+    if nu == 1 or nv == 1:
+        pick = max if nu == 1 else min
+        if size == 2:
+            return lambda q, at: pick(q[at[0]], q[at[1]])
+        return lambda q, at: pick([q[x] for x in at[:size]])
     if nu == 2 and nv == 2:
-        return value_2x2(vals[0], vals[1], vals[2], vals[3])
-    return _simplex(vals, nu, nv)
+        return lambda q, at: value_2x2(q[at[0]], q[at[1]], q[at[2]], q[at[3]])
+    return lambda q, at: _simplex([q[x] for x in at[:size]], nu, nv)
 
+
+def flat_game_value(vals, nu: int, nv: int) -> float:
+    """Game value of a u-major flattened ``nu x nv`` matrix by :func:`block_kernel`.
+
+    Agrees with :func:`solve_matrix_game` (property-tested).
+    """
+    return block_kernel(nu, nv)(vals, range(nu * nv))

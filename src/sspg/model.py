@@ -295,7 +295,8 @@ class GameModel:
         self._tidx = {t: k for k, t in enumerate(trips)}
 
     def _set_kernel(self, P: np.ndarray, C: np.ndarray, listed: np.ndarray) -> None:
-        self._P, self._C, self._listed, self._g = P, C, listed, (P * C).sum(axis=1)
+        with np.errstate(invalid="ignore"):  # 0 * inf on an unvalidated row: nan, which validation reports
+            self._P, self._C, self._listed, self._g = P, C, listed, (P * C).sum(axis=1)
         for a in (P, C, listed, self._g):
             a.setflags(write=False)
         self.sampling = SamplingTable.from_kernel(P)
@@ -625,7 +626,7 @@ def policy_from_json(m: GameModel, doc: Mapping) -> StationaryPolicy:
             raise PolicyMismatchError(f"rule at state {s} names control {extra[0]!r}, which the state does not have")
         try:
             probs = [_real(tables[s].get(c, 0.0)) for c in ctrl[s]]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an integer no float holds: 10**400
             raise PolicyMismatchError(f"rule at state {s} must map control labels to probabilities") from None
         try:
             rules[s] = decision_rule(probs)

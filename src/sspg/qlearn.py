@@ -35,7 +35,9 @@ chunks end to end.  Stepsizes come from one lazily grown table; one
 One replay core, :class:`ReplayCore`, holds the one delay rule (:func:`pair_delay_offsets`
 is the only delay hash) and the one reader of delayed blocks.  The engine and the coupled
 replay (:func:`_replay`) run one recursion, :func:`_relax`, through it, each with its own
-block value; a metric snapshot pauses the engine at its iteration and reads the live table.
+block kernels, picked once per state (:func:`sspg.matgame.block_kernel` for the engine): the
+reader gives each event a row of table positions, and the successor's kernel reads its block
+from the table there.  A metric snapshot pauses the engine at its iteration and reads the live table.
 The coupled replay, :meth:`QLearnRun.to_csv` and :meth:`QLearnRun.digest` cut the log where
 the engine did.  The noise decomposition reads blocks untouched since a chunk's delay window
 opened from one base view, the rest from the recorded write log, by (component, iteration)
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matgame import flat_game_value, game_values
+from .matgame import block_kernel, game_values
 from .model import GameModel, _is_number, counter_hash, counter_uniform, mulhi
 from .operators import q_bellman
 
@@ -385,9 +387,10 @@ class ReplayCore:
 
         ``table`` holds the |R| live values, then the values the window's writes replaced.
         The chunk's writes join the window; those before iteration ``t[0] - D`` leave it and
-        ``table``.  Returns, per event, a tuple of table positions, one per block entry of
-        component c read at offset d (:meth:`offsets`): |R| + w if window write w, c's first
-        at iteration t - d or later, precedes the event, and c (its live value) otherwise.
+        ``table``.  Returns one list per event, as wide as the widest block: the table position
+        of each block entry, component c read at offset d (:meth:`offsets`), is |R| + w if window
+        write w, c's first at iteration t - d or later, precedes the event, and c (its live value)
+        otherwise; the padding past the block is 0 and no kernel reads it.
         """
         if not len(t):
             return []
@@ -403,17 +406,18 @@ class ReplayCore:
         c = self.first[j[e]] + k
         pos = np.searchsorted(key, c * span + t[e] - offs[e, k], side="right")
         w = order[np.minimum(pos, len(order) - 1)]
-        flat = np.where((pos < len(order)) & (wc[w] == c) & (w < before + e), self.nR + w, c).tolist()
-        ends = np.cumsum(np.bincount(e, minlength=len(t))).tolist()
-        return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
+        refs = np.zeros(offs.shape, np.int64)
+        refs[e, k] = np.where((pos < len(order)) & (wc[w] == c) & (w < before + e), self.nR + w, c)
+        return refs.tolist()
 
 
-def _relax(core: ReplayCore, table: list, kernel, ev: EventLog, refs: list) -> np.ndarray:
+def _relax(core: ReplayCore, table: list, kernels: list, ev: EventLog, refs: list) -> np.ndarray:
     """The Q recursion over events whose reads :meth:`ReplayCore.reads` resolved; each event's new value.
 
-    ``q[ell] <- (1 - gamma) * q[ell] + gamma * (cost + kernel(j, block read at refs))``, zero
-    in place of the kernel at the terminal state; ``table`` gets the replaced value.  Without
-    hashed offsets every read of iteration t sees the table at the start of t, so a block's
+    ``q[ell] <- (1 - gamma) * q[ell] + gamma * (cost + kernels[j](table, ref))``, zero in place
+    of the kernel at the terminal state; ``table`` gets the replaced value.  ``kernels[j]``, state
+    j's block kernel picked once per run, reads the block at ``ref``, the event's row of positions.
+    Without hashed offsets every read of iteration t sees the table at the start of t, so a block's
     value is computed once per iteration.  Raises :class:`QLearnDivergenceError` if not finite.
     """
     hashed, memo, isfinite, new_qs = core.hashed, {}, math.isfinite, []
@@ -422,11 +426,11 @@ def _relax(core: ReplayCore, table: list, kernel, ev: EventLog, refs: list) -> n
         if not j:
             v = 0.0
         elif hashed:
-            v = kernel(j, [table[x] for x in ref])
+            v = kernels[j](table, ref)
         else:
             v = memo.get((t, j))
             if v is None:
-                v = memo[t, j] = kernel(j, [table[x] for x in ref])
+                v = memo[t, j] = kernels[j](table, ref)
         old = table[ell]
         new = (1.0 - gamma) * old + gamma * (cost + v)
         if not isfinite(new):
@@ -437,12 +441,12 @@ def _relax(core: ReplayCore, table: list, kernel, ev: EventLog, refs: list) -> n
     return np.array(new_qs)
 
 
-def _replay(run: QLearnRun, m: GameModel, kernel) -> tuple[np.ndarray, np.ndarray]:
-    """A recorded run's recursion on its model ``m`` with block value ``kernel``, in the engine's
-    chunks: each event's new value and the final table."""
+def _replay(run: QLearnRun, m: GameModel, kernels: list) -> tuple[np.ndarray, np.ndarray]:
+    """A recorded run's recursion on its model ``m`` with the block kernels ``kernels[j]`` of the
+    states j (:func:`_relax`), in the engine's chunks: each event's new value and the final table."""
     core, chunks = run._chunks(m)
     table = run.q0.tolist()
-    new_q = [_relax(core, table, kernel, ev, core.reads(table, ev.t, ev.ell, ev.count, ev.j)) for ev in chunks]
+    new_q = [_relax(core, table, kernels, ev, core.reads(table, ev.t, ev.ell, ev.count, ev.j)) for ev in chunks]
     return np.concatenate(new_q), np.array(table[: m.n_triplets])
 
 
@@ -531,10 +535,7 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
 
     Q = q0_arr.tolist()  # the live values, then the values the reader's window writes replaced
     core = ReplayCore(m, cfg.delay_model, seed)
-    shapes = [None] + [m.state_block(i)[1:] for i in range(1, m.n + 1)]
-
-    def game_value(j: int, vals: list) -> float:
-        return flat_game_value(vals, *shapes[j])
+    kernels = [None] + [block_kernel(*m.state_block(i)[1:]) for i in range(1, m.n + 1)]
 
     a, b, p = cfg.stepsize
     gamma = np.empty(0)  # a / (b + k)**p, clamped into [0, 1], at update count k; grown by doubling
@@ -569,7 +570,7 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
         # relaxed in pieces that end at the snapshots: the live table is the one at iteration s
         cuts = np.searchsorted(plan.t, due).tolist()
         for s, lo, hi in zip([*due, None], [0, *cuts], [*cuts, len(plan)]):
-            plan.new_q[lo:hi] = _relax(core, Q, game_value, plan[lo:hi], refs[lo:hi])
+            plan.new_q[lo:hi] = _relax(core, Q, kernels, plan[lo:hi], refs[lo:hi])
             max_abs = float(np.abs(plan.new_q[lo:hi]).max(initial=max_abs))
             if s is not None:
                 metrics.append(snap(s, np.array(Q[:nR]), max_abs))

@@ -386,6 +386,7 @@ MALFORMED = {
     "cost-is-numeric-text": 'transitions[0] (1,1,1): entry 0: "p" and "cost" must be numbers',
     "probability-is-numeric-text": "rule at state 1 must map control labels to probabilities",
     "probability-is-true": "rule at state 1 must map control labels to probabilities",
+    "probability-is-10**400": "rule at state 1 must map control labels to probabilities",
     "weight-is-nan": "rule at state 1 is not a distribution: [0.0, nan]",
     "mass-off-by-1e-7": "rule at state 1 is not a distribution: [0.5, 0.5000001]",
     "weight-is-minus-1e-12": "rule at state 1 is not a distribution: [1.000000000001, -1e-12]",
@@ -429,6 +430,8 @@ def test_malformed_json_exits_invalid(capsys, everett_file, tmp_path, case):
         mu_doc["rules"]["1"]["2"] = "1"
     elif case == "probability-is-true":
         mu_doc["rules"]["1"]["2"] = True
+    elif case == "probability-is-10**400":
+        mu_doc["rules"]["1"]["2"] = 10**400  # json writes and reads back the integer, which no float holds
     elif case == "weight-is-nan":
         mu_doc["rules"]["1"]["2"] = float("nan")  # json writes NaN and reads it back
     elif case == "mass-off-by-1e-7":

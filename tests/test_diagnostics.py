@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sspg
+from sspg.diagnostics import _lower_kernel
 from sspg.model import policy_average
 from conftest import make_contraction, make_terminal_only, random_policy, random_qtable
 
@@ -161,6 +162,39 @@ def test_coupling_no_violations(recorded_run):
         assert report.ok
         assert (report.min_margin >= -1e-9).all()
         assert (q >= report.qhat_final - 1e-9).all()
+
+
+def _lower_value_loop(s, vals):
+    """The coupled process's block value before its kernels: one loop per row, then the min."""
+    rows = []
+    for row in range(0, len(vals), len(s)):
+        acc = 0.0
+        for k, p in enumerate(s):
+            acc += p * vals[row + k]
+        rows.append(acc)
+    return min(rows)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+@pytest.mark.parametrize("nv", [1, 2, 3, 4])
+def test_lower_kernel_equals_the_loop_bitwise(nu, nv):
+    """Weights with zeros, ties and signed zeros in the block; the padding of a
+    position row is out of range, so a kernel that read it would raise."""
+    rng = np.random.default_rng(nu * 10 + nv)
+    size = nu * nv
+    for k in range(150):
+        s = rng.dirichlet(np.ones(nv))
+        if k % 2 and nv > 1:
+            s[rng.permutation(nv)[: rng.integers(1, nv)]] = 0.0
+            s /= s.sum()
+        vals = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=size) if k % 3 else rng.uniform(-10, 10, size=size)
+        table = rng.uniform(-10, 10, size=3 * size).tolist()
+        at = rng.permutation(len(table))[:size]
+        for x, v in zip(at.tolist(), vals.tolist()):
+            table[x] = v
+        got = _lower_kernel(s.tolist(), nu)(table, at.tolist() + [10**9] * (16 - size))
+        want = _lower_value_loop(s.tolist(), vals.tolist())
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (k, s, vals)
 
 
 def test_coupling_terminal_only_tight():

@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 import sspg
 from conftest import make_contraction
 from sspg import matgame
-from sspg.matgame import ShapeGroups, flat_game_value, game_values
+from sspg.matgame import ShapeGroups, block_kernel, flat_game_value, game_values
 
 
 def oracle_2x2(a, b, c, d):
@@ -248,6 +248,39 @@ def test_laid_out_batch_equals_flat_game_value_bitwise():
         got = game_values(flat, m.shape_groups.laid_out(blocks, width))
         assert got.tobytes() == np.array(want).tobytes(), k
     assert seen == {"1xk", "kx1", "2x2", "other"}
+
+
+def _dispatch_per_call(vals, nu, nv):
+    """The per-call shape dispatch that the block kernels replaced, as the oracle."""
+    if nu == 1:
+        return max(vals)
+    if nv == 1:
+        return min(vals)
+    if nu == 2 and nv == 2:
+        return matgame.value_2x2(*vals)
+    return matgame._simplex(vals, nu, nv)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+@pytest.mark.parametrize("nv", [1, 2, 3, 4])
+def test_block_kernel_reads_the_table_as_the_dispatch_did(nu, nv):
+    """Random blocks scattered over a table, ties and signed zeros included; the padding
+    of a position row is out of range, so a kernel that read it would raise."""
+    rng = np.random.default_rng(nu * 10 + nv)
+    kernel, size = block_kernel(nu, nv), nu * nv
+    for k in range(150):
+        if k % 3:
+            vals = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=size)
+        else:
+            vals = rng.uniform(-10, 10, size=size)
+        table = rng.uniform(-10, 10, size=3 * size).tolist()
+        at = rng.permutation(len(table))[:size]
+        for x, v in zip(at.tolist(), vals.tolist()):
+            table[x] = v
+        at = at.tolist() + [10**9] * (16 - size)
+        want = _dispatch_per_call(vals.tolist(), nu, nv)
+        assert np.float64(kernel(table, at)).tobytes() == np.float64(want).tobytes(), (k, vals)
+        assert np.float64(flat_game_value(vals.tolist(), nu, nv)).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 2)])

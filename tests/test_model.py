@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +118,17 @@ def test_validate_cost_on_zero_probability_edge():
     )
     report = sspg.validate_model(m)
     assert any(f.code == "cost-on-zero-edge" for f in report.findings)
+
+
+def test_infinite_cost_on_zero_edge_loads_without_a_warning():
+    doc = {"states": ["1"], "controls1": {"1": ["a"]}, "controls2": {"1": ["x"]},
+           "transitions": [{"i": "1", "u": "a", "v": "x", "next": [{"j": "0", "p": 1.0, "cost": 1.0},
+                                                                    {"j": "1", "p": 0.0, "cost": math.inf}]}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sspg.ModelValidationError) as err:
+            sspg.load_model(json.dumps(doc))
+    assert [f.code for f in err.value.report.findings] == ["cost-on-zero-edge", "bad-cost"]
 
 
 def test_validate_missing_row():
@@ -372,6 +385,12 @@ def test_policy_helpers(everett):
     assert back.rule("1").tolist() == [0.0, 1.0]
     with pytest.raises(sspg.PolicyMismatchError):
         sspg.pure_policy(everett, sspg.PLAYER_MIN, {"1": "nope"})
+
+
+def test_policy_from_json_refuses_a_weight_no_float_holds(everett):
+    doc = {"player": "I", "rules": {"1": {"1": 0, "2": 10**400}}}
+    with pytest.raises(sspg.PolicyMismatchError, match="rule at state 1 must map control labels to probabilities"):
+        sspg.policy_from_json(everett, doc)
 
 
 def test_decision_rule_validation():

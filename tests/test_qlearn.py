@@ -7,7 +7,7 @@ import pytest
 
 import sspg
 from conftest import make_contraction, make_terminal_only
-from sspg.matgame import flat_game_value
+from sspg.matgame import block_kernel, flat_game_value
 from sspg.model import counter_uniform
 from sspg.qlearn import _CHUNK, MetricsRow, ReplayCore, _replay, pair_delay_offsets
 
@@ -172,7 +172,7 @@ def test_replay_core_reads_match_full_tables():
                 begun = ts[e]
                 first, size = blocks[j[e]]
                 want = [starts[ts[e] - d][first + k] for k, d in enumerate(offs[e, :size].tolist())]
-                assert [table[x] for x in refs[e - lo]] == want
+                assert [table[x] for x in refs[e - lo][:size]] == want
                 c = ells[e]
                 table.append(table[c])
                 table[c] = float(rng.random())
@@ -808,8 +808,8 @@ def test_replay_with_the_engine_kernel_gives_the_run_back(name):
     if name == "blocks-4x4-fixed":
         assert max(nu * nv for _, nu, nv in map(m.state_block, range(1, m.n + 1))) > 4
     _, run = sspg.run_qlearning(m, sspg.QLearnConfig(seed=2, record_full_history=True, **cfg))
-    shapes = [None] + [m.state_block(i)[1:] for i in range(1, m.n + 1)]
-    new_q, q_final = _replay(run, m, lambda j, vals: flat_game_value(vals, *shapes[j]))
+    kernels = [None] + [block_kernel(*m.state_block(i)[1:]) for i in range(1, m.n + 1)]
+    new_q, q_final = _replay(run, m, kernels)
     assert new_q.tobytes() == run.events.new_q.tobytes()
     assert q_final.tobytes() == run.q_final.tobytes()
 
