@@ -406,7 +406,7 @@ class ReplayCore:
         c = self.first[j[e]] + k
         pos = np.searchsorted(key, c * span + t[e] - offs[e, k], side="right")
         w = order[np.minimum(pos, len(order) - 1)]
-        refs = np.zeros(offs.shape, np.int64)
+        refs = np.zeros_like(offs)
         refs[e, k] = np.where((pos < len(order)) & (wc[w] == c) & (w < before + e), self.nR + w, c)
         return refs.tolist()
 
