@@ -3,9 +3,11 @@
 Subcommands: validate, matgame, solve-vi, solve-qvi, solve-pi,
 evaluate-pair, analyze, sspa-build, certificate, qlearn, couple, gen.
 Primary output is JSON on stdout (or ``--out``); ``--csv`` writes
-plot-ready trace files.  Exit codes: 0 success, 1 usage error, 2 validation
-failure, 3 solver non-convergence, 4 assumption-check violation under
-``--strict``.
+plot-ready trace files.  Each subcommand is registered once, with its
+handler; a handler returns its document (or None) and exit code, and
+:func:`main` writes the document, the one place primary output leaves.
+Exit codes: 0 success, 1 usage error, 2 validation failure, 3 solver
+non-convergence, 4 assumption-check violation under ``--strict``.
 
 Every subcommand registers only the flags it reads, and is deterministic
 given its flags and seed.  Each ``--config`` key sets the flag it names, so a
@@ -118,8 +120,9 @@ _CONFIG_FLAGS = {"seed": "seed", "max_iters": "iters", "stepsize": "stepsize", "
                  "delay": "delay", "record_full_history": "record"}
 
 
-def _command(sub, name: str, help_text: str, *flags: str) -> argparse.ArgumentParser:
+def _command(sub, name: str, handler, help_text: str, *flags: str) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=help_text)
+    p.set_defaults(handler=handler)
     for flag in flags:
         p.add_argument(f"--{flag}", **_FLAGS[flag])
     return p
@@ -129,43 +132,43 @@ def build_parser() -> _Parser:
     top = _Parser(prog="sspg", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    _command(sub, "validate", "check a game file against the model invariants", "model", "out")
+    _command(sub, "validate", _cmd_validate, "check a game file against the model invariants", "model", "out")
 
-    p = _command(sub, "matgame", "solve a zero-sum matrix game", "out")
+    p = _command(sub, "matgame", _cmd_matgame, "solve a zero-sum matrix game", "out")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--matrix", help="inline JSON matrix, e.g. [[1,-1],[-1,1]]")
     group.add_argument("--file", help="JSON file holding the matrix")
 
-    for name, help_text in (
-        ("solve-vi", "value iteration on state values (with fixed-point refinement)"),
-        ("solve-qvi", "value iteration on the Q-table"),
+    for name, handler, help_text in (
+        ("solve-vi", _cmd_solve_vi, "value iteration on state values (with fixed-point refinement)"),
+        ("solve-qvi", _cmd_solve_qvi, "value iteration on the Q-table"),
     ):
-        _command(sub, name, help_text, *_SOLVE, "max-iters")
+        _command(sub, name, handler, help_text, *_SOLVE, "max-iters")
 
-    p = _command(sub, "solve-pi", "policy iteration for one player", *_SOLVE)
+    p = _command(sub, "solve-pi", _cmd_solve_pi, "policy iteration for one player", *_SOLVE)
     p.add_argument("--player", choices=["I", "II"], default="I")
     p.add_argument("--start", help="start policy JSON (default: uniform)")
     p.add_argument("--max-outer", type=int, default=50)
 
-    p = _command(sub, "evaluate-pair", "classify the chain of a policy pair", "model", "out")
+    p = _command(sub, "evaluate-pair", _cmd_evaluate_pair, "classify the chain of a policy pair", "model", "out")
     p.add_argument("--mu", required=True, help="player-I policy JSON")
     p.add_argument("--nu", required=True, help="player-II policy JSON")
 
-    p = _command(sub, "analyze", "check the structural game assumptions", "model", "out")
+    p = _command(sub, "analyze", _cmd_analyze, "check the structural game assumptions", "model", "out")
     p.add_argument("--strict", action="store_true", help="exit 4 when the assumption is violated")
 
-    _command(sub, "sspa-build", "induced single-player problem for a fixed player-II policy",
+    _command(sub, "sspa-build", _cmd_sspa_build, "induced single-player problem for a fixed player-II policy",
              "model", "out", "nu")
-    _command(sub, "certificate", "weighted sup-norm contraction certificate",
+    _command(sub, "certificate", _cmd_certificate, "weighted sup-norm contraction certificate",
              "model", "out", "nu")
 
-    p = _command(sub, "qlearn", "run asynchronous Q-learning", *_QLEARN)
+    p = _command(sub, "qlearn", _cmd_qlearn, "run asynchronous Q-learning", *_QLEARN)
     p.add_argument("--ref", help="reference Q* file (JSON list as emitted by solve-qvi)")
     p.add_argument("--record", action="store_true", help="record full event history")
 
-    _command(sub, "couple", "run Q-learning and replay its coupled lower process", *_QLEARN, "nu")
+    _command(sub, "couple", _cmd_couple, "run Q-learning and replay its coupled lower process", *_QLEARN, "nu")
 
-    p = _command(sub, "gen", "generate a random game", "seed", "out")
+    p = _command(sub, "gen", _cmd_gen, "generate a random game", "seed", "out")
     p.add_argument("--states", type=int, default=3)
     p.add_argument("--max-controls", type=int, default=2)
     p.add_argument("--family", choices=list(generate.FAMILIES), default="contraction")
@@ -251,19 +254,21 @@ def _qlearn_config(args, m: GameModel) -> qlearn.QLearnConfig:
     return dataclasses.replace(cfg, metric_interval=max(1, cfg.max_iters))
 
 
-def _cmd_validate(args) -> int:
+def _solver_exit(trace) -> int:
+    return EXIT_OK if trace.outcome == solve.CONVERGED else EXIT_NO_CONVERGENCE
+
+
+def _cmd_validate(args) -> tuple[object, int]:
     with open(args.model) as f:
         text = f.read()
     try:
         m = load_model(text)
     except ModelValidationError as e:
-        _emit(e.report.to_json(), args)
-        return EXIT_INVALID
-    _emit(validate_model(m).to_json(), args)
-    return EXIT_OK
+        return e.report.to_json(), EXIT_INVALID
+    return validate_model(m).to_json(), EXIT_OK
 
 
-def _cmd_matgame(args) -> int:
+def _cmd_matgame(args) -> tuple[object, int]:
     if args.matrix:
         matrix = json.loads(args.matrix)
     else:
@@ -274,18 +279,14 @@ def _cmd_matgame(args) -> int:
     except TypeError:
         raise ValueError(f"matrix game needs a list of rows of numbers, got {matrix!r}") from None
     sol = solve_matrix_game(matrix)
-    _emit(
-        {
-            "value": sol.value,
-            "row_strategy": [float(x) for x in sol.row_strategy],
-            "col_strategy": [float(x) for x in sol.col_strategy],
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "value": sol.value,
+        "row_strategy": [float(x) for x in sol.row_strategy],
+        "col_strategy": [float(x) for x in sol.col_strategy],
+    }, EXIT_OK
 
 
-def _cmd_solve_vi(args) -> int:
+def _cmd_solve_vi(args) -> tuple[object, int]:
     m = _read_model(args.model)
     values, trace = solve.value_iteration(m, tol=args.tol, max_iter=args.max_iters)
     refined = False
@@ -293,38 +294,30 @@ def _cmd_solve_vi(args) -> int:
         values, refined = solve.refine_fixed_point(m, values)
     if args.csv:
         trace.to_csv(args.csv)
-    _emit(
-        {
-            "values": _values_doc(m, values),
-            "outcome": trace.outcome,
-            "iterations": len(trace.rows),
-            "final_residual": _number(trace.final_residual),
-            "refined": refined,
-        },
-        args,
-    )
-    return EXIT_OK if trace.outcome == solve.CONVERGED else EXIT_NO_CONVERGENCE
+    return {
+        "values": _values_doc(m, values),
+        "outcome": trace.outcome,
+        "iterations": len(trace.rows),
+        "final_residual": _number(trace.final_residual),
+        "refined": refined,
+    }, _solver_exit(trace)
 
 
-def _cmd_solve_qvi(args) -> int:
+def _cmd_solve_qvi(args) -> tuple[object, int]:
     m = _read_model(args.model)
     q, trace = solve.q_value_iteration(m, tol=args.tol, max_iter=args.max_iters)
     if args.csv:
         trace.to_csv(args.csv)
-    _emit(
-        {
-            "q": _q_doc(m, q),
-            "values": _values_doc(m, values_from_q(m, q)),
-            "outcome": trace.outcome,
-            "iterations": len(trace.rows),
-            "final_residual": _number(trace.final_residual),
-        },
-        args,
-    )
-    return EXIT_OK if trace.outcome == solve.CONVERGED else EXIT_NO_CONVERGENCE
+    return {
+        "q": _q_doc(m, q),
+        "values": _values_doc(m, values_from_q(m, q)),
+        "outcome": trace.outcome,
+        "iterations": len(trace.rows),
+        "final_residual": _number(trace.final_residual),
+    }, _solver_exit(trace)
 
 
-def _cmd_solve_pi(args) -> int:
+def _cmd_solve_pi(args) -> tuple[object, int]:
     m = _read_model(args.model)
     player = 1 if args.player == "I" else 2
     start = _read_policy(m, args.start) if args.start else uniform_policy(m, player)
@@ -337,81 +330,69 @@ def _cmd_solve_pi(args) -> int:
     if clause is not None and clause.status == "violated":  # the one clause with "violated" verdicts
         trace.note = (f"the game violates the SSP game assumption: {clause.note}; "
                       f"so player {args.player} may have no optimal stationary policy")
-    _emit(
-        {
-            "values": _values_doc(m, values),
-            "outcome": trace.outcome,
-            "outer_iterations": len(trace.rows),
-            "final_residual": _number(trace.final_residual),
-            "final_policy": policies[-1].to_json(m),
-            "note": trace.note,
-        },
-        args,
-    )
-    return EXIT_OK if trace.outcome == solve.CONVERGED else EXIT_NO_CONVERGENCE
+    return {
+        "values": _values_doc(m, values),
+        "outcome": trace.outcome,
+        "outer_iterations": len(trace.rows),
+        "final_residual": _number(trace.final_residual),
+        "final_policy": policies[-1].to_json(m),
+        "note": trace.note,
+    }, _solver_exit(trace)
 
 
-def _cmd_evaluate_pair(args) -> int:
+def _cmd_evaluate_pair(args) -> tuple[object, int]:
     m = _read_model(args.model)
     mu = _read_policy(m, args.mu)
     nu = _read_policy(m, args.nu)
-    _emit(solve.evaluate_pair(m, mu, nu).to_json(m), args)
-    return EXIT_OK
+    return solve.evaluate_pair(m, mu, nu).to_json(m), EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[object, int]:
     m = _read_model(args.model)
     report = structure.check_ssp_game_assumption(m)
-    _emit(report.to_json(m), args)
     if report.overall == "violated":
         print("assumption check: violated", file=sys.stderr)
         if args.strict:
-            return EXIT_ASSUMPTION
-    return EXIT_OK
+            return report.to_json(m), EXIT_ASSUMPTION
+    return report.to_json(m), EXIT_OK
 
 
-def _cmd_sspa_build(args) -> int:
+def _cmd_sspa_build(args) -> tuple[object, int]:
     m = _read_model(args.model)
     nu = _read_policy(m, args.nu) if args.nu else uniform_policy(m, 2)
-    _emit(structure.build_sspa(m, nu).to_json(), args)
-    return EXIT_OK
+    return structure.build_sspa(m, nu).to_json(), EXIT_OK
 
 
-def _cmd_certificate(args) -> int:
+def _cmd_certificate(args) -> tuple[object, int]:
     m = _read_model(args.model)
     nu = _read_policy(m, args.nu) if args.nu else uniform_policy(m, 2)
     try:
         cert = diagnostics.build_contraction_certificate(m, nu)
     except diagnostics.ImproperPolicyError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    _emit(cert.to_json(m), args)
-    return EXIT_OK
+        return None, EXIT_INVALID
+    return cert.to_json(m), EXIT_OK
 
 
-def _cmd_qlearn(args) -> int:
+def _cmd_qlearn(args) -> tuple[object, int]:
     m = _read_model(args.model)
     cfg = _qlearn_config(args, m)
     q, run = qlearn.run_qlearning(m, cfg)
     if args.csv:
         run.to_csv(args.csv, m)
     last = run.metrics[-1]
-    _emit(
-        {
-            "q": _q_doc(m, q),
-            "iterations": cfg.max_iters,
-            "events": int(run.counts.sum()),
-            "max_abs_q": run.max_abs_q,
-            "final_residual": last.residual,
-            "final_sup_dist_to_ref": last.sup_dist_to_ref,
-            "digest": run.digest(),
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "q": _q_doc(m, q),
+        "iterations": cfg.max_iters,
+        "events": int(run.counts.sum()),
+        "max_abs_q": run.max_abs_q,
+        "final_residual": last.residual,
+        "final_sup_dist_to_ref": last.sup_dist_to_ref,
+        "digest": run.digest(),
+    }, EXIT_OK
 
 
-def _cmd_couple(args) -> int:
+def _cmd_couple(args) -> tuple[object, int]:
     m = _read_model(args.model)
     nu = _read_policy(m, args.nu) if args.nu else uniform_policy(m, 2)
     cfg = _qlearn_config(args, m)
@@ -419,19 +400,15 @@ def _cmd_couple(args) -> int:
     report = diagnostics.run_coupled_lower_process(m, nu, run)
     if args.csv:
         report.to_csv(args.csv, m)
-    _emit(
-        {
-            "events": len(run.events),
-            "violations": len(report.violations),
-            "min_margin": float(report.min_margin.min()) if m.n_triplets else 0.0,
-            "coupled_final": _q_doc(m, report.qhat_final),
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "events": len(run.events),
+        "violations": len(report.violations),
+        "min_margin": float(report.min_margin.min()) if m.n_triplets else 0.0,
+        "coupled_final": _q_doc(m, report.qhat_final),
+    }, EXIT_OK
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[object, int]:
     try:
         lo, hi = (float(x) for x in args.cost_range.split(","))
     except ValueError:
@@ -444,24 +421,7 @@ def _cmd_gen(args) -> int:
         family=args.family,
         seed=args.seed,
     )
-    _emit(save_model(generate.generate_model(cfg)), args)
-    return EXIT_OK
-
-
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "matgame": _cmd_matgame,
-    "solve-vi": _cmd_solve_vi,
-    "solve-qvi": _cmd_solve_qvi,
-    "solve-pi": _cmd_solve_pi,
-    "evaluate-pair": _cmd_evaluate_pair,
-    "analyze": _cmd_analyze,
-    "sspa-build": _cmd_sspa_build,
-    "certificate": _cmd_certificate,
-    "qlearn": _cmd_qlearn,
-    "couple": _cmd_couple,
-    "gen": _cmd_gen,
-}
+    return save_model(generate.generate_model(cfg)), EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -478,7 +438,10 @@ def main(argv=None) -> int:
         env = os.environ.get("SSPG_SEED")
         if env and hasattr(args, "seed"):
             args.seed = int(env)
-        return _DISPATCH[args.cmd](args)
+        doc, code = args.handler(args)
+        if doc is not None:
+            _emit(doc, args)
+        return code
     except (FileNotFoundError, ModelFormatError, ModelValidationError, PolicyMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

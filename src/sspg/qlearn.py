@@ -178,6 +178,8 @@ class QLearnConfig:
         a, b, p = step
         if not (a > 0 and b >= 0 and 0.5 < p <= 1.0):
             raise ValueError("stepsize needs a > 0, b >= 0, p in (0.5, 1]")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"stepsize needs finite a and b, got {step!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.metric_interval < 1:
@@ -530,8 +532,8 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
         raise ValueError(f"reference_q needs shape ({nR},) and finite entries")
 
     q0_arr = np.zeros(nR) if q0 is None else np.array(q0, dtype=float)
-    if q0_arr.shape != (nR,):
-        raise ValueError(f"Q0 needs shape ({nR},)")
+    if q0_arr.shape != (nR,) or not np.isfinite(q0_arr).all():
+        raise ValueError(f"Q0 needs shape ({nR},) and finite entries")
 
     Q = q0_arr.tolist()  # the live values, then the values the reader's window writes replaced
     core = ReplayCore(m, cfg.delay_model, seed)

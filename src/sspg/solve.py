@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PLAYER_MAX, GameModel, StationaryPolicy, _empty_controls, policy_average
+from .model import PLAYER_MAX, GameModel, StationaryPolicy, _empty_controls, _is_number, policy_average
 from .operators import bellman, greedy_policies, q_bellman, q_from_values
 from .structure import (
     ChainClassification,
@@ -66,6 +66,16 @@ class SolveTrace:
         return self.rows[-1].residual if self.rows else float("nan")
 
 
+def _check_limits(tol: float, cap: int, name: str) -> None:
+    """Refuse a loop whose ``tol`` is not > 0 (NaN is not) or whose cap ``name`` is not an integer >= 1."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if not _is_number(cap, integer=True):
+        raise ValueError(f"{name} must be an integer, got {cap!r}")
+    if cap < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def _iterate(
     op: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -74,10 +84,7 @@ def _iterate(
     ref: np.ndarray | None,
     record_iterates: bool,
 ) -> tuple[np.ndarray, SolveTrace]:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_limits(tol, max_iter, "max_iter")
     x = np.array(x0, dtype=float)
     trace = SolveTrace(iterates=[x.copy()] if record_iterates else None)
     for t in range(1, max_iter + 1):
@@ -275,10 +282,7 @@ def policy_iteration(
     ``ill-posed`` when an evaluation is not exact; that happens at once when
     the start policy is not essentially proper.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_outer < 1:
-        raise ValueError("max_outer must be at least 1")
+    _check_limits(tol, max_outer, "max_outer")
     if start.player != player:
         raise ValueError(f"start policy must belong to player {player}")
 

@@ -15,10 +15,11 @@ decided by graph fixpoints on transition supports, which is exact: whether
 termination is reached with probability one depends only on which
 transitions have positive probability, not on their values.  Total costs
 of prolonging chains are exact too: a state that reaches a closed class of
-positive (negative) gain with positive probability has total cost +inf
-(-inf); on states that reach only zero-gain classes it is the Cesàro limit
-h of the expected partial sums, (I - P + P*) h = c with P* the limiting
-matrix (Puterman, *Markov Decision Processes*, App. A).  Zero-gain
+positive (negative) gain with positive probability, a question of the
+support graph too, has total cost +inf (-inf); on states that reach only
+zero-gain classes it is the Cesàro limit h of the expected partial sums,
+(I - P + P*) h = c with P* the limiting matrix (Puterman, *Markov Decision
+Processes*, App. A).  Zero-gain
 prolonging classes violate the model assumption and are flagged, as are
 periodic ones whose partial sums oscillate.
 """
@@ -291,10 +292,10 @@ def classify_chain(chain: InducedChain) -> ChainClassification:
     P_tt = chain.P[np.ix_(transient, transient)]
     absorb[transient] = np.linalg.solve(np.eye(len(transient)) - P_tt, chain.P[transient] @ member)
 
-    # sign masses and drift of every state
+    # which states reach a class of each gain sign, on the support graph; the drift of every state
     prolong_zero = (np.abs(gains) <= GAIN_TOL) & (member[0] == 0.0)  # zero-gain classes other than {0}
-    pos = absorb[1:] @ (gains > GAIN_TOL) > 1e-12
-    neg = absorb[1:] @ (gains < -GAIN_TOL) > 1e-12
+    adj = chain.P > 0.0
+    pos, neg = (_reverse_reachable(adj, member @ sign > 0.0)[1:] for sign in (gains > GAIN_TOL, gains < -GAIN_TOL))
     drift = absorb[1:] @ gains
     by_drift = np.where(drift > GAIN_TOL, np.inf, np.where(drift < -GAIN_TOL, -np.inf, np.nan))
     values = np.where(pos & neg, by_drift, np.where(pos, np.inf, np.where(neg, -np.inf, 0.0)))
@@ -308,7 +309,7 @@ def classify_chain(chain: InducedChain) -> ChainClassification:
         ("mixed-sign-gains", (pos & neg).any()),
         ("oscillating-partial-sums", any(_oscillates(chain, *classes[k]) for k in prolong_zero.nonzero()[0])),
         ("undetermined-total-cost", np.isnan(values).any()),
-        ("zero-gain-prolonging", (absorb[finite] @ prolong_zero > 1e-12).any()),
+        ("zero-gain-prolonging", prolong_zero.any()),  # its members are among the finite states
     )
     return ChainClassification(values, True, tuple(name for name, hit in flags if hit))
 

@@ -548,6 +548,9 @@ def test_solve_output_is_strict_json(capsys, tmp_path, game):
     (["solve-pi", "--max-outer", "0"], "max_outer"),
     (["solve-pi", "--tol", "-1"], "tol"),
     (["solve-pi", "--tol", "0"], "tol"),
+    (["solve-vi", "--tol", "nan"], "tol"),  # NaN used to pass the check and run to the cap
+    (["solve-qvi", "--tol", "nan"], "tol"),
+    (["solve-pi", "--tol", "nan"], "tol"),
 ])
 def test_solvers_reject_empty_or_meaningless_runs(capsys, everett_file, argv, reason):
     code = main([*argv, "--model", everett_file])
@@ -765,6 +768,9 @@ FLAG_CONFLICTS = {
     "config-seed-a-string": ([], {"seed": "x"}, "seed must be an integer, got 'x'"),
     "delay-schedule-fractional-line": (["--delay-schedule", "fractional.csv"], None,
                                        "--delay-schedule line 3 needs an integer, got '1.5'"),
+    "stepsize-infinite-a": (["--stepsize", "inf,1,0.75"], None, "stepsize needs finite a and b, got (inf, 1.0, 0.75)"),
+    "config-stepsize-infinite-b": ([], {"stepsize": [1, 1e400, 0.75]},
+                                   "stepsize needs finite a and b, got (1.0, inf, 0.75)"),
 }
 
 
@@ -794,6 +800,8 @@ FLAG_CONFLICTS = {
     ("couple", "config-seed-a-string"),
     ("qlearn", "delay-schedule-fractional-line"),
     ("couple", "delay-schedule-fractional-line"),
+    ("qlearn", "stepsize-infinite-a"),
+    ("couple", "config-stepsize-infinite-b"),
 ])
 def test_qlearn_flag_conflicts_rejected_before_running(capsys, monkeypatch, everett_file, tmp_path, cmd, case):
     flags, doc, err = FLAG_CONFLICTS[case]

@@ -329,6 +329,8 @@ def test_config_validation():
     (dict(scheduler=("custom", [[True]])), "custom scheduler needs an integer, got True"),
     (dict(delay_model=("fixed", [1, 2.0])), "fixed delay schedule needs an integer, got 2.0"),
     (dict(delay_model=("fixed", [False])), "fixed delay schedule needs an integer, got False"),
+    (dict(stepsize=(float("inf"), 1, 0.75)), "stepsize needs finite a and b, got (inf, 1, 0.75)"),
+    (dict(stepsize=(1, float("inf"), 0.75)), "stepsize needs finite a and b, got (1, inf, 0.75)"),
 ])
 def test_config_types_named(kwargs, err):
     """A value of the wrong type is a ValueError naming the field and the expected form."""
@@ -431,6 +433,15 @@ def test_reference_validated_before_running(case):
            "one-inf": np.r_[np.zeros(n - 1), np.inf]}[case]
     with pytest.raises(ValueError, match=rf"reference_q needs shape \({n},\) and finite entries"):
         sspg.run_qlearning(m, sspg.QLearnConfig(max_iters=5, reference_q=ref))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_q0_must_be_finite(bad):
+    # a NaN Q0 used to fail only at the first metric snapshot, inside the matrix-game kernel
+    m = make_contraction(seed=38)
+    q0 = np.r_[bad, np.zeros(m.n_triplets - 1)]
+    with pytest.raises(ValueError, match=rf"^Q0 needs shape \({m.n_triplets},\) and finite entries$"):
+        sspg.run_qlearning(m, sspg.QLearnConfig(max_iters=5), q0)
 
 
 # ---------------------------------------------------------------------------

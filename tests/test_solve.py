@@ -92,11 +92,18 @@ def test_solvers_reject_empty_or_meaningless_runs(everett):
         sspg.value_iteration(everett, max_iter=0)
     with pytest.raises(ValueError, match="max_iter"):
         sspg.q_value_iteration(everett, max_iter=0)
-    for tol in (0.0, -1.0):
+    for tol in (0.0, -1.0, float("nan")):  # NaN used to pass the check and run to the cap
         with pytest.raises(ValueError, match="tol"):
             sspg.policy_iteration(everett, 1, start, tol=tol)
     with pytest.raises(ValueError, match="max_outer"):
         sspg.policy_iteration(everett, 1, start, max_outer=0)
+    for solver in (sspg.value_iteration, sspg.q_value_iteration):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            solver(everett, tol=float("nan"))
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer, got 2\.5$"):
+            solver(everett, max_iter=2.5)
+    with pytest.raises(ValueError, match=r"^max_outer must be an integer, got 2\.5$"):
+        sspg.policy_iteration(everett, 1, start, max_outer=2.5)
     with pytest.raises(ValueError, match="player 2"):
         sspg.policy_iteration(everett, 2, start)
 
@@ -144,6 +151,16 @@ def test_positive_self_loop_plus_infinity():
     ev = sspg.evaluate_pair(m, sspg.uniform_policy(m, 1), sspg.uniform_policy(m, 2))
     assert ev.prolonging
     assert ev.classification(0) == "plus_infinity"
+
+
+def test_tiny_path_into_a_positive_loop_plus_infinity():
+    # state 1 terminates w.p. 1 - 1e-13 and enters a cost-1 loop w.p. 1e-13: its total cost is +inf
+    m = sspg.GameModel(["1", "2"], {"1": ["a"], "2": ["a"]}, {"1": ["x"], "2": ["x"]},
+                       {("1", "a", "x"): [("0", 1 - 1e-13, 0.0), ("2", 1e-13, 0.0)],
+                        ("2", "a", "x"): [("2", 1.0, 1.0)]})
+    ev = sspg.evaluate_pair(m, sspg.uniform_policy(m, 1), sspg.uniform_policy(m, 2))
+    assert ev.to_json(m) == {"prolonging": True, "flags": [], "states": {
+        "1": {"classification": "plus_infinity"}, "2": {"classification": "plus_infinity"}}}
 
 
 def test_negative_self_loop_minus_infinity():

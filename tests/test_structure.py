@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -377,6 +378,16 @@ def test_classify_mixed_sign_gains_zero_drift():
     cls = sspg.classify_chain(chain)
     assert np.isnan(cls.values[0]) and cls.values[1:].tolist() == [np.inf, -np.inf]
     assert cls.flags == ("mixed-sign-gains", "undetermined-total-cost")
+
+
+@pytest.mark.parametrize("cost", [1.0, -1.0])
+def test_classify_tiny_path_into_a_signed_class(cost):
+    # 1 -> 0 w.p. 1 - 1e-13 and 1 -> 2 w.p. 1e-13, where 2 loops at cost +-1: the
+    # loop is reached with positive probability, so both totals are infinite
+    chain = chain_from([[1 - 1e-13, 0, 1e-13], [0, 0, 1]], [0.0, cost], ["1", "2"])
+    cls = sspg.classify_chain(chain)
+    assert cls.values.tolist() == [math.copysign(np.inf, cost)] * 2
+    assert cls.prolonging and cls.flags == ()
 
 
 def _limiting_matrix(P):
