@@ -33,7 +33,7 @@ from .model import (
     policy_arrays,
     policy_average,
 )
-from .qlearn import QLearnRun, _replay
+from .qlearn import QLearnRun, _replay, derived_columns
 from .solve import _best_response
 from .structure import forall_termination
 
@@ -250,9 +250,10 @@ def run_trackers(m: GameModel, run: QLearnRun) -> TrackerState:
     slot = np.empty(len(ell), np.intp)
     slot[starts[ev.count] + rank[ell]] = np.arange(len(ell))
     width = m.P.shape[1] + 1
-    gamma, row = ev.gamma[slot], rank[ell[slot]] * width
+    cost, gamma = derived_columns(m, run.config, ev)
+    gamma, row = gamma[slot], rank[ell[slot]] * width
     idx = np.stack((row + j[slot], row + width - 1), axis=1)
-    add = np.stack((gamma, gamma * ev.cost[slot]), axis=1)
+    add = np.stack((gamma, gamma * cost[slot]), axis=1)
     scale = 1.0 - gamma[:, None]
     mat = np.hstack((m.P, (run.q0 * 0.0)[:, None]))[order]
     flat = mat.reshape(-1)

@@ -25,12 +25,12 @@ before the transition draw, as the update-noise analysis requires.
 None of these draws depends on Q (Tsitsiklis, *Machine Learning* 16, 1994;
 Yu & Bertsekas, *Math. of OR*, 2013), so a run splits in two.  The *event
 plan* is an :class:`EventLog` computed in numpy a chunk of iterations at a
-time: the scheduler's picks, each event's update count, stepsize, successor
-draw (:meth:`sspg.model.SamplingTable.draw`) and realized cost.  Only the
-*Q recursion* runs event by event: the delayed block reads, the game values
-and the relaxations, which fill the chunk's ``new_q``; a recorded log is the
-chunks end to end.  Stepsizes come from one lazily grown table; one
-``cumsum`` of it gives the stepsize sums.
+time: the scheduler's picks, each event's update count and successor draw
+(:meth:`sspg.model.SamplingTable.draw`).  Only the *Q recursion* runs event
+by event: the delayed block reads, the game values and the relaxations,
+which fill the chunk's ``new_q``; a recorded log is the chunks end to end.
+Realized costs and stepsizes are derived, never stored (:func:`derived_columns`),
+the stepsizes from one lazily grown table whose ``cumsum`` gives their sums.
 
 One replay core, :class:`ReplayCore`, holds the one delay rule (:func:`pair_delay_offsets`
 is the only delay hash) and the one reader of delayed blocks.  The engine and the coupled
@@ -52,6 +52,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,7 +204,8 @@ _CHUNK = 1 << 11
 
 @dataclass
 class EventLog:
-    """Per-update records, aligned arrays; delay offsets come from :meth:`ReplayCore.offsets`.
+    """Per-update records, aligned arrays, 24 bytes per event (index columns of :func:`_index_dtype`); delay
+    offsets come from :meth:`ReplayCore.offsets`, realized costs and stepsizes from :func:`derived_columns`.
 
     A chunk of the engine's event plan is one too, its ``new_q`` filled by :func:`_relax`.
     """
@@ -212,8 +214,6 @@ class EventLog:
     ell: np.ndarray
     count: np.ndarray  # update count of ell before this event
     j: np.ndarray  # successor state index, 0 = terminal
-    cost: np.ndarray
-    gamma: np.ndarray
     new_q: np.ndarray
 
     def __len__(self) -> int:
@@ -222,6 +222,38 @@ class EventLog:
     def __getitem__(self, sl: slice) -> "EventLog":
         """The events of a slice, every column a view."""
         return EventLog(*[col[sl] for col in vars(self).values()])
+
+    def astype(self, dtype) -> "EventLog":
+        """The events with index columns of ``dtype``: narrow to store them, int64 to index with them."""
+        return EventLog(*(c.astype(dtype, copy=False) for c in (self.t, self.ell, self.count, self.j)), self.new_q)
+
+
+def _index_dtype(max_iters: int, n_triplets: int) -> type:
+    """The one width rule of a log's index columns: int32 if ``max_iters`` and |R| lie below 2^31 - 1."""
+    return np.int32 if max(max_iters, n_triplets) < np.iinfo(np.int32).max else np.int64
+
+
+_gammas = ((), np.empty(0))  # the stepsize rule last asked for, and its table, grown by doubling
+
+
+def _stepsize_table(stepsize, n: int) -> np.ndarray:
+    """``a / (b + k)**p`` in [0, 1] at counts k < n at least, by Python's ``**``: numpy's differs in the last bit."""
+    global _gammas
+    key = tuple((type(x), x) for x in stepsize)
+    gamma = _gammas[1] if _gammas[0] == key else np.empty(0)
+    if n > len(gamma):
+        a, b, p = stepsize
+        ks = range(len(gamma), max(n, 2 * len(gamma)))
+        gamma = np.append(gamma, [min(a / (b + k) ** p if b + k > 0 else math.inf, 1.0) for k in ks])
+        _gammas = key, gamma
+    return gamma
+
+
+def derived_columns(m: GameModel, cfg: QLearnConfig, ev: EventLog) -> tuple[np.ndarray, np.ndarray]:
+    """The columns a log does not store, for events of a run of ``cfg`` on ``m``: each event's
+    realized cost ``C[ell, j]``, read through one flat int64 index, and its stepsize at update count ``count``."""
+    gamma = _stepsize_table(cfg.stepsize, int(ev.count.max(initial=-1)) + 1)
+    return m.C.ravel()[ev.ell * np.int64(m.C.shape[1]) + ev.j], gamma[ev.count]
 
 
 @dataclass
@@ -264,14 +296,14 @@ class QLearnRun:
             raise ValueError(f"the run was recorded on another model than {m!r}")
         return self.events
 
-    def _chunks(self, m: GameModel) -> tuple["ReplayCore", list[EventLog]]:
-        """A fresh :class:`ReplayCore` of the run on ``m`` and the recorded events cut where
-        the engine cut them (:func:`_chunk_iterations`), for every sequential replay."""
+    def _chunks(self, m: GameModel) -> tuple["ReplayCore", Iterator[EventLog]]:
+        """A fresh :class:`ReplayCore` of the run on ``m`` and the recorded events cut where the engine cut them
+        (:func:`_chunk_iterations`), for every sequential replay; a chunk's index columns are widened when reached."""
         ev = self.history(m)
         core = ReplayCore(m, self.config.delay_model, self.config.seed)
         span = _chunk_iterations(core, _parse_scheduler(self.config.scheduler))
         cuts = np.searchsorted(ev.t, range(span, int(ev.t.max(initial=0)) + 1, span)).tolist()
-        return core, [ev[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(ev)])]
+        return core, (ev[lo:hi].astype(np.int64) for lo, hi in zip([0, *cuts], [*cuts, len(ev)]))
 
     def to_csv(self, path, m: GameModel) -> None:
         """Per-event trace on the run's model ``m``; reference distances recomputed by replaying events.
@@ -294,7 +326,7 @@ class QLearnRun:
                  "max_delay_used", "sup_dist_to_ref", "max_abs_q"]
             )
             for part in chunks:
-                cols = (part.t, part.ell, part.j, part.cost, part.gamma, part.new_q,
+                cols = (part.t, part.ell, part.j, *derived_columns(m, self.config, part), part.new_q,
                         core.offsets(part.t, part.ell, part.count, part.j).max(axis=1, initial=0))
                 for t, ell, j, cost, gamma, new_q, delay in zip(*(c.tolist() for c in cols)):
                     running_max = max(running_max, abs(new_q))
@@ -329,8 +361,7 @@ def pair_delay_offsets(seed: int, nR: int, n_states: int, ell, count, js, block_
                          base[:, None] + np.arange((width + 3) >> 2, dtype=np.uint64))
     bits = (words[:, k >> 2] >> (16 * (k & 3)).astype(np.uint64)) & np.uint64(0xFFFF)
     offs = (bits.astype(np.int64) * (dmax[:, None] + 1)) >> 16
-    offs = np.where(k < size[:, None], np.where(dmax[:, None] > 0, offs, 0), -1)
-    return offs
+    return np.where(k < size[:, None], offs, -1)
 
 
 def _write_index(c: np.ndarray, it: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +371,7 @@ def _write_index(c: np.ndarray, it: np.ndarray, span: int) -> tuple[np.ndarray, 
     first write at iteration s or later, and just before it c's last write
     before s, if they exist (iterations below ``span - 1``).
     """
-    key = c * span + it + 1
+    key = c.astype(np.int64, copy=False) * span + it + 1
     order = np.argsort(key)
     return key[order], order
 
@@ -413,8 +444,9 @@ class ReplayCore:
         return refs.tolist()
 
 
-def _relax(core: ReplayCore, table: list, kernels: list, ev: EventLog, refs: list) -> np.ndarray:
-    """The Q recursion over events whose reads :meth:`ReplayCore.reads` resolved; each event's new value.
+def _relax(core: ReplayCore, table: list, kernels: list, ev: EventLog, refs: list, cost, gamma) -> np.ndarray:
+    """The Q recursion over events whose reads :meth:`ReplayCore.reads` resolved, with their
+    :func:`derived_columns` ``cost`` and ``gamma``; each event's new value.
 
     ``q[ell] <- (1 - gamma) * q[ell] + gamma * (cost + kernels[j](table, ref))``, zero in place
     of the kernel at the terminal state; ``table`` gets the replaced value.  ``kernels[j]``, state
@@ -423,7 +455,7 @@ def _relax(core: ReplayCore, table: list, kernels: list, ev: EventLog, refs: lis
     value is computed once per iteration.  Raises :class:`QLearnDivergenceError` if not finite.
     """
     hashed, memo, isfinite, new_qs = core.hashed, {}, math.isfinite, []
-    cols = (ev.t.tolist(), ev.ell.tolist(), ev.j.tolist(), ev.cost.tolist(), ev.gamma.tolist(), refs)
+    cols = (ev.t.tolist(), ev.ell.tolist(), ev.j.tolist(), cost.tolist(), gamma.tolist(), refs)
     for t, ell, j, cost, gamma, ref in zip(*cols):
         if not j:
             v = 0.0
@@ -448,7 +480,8 @@ def _replay(run: QLearnRun, m: GameModel, kernels: list) -> tuple[np.ndarray, np
     states j (:func:`_relax`), in the engine's chunks: each event's new value and the final table."""
     core, chunks = run._chunks(m)
     table = run.q0.tolist()
-    new_q = [_relax(core, table, kernels, ev, core.reads(table, ev.t, ev.ell, ev.count, ev.j)) for ev in chunks]
+    new_q = [_relax(core, table, kernels, ev, core.reads(table, ev.t, ev.ell, ev.count, ev.j),
+                    *derived_columns(m, run.config, ev)) for ev in chunks]
     return np.concatenate(new_q), np.array(table[: m.n_triplets])
 
 
@@ -496,14 +529,13 @@ def _counts_before(ell: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return cnt
 
 
-def _event_plan(m: GameModel, sched, seed: int, counts: np.ndarray, stepsizes, t0: int, t1: int) -> EventLog:
-    """The events of iterations [t0, t1): every column but the Q-dependent ``new_q``."""
+def _event_plan(m: GameModel, sched, seed: int, counts: np.ndarray, t0: int, t1: int) -> EventLog:
+    """The events of iterations [t0, t1), index columns int64; ``new_q`` is left to the recursion."""
     t, ell = _picks(sched, m.n_triplets, seed, t0, t1)
     cnt = _counts_before(ell, counts)
     tab = m.sampling
     pos = tab.draw(ell, counter_uniform(seed, ell.astype(np.uint64), cnt.astype(np.uint64)))
-    j = tab.succ[pos]
-    return EventLog(t, ell, cnt, j, m.C[ell, j], stepsizes(cnt), np.empty(len(t)))
+    return EventLog(t, ell, cnt, tab.succ[pos], np.empty(len(t)))
 
 
 def _chunk_iterations(core: ReplayCore, sched) -> int:
@@ -539,20 +571,8 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
     core = ReplayCore(m, cfg.delay_model, seed)
     kernels = [None] + [block_kernel(*m.state_block(i)[1:]) for i in range(1, m.n + 1)]
 
-    a, b, p = cfg.stepsize
-    gamma = np.empty(0)  # a / (b + k)**p, clamped into [0, 1], at update count k; grown by doubling
-
-    def stepsizes(cnt: np.ndarray) -> np.ndarray:
-        nonlocal gamma
-        need = int(cnt.max(initial=-1)) + 1
-        if need > len(gamma):
-            # Python's ``**``: numpy's ``power`` differs from it in the last bit for some counts
-            ks = range(len(gamma), max(need, 2 * len(gamma)))
-            gamma = np.append(gamma, [min(a / (b + k) ** p if b + k > 0 else math.inf, 1.0) for k in ks])
-        return gamma[cnt]
-
     counts = np.zeros(nR, dtype=np.int64)
-    chunks: list[EventLog] = []
+    chunks, narrow = [], _index_dtype(cfg.max_iters, nR)  # the recorded chunks, and the dtype of their index columns
     max_abs = float(np.abs(q0_arr).max()) if nR else 0.0
 
     def snap(s: int, q: np.ndarray, top: float) -> MetricsRow:
@@ -564,7 +584,8 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
 
     for t0 in range(0, max(end, 1), span):  # one chunk at least, empty, so that a log has its columns
         t1 = min(t0 + span, end)
-        plan = _event_plan(m, sched, seed, counts, stepsizes, t0, t1)
+        plan = _event_plan(m, sched, seed, counts, t0, t1)
+        cost, gamma = derived_columns(m, cfg, plan)
         refs = core.reads(Q, plan.t, plan.ell, plan.count, plan.j)
         due = list(range(t0 + interval - t0 % interval, t1 + 1, interval))
         if t1 == end and end % interval:
@@ -572,14 +593,15 @@ def run_qlearning(m: GameModel, cfg: QLearnConfig, q0=None) -> tuple[np.ndarray,
         # relaxed in pieces that end at the snapshots: the live table is the one at iteration s
         cuts = np.searchsorted(plan.t, due).tolist()
         for s, lo, hi in zip([*due, None], [0, *cuts], [*cuts, len(plan)]):
-            plan.new_q[lo:hi] = _relax(core, Q, kernels, plan[lo:hi], refs[lo:hi])
+            plan.new_q[lo:hi] = _relax(core, Q, kernels, plan[lo:hi], refs[lo:hi], cost[lo:hi], gamma[lo:hi])
             max_abs = float(np.abs(plan.new_q[lo:hi]).max(initial=max_abs))
             if s is not None:
                 metrics.append(snap(s, np.array(Q[:nR]), max_abs))
         if cfg.record_full_history:
-            chunks.append(plan)
+            chunks.append(plan.astype(narrow))
 
     q_final = np.array(Q[:nR])
+    gamma = _stepsize_table(cfg.stepsize, top := int(counts.max(initial=0)))[:top]
     # cumsum adds in sequence, as a running sum would
     sums, squares = (np.concatenate(([0.0], np.cumsum(x))) for x in (gamma, gamma * gamma))
     run = QLearnRun(
@@ -643,7 +665,8 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
     w = np.empty(len(ev))
     for lo in range(0, len(ev), span):
         sl = slice(lo, lo + span)
-        t, ell = ev.t[sl], ev.ell[sl]
+        part = ev[sl].astype(np.int64)  # the chunk's index columns, int64 to index with
+        t, ell = part.t, part.ell
         # every (event, successor) pair of the chunk, the terminal state left out
         n = row_len[ell]
         of = np.repeat(np.arange(len(ell)), n)
@@ -651,15 +674,16 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
         of, js = of[js != 0], js[js != 0]
         tp = t[of]
         b = max(int(t[0]) - D, 0)  # the earliest iteration the chunk reads
-        a, z = np.searchsorted(ev.t, (since, b))
+        a, z = np.searchsorted(ev.t, np.array((since, b), ev.t.dtype))  # of the log's dtype: the log is not cast
         dirty[state[a:z]], since = True, b  # the writes of [since, b) leave base's blocks stale
+        sw, tw = state[z : lo + len(t)], ev.t[z : lo + len(t)].astype(np.int64)  # the writes of [b, t[-1]]
         first_w = np.full(m.n + 1, K)  # each block's first write in [b, t[-1]]
-        np.minimum.at(first_w, state[z : lo + len(t)], ev.t[z : lo + len(t)])
+        np.minimum.at(first_w, sw, tw)  # of one dtype: ufunc.at's fast path
         fresh = first_w[js] >= tp  # no write in [b, t): the block as base holds it
         fresh &= np.count_nonzero(fresh) * 16 >= len(js)  # too few to pay for subsets: read them as stale
         sel, ver, lw, need = slice(None), *np.zeros((3, 0), dtype=np.int64)
         if fresh.any():
-            hot, hk = np.flatnonzero(~fresh), np.sort(state[z : lo + len(t)] * K + ev.t[z : lo + len(t)])
+            hot, hk = np.flatnonzero(~fresh), np.sort(sw * K + tw)
             lw = hk[np.searchsorted(hk, js[hot] * K + tp[hot]) - 1] - js[hot] * K  # the block's last write before t
             quiet = lw + D < tp[hot]  # none since t - D: the pair reads the block as lw left it
             sel, ver, lw = hot[~quiet], hot[quiet], lw[quiet]
@@ -667,7 +691,7 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
         vkey, inv = np.unique(js[ver] * K + lw + 1, return_inverse=True)  # a block just after a write
         # one batch: the stale pairs' delayed reads, then the blocks of need at b and of vkey after lw
         sj, st, rj = js[sel], tp[sel], np.concatenate((need, vkey // K))
-        offs = core.offsets(st, ell[of[sel]], ev.count[sl][of[sel]], sj)
+        offs = core.offsets(st, ell[of[sel]], part.count[of[sel]], sj)
         vals = np.zeros((len(sj) + len(rj), core.width))
         live = offs >= 0
         vals[: len(sj)][live] = table((first[sj, None] + entry)[live], (st[:, None] - offs)[live])
@@ -682,13 +706,13 @@ def noise_decomposition(run: QLearnRun, m: GameModel) -> np.ndarray:
         n = np.bincount(of, minlength=len(ell))
         terms = np.zeros((len(ell), int(n.max(initial=0)) + 1))
         terms[:, 0] = m.g[ell]
-        terms[of, np.arange(len(of)) - (np.cumsum(n) - n)[of] + 1] = m.P[ell[of], js] * v
+        terms[of, np.arange(len(of)) - (np.cumsum(n) - n)[of] + 1] = m.P.ravel()[ell[of] * m.P.shape[1] + js] * v
         backup = np.cumsum(terms, axis=1)[np.arange(len(ell)), n]
         val_j = np.zeros(len(ell))
-        hit = js == ev.j[sl][of]
+        hit = js == part.j[of]
         val_j[of[hit]] = v[hit]
-        target = ev.cost[sl] + val_j
-        gamma, recorded = ev.gamma[sl], ev.new_q[sl]
+        cost, gamma = derived_columns(m, run.config, part)
+        target, recorded = cost + val_j, part.new_q
         new_q = (1.0 - gamma) * written[ranks[nR:][sl] - 1] + gamma * target
         bad = np.flatnonzero(new_q != recorded)
         if bad.size:

@@ -266,6 +266,9 @@ def qlearning_runs():
             runs.append((q, run))
         data.append((m, qstar, runs))
     elapsed = time.perf_counter() - t0
+    # a recorded log stores 24 bytes per event: four int32 index columns and the new values
+    logs = [run.events for _, _, runs in data for _, run in runs]
+    assert sum(col.nbytes for ev in logs for col in vars(ev).values()) == 24 * sum(map(len, logs))
     return data, elapsed
 
 

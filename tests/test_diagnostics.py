@@ -6,6 +6,7 @@ import pytest
 
 import sspg
 from sspg.diagnostics import _lower_kernel
+from sspg.qlearn import derived_columns
 from sspg.model import policy_average
 from conftest import make_contraction, make_terminal_only, random_policy, random_qtable
 
@@ -279,7 +280,8 @@ def _fold_trackers(m, run):
     g_tilde = Q0 * 0.0 (so -0.0 where Q0 is negative) and q_hat = P."""
     state = sspg.TrackerState(run.q0 * 0.0, m.P.copy())
     ev = run.events
-    for event in zip(ev.ell.tolist(), ev.gamma.tolist(), ev.j.tolist(), ev.cost.tolist()):
+    cost, gamma = derived_columns(m, run.config, ev)
+    for event in zip(ev.ell.tolist(), gamma.tolist(), ev.j.tolist(), cost.tolist()):
         state = _update_trackers(state, event)
     return state
 
@@ -325,9 +327,10 @@ def test_tracker_batch_matches_pure_updates():
     batch = sspg.run_trackers(m, run)
     state = sspg.TrackerState.initial(m)
     ev = run.events
+    cost, gamma = derived_columns(m, cfg, ev)
     for k in range(len(ev)):
         state = _update_trackers(
-            state, (int(ev.ell[k]), float(ev.gamma[k]), int(ev.j[k]), float(ev.cost[k]))
+            state, (int(ev.ell[k]), float(gamma[k]), int(ev.j[k]), float(cost[k]))
         )
     assert np.allclose(state.g_tilde, batch.g_tilde, atol=0.0)
     assert np.allclose(state.q_hat, batch.q_hat, atol=0.0)
@@ -369,7 +372,8 @@ def test_tracker_batch_equals_fold_bitwise(outside):
     batch = sspg.run_trackers(m, run)
     state = sspg.TrackerState.initial(m)
     ev = run.events
-    for event in zip(ev.ell.tolist(), ev.gamma.tolist(), ev.j.tolist(), ev.cost.tolist()):
+    cost, gamma = derived_columns(m, run.config, ev)
+    for event in zip(ev.ell.tolist(), gamma.tolist(), ev.j.tolist(), cost.tolist()):
         state = _update_trackers(state, event)
     assert state.g_tilde.tobytes() == batch.g_tilde.tobytes()
     assert state.q_hat.tobytes() == batch.q_hat.tobytes()

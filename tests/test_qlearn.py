@@ -9,7 +9,7 @@ import sspg
 from conftest import make_contraction, make_terminal_only
 from sspg.matgame import block_kernel, flat_game_value
 from sspg.model import counter_uniform
-from sspg.qlearn import _CHUNK, MetricsRow, ReplayCore, _replay, pair_delay_offsets
+from sspg.qlearn import _CHUNK, MetricsRow, ReplayCore, _index_dtype, _replay, derived_columns, pair_delay_offsets
 
 
 @pytest.fixture(scope="module")
@@ -92,19 +92,21 @@ def test_engine_matches_sample_transition(recorded_run):
     m, cfg, q, run = recorded_run
     ev = run.events
     u = counter_uniform(cfg.seed, ev.ell.astype(np.uint64), ev.count.astype(np.uint64)).tolist()
+    cost = derived_columns(m, cfg, ev)[0]
     for k in range(0, len(ev), 97):
         ell = int(ev.ell[k])
         idx = np.flatnonzero(m.P[ell] > 0.0)
         cum = np.cumsum(m.P[ell, idx]).tolist()
         pos = next(p for p, c in enumerate(cum) if c >= u[k])
         assert int(ev.j[k]) == idx[pos]
-        assert float(ev.cost[k]) == m.C[ell, idx[pos]]
+        assert float(cost[k]) == m.C[ell, idx[pos]]
 
 
 def test_engine_matches_public_update(recorded_run):
     """Rebuild each event's delayed view from full past tables and re-apply the relaxation."""
     m, cfg, q, run = recorded_run
     ev, offsets = run.events, _offsets(run, m)
+    cost, gammas = derived_columns(m, cfg, ev)
     depth = cfg.delay_model[1] + 1  # tables at the start of iterations t - D .. t
     q_now = run.q0.tolist()
     ring = [q_now[:] for _ in range(depth)]
@@ -115,13 +117,13 @@ def test_engine_matches_public_update(recorded_run):
         for tt in range(t_prev + 1, t + 1):
             ring[tt % depth] = q_now[:]
         t_prev = max(t_prev, t)
-        ell, j, gamma = int(ev.ell[k]), int(ev.j[k]), float(ev.gamma[k])
+        ell, j, gamma = int(ev.ell[k]), int(ev.j[k]), float(gammas[k])
         val = 0.0
         if j != 0:
             off, nu, nv = m.state_block(j)
             offs = offsets[k].tolist()
             val = flat_game_value([ring[(t - offs[kk]) % depth][off + kk] for kk in range(nu * nv)], nu, nv)
-        assert (1.0 - gamma) * q_now[ell] + gamma * (float(ev.cost[k]) + val) == float(ev.new_q[k])
+        assert (1.0 - gamma) * q_now[ell] + gamma * (float(cost[k]) + val) == float(ev.new_q[k])
         checked[j == 0] += 1
         q_now[ell] = float(ev.new_q[k])
     assert checked[True] >= 50 and checked[False] >= 100
@@ -689,11 +691,12 @@ def _long_run(m, key):
 
 
 def _outputs_sha(run) -> str:
-    """Everything a run returns beyond its digest: stepsize sums, max |Q|, metric rows, event columns."""
+    """Everything a run returns beyond its digest: stepsize sums, max |Q|, metric rows, event columns
+    (the index columns as int64, the width logs once stored them at)."""
     rows = np.array([(r.iteration, r.sup_dist_to_ref, r.max_abs_q, r.residual) for r in run.metrics])
     ev = run.events
     return _sha(run.sum_gamma, run.sum_gamma_sq, np.array([run.max_abs_q]), rows,
-                ev.t, ev.count, ev.cost, ev.gamma)
+                ev.t.astype(np.int64), ev.count.astype(np.int64), *derived_columns(run.model, run.config, ev))
 
 
 @pytest.mark.parametrize("key", list(GOLDEN_LONG), ids=lambda k: "-".join(map(str, k)))
@@ -825,6 +828,32 @@ def test_replay_with_the_engine_kernel_gives_the_run_back(name):
     assert q_final.tobytes() == run.q_final.tobytes()
 
 
+def test_index_columns_are_int32_unless_the_run_needs_int64(recorded_run):
+    top = np.iinfo(np.int32).max  # 2^31 - 1: the iteration past the last must fit too
+    assert _index_dtype(top - 1, 12) is np.int32 and _index_dtype(10, top - 1) is np.int32
+    assert _index_dtype(top, 12) is np.int64 and _index_dtype(10, top) is np.int64
+    ev = recorded_run[3].events
+    assert [col.dtype for col in vars(ev).values()] == [np.int32] * 4 + [np.float64]
+    assert sum(col.nbytes for col in vars(ev).values()) == 24 * len(ev)
+
+
+@pytest.mark.parametrize("delay", [("uniform", 5), ("fixed", (0, 3, 1))])
+def test_reads_near_the_int32_limit_equal_int64_reads(delay):
+    # a synthetic chunk at iterations just below 2^31 - 1, two events each, read through int32 and int64 columns
+    m = make_contraction(seed=5, n_states=4, max_controls=3)
+    rng = np.random.default_rng(3)
+    t = np.repeat(np.arange(np.iinfo(np.int32).max - 40, np.iinfo(np.int32).max), 2)
+    ell = rng.integers(0, m.n_triplets, len(t))
+    count = rng.integers(2**31 - 10**6, 2**31 - 1, len(t))
+    j = rng.integers(0, m.n + 1, len(t))
+    refs = []
+    for dtype in (np.int32, np.int64):
+        core = ReplayCore(m, delay, 4)
+        refs.append(core.reads([0.0] * m.n_triplets, *(x.astype(dtype) for x in (t, ell, count, j))))
+    assert refs[0] == refs[1]
+    assert max(map(max, refs[0])) >= m.n_triplets  # some reads find a write of the chunk
+
+
 def test_digest_offsets_are_as_wide_as_the_widest_block():
     # nothing moves to state 1, the only state with a 2x2 block: no event reads it
     m = sspg.GameModel(
@@ -886,8 +915,9 @@ def _noise_oracle(run, m):
         offs_l = core.offsets(t[of], ell[of], cnt[of], js).tolist()
         ends = np.cumsum(np.bincount(of, minlength=len(ell))).tolist()
         a = 0
-        rows = zip(t.tolist(), ell.tolist(), ev.j[sl].tolist(), ev.cost[sl].tolist(),
-                   ev.gamma[sl].tolist(), ev.new_q[sl].tolist(), ends)
+        cost, gamma = derived_columns(m, run.config, ev[sl])
+        rows = zip(t.tolist(), ell.tolist(), ev.j[sl].tolist(), cost.tolist(),
+                   gamma.tolist(), ev.new_q[sl].tolist(), ends)
         for k, (tt, l, j, cost, gamma, recorded, b) in enumerate(rows, lo):
             for s in range(max(begun + 1, tt + 1 - depth), tt + 1):
                 ring[s % depth] = Q[:]
@@ -1021,8 +1051,12 @@ def test_noise_of_empty_run():
 def test_noise_reports_the_oracles_mismatch(pin_game, column, where):
     run = _pin_run(pin_game, ("uniform-random:1", "uniform-5", 1))
     k = {"first": 0, "middle": len(run.events) // 2, "last": len(run.events) - 1}[where]
-    col = getattr(run.events, column).copy()
-    col[k] = np.nextafter(col[k], np.inf) if column == "new_q" else col[k] + 1.0
+    if column == "new_q":
+        col = run.events.new_q.copy()
+        col[k] = np.nextafter(col[k], np.inf)
+    else:  # a log derives the realized cost C[ell, j]: move the successor to the next one of its row
+        column, col, row = "j", run.events.j.copy(), np.flatnonzero(pin_game.P[run.events.ell[k]] > 0.0)
+        col[k] = row[(np.searchsorted(row, col[k]) + 1) % len(row)]
     run = dataclasses.replace(run, events=dataclasses.replace(run.events, **{column: col}))
     messages = []
     for replay in (sspg.noise_decomposition, _noise_oracle):

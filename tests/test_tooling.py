@@ -103,7 +103,7 @@ def test_workloads_truncate_cuts_a_replayable_run():
     cfg = sspg.QLearnConfig(seed=9, max_iters=3000, scheduler="uniform-random:1",
                             delay_model=("uniform", 5), record_full_history=True)
     _, run = sspg.run_qlearning(m, cfg)
-    assert sum(getattr(run.events, f.name).nbytes for f in dataclasses.fields(run.events)) == 56 * len(run.events)
+    assert sum(getattr(run.events, f.name).nbytes for f in dataclasses.fields(run.events)) == 24 * len(run.events)
     cut = workloads.truncate(run, 200)
     assert len(cut.events) == 200 and cut.model is m
     assert cut.digest() == workloads.truncate(run, 200).digest() != run.digest()
@@ -111,6 +111,10 @@ def test_workloads_truncate_cuts_a_replayable_run():
     assert sspg.noise_decomposition(cut, m).tobytes() == sspg.noise_decomposition(run, m)[:200].tobytes()
     rep = sspg.run_coupled_lower_process(m, nu, cut)
     assert rep.ok and rep.qhat_events.tobytes() == sspg.run_coupled_lower_process(m, nu, run).qhat_events[:200].tobytes()
+    # the trackers of the cut log are those of the run stopped after its 200th event
+    short = sspg.run_qlearning(m, dataclasses.replace(cfg, max_iters=int(run.events.t[199]) + 1))[1]
+    got, want = sspg.run_trackers(m, cut), sspg.run_trackers(m, short)
+    assert got.g_tilde.tobytes() == want.g_tilde.tobytes() and got.q_hat.tobytes() == want.q_hat.tobytes()
 
 
 def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
