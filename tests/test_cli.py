@@ -829,3 +829,10 @@ def test_qlearn_csv_with_recording_from_config(capsys, everett_file, tmp_path):
     assert code == 0 and len(csv_path.read_text().splitlines()) == 51  # header and one row per event
     code, _ = run_cli(capsys, "couple", "--model", everett_file, "--iters", "50", "--csv", str(csv_path))
     assert code == 0
+
+
+@pytest.mark.parametrize("game", ["everett", "zerocost", "pursuit"])
+def test_validate_stdout_of_the_bundled_games(capsys, tmp_path, game):
+    path = tmp_path / f"{game}.json"
+    path.write_text(sspg.save_model(sspg.load_bundled_model(game)))
+    assert run_cli(capsys, "validate", "--model", str(path)) == (0, '{\n  "valid": true,\n  "findings": []\n}\n')

@@ -689,3 +689,57 @@ def test_generator_config_accepts_numpy_numbers():
                                termination_floor=np.float32(0.25), cost_range=[np.float64(-1), 2])
     plain = sspg.GeneratorConfig(n_states=4, max_controls=3, seed=7, termination_floor=0.25, cost_range=(-1.0, 2.0))
     _assert_same_model(sspg.generate_model(cfg), sspg.generate_model(plain))
+
+
+
+def _near_unit_doc(seed: int, zero: bool = False) -> dict:
+    """Nine states, one control each; every row lists all ten successors out of successor order,
+    with a mass off 1 by more than 10 * 2**-52 and at most PROB_TOL.  With ``zero``, the first
+    row lists one successor at probability 0."""
+    rng = np.random.default_rng(seed)
+    states = [str(i) for i in range(1, 10)]
+    rows = []
+    for s in states:
+        w = rng.random(10)
+        if zero and s == "1":
+            w[int(rng.integers(10))] = 0.0
+        p = w / w.sum() * (1.0 + rng.choice([-1, 1]) * rng.uniform(1e-13, 9e-10))
+        rows.append({"i": s, "u": "a", "v": "x", "next": [
+            {"j": str(j), "p": float(p[j]), "cost": float(rng.uniform(-1, 1))} for j in rng.permutation(10)]})
+    return {"states": states, "controls1": dict.fromkeys(states, ["a"]), "controls2": dict.fromkeys(states, ["x"]),
+            "transitions": rows}
+
+
+def _document_order_mass(row: dict) -> float:
+    mass = 0.0
+    for e in row["next"]:
+        mass += e["p"]
+    return mass
+
+
+# sha256 of save_model(load_model(doc)) for the documents of _near_unit_doc; for the one
+# with a listed zero-probability entry, of the report that refuses it
+NEAR_UNIT_PINS = {
+    (3, False): "3a4ca184405dd620497c4d4d0049a1405595526647bbc00ccf497b22d6412073",
+    (4, False): "27f96cdc8317e1d144f38d45c5bdce0e3fc2164944fee898012be391a1298a0a",
+    (5, True): "fbdec00f335ce6f12692220215003c8428c1c6417440625874b7e126e5c6fe54",
+}
+
+
+@pytest.mark.parametrize("seed,zero", list(NEAR_UNIT_PINS))
+def test_near_unit_rows_rescaled_bytes_pinned(seed, zero):
+    doc = _near_unit_doc(seed, zero)
+    for row in doc["transitions"]:
+        assert 10 * 2.0**-52 < abs(_document_order_mass(row) - 1.0) <= 1e-9
+    if zero:  # the rescaled rows pass; the listed zero entry is still reported
+        with pytest.raises(sspg.ModelValidationError) as err:
+            sspg.load_model(json.dumps(doc))
+        text = str(err.value.report)
+        assert text.startswith("[cost-on-zero-edge] (1,a,x)") and "\n" not in text
+        assert hashlib.sha256(text.encode()).hexdigest() == NEAR_UNIT_PINS[(seed, zero)]
+        return
+    m = sspg.load_model(json.dumps(doc))
+    for k, row in enumerate(doc["transitions"]):  # p / mass, the mass summed in the document's order
+        mass = _document_order_mass(row)
+        assert [m.P[k, int(e["j"])] for e in row["next"]] == [e["p"] / mass for e in row["next"]]
+    assert hashlib.sha256(sspg.save_model(m).encode()).hexdigest() == NEAR_UNIT_PINS[(seed, zero)]

@@ -1064,3 +1064,13 @@ def test_noise_reports_the_oracles_mismatch(pin_game, column, where):
             replay(run, pin_game)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("sched", list(PIN_SCHEDULERS))
+def test_uniform_delay_zero_is_the_zero_rule(pin_game, sched):
+    digests = set()
+    for delay in ("zero", ("uniform", 0)):
+        cfg = sspg.QLearnConfig(seed=3, max_iters=300, scheduler=PIN_SCHEDULERS[sched], delay_model=delay,
+                                record_full_history=True)
+        digests.add(sspg.run_qlearning(pin_game, cfg)[1].digest())
+    assert len(digests) == 1

@@ -433,3 +433,42 @@ def test_classify_finite_values_solve_poisson_equation():
         np.testing.assert_allclose(h[fin], c[fin] + P[fin] @ h, rtol=0, atol=1e-9)
         np.testing.assert_allclose((_limiting_matrix(P) @ h)[fin], 0.0, rtol=0, atol=1e-9)
     assert checked > 100
+
+
+def _proper_chain_solve(chain):
+    """Total costs of a chain that terminates a.s. from every state: one solve of I - P on states 1..n."""
+    n = chain.P.shape[0] - 1
+    return np.linalg.solve(np.eye(n) - chain.P[1:, 1:], chain.costs[1:])
+
+
+def test_classify_chain_of_proper_chains_is_one_solve_bitwise():
+    rng = np.random.default_rng(43)
+    sizes = [int(rng.integers(1, 41)) for _ in range(45)] + [120]
+    for k, n in enumerate(sizes):
+        m = make_contraction(seed=900 + k, n_states=n, max_controls=2,
+                             cost_range=[(0.0, 1.0), (-5.0, 5.0), (1e3, 1e6)][k % 3])
+        chain = sspg.induce_chain(m, random_policy(m, 1, rng), random_policy(m, 2, rng))
+        costs = chain.costs.copy()
+        costs[1:][rng.random(n) < 0.3] = 0.0  # zero-cost rows
+        for c in (chain.costs, costs):
+            proper = InducedChain(chain.P, c, chain.labels)
+            assert sspg.reach_probability_one(proper).all()
+            cls = sspg.classify_chain(proper)
+            assert (cls.prolonging, cls.flags) == (False, ())
+            assert cls.values.tobytes() == _proper_chain_solve(proper).tobytes(), (k, n)
+
+
+def test_classify_chain_of_the_zero_state_chain():
+    cls = sspg.classify_chain(InducedChain(np.ones((1, 1)), np.zeros(1), ()))
+    assert (cls.values.shape, cls.prolonging, cls.flags) == ((0,), False, ())
+
+
+def test_forall_termination_with_an_empty_staying_set():
+    # every row reaches 0 with probability at least 0.1, so no response stays away from it
+    from sspg.structure import _staying_set, _support_rows
+
+    m = make_contraction(seed=31, n_states=6, max_controls=3)
+    for player in (1, 2):
+        pol = sspg.uniform_policy(m, player)
+        assert not _staying_set(*_support_rows(m, pol)).any()
+        assert sspg.forall_termination(m, pol).tolist() == [True] * m.n
