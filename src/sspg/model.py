@@ -191,7 +191,7 @@ class GameModel:
     entries the rows listed (zero-probability and NaN entries included), are
     the representation; every other array and :attr:`transitions` are
     derived from them.  The private :meth:`_from_arrays` builds a model from
-    ``P`` and ``C`` alone, listing the entries of ``P > 0``.
+    ``P`` and ``C``, listing the entries of ``P > 0`` unless given a mask.
 
     The one checker of labels, numbers and rows, for a game document too
     (:func:`load_model` checks only its shape): every label is a string and
@@ -249,11 +249,11 @@ class GameModel:
         self._set_kernel(P, C, listed)
 
     @classmethod
-    def _from_arrays(cls, states, controls1, controls2, P: np.ndarray, C: np.ndarray) -> "GameModel":
-        """A model from float arrays of shape (|R|, n+1) over the canonical triplets, listing ``P > 0``."""
+    def _from_arrays(cls, states, controls1, controls2, P: np.ndarray, C: np.ndarray, listed=None) -> "GameModel":
+        """A model from (|R|, n+1) float arrays over the canonical triplets, listing ``listed``, by default ``P > 0``."""
         m = cls.__new__(cls)
         m._set_labels(states, controls1, controls2)
-        m._set_kernel(P, C, P > 0.0)
+        m._set_kernel(P, C, P > 0.0 if listed is None else listed)
         return m
 
     def _set_labels(self, states, controls1, controls2) -> None:
@@ -531,15 +531,16 @@ def load_model(text: str) -> GameModel:
         transitions[key] = [(e["j"], e["p"], e["cost"]) for e in entries]
 
     model = GameModel(doc["states"], doc["controls1"], doc["controls2"], transitions)
-    rescaled = {}
+    scale = np.ones(model.n_triplets)  # the mass of each row to rescale, 1 elsewhere
     for key, entries in transitions.items():
-        mass = sum(float(p) for _, p, _ in entries)  # the constructor took every p: each is a number
+        mass = functools.reduce(float.__add__, (float(p) for _, p, _ in entries), 0.0)  # in order, each p a number
         # a row of k entries within k * 2**-52 of unit mass is kept as it is: a
         # rescaled row lands there, so loading a saved model changes nothing
-        if math.isfinite(mass) and mass > 0 and len(entries) * sys.float_info.epsilon < abs(mass - 1.0) <= PROB_TOL:
-            rescaled[key] = [(j, float(p) / mass, c) for j, p, c in entries]
-    if rescaled:  # rare: only a document not written by save_model has such rows
-        model = GameModel(doc["states"], doc["controls1"], doc["controls2"], transitions | rescaled)
+        if len(entries) * sys.float_info.epsilon < abs(mass - 1.0) <= PROB_TOL:
+            scale[model.triplet_index(key)] = mass
+    if (scale != 1.0).any():  # rare: only a document not written by save_model has such rows
+        P = model.P / scale[:, None]  # p / 1 is p, bit for bit
+        model = GameModel._from_arrays(model.states, model.controls1, model.controls2, P, model.C, model._listed)
     report = validate_model(model)
     if not report.ok:
         raise ModelValidationError(report)

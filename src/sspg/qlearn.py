@@ -114,7 +114,7 @@ def _parse_delay(spec) -> tuple[bool, tuple[int, ...]]:
 
     The largest delay at iteration t is ``cycle[t % len(cycle)]``, capped at
     t.  Hashed offsets are drawn per pair in [0, that bound]; otherwise every
-    pair reads exactly the bound.
+    pair reads exactly the bound.  A uniform bound of 0 is the zero rule.
     """
     if spec == "zero":
         return False, (0,)
@@ -125,7 +125,7 @@ def _parse_delay(spec) -> tuple[bool, tuple[int, ...]]:
         d = _integer("delay bound", arg)
         if d < 0:
             raise ValueError("delay bound must be nonnegative")
-        return True, (d,)
+        return d > 0, (d,)
     if kind == "fixed":
         try:
             sched = tuple(_integer("fixed delay schedule", x) for x in arg)

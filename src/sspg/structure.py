@@ -127,8 +127,6 @@ def forall_termination(m: GameModel, fixed: StationaryPolicy) -> np.ndarray:
     """
     supp, offsets = _support_rows(m, fixed)
     alive = _staying_set(supp, offsets)
-    if not alive.any():
-        return np.ones(m.n, dtype=bool)
     adj = np.zeros((m.n + 1, m.n + 1), dtype=bool)
     adj[1:] = np.logical_or.reduceat(supp, offsets, axis=0)
     adj[:, 0] = False  # paths through 0 are absorbed, not useful
@@ -272,12 +270,6 @@ def classify_chain(chain: InducedChain) -> ChainClassification:
     drift, or nan if the drift is zero.
     """
     n = chain.P.shape[0] - 1
-    reach = reach_probability_one(chain)
-    if reach.all():
-        P_ss = chain.P[1:, 1:]
-        values = np.linalg.solve(np.eye(n) - P_ss, chain.costs[1:])
-        return ChainClassification(values, False, ())
-
     classes = _closed_classes(chain)
     member = np.zeros((n + 1, len(classes)))
     stationary = np.zeros((len(classes), n + 1))
@@ -311,7 +303,7 @@ def classify_chain(chain: InducedChain) -> ChainClassification:
         ("undetermined-total-cost", np.isnan(values).any()),
         ("zero-gain-prolonging", prolong_zero.any()),  # its members are among the finite states
     )
-    return ChainClassification(values, True, tuple(name for name, hit in flags if hit))
+    return ChainClassification(values, len(classes) > 1, tuple(name for name, hit in flags if hit))
 
 
 # ---------------------------------------------------------------------------

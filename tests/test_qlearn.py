@@ -1074,3 +1074,4 @@ def test_uniform_delay_zero_is_the_zero_rule(pin_game, sched):
                                 record_full_history=True)
         digests.add(sspg.run_qlearning(pin_game, cfg)[1].digest())
     assert len(digests) == 1
+    assert not ReplayCore(pin_game, ("uniform", 0), 0).hashed  # no offsets drawn
