@@ -498,6 +498,8 @@ def check_ssp_game_assumption(m: GameModel) -> AssumptionReport:
     a product over disjoint coordinate blocks has its lexicographic minimum
     blockwise, the safeguards and the clause-3 witness are the first in
     canonical pair order; a state in no component takes its first control.
+    Clause 3 is ``inconclusive``, never ``holds``, when a component has local
+    pairs of total cost +inf and of -inf.
     """
     for finding in _empty_controls(m):  # no pure policy of that player, and no best response to one
         raise ValueError(str(finding))
@@ -535,6 +537,11 @@ def check_ssp_game_assumption(m: GameModel) -> AssumptionReport:
         return ClauseVerdict("holds", note, *((pol, None) if player == PLAYER_MIN else (None, pol)))
 
     clause3 = ClauseVerdict("holds", "every pure prolonging pair has an infinite total cost")
+    # pure pairs of both infinities in one component: a mixture of them may have a zero-gain class
+    mixed = next((c for c, s in zip(components, signs) if s[1].any() and s[2].any()), None)
+    if mixed is not None:
+        clause3 = ClauseVerdict("inconclusive", f"end component {{{','.join(m.states[i] for i in mixed)}}} has pure "
+                                "pairs of total cost +inf and -inf; randomized pairs there not certified")
     # a pair offends when one component holds a closed class and none an infinite total cost
     finite = [~pos & ~neg for _, pos, neg in signs]
     offending = [first([f & s[0] if j == k else f for k, (f, s) in enumerate(zip(finite, signs))])

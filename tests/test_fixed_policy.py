@@ -37,9 +37,12 @@ from sspg.structure import GAIN_TOL, ClauseVerdict, count_pure_policies, iter_pu
 # the trap games (no terminating response) and of everett (a zero-cost loop)
 # name the ill-posed best response instead of an unsettled iteration or none;
 # "termination" re-recorded when essential properness became the best
-# response's decision: the reason of every "yes" (four were "inconclusive")
+# response's decision: the reason of every "yes" (four were "inconclusive");
+# "assumption" re-recorded when clause 3 became inconclusive on an end
+# component with pure pairs of total cost +inf and -inf: trap game 10 (its
+# overall verdict was already inconclusive) moved from holds
 PINS = {
-    "assumption": "427ef1b03dc27c740ae124a0bc9d9a069f6defd6fb79b6deb37ccecc55cc7bce",
+    "assumption": "a792931abe5e1896e418f78d5f77c38520a8a073731f30d643537dc5e528d41c",
     "termination": "37f3d94087e21654c549a194800c2d1565790677d4e70496cf180911554e9f55",
     "pure_chains": "35d490df229edd0526ebba381e41d38aa86aceb6592f78035586ad5d526262f9",
     "sspa_verdicts": "b4c1189d395e74d2a4c23f7deaa32c50c2b7488eed7a3064e24e2101d1fed069",
@@ -140,11 +143,14 @@ def test_pins(kind):
 def test_pin_assumption_three_control_trap_game():
     # every one of the 1944 pure pairs is prolonging; recorded on the
     # partial-sum implementation of classify_chain, and re-recorded with the
-    # exact best response (the maximizer safeguard note)
+    # exact best response (the maximizer safeguard note), and once more when
+    # clause 3 became inconclusive here (pure pairs of both infinities)
     m = _trap_game(9, controls=3)
     assert count_pure_policies(m, sspg.PLAYER_MIN) * count_pure_policies(m, sspg.PLAYER_MAX) == 1944
-    digest = _digest([sspg.check_ssp_game_assumption(m).to_json(m)])
-    assert digest == "5bb7601eccc6053e8ddcbe38c22e082144905697e9ab5f2be5ad9a1a9f636b7b"
+    report = sspg.check_ssp_game_assumption(m)
+    assert (report.clause_prolonging.status, report.overall) == ("inconclusive", "inconclusive")
+    digest = _digest([report.to_json(m)])
+    assert digest == "3c46252499dafbf233db6d6ba8daf9ad3eab2f901241facb14842cf1020e83ec"
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +246,10 @@ def test_witness_response_prolongs_without_the_needed_infinity():
 
 
 def ref_pure_pair_signs(m):
-    """The assumption check's former pair loop: one chain and one classify_chain per pure pair."""
+    """The assumption check's former pair loop: one chain and one classify_chain per pure pair.
+
+    Also returns the closed classes (as label tuples) of positive and of negative gain over all pairs.
+    """
     pols = [list(iter_pure_policies(m, p)) for p in (sspg.PLAYER_MIN, sspg.PLAYER_MAX)]
     combos = [list(itertools.product(*(range(len(c[s])) for s in m.states))) for c in (m.controls1, m.controls2)]
     n_v = np.array([len(m.controls2[s]) for s in m.states], dtype=np.intp)
@@ -249,6 +258,7 @@ def ref_pure_pair_signs(m):
     probs = np.vstack((np.eye(1, m.n + 1), rows[:, 1:]))
     shape = (count_pure_policies(m, sspg.PLAYER_MIN), count_pure_policies(m, sspg.PLAYER_MAX))
     has_pos, has_neg = np.zeros((2, *shape), dtype=bool)
+    signed = set(), set()
     clause3 = ClauseVerdict("holds", "every pure prolonging pair has an infinite total cost")
     for a, mu_combo in enumerate(combos[0]):
         base = np.concatenate(([0], m.control_layout.blocks + np.asarray(mu_combo, dtype=np.intp) * n_v + 1))
@@ -258,6 +268,9 @@ def ref_pure_pair_signs(m):
             cls = sspg.classify_chain(chain)
             has_pos[a, b] = np.isposinf(cls.values).any()
             has_neg[a, b] = np.isneginf(cls.values).any()
+            for labels, gain in sspg.recurrent_class_gains(chain):
+                if abs(gain) > GAIN_TOL:
+                    signed[gain < 0].add(labels)
             if cls.prolonging and not has_pos[a, b] and not has_neg[a, b] and clause3.status == "holds":
                 clause3 = ClauseVerdict(
                     "violated",
@@ -266,7 +279,7 @@ def ref_pure_pair_signs(m):
                     witness_nu=pols[1][b],
                     witness_states=tuple(m.states[i] for i in np.flatnonzero(~sspg.reach_probability_one(chain))),
                 )
-    return has_pos, has_neg, clause3
+    return has_pos, has_neg, clause3, signed
 
 
 def _zero_gain_loop_game():
@@ -293,9 +306,17 @@ def ref_assumption_report(m):
     """The assumption report composed from the per-pair loop, as before end components.
 
     The first pure policy (canonical order) with no +inf (-inf) pair is the
-    minimizer (maximizer) safeguard, noted from its best response.
+    minimizer (maximizer) safeguard, noted from its best response.  Clause 3
+    reads inconclusive, not holds, when one end component holds closed classes
+    of both gain signs.
     """
-    has_pos, has_neg, clause3 = ref_pure_pair_signs(m)
+    has_pos, has_neg, clause3, signed = ref_pure_pair_signs(m)
+    for c in structure._end_components(m) if clause3.status == "holds" else []:
+        inside = {m.states[i] for i in c}
+        if all(any(inside.issuperset(labels) for labels in classes) for classes in signed):
+            clause3 = ClauseVerdict("inconclusive", f"end component {{{','.join(sorted(inside, key=m.states.index))}}} "
+                                    "has pure pairs of total cost +inf and -inf; randomized pairs there not certified")
+            break
 
     def safeguard(rows_bad, player, who):
         for pol, bad in zip(iter_pure_policies(m, player), rows_bad):
@@ -388,7 +409,7 @@ def test_pair_signs_match_the_per_pair_loop():
         report = sspg.check_ssp_game_assumption(m)
         assert report.to_json(m) == ref_assumption_report(m).to_json(m)
         statuses[report.clause_prolonging.status] += 1
-    assert statuses["violated"] >= 3 and statuses["holds"] >= 10
+    assert statuses["violated"] >= 3 and statuses["holds"] >= 10 and statuses["inconclusive"] >= 10
 
 
 def _components(m):

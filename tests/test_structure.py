@@ -472,3 +472,20 @@ def test_forall_termination_with_an_empty_staying_set():
         pol = sspg.uniform_policy(m, player)
         assert not _staying_set(*_support_rows(m, pol)).any()
         assert sspg.forall_termination(m, pol).tolist() == [True] * m.n
+
+
+def test_assumption_clause3_inconclusive_on_pure_pairs_of_both_infinities():
+    # (a, x) loops at cost 1 and (a, y) at cost -1, b stops: every pure prolonging pair has an
+    # infinite total cost, yet (a, x/2 + y/2) loops at expected stage cost 0
+    m = sspg.GameModel(["1"], {"1": ["a", "b"]}, {"1": ["x", "y"]},
+                       {("1", "a", "x"): [("1", 1.0, 1.0)], ("1", "a", "y"): [("1", 1.0, -1.0)],
+                        ("1", "b", "x"): [("0", 1.0, 0.0)], ("1", "b", "y"): [("0", 1.0, 0.0)]})
+    half = sspg.StationaryPolicy(2, {"1": np.array([0.5, 0.5])})
+    cls = sspg.classify_chain(sspg.induce_chain(m, sspg.pure_policy(m, 1, {"1": "a"}), half))
+    assert cls.flags == ("zero-gain-prolonging",) and cls.values.tolist() == [0.0]
+    report = sspg.check_ssp_game_assumption(m)
+    assert [c.status for c in (report.clause_safeguard_min, report.clause_safeguard_max)] == ["holds", "holds"]
+    assert report.clause_prolonging == sspg.structure.ClauseVerdict(
+        "inconclusive", "end component {1} has pure pairs of total cost +inf and -inf; randomized pairs there "
+        "not certified")
+    assert report.overall == "inconclusive"
