@@ -411,15 +411,23 @@ def _empty_controls(m: GameModel) -> list[Finding]:
 def validate_model(m: GameModel) -> ValidationReport:
     """Check every model invariant and report all violations.
 
-    Never raises: an empty report means the model is valid.
+    Never raises: an empty report means the model is valid.  Reads the kernel
+    arrays and the listed mask; only a row with a finding is formatted.
     """
     found: list[Finding] = []
     if not m.states:
         found.append(Finding("no-states", "states", "the game has no states"))
     found += _empty_controls(m)
-    for t in m.triplets:
+    P, C, listed, labels = m.P, m.C, m._listed, (TERMINAL,) + m.states
+    with np.errstate(invalid="ignore", over="ignore"):  # the loop below reports nan and inf entries and masses
+        clean = listed & (P > 0.0) & np.isfinite(P) & np.isfinite(C)
+        # added in successor order, as the loop adds them: its mass on the rows of clean entries
+        sums = np.cumsum(np.where(listed, P, 0.0), axis=1)[:, -1]
+        suspect = ~listed.any(axis=1) | (listed & ~clean).any(axis=1) | ~(np.abs(sums - 1.0) <= PROB_TOL)
+    for k in np.flatnonzero(suspect).tolist():  # the rows with a finding, one entry at a time
+        t = m.triplets[k]
         loc = f"({t[0]},{t[1]},{t[2]})"
-        row = m.transitions[t]
+        row = [(labels[j], float(P[k, j]), float(C[k, j])) for j in np.flatnonzero(listed[k]).tolist()]
         if not row:
             found.append(Finding("missing-row", loc, "no transition row"))
             continue

@@ -11,14 +11,15 @@ def dict_rows_equal_array_rows():
     """Every model the suite builds from rows gives back those rows from its arrays alone.
 
     Rows with a zero, negative or non-finite entry are skipped: the arrays
-    do not keep them, and only :func:`sspg.validate_model` reads them.
+    do not keep them, and only :func:`sspg.validate_model` reads them.  The
+    rows are computed uncached, so a test sees the model a user would hold.
     """
     init = sspg.GameModel.__init__
 
     def checked(self, *args, **kwargs):
         init(self, *args, **kwargs)
         derived = sspg.GameModel._from_arrays(self.states, self.controls1, self.controls2, self.P, self.C)
-        for t, row in self.transitions.items():
+        for t, row in sspg.GameModel.transitions.func(self).items():
             if all(p > 0.0 and math.isfinite(p) and math.isfinite(c) for _, p, c in row):
                 assert derived.transitions[t] == row, t
 

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 import sspg
-from sspg.model import SamplingTable, counter_hash, counter_uniform, mulhi
+from sspg.model import Finding, SamplingTable, _empty_controls, counter_hash, counter_uniform, mulhi
 
 
 def _generate_oracle(cfg: sspg.GeneratorConfig) -> sspg.GameModel:
@@ -743,3 +743,63 @@ def test_near_unit_rows_rescaled_bytes_pinned(seed, zero):
         mass = _document_order_mass(row)
         assert [m.P[k, int(e["j"])] for e in row["next"]] == [e["p"] / mass for e in row["next"]]
     assert hashlib.sha256(sspg.save_model(m).encode()).hexdigest() == NEAR_UNIT_PINS[(seed, zero)]
+
+
+def test_load_leaves_no_cached_rows(everett):
+    for text in (sspg.save_model(everett), json.dumps(_near_unit_doc(3))):
+        assert "transitions" not in vars(sspg.load_model(text))
+
+
+def _validate_by_rows(m):
+    """The findings of validate_model as a walk over every row of ``m.transitions``."""
+    found = [Finding("no-states", "states", "the game has no states")] if not m.states else []
+    found += _empty_controls(m)
+    for t, row in m.transitions.items():
+        loc = f"({t[0]},{t[1]},{t[2]})"
+        if not row:
+            found.append(Finding("missing-row", loc, "no transition row"))
+            continue
+        mass = 0.0
+        for j, p, cost in row:
+            if not math.isfinite(p) or p < 0.0:
+                found.append(Finding("bad-probability", loc, f"probability {p} to {j}"))
+                continue
+            if p == 0.0:
+                found.append(Finding("cost-on-zero-edge", loc, f"cost defined on zero-probability edge to {j}"))
+            if not math.isfinite(cost):
+                found.append(Finding("bad-cost", loc, f"non-finite cost {cost} to {j}"))
+            mass += p
+        if abs(mass - 1.0) > 1e-9:
+            found.append(Finding("bad-mass", loc, f"probability mass {mass:.12g}"))
+    return tuple(found)
+
+
+def test_validate_from_arrays_equals_the_walk_over_rows():
+    rng = np.random.default_rng(8)
+    faults = [math.nan, math.inf, -math.inf, -0.5, 0.0, -0.0, 1e308, 5e-324]
+    seen = set()
+    for trial in range(150):
+        m = sspg.generate_model(sspg.GeneratorConfig(n_states=int(rng.integers(1, 6)), max_controls=3,
+                                                     family=["contraction", "loopy"][trial % 2],
+                                                     cost_range=(0.5, 2.0), seed=trial))
+        rows = {t: list(r) for t, r in m.transitions.items()}
+        for t in rng.choice(len(m.triplets), size=min(int(rng.integers(0, 4)), len(m.triplets)), replace=False):
+            row, key = rows[m.triplets[t]], m.triplets[t]
+            e = int(rng.integers(len(row)))
+            j, p, c = row[e]
+            kind = int(rng.integers(5))
+            if kind == 0:
+                row[e] = (j, float(rng.choice(faults)), c)
+            elif kind == 1:
+                row[e] = (j, p, float(rng.choice([math.nan, math.inf, -math.inf])))
+            elif kind == 2:
+                row[e] = (j, p * (1 + float(rng.choice([-1, 1])) * 10.0 ** -rng.integers(5, 12)), c)
+            elif kind == 3:
+                rows[key] = []
+            else:
+                del rows[key]
+        built = sspg.GameModel(m.states, m.controls1, m.controls2, rows)
+        want = _validate_by_rows(built)
+        assert sspg.validate_model(built).findings == want, trial
+        seen.update(f.code for f in want)
+    assert seen >= {"bad-probability", "cost-on-zero-edge", "bad-cost", "bad-mass", "missing-row"}
