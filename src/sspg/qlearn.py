@@ -240,7 +240,9 @@ def _stepsize_table(stepsize, n: int) -> np.ndarray:
     """``a / (b + k)**p`` in [0, 1] at counts k < n at least, by Python's ``**``: numpy's differs in the last bit."""
     global _gammas
     key = tuple((type(x), x) for x in stepsize)
-    gamma = _gammas[1] if _gammas[0] == key else np.empty(0)
+    cached, gamma = _gammas  # one read: another thread may store another rule's table
+    if cached != key:
+        gamma = np.empty(0)
     if n > len(gamma):
         a, b, p = stepsize
         ks = range(len(gamma), max(n, 2 * len(gamma)))

@@ -1075,3 +1075,12 @@ def test_uniform_delay_zero_is_the_zero_rule(pin_game, sched):
         digests.add(sspg.run_qlearning(pin_game, cfg)[1].digest())
     assert len(digests) == 1
     assert not ReplayCore(pin_game, ("uniform", 0), 0).hashed  # no offsets drawn
+
+
+def test_stepsize_table_keeps_each_rule_apart_when_rules_alternate():
+    from sspg.qlearn import _stepsize_table
+
+    for n in (5, 40, 3, 100, 7):
+        for a, b, p in ((1.0, 1.0, 0.75), (2, 0, 1)):
+            want = [min(a / (b + k) ** p if b + k > 0 else float("inf"), 1.0) for k in range(n)]
+            assert _stepsize_table((a, b, p), n)[:n].tolist() == want, (a, b, p, n)
