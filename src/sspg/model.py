@@ -421,7 +421,7 @@ def validate_model(m: GameModel) -> ValidationReport:
     P, C, listed, labels = m.P, m.C, m._listed, (TERMINAL,) + m.states
     with np.errstate(invalid="ignore", over="ignore"):  # the loop below reports nan and inf entries and masses
         clean = listed & (P > 0.0) & np.isfinite(P) & np.isfinite(C)
-        # added in successor order, as the loop adds them: its mass on the rows of clean entries
+        # each row's mass added in successor order, as the loop adds it: the loop's own on the rows it decides
         sums = np.cumsum(np.where(listed, P, 0.0), axis=1)[:, -1]
         suspect = ~listed.any(axis=1) | (listed & ~clean).any(axis=1) | ~(np.abs(sums - 1.0) <= PROB_TOL)
     for k in np.flatnonzero(suspect).tolist():  # the rows with a finding, one entry at a time
