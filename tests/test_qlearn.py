@@ -9,7 +9,8 @@ import sspg
 from conftest import make_contraction, make_terminal_only
 from sspg.matgame import block_kernel, flat_game_value
 from sspg.model import counter_uniform
-from sspg.qlearn import _CHUNK, MetricsRow, ReplayCore, _index_dtype, _replay, derived_columns, pair_delay_offsets
+from sspg.qlearn import (_CHUNK, MetricsRow, ReplayCore, _index_dtype, _replay, _stepsize_table, derived_columns,
+                         pair_delay_offsets)
 
 
 @pytest.fixture(scope="module")
@@ -1078,8 +1079,6 @@ def test_uniform_delay_zero_is_the_zero_rule(pin_game, sched):
 
 
 def test_stepsize_table_keeps_each_rule_apart_when_rules_alternate():
-    from sspg.qlearn import _stepsize_table
-
     for n in (5, 40, 3, 100, 7):
         for a, b, p in ((1.0, 1.0, 0.75), (2, 0, 1)):
             want = [min(a / (b + k) ** p if b + k > 0 else float("inf"), 1.0) for k in range(n)]

@@ -6,7 +6,7 @@ import pytest
 
 import sspg
 from conftest import make_contraction, make_ring, make_terminal_only, random_policy
-from sspg.structure import InducedChain, _end_components, count_pure_policies
+from sspg.structure import InducedChain, _end_components, _staying_set, _support_rows, count_pure_policies
 
 
 def chain_from(p_rows, costs, labels):
@@ -465,8 +465,6 @@ def test_classify_chain_of_the_zero_state_chain():
 
 def test_forall_termination_with_an_empty_staying_set():
     # every row reaches 0 with probability at least 0.1, so no response stays away from it
-    from sspg.structure import _staying_set, _support_rows
-
     m = make_contraction(seed=31, n_states=6, max_controls=3)
     for player in (1, 2):
         pol = sspg.uniform_policy(m, player)
