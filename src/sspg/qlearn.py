@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import math
 from collections.abc import Iterator
@@ -233,22 +234,17 @@ def _index_dtype(max_iters: int, n_triplets: int) -> type:
     return np.int32 if max(max_iters, n_triplets) < np.iinfo(np.int32).max else np.int64
 
 
-_gammas = ((), np.empty(0))  # the stepsize rule last asked for, and its table, grown by doubling
+@functools.lru_cache(maxsize=8, typed=True)  # typed: 1, 1.0 and np.float64(1.0) are three rules
+def _gammas(a, b, p, n: int) -> np.ndarray:
+    """``a / (b + k)**p`` in [0, 1] at counts k < n, by Python's ``**``: numpy's differs in the last bit; read-only."""
+    gamma = np.array([min(a / (b + k) ** p if b + k > 0 else math.inf, 1.0) for k in range(n)])
+    gamma.flags.writeable = False  # every caller shares it
+    return gamma
 
 
 def _stepsize_table(stepsize, n: int) -> np.ndarray:
-    """``a / (b + k)**p`` in [0, 1] at counts k < n at least, by Python's ``**``: numpy's differs in the last bit."""
-    global _gammas
-    key = tuple((type(x), x) for x in stepsize)
-    cached, gamma = _gammas  # one read: another thread may store another rule's table
-    if cached != key:
-        gamma = np.empty(0)
-    if n > len(gamma):
-        a, b, p = stepsize
-        ks = range(len(gamma), max(n, 2 * len(gamma)))
-        gamma = np.append(gamma, [min(a / (b + k) ** p if b + k > 0 else math.inf, 1.0) for k in ks])
-        _gammas = key, gamma
-    return gamma
+    """Rule ``stepsize``'s shared table at counts k < n at least, one per power of two, as a doubling table grows."""
+    return _gammas(*stepsize, 1 << (n - 1).bit_length())
 
 
 def derived_columns(m: GameModel, cfg: QLearnConfig, ev: EventLog) -> tuple[np.ndarray, np.ndarray]:
