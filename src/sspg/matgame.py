@@ -59,6 +59,9 @@ def _finite(q) -> np.ndarray:
 
 
 def _as_matrix(matrix) -> np.ndarray:
+    shapes = [np.shape(row) for row in matrix] if isinstance(matrix, (list, tuple)) else []
+    if len(set(shapes)) > 1:
+        raise ValueError(f"matrix game needs a 2-D m x n matrix, got rows of shapes {shapes}")
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix game needs a 2-D m x n matrix, got shape {a.shape}")

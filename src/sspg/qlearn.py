@@ -30,7 +30,7 @@ time: the scheduler's picks, each event's update count and successor draw
 by event: the delayed block reads, the game values and the relaxations,
 which fill the chunk's ``new_q``; a recorded log is the chunks end to end.
 Realized costs and stepsizes are derived, never stored (:func:`derived_columns`),
-the stepsizes from one lazily grown table whose ``cumsum`` gives their sums.
+the stepsizes from one memoized table per rule (:func:`_stepsize_table`) whose ``cumsum`` gives their sums.
 
 One replay core, :class:`ReplayCore`, holds the one delay rule (:func:`pair_delay_offsets`
 is the only delay hash) and the one reader of delayed blocks.  The engine and the coupled
@@ -43,7 +43,8 @@ the engine did.  The noise decomposition reads blocks untouched since a chunk's 
 opened from one base view, the rest from the recorded write log, by (component, iteration)
 as the reader does (:func:`_write_index`).  The trackers read the log one update level at a
 time.  No table is ever copied, so an iteration costs what its events cost, whatever |R|.
-The library reads no environment variable: the seed is the config's.
+The library reads no environment variable, the seed is the config's, and it keeps no module
+state: a table is a pure function of its rule and its length, cached, read-only and shared.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def _parse_delay(spec) -> tuple[bool, tuple[int, ...]]:
 
     The largest delay at iteration t is ``cycle[t % len(cycle)]``, capped at
     t.  Hashed offsets are drawn per pair in [0, that bound]; otherwise every
-    pair reads exactly the bound.  A uniform bound of 0 is the zero rule.
+    pair reads exactly the bound.  A uniform bound of 0 is the zero rule; one
+    above 65535 is refused, as :func:`pair_delay_offsets` scales a 16-bit draw.
     """
     if spec == "zero":
         return False, (0,)
@@ -126,6 +128,8 @@ def _parse_delay(spec) -> tuple[bool, tuple[int, ...]]:
         d = _integer("delay bound", arg)
         if d < 0:
             raise ValueError("delay bound must be nonnegative")
+        if d > 0xFFFF:
+            raise ValueError(f"uniform delay bound {d} exceeds 65535: offsets are scaled from a 16-bit draw")
         return d > 0, (d,)
     if kind == "fixed":
         try:
@@ -150,7 +154,7 @@ class QLearnConfig:
     ``scheduler``: ``"all"``, ``("uniform-random", k)``, ``("round-robin",
     k)`` or ``("custom", groups)`` with explicit component-index groups
     cycled over iterations.  String forms ``"uniform-random:k"`` etc. are
-    accepted.  ``delay_model``: ``"zero"``, ``("uniform", D)`` or
+    accepted.  ``delay_model``: ``"zero"``, ``("uniform", D)`` (D <= 65535) or
     ``("fixed", offsets)`` (offsets cycled by iteration, applied to every
     pair).  ``reference_q``: a finite (|R|,) table whose sup distance the
     metric rows (every ``metric_interval`` iterations and at the end) and

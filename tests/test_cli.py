@@ -88,6 +88,13 @@ def test_matgame_entries_must_be_numbers(capsys, tmp_path, matrix):
         assert captured.err == f"error: matrix game needs a list of rows of numbers, got {matrix!r}\n"
 
 
+def test_matgame_rows_must_have_one_length(capsys):
+    code = main(["matgame", "--matrix", "[[1, 2], [3]]"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == "error: matrix game needs a 2-D m x n matrix, got rows of shapes [(2,), (1,)]\n"
+
+
 def test_solve_vi_everett(capsys, everett_file):
     code, out = run_cli(capsys, "solve-vi", "--model", everett_file, "--tol", "1e-6")
     assert code == 0
@@ -95,6 +102,25 @@ def test_solve_vi_everett(capsys, everett_file):
     assert doc["refined"]
     assert doc["values"]["1"] == pytest.approx(1.0, abs=1e-5)
     assert f'{doc["values"]["1"]:.6f}' == "1.000000"
+
+
+def test_solve_vi_prints_a_rejected_refine(capsys, tmp_path):
+    path = tmp_path / "gen.json"
+    path.write_text(sspg.save_model(sspg.generate_model(sspg.GeneratorConfig(n_states=5, max_controls=3, seed=4))))
+    code, out = run_cli(capsys, "solve-vi", "--model", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["outcome"] == "converged" and doc["iterations"] == 47 and doc["refined"] is False
+
+
+@pytest.mark.parametrize("cmd,count", [("solve-vi", "iterations"), ("solve-qvi", "iterations"),
+                                       ("solve-pi", "outer_iterations")])
+def test_solve_csv_has_one_row_per_iteration(capsys, tmp_path, pursuit, cmd, count):
+    model, trace = tmp_path / "pursuit.json", tmp_path / "trace.csv"
+    model.write_text(sspg.save_model(pursuit))
+    code, out = run_cli(capsys, cmd, "--model", str(model), "--csv", str(trace))
+    rows = trace.read_text().splitlines()
+    assert code == 0 and rows[0] == "iteration,residual,distance_to_ref"
+    assert len(rows) - 1 == json.loads(out)[count] > 0
 
 
 def test_solve_vi_iteration_cap_exit_code(capsys, everett_file):
@@ -260,10 +286,23 @@ def test_qlearn_config_file(capsys, self_loop_file, tmp_path):
     assert doc["iterations"] == 50  # config file entries override the flags
 
 
+def test_qlearn_delay_schedule_file(capsys, pursuit, tmp_path):
+    """One offset per line, blank lines skipped: the fixed delay rule of those offsets."""
+    model, offsets = tmp_path / "pursuit.json", tmp_path / "offsets.csv"
+    model.write_text(sspg.save_model(pursuit))
+    offsets.write_text("0\n\n2\n1\n3\n")
+    code, out = run_cli(capsys, "qlearn", "--model", str(model), "--seed", "3", "--iters", "300", "--record",
+                        "--scheduler", "round-robin:2", "--delay-schedule", str(offsets))
+    cfg = sspg.QLearnConfig(seed=3, max_iters=300, scheduler="round-robin:2", delay_model=("fixed", (0, 2, 1, 3)),
+                            record_full_history=True)
+    assert code == 0 and json.loads(out)["digest"] == sspg.run_qlearning(pursuit, cfg)[1].digest()
+
+
 # a --config document and the flags it stands for
 CONFIG_AS_FLAGS = {
     "delay-0": ({"delay": 0}, ["--delay", "0"]),
     "delay-3": ({"delay": 3}, ["--delay", "3"]),
+    "delay-65535": ({"delay": 65535}, ["--delay", "65535"]),  # the largest uniform bound
     "seed": ({"seed": 7}, ["--seed", "7"]),
     "max_iters": ({"max_iters": 150}, ["--iters", "150"]),
     "stepsize-a-list": ({"stepsize": [2, 0.5, 0.9]}, ["--stepsize", "2,0.5,0.9"]),
@@ -400,13 +439,24 @@ MALFORMED = {
     "u-is-a-number": 'transitions[1]: "u" must be a string, got 1',
     "v-is-false": 'transitions[2]: "v" must be a string, got False',
     "j-is-a-number": 'transitions[0] (1,1,1): entry 0: "j" must be a string, got 0',
+    "root-is-a-list": "document root must be an object",
+    "transitions-missing": 'missing field "transitions"',
+    "row-without-next": 'transitions[0]: needs fields "i", "u", "v", "next"',
+    "entry-without-cost": 'transitions[0] (1,1,1): entry 0 needs fields "j", "p", "cost"',
+    "next-is-an-object": 'transitions[0] (1,1,1): "next" must be a list',
+    "row-of-unknown-triplet": "transition row for unknown triplet ('1', '9', '1')",
+    "successor-is-unknown": "unknown successor '9' in row ('1', '1', '1')",
+    "state-labels-repeated": "duplicate state labels",
+    "control-labels-repeated": "duplicate control labels at state 1",
+    "rules-is-a-list": 'policy "rules" must be an object',
+    "rule-of-a-state-missing": "policy has no rule for state 1",
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_json_exits_invalid(capsys, everett_file, tmp_path, case):
     model, mu = tmp_path / "model.json", tmp_path / "mu.json"
-    doc = json.loads(open(everett_file).read())
+    doc = json.loads(Path(everett_file).read_text())
     mu_doc = {"player": "I", "rules": {"1": {"1": 0.0, "2": 1.0}}}
     if case == "policy-is-a-list":
         mu_doc = [mu_doc]
@@ -458,6 +508,28 @@ def test_malformed_json_exits_invalid(capsys, everett_file, tmp_path, case):
         doc["transitions"][2]["v"] = False
     elif case == "j-is-a-number":
         doc["transitions"][0]["next"][0]["j"] = 0
+    elif case == "root-is-a-list":
+        doc = [doc]
+    elif case == "transitions-missing":
+        del doc["transitions"]
+    elif case == "row-without-next":
+        del doc["transitions"][0]["next"]
+    elif case == "entry-without-cost":
+        del doc["transitions"][0]["next"][0]["cost"]
+    elif case == "next-is-an-object":
+        doc["transitions"][0]["next"] = {}
+    elif case == "row-of-unknown-triplet":
+        doc["transitions"][0]["u"] = "9"
+    elif case == "successor-is-unknown":
+        doc["transitions"][0]["next"][0]["j"] = "9"
+    elif case == "state-labels-repeated":
+        doc["states"] = ["1", "1"]
+    elif case == "control-labels-repeated":
+        doc["controls1"]["1"] = ["1", "1"]
+    elif case == "rules-is-a-list":
+        mu_doc["rules"] = []
+    elif case == "rule-of-a-state-missing":
+        mu_doc["rules"] = {}
     else:
         doc["controls1"] = [doc["controls1"]["1"]]
     model.write_text(json.dumps(doc))
@@ -700,6 +772,7 @@ REF_FAULTS = {
     "infinite-q": '--ref row 2: "q" must be finite',
     "q-is-numeric-text": '--ref row 2 needs a triplet "i", "u", "v" of the game and a number "q"',
     "q-is-true": '--ref row 2 needs a triplet "i", "u", "v" of the game and a number "q"',
+    "rows-in-an-object": "--ref must hold a list of triplet rows",
 }
 
 
@@ -718,6 +791,8 @@ def test_qlearn_ref_needs_every_triplet_once(capsys, everett, everett_file, tmp_
         rows[2]["q"] = "0.5"
     elif case == "q-is-true":
         rows[2]["q"] = True
+    elif case == "rows-in-an-object":
+        rows = {"rows": rows}
     else:
         rows[2]["q"] = float("inf")
     ref = tmp_path / "ref.json"
@@ -771,6 +846,9 @@ FLAG_CONFLICTS = {
     "stepsize-infinite-a": (["--stepsize", "inf,1,0.75"], None, "stepsize needs finite a and b, got (inf, 1.0, 0.75)"),
     "config-stepsize-infinite-b": ([], {"stepsize": [1, 1e400, 0.75]},
                                    "stepsize needs finite a and b, got (1.0, inf, 0.75)"),
+    "config-not-an-object": ([], [{"seed": 1}], "--config must hold a JSON object"),
+    "delay-past-16-bits": (["--delay", "70000"], None,
+                           "uniform delay bound 70000 exceeds 65535: offsets are scaled from a 16-bit draw"),
 }
 
 
@@ -802,6 +880,9 @@ FLAG_CONFLICTS = {
     ("couple", "delay-schedule-fractional-line"),
     ("qlearn", "stepsize-infinite-a"),
     ("couple", "config-stepsize-infinite-b"),
+    ("qlearn", "config-not-an-object"),
+    ("qlearn", "delay-past-16-bits"),
+    ("couple", "delay-past-16-bits"),
 ])
 def test_qlearn_flag_conflicts_rejected_before_running(capsys, monkeypatch, everett_file, tmp_path, cmd, case):
     flags, doc, err = FLAG_CONFLICTS[case]

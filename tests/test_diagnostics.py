@@ -231,7 +231,7 @@ def test_coupling_csv(tmp_path, recorded_run):
     report = sspg.run_coupled_lower_process(m, sspg.uniform_policy(m, 2), run)
     path = tmp_path / "coupling.csv"
     report.to_csv(path, m)
-    lines = open(path).read().splitlines()
+    lines = path.read_text().splitlines()
     assert lines[0] == "i,u,v,min_margin"
     assert len(lines) == m.n_triplets + 1
 

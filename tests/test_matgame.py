@@ -121,6 +121,8 @@ def test_best_response_dimension_mismatch():
         sspg.best_response_value([[1, 2], [3, 4]], [0.5, 0.25, 0.25], "row")
     with pytest.raises(ValueError):
         sspg.best_response_value([[1, 2], [3, 4]], [1.0], "sideways")
+    with pytest.raises(ValueError, match=r"^column strategy needs 2 entries, got \(3,\)$"):
+        sspg.best_response_value([[1, 2], [3, 4]], [0.5, 0.25, 0.25], "col")
 
 
 @pytest.mark.parametrize("side", ["row", "col"])
@@ -141,6 +143,9 @@ def test_rejects_bad_matrices():
         sspg.solve_matrix_game([[np.inf, 1.0]])
     with pytest.raises(ValueError):
         sspg.solve_matrix_game(np.zeros((0, 2)))
+    # rows of unequal length: the library's shape error, not numpy's
+    with pytest.raises(ValueError, match=r"^matrix game needs a 2-D m x n matrix, got rows of shapes \[\(2,\), \(1,\)\]$"):
+        sspg.solve_matrix_game([[1, 2], [3]])
 
 
 def test_deterministic_resolution():

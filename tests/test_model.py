@@ -537,6 +537,26 @@ def test_document_only_faults_refused(case):
     assert str(info.value) == err
 
 
+# a call on the one-row model below that is refused: its error type and message
+MODEL_CALL_FAULTS = {
+    "state-index-of-an-unknown-label": (lambda m: m.state_index("9"), ValueError, "unknown state '9'"),
+    "state-block-out-of-range": (lambda m: m.state_block(2), ValueError, "state index 2 out of range"),
+    "policy-of-an-unknown-player": (lambda m: sspg.model.policy_arrays(m, sspg.StationaryPolicy(3, {"1": [1.0]})),
+                                    sspg.PolicyMismatchError, "unknown player 3"),
+    "draw-past-the-row-mass": (lambda m: m.sampling.draw(np.array([0]), np.array([0.75])), ValueError,
+                               "no successor of triplet 0 reaches the draw"),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_CALL_FAULTS)
+def test_model_calls_refused(case):
+    call, error, message = MODEL_CALL_FAULTS[case]
+    m = sspg.GameModel(*ONE_ROW, {("1", "a", "x"): [("0", 0.5, 1.0)]})  # a row of mass 0.5, unvalidated
+    with pytest.raises(error) as info:
+        call(m)
+    assert str(info.value) == message
+
+
 def test_load_checks_each_label_and_number_once(monkeypatch):
     """A work count, not a timing: one label check per label, one number check per p and cost."""
     m = sspg.generate_model(sspg.GeneratorConfig(n_states=20, max_controls=2, seed=3))
@@ -673,6 +693,10 @@ BAD_CONFIGS = {
     "cost-nan": (dict(cost_range=(float("nan"), 1.0)), "cost_range must be two finite numbers (lo, hi), got (nan, 1.0)"),
     "cost-width-overflows": (dict(cost_range=(-1e308, 1e308)), "cost_range must be two finite numbers"),
     "cost-reversed": (dict(cost_range=(2.0, 1.0)), "cost_range must have lo <= hi"),
+    "n_states-zero": (dict(n_states=0), "n_states must be at least 1"),
+    "family-unknown": (dict(family="spiral"), "family must be one of ('contraction', 'loopy', 'sequential')"),
+    "loopy-with-a-zero-cost": (dict(family="loopy", cost_range=(0.0, 1.0)),
+                               "loopy family needs strictly positive costs (lo > 0)"),
 }
 
 

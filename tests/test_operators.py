@@ -241,3 +241,15 @@ def test_policy_player_mismatch(everett):
     nu = sspg.uniform_policy(everett, 2)
     with pytest.raises(sspg.PolicyMismatchError):
         sspg.bellman_min_fixed(everett, nu, [0.0])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda m: sspg.bellman(m, [0.0, 1.0]), "value vector needs shape (1,), got (2,)"),
+    (lambda m: sspg.q_from_values(m, 0.0), "value vector needs shape (1,), got ()"),
+    (lambda m: sspg.q_bellman(m, [0.0]), "Q-table needs shape (4,), got (1,)"),
+    (lambda m: sspg.greedy_policies(m, np.zeros((2, 2))), "Q-table needs shape (4,), got (2, 2)"),
+])
+def test_operators_refuse_tables_of_another_shape(everett, call, message):
+    with pytest.raises(ValueError) as info:
+        call(everett)
+    assert str(info.value) == message

@@ -138,6 +138,15 @@ def test_delay_offsets_pure_function():
     assert pair_delay_offsets(7, 16, 4, 3, 11, 2, 4, 0).tolist() == [[0, 0, 0, 0]]
 
 
+def test_uniform_delay_bound_is_what_the_16_bit_draw_covers():
+    """Offsets scale a 16-bit draw into [0, D]: at D = 65535 every value of [0, 65535] can be drawn.
+    A larger bound would leave values out, and is refused (test_config_types_named)."""
+    offs = pair_delay_offsets(7, 16, 4, np.arange(16), np.arange(4000)[:, None], 2, 4, 65535)
+    assert offs.min() == 0 and offs.max() == 65535
+    assert len(np.unique(offs)) > 60_000  # 256k draws of 65536 values
+    assert sspg.QLearnConfig(delay_model=("uniform", 65535)).delay_model == ("uniform", 65535)
+
+
 def test_replay_core_reads_match_full_tables():
     """The reader answers every delayed read as full tables at the start of each
     iteration would: gaps between iterations, chunks that split an iteration,
@@ -334,6 +343,14 @@ def test_config_validation():
     (dict(delay_model=("fixed", [False])), "fixed delay schedule needs an integer, got False"),
     (dict(stepsize=(float("inf"), 1, 0.75)), "stepsize needs finite a and b, got (inf, 1, 0.75)"),
     (dict(stepsize=(1, float("inf"), 0.75)), "stepsize needs finite a and b, got (1, inf, 0.75)"),
+    (dict(scheduler=("lottery", 2)), "unknown scheduler ('lottery', 2)"),
+    (dict(delay_model=("poisson", 3)), "unknown delay model ('poisson', 3)"),
+    (dict(delay_model=("fixed", [])), "fixed delay schedule must be nonempty and nonnegative"),
+    (dict(delay_model=("fixed", [2, -1])), "fixed delay schedule must be nonempty and nonnegative"),
+    (dict(max_iters=-1), "max_iters must be nonnegative"),
+    (dict(metric_interval=0), "metric_interval must be positive"),
+    (dict(delay_model=("uniform", 65536)),
+     "uniform delay bound 65536 exceeds 65535: offsets are scaled from a 16-bit draw"),
 ])
 def test_config_types_named(kwargs, err):
     """A value of the wrong type is a ValueError naming the field and the expected form."""
@@ -506,10 +523,11 @@ def test_run_trace_csv(tmp_path, recorded_run):
     m, cfg, q, run = recorded_run
     path = tmp_path / "run.csv"
     run.to_csv(path, m)
-    header = open(path).readline().strip().split(",")
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
     assert header == ["t", "active_component", "j_sample", "cost", "gamma",
                       "max_delay_used", "sup_dist_to_ref", "max_abs_q"]
-    n_lines = sum(1 for _ in open(path)) - 1
+    n_lines = len(lines) - 1
     assert n_lines == len(run.events)
 
 

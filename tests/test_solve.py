@@ -33,6 +33,15 @@ def test_everett_refine_is_exact(everett):
     assert abs(x[0] - 1.0) <= 1e-15
 
 
+def test_refine_rejected_returns_the_vi_values():
+    # the greedy policy's exact evaluation is no fixed point within REFINE_TOL on this game
+    m = sspg.generate_model(sspg.GeneratorConfig(n_states=5, max_controls=3, seed=4))
+    j, trace = sspg.value_iteration(m)
+    assert trace.outcome == sspg.CONVERGED and len(trace.rows) == 47
+    x, refined = sspg.refine_fixed_point(m, j)
+    assert not refined and x.tobytes() == j.tobytes()
+
+
 def test_zerocost_vi_exact(zerocost):
     j, trace = sspg.value_iteration(zerocost, tol=1e-6)
     assert trace.outcome == sspg.CONVERGED
@@ -114,7 +123,7 @@ def test_trace_csv(tmp_path):
     _, trace = sspg.value_iteration(m, tol=1e-8, ref=ref)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
-    rows = list(csv.reader(open(path)))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["iteration", "residual", "distance_to_ref"]
     assert len(rows) == len(trace.rows) + 1
     assert float(rows[1][1]) >= 0.0
