@@ -44,7 +44,7 @@ opened from one base view, the rest from the recorded write log, by (component, 
 as the reader does (:func:`_write_index`).  The trackers read the log one update level at a
 time.  No table is ever copied, so an iteration costs what its events cost, whatever |R|.
 The library reads no environment variable, the seed is the config's, and it keeps no module
-state: a table is a pure function of its rule and its length, cached, read-only and shared.
+state: a stepsize table is a pure function of its rule and its length, cached, read-only and shared.
 """
 
 from __future__ import annotations
