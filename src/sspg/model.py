@@ -191,7 +191,7 @@ class GameModel:
     entries the rows listed (zero-probability and NaN entries included), are
     the representation; every other array and :attr:`transitions` are
     derived from them.  The private :meth:`_from_arrays` builds a model from
-    ``P`` and ``C``, listing the entries of ``P > 0`` unless given a mask.
+    ``P`` and ``C`` as given, listing the entries of ``P > 0``.
 
     The one checker of labels, numbers and rows, for a game document too
     (:func:`load_model` checks only its shape): every label is a string and
@@ -210,10 +210,11 @@ class GameModel:
         every state needs an entry, and every entry's labels are checked.
     transitions:
         Mapping ``(i, u, v) -> sequence of (j, p, cost)`` rows; every entry
-        is listed, zero-probability and NaN ones included.  Construction is
-        permissive about probability mass and missing rows so that
-        :func:`validate_model` can report findings; downstream operators
-        assume a validated model.
+        is listed, zero-probability and NaN ones included.  A row of k entries
+        whose mass, added in the row's order, is off 1 by more than k * 2**-52
+        and at most ``PROB_TOL`` is divided by that mass, so a saved model loads
+        equal to itself.  Otherwise mass and missing rows are left for
+        :func:`validate_model` to report; operators assume a validated model.
     """
 
     def __init__(
@@ -240,6 +241,10 @@ class GameModel:
                                            "must be numbers") from None
             if len({e[1] for e in row}) != len(row):
                 raise ModelFormatError(f"duplicate successor entries in row {key}")
+            mass = functools.reduce(float.__add__, (e[2] for e in row), 0.0)  # in the row's own order
+            # a row of k entries within k * 2**-52 of unit mass is kept as it is: a rescaled row lands there
+            if len(row) * sys.float_info.epsilon < abs(mass - 1.0) <= PROB_TOL:
+                row = [(t, j, p / mass, c) for t, j, p, c in row]
             flat += row
         P, C = np.zeros((2, self.n_triplets, self.n + 1))
         listed = np.zeros(P.shape, dtype=bool)
@@ -249,11 +254,11 @@ class GameModel:
         self._set_kernel(P, C, listed)
 
     @classmethod
-    def _from_arrays(cls, states, controls1, controls2, P: np.ndarray, C: np.ndarray, listed=None) -> "GameModel":
-        """A model from (|R|, n+1) float arrays over the canonical triplets, listing ``listed``, by default ``P > 0``."""
+    def _from_arrays(cls, states, controls1, controls2, P: np.ndarray, C: np.ndarray) -> "GameModel":
+        """A model from (|R|, n+1) float arrays over the canonical triplets, listing the entries of ``P > 0``, as given."""
         m = cls.__new__(cls)
         m._set_labels(states, controls1, controls2)
-        m._set_kernel(P, C, P > 0.0 if listed is None else listed)
+        m._set_kernel(P, C, P > 0.0)
         return m
 
     def _set_labels(self, states, controls1, controls2) -> None:
@@ -492,13 +497,13 @@ def _row_key(key, k: int) -> None:
 
 
 def load_model(text: str) -> GameModel:
-    """Parse a game document, renormalize near-unit probability rows, validate.
+    """Parse a game document, build its model once, validate.
 
     The loader checks the document's shape (JSON, objects and lists, required
     fields, no repeated row); :class:`GameModel` checks every label, number
-    and row, ``transitions[k]`` naming the document's k-th row.  Raises
-    :class:`ModelFormatError` on either (with field context) and
-    :class:`ModelValidationError` listing every violated invariant otherwise.
+    and row and renormalizes near-unit rows, ``transitions[k]`` naming the
+    document's k-th row.  Raises :class:`ModelFormatError` on either (with field
+    context) and :class:`ModelValidationError` listing every violated invariant.
     """
     try:
         doc = json.loads(text)
@@ -539,16 +544,6 @@ def load_model(text: str) -> GameModel:
         transitions[key] = [(e["j"], e["p"], e["cost"]) for e in entries]
 
     model = GameModel(doc["states"], doc["controls1"], doc["controls2"], transitions)
-    scale = np.ones(model.n_triplets)  # the mass of each row to rescale, 1 elsewhere
-    for key, entries in transitions.items():
-        mass = functools.reduce(float.__add__, (float(p) for _, p, _ in entries), 0.0)  # in order, each p a number
-        # a row of k entries within k * 2**-52 of unit mass is kept as it is: a
-        # rescaled row lands there, so loading a saved model changes nothing
-        if len(entries) * sys.float_info.epsilon < abs(mass - 1.0) <= PROB_TOL:
-            scale[model.triplet_index(key)] = mass
-    if (scale != 1.0).any():  # rare: only a document not written by save_model has such rows
-        P = model.P / scale[:, None]  # p / 1 is p, bit for bit
-        model = GameModel._from_arrays(model.states, model.controls1, model.controls2, P, model.C, model._listed)
     report = validate_model(model)
     if not report.ok:
         raise ModelValidationError(report)
