@@ -258,10 +258,8 @@ def _solver_exit(trace) -> int:
 
 
 def _cmd_validate(args) -> tuple[object, int]:
-    with open(args.model) as f:
-        text = f.read()
     try:
-        load_model(text)  # which validates
+        _read_model(args.model)  # which validates
     except ModelValidationError as e:
         return e.report.to_json(), EXIT_INVALID
     return ValidationReport(()).to_json(), EXIT_OK

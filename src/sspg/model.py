@@ -207,7 +207,7 @@ class GameModel:
         termination state and must not appear.
     controls1, controls2:
         Ordered control label lists per state for the minimizer / maximizer;
-        every state needs an entry, and every entry's labels are checked.
+        every state needs an entry, every entry a state, and every label is checked.
     transitions:
         Mapping ``(i, u, v) -> sequence of (j, p, cost)`` rows; every entry
         is listed, zero-probability and NaN ones included.  A row of k entries
@@ -265,7 +265,8 @@ class GameModel:
         states = tuple(_label(s, '"states" entry {}', k) for k, s in enumerate(states))
         if TERMINAL in states:
             raise ModelFormatError('termination state "0" must not appear in "states"')
-        if len(set(states)) != len(states):
+        known = set(states)
+        if len(known) != len(states):
             raise ModelFormatError("duplicate state labels")
         self.states = states
         for name, given in (("controls1", controls1), ("controls2", controls2)):
@@ -275,6 +276,9 @@ class GameModel:
             for s, labels in given.items():  # a key that is not a state too
                 for k, c in enumerate(labels):
                     _label(c, '"{}" entry for state {}: control {}', name, s, k)
+            extra = [s for s in given if s not in known]
+            if extra:
+                raise ModelFormatError(f'"{name}" has an entry for state {extra[0]}, which the game does not have')
         self.controls1, self.controls2 = ({s: tuple(given[s]) for s in states} for given in (controls1, controls2))
         for s in states:
             for labels in (self.controls1[s], self.controls2[s]):

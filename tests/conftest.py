@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sspg
+from sspg.matgame import PROB_TOL
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -13,6 +14,9 @@ def dict_rows_equal_array_rows():
     Rows with a zero, negative or non-finite entry are skipped: the arrays
     do not keep them, and only :func:`sspg.validate_model` reads them.  The
     rows are computed uncached, so a test sees the model a user would hold.
+    A built row of k finite positive entries within ``PROB_TOL`` of unit mass
+    is within k * 2**-52 of it, added in successor order: the near-unit rule
+    leaves nothing for a second build to rescale.
     """
     init = sspg.GameModel.__init__
 
@@ -22,6 +26,12 @@ def dict_rows_equal_array_rows():
         for t, row in sspg.GameModel.transitions.func(self).items():
             if all(p > 0.0 and math.isfinite(p) and math.isfinite(c) for _, p, c in row):
                 assert derived.transitions[t] == row, t
+        P, listed = self.P, self._listed
+        with np.errstate(invalid="ignore", over="ignore"):  # inf and nan entries are not checked
+            clean = ~(listed & ~((P > 0.0) & np.isfinite(P))).any(axis=1)
+            off = np.abs(np.cumsum(np.where(listed, P, 0.0), axis=1)[:, -1] - 1.0)
+        near = clean & (off <= PROB_TOL)
+        assert (off[near] <= listed.sum(axis=1)[near] * 2.0**-52).all()
 
     sspg.GameModel.__init__ = checked
     yield

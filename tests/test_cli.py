@@ -450,6 +450,7 @@ MALFORMED = {
     "control-labels-repeated": "duplicate control labels at state 1",
     "rules-is-a-list": 'policy "rules" must be an object',
     "rule-of-a-state-missing": "policy has no rule for state 1",
+    "controls-of-no-state": '"controls1" has an entry for state 9, which the game does not have',
 }
 
 
@@ -530,6 +531,8 @@ def test_malformed_json_exits_invalid(capsys, everett_file, tmp_path, case):
         mu_doc["rules"] = []
     elif case == "rule-of-a-state-missing":
         mu_doc["rules"] = {}
+    elif case == "controls-of-no-state":
+        doc["controls1"]["9"] = ["b"]
     else:
         doc["controls1"] = [doc["controls1"]["1"]]
     model.write_text(json.dumps(doc))

@@ -500,6 +500,7 @@ ONE_FAULT = {f"label-{case}": args for case, (args, _) in NON_STRING_LABELS.item
 ONE_FAULT.update({f"entry-{case}": (*ONE_ROW, {("1", "a", "x"): entries})
                   for case, (entries, _) in NON_NUMBER_ENTRIES.items()})
 ONE_FAULT["entry-cost-past-float"] = (*ONE_ROW, {("1", "a", "x"): [("0", 1.0, 10**400)]})  # not an OverflowError
+ONE_FAULT["controls-of-no-state"] = (["1"], {"1": ["a"], "9": ["b"]}, {"1": ["x"]}, {("1", "a", "x"): [("0", 1.0, 0.0)]})
 
 
 @pytest.mark.parametrize("case", ONE_FAULT)
@@ -767,6 +768,42 @@ def test_near_unit_rows_rescaled_bytes_pinned(seed, zero):
         mass = _document_order_mass(row)
         assert [m.P[k, int(e["j"])] for e in row["next"]] == [e["p"] / mass for e in row["next"]]
     assert hashlib.sha256(sspg.save_model(m).encode()).hexdigest() == NEAR_UNIT_PINS[(seed, zero)]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_constructor_and_loader_build_one_model(seed):
+    """The rows of a near-unit document give the loaded model through the constructor, P bit for bit."""
+    doc = _near_unit_doc(seed)
+    rows = {(r["i"], r["u"], r["v"]): [(e["j"], e["p"], e["cost"]) for e in r["next"]] for r in doc["transitions"]}
+    built = sspg.GameModel(doc["states"], doc["controls1"], doc["controls2"], rows)
+    loaded = sspg.load_model(json.dumps(doc))
+    assert built == loaded and built.P.tobytes() == loaded.P.tobytes()
+
+
+def _near_unit_game(rng) -> sspg.GameModel:
+    """1-29 states, one or two controls per player; each row lists 1 to n+1 successors in random
+    order, its mass off 1 by a factor 1 +- U(1e-13, 9e-10)."""
+    n = int(rng.integers(1, 30))
+    states = [str(i) for i in range(1, n + 1)]
+    controls1 = {s: ["a", "b"][: int(rng.integers(1, 3))] for s in states}
+    controls2 = {s: ["x", "y"][: int(rng.integers(1, 3))] for s in states}
+    rows = {}
+    for s in states:
+        for u in controls1[s]:
+            for v in controls2[s]:
+                succ = rng.permutation(n + 1)[: int(rng.integers(1, n + 2))]
+                w = 1.0 - rng.random(len(succ))  # in (0, 1]
+                p = w / w.sum() * (1.0 + rng.choice([-1, 1]) * rng.uniform(1e-13, 9e-10))
+                rows[s, u, v] = [(str(j), float(q), float(rng.uniform(-1, 1))) for j, q in zip(succ, p)]
+    return sspg.GameModel(states, controls1, controls2, rows)
+
+
+def test_games_built_in_memory_round_trip():
+    rng = np.random.default_rng(30)
+    for trial in range(300):
+        m = _near_unit_game(rng)
+        assert sspg.validate_model(m).ok, trial
+        assert sspg.load_model(sspg.save_model(m)) == m, trial
 
 
 def test_load_leaves_no_cached_rows(everett):
